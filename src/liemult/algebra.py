@@ -24,7 +24,7 @@ from .errors import (
     ResourceLimit,
 )
 from .fields import QQ
-from .linalg import Matrix, RowSpan, inverse, rref_with_transform
+from .linalg import Matrix, RowSpan, inverse
 
 
 class Subspace:
@@ -451,8 +451,9 @@ class QuotientMap:
     """Coordinates in U/W for nested subspaces W ⊆ U.
 
     The basis of U/W is the image of those canonical rows of U whose pivot
-    column is not a pivot of W; the coordinate map is precomputed as a single
-    matrix so repeated calls cost one matrix-vector product.
+    column is not a pivot of W.  A vector of U reduced modulo W is the
+    combination of exactly those rows, with its own entries at their pivot
+    columns as the coefficients, so coordinates are read off directly.
     """
 
     def __init__(self, sup: Subspace, sub: Subspace):
@@ -463,25 +464,19 @@ class QuotientMap:
         self.sup = sup
         self.sub = sub
         sub_pivots = set(sub.basis.pivot_columns())
-        complement = [
-            sup.basis.row(i)
-            for i, p in enumerate(sup.basis.pivot_columns())
-            if p not in sub_pivots
+        kept = [
+            (i, p) for i, p in enumerate(sup.basis.pivot_columns()) if p not in sub_pivots
         ]
-        adapted = sub.basis.rows() + complement
-        self.dim = len(complement)
-        self._k = len(adapted)
-        self._complement = complement
-        m = Matrix(sup.field, adapted, ncols=sup.ambient)
-        _, transform = rref_with_transform(m.transpose())
-        self._transform = transform
+        self.dim = len(kept)
+        self._pivots = [p for _, p in kept]
+        self._complement = [sup.basis.row(i) for i, _ in kept]
 
     def coords(self, v) -> list:
         """Coordinates of v (which must lie in U) in the U/W basis."""
-        w = self._transform.mul_column(v)
-        if any(w[self._k:]):
+        if not self.sup.contains_vector(v):
             raise NotInSubspace("vector lies outside the larger subspace")
-        return w[self.sub.dim: self._k]
+        w = self.sub.reduce(v)
+        return [w[p] for p in self._pivots]
 
     def coords_sparse(self, v: dict[int, object]) -> list:
         """coords() for a sparse {index: coeff} vector."""

@@ -150,7 +150,9 @@ class PrimeFieldElement:
         if isinstance(other, PrimeFieldElement):
             return self.p == other.p and self.v == other.v
         if isinstance(other, int):
-            return self.v == other % self.p
+            # Only the canonical residue compares equal: an int hashes as
+            # itself, so equal values then hash equal.
+            return self.v == other
         return NotImplemented
 
     def __hash__(self):

@@ -1,133 +1,28 @@
-"""Exact dense linear algebra over Q and GF(p).
+"""Exact linear algebra over Q and GF(p) on one sparse elimination kernel.
 
-Rank, canonical reduced echelon form, kernel bases and row-space sums, all
-exact.  Over Q the forward elimination is fraction-free (Bareiss): rows are
-scaled to integers and the two-step determinant identity keeps every
-intermediate entry an exact integer minor, avoiding rational blow-up.  The
-final normalization to leading-one reduced form is done with Fractions on the
-already-triangularized rows.  Over GF(p) classical elimination with modular
-inverses is used directly.
+``RowSpan`` is the only elimination code in the package.  It holds an echelon
+basis as sparse integer rows ``{column: int}`` keyed by pivot column.  Over
+GF(p) the entries are raw residues and every pivot is 1.  Over Q each row is a
+primitive integer vector with a positive leading entry: the fraction-free idea
+of Bareiss, reduced to cross-multiplying two integer rows and dividing the
+content out, so no rational arithmetic runs inside elimination.  One clearing
+step, ``RowSpan._clear``, is the only elimination arithmetic and the only
+place it differs by field; forward reduction (``add``, ``contains``) and
+back-substitution to the canonical reduced basis (``matrix``) both use it.
 
-Echelon form here always means the canonical reduced form: leading entries 1,
-zeros above and below every pivot, zero rows dropped.  That makes every basis
+``Matrix`` is a dense immutable matrix over one field.  Its rank, echelon
+form, kernel basis and inverse all feed its rows into a ``RowSpan``.  Echelon
+form here always means the canonical reduced form: leading entries 1, zeros
+above and below every pivot, zero rows dropped.  That makes every basis
 produced by this module byte-deterministic.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Sequence
 
 from .errors import DimensionMismatch, FieldMismatch, SingularMatrix
-from .fields import QQ, RationalField
-
-
-def _lcm(a: int, b: int) -> int:
-    return a * b // gcd(a, b)
-
-
-def _row_to_integers(row) -> list[int]:
-    """Scale a row of Fractions by the lcm of denominators (row space kept)."""
-    scale = 1
-    for e in row:
-        scale = _lcm(scale, e.denominator)
-    return [int(e * scale) for e in row]
-
-
-def _bareiss_forward(rows: list[list[int]]) -> tuple[int, list[int]]:
-    """Fraction-free forward elimination in place.
-
-    Returns (rank, pivot column list).  Pivot selection is first-nonzero, so
-    the result is deterministic.
-    """
-    m = len(rows)
-    ncols = len(rows[0]) if m else 0
-    pivots: list[int] = []
-    r = 0
-    prev = 1
-    for c in range(ncols):
-        pr = next((i for i in range(r, m) if rows[i][c] != 0), None)
-        if pr is None:
-            continue
-        if pr != r:
-            rows[r], rows[pr] = rows[pr], rows[r]
-        piv = rows[r][c]
-        for i in range(r + 1, m):
-            t = rows[i][c]
-            if t == 0 and piv == prev:
-                continue  # scaling factor is 1, row unchanged
-            ri, rr = rows[i], rows[r]
-            rows[i] = [(piv * ri[j] - t * rr[j]) // prev for j in range(ncols)]
-        prev = piv
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    return r, pivots
-
-
-def _normalize_echelon(rows: list[list], pivots: list[int], one) -> list[list]:
-    """Jordan-normalize echelon rows: leading 1s, zeros above pivots."""
-    rank = len(pivots)
-    out = [list(rows[i]) for i in range(rank)]
-    for i in range(rank - 1, -1, -1):
-        c = pivots[i]
-        piv = out[i][c]
-        if piv != one:
-            out[i] = [e / piv for e in out[i]]
-        for k in range(i):
-            f = out[k][c]
-            if f:
-                rk, ri = out[k], out[i]
-                out[k] = [a - f * b for a, b in zip(rk, ri)]
-    return out
-
-
-def _rref_rational(rows) -> tuple[list[list[Fraction]], list[int]]:
-    work = [_row_to_integers(r) for r in rows]
-    if not work:
-        return [], []
-    _, pivots = _bareiss_forward(work)
-    frac_rows = [[Fraction(e) for e in row] for row in work]
-    return _normalize_echelon(frac_rows, pivots, Fraction(1)), pivots
-
-
-def _rref_classical(rows, field, pivot_limit=None) -> tuple[list[list], list[int]]:
-    """Division-based elimination; used for prime fields and transforms.
-
-    ``pivot_limit`` restricts pivot search to the first columns (augmented
-    elimination); row operations still run over the full width.
-    """
-    work = [list(r) for r in rows]
-    m = len(work)
-    ncols = len(work[0]) if m else 0
-    limit = ncols if pivot_limit is None else pivot_limit
-    pivots: list[int] = []
-    r = 0
-    for c in range(limit):
-        pr = next((i for i in range(r, m) if work[i][c]), None)
-        if pr is None:
-            continue
-        if pr != r:
-            work[r], work[pr] = work[pr], work[r]
-        piv = work[r][c]
-        if piv != field.one:
-            work[r] = [e / piv for e in work[r]]
-        for i in range(m):
-            if i == r:
-                continue
-            f = work[i][c]
-            if f:
-                wi, wr = work[i], work[r]
-                work[i] = [a - f * b for a, b in zip(wi, wr)]
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    ordered = [work[i] for i in range(len(pivots))]
-    tail = [work[i] for i in range(len(pivots), m)]
-    return ordered + tail, pivots
 
 
 class Matrix:
@@ -151,6 +46,7 @@ class Matrix:
         self._rows = rows
         self.nrows = len(rows)
         self.ncols = width
+        self._span: RowSpan | None = None
         self._rref: tuple[Matrix, tuple[int, ...]] | None = None
 
     @classmethod
@@ -228,20 +124,22 @@ class Matrix:
     def pivot_columns(self) -> tuple[int, ...]:
         return self._rref_with_pivots()[1]
 
+    def _echelon(self) -> "RowSpan":
+        """The rows fed into a RowSpan (forward reduction only, done once)."""
+        if self._span is None:
+            span = RowSpan(self.field, self.ncols)
+            for r in self._rows:
+                span.add(r)
+            self._span = span
+        return self._span
+
     def _rref_with_pivots(self) -> tuple["Matrix", tuple[int, ...]]:
         if self._rref is None:
-            if isinstance(self.field, RationalField):
-                rows, pivots = _rref_rational(self._rows)
-            else:
-                rows, pivots = _rref_classical(self._rows, self.field)
-                rows = rows[: len(pivots)]
-            reduced = Matrix(self.field, rows, ncols=self.ncols)
-            reduced._rref = (reduced, tuple(pivots))
-            self._rref = (reduced, tuple(pivots))
+            self._rref = self._echelon().matrix()._rref
         return self._rref
 
     def rank(self) -> int:
-        return len(self.pivot_columns())
+        return self._echelon().dim
 
     def kernel_basis(self) -> "Matrix":
         """Canonical echelonized basis of the right null space, as rows."""
@@ -285,84 +183,131 @@ def row_space_union(a: Matrix, b: Matrix) -> Matrix:
     return a.stack(b).rref()
 
 
-def rref_with_transform(m: Matrix) -> tuple[Matrix, Matrix]:
-    """Return (R, T) with T invertible and T @ m = R in reduced form.
-
-    Runs division-based elimination on [m | I]; intended for the small
-    coordinate-change matrices, not the large boundary matrices.
-    """
-    field = m.field
-    n = m.nrows
-    zero, one = field.zero, field.one
-    aug = [
-        list(m._rows[i]) + [one if j == i else zero for j in range(n)]
-        for i in range(n)
-    ]
-    rows, pivots = _rref_classical(aug, field, pivot_limit=m.ncols)
-    left = Matrix(field, [r[: m.ncols] for r in rows], ncols=m.ncols)
-    right = Matrix(field, [r[m.ncols:] for r in rows], ncols=n)
-    return left, right
-
-
 def inverse(m: Matrix) -> Matrix:
+    """Inverse of a square matrix: the right half of the reduced [m | I]."""
     if m.nrows != m.ncols:
         raise DimensionMismatch("only square matrices can be inverted")
-    reduced, transform = rref_with_transform(m)
-    if reduced != Matrix.identity(m.field, m.nrows):
+    n = m.nrows
+    unit = Matrix.identity(m.field, n)._rows
+    aug = Matrix(m.field, [r + e for r, e in zip(m._rows, unit)], ncols=2 * n)
+    if aug.pivot_columns() != tuple(range(n)):
         raise SingularMatrix("matrix is singular")
-    return transform
+    return Matrix(m.field, [r[n:] for r in aug.rref()._rows], ncols=n)
 
 
 class RowSpan:
-    """Incrementally maintained row space in fully reduced form.
+    """Incrementally maintained row space over sparse exact integer rows.
 
-    ``add`` reduces the candidate against the current pivots, normalizes and
-    back-substitutes, so ``matrix()`` is always the canonical reduced basis.
-    Used where rows arrive one at a time (series, image enumeration).
+    ``add`` and ``contains`` forward-reduce a vector against the pivot rows;
+    ``matrix()`` back-substitutes and returns the canonical reduced basis.
+    Rows may arrive one at a time (series, image enumeration); every
+    ``Matrix`` elimination also runs here.
     """
 
     def __init__(self, field, ncols: int):
         self.field = field
         self.ncols = ncols
-        self._pivots: dict[int, list] = {}
+        self._p = field.characteristic  # 0 over Q
+        self._rows: dict[int, dict[int, int]] = {}
 
     @property
     def dim(self) -> int:
-        return len(self._pivots)
+        return len(self._rows)
 
     def add(self, vec: Sequence) -> bool:
         """Insert a vector; True if the span grew."""
-        if len(vec) != self.ncols:
-            raise DimensionMismatch(f"vector length {len(vec)} vs {self.ncols} columns")
-        v = list(vec)
-        for c in range(self.ncols):
-            x = v[c]
-            if not x:
-                continue
-            piv = self._pivots.get(c)
-            if piv is None:
-                v = [e / x for e in v]
-                for row in self._pivots.values():
-                    y = row[c]
-                    if y:
-                        row[:] = [a - y * b for a, b in zip(row, v)]
-                self._pivots[c] = v
-                return True
-            v = [a - x * b for a, b in zip(v, piv)]
-        return False
-
-    def contains(self, vec: Sequence) -> bool:
-        v = list(vec)
-        for c in range(self.ncols):
-            x = v[c]
-            if not x:
-                continue
-            piv = self._pivots.get(c)
-            if piv is None:
-                return False
-            v = [a - x * b for a, b in zip(v, piv)]
+        v = self._reduce(self._integers(vec))
+        if not v:
+            return False
+        c = min(v)
+        self._rows[c] = self._pivot_row(v, c)
         return True
 
+    def contains(self, vec: Sequence) -> bool:
+        return not self._reduce(self._integers(vec))
+
     def matrix(self) -> Matrix:
-        rows = [list(self._pivots[c]) for c in sorted(self._pivots)]
-        return Matrix(self.field, rows, ncols=self.ncols)
+        """The canonical reduced basis.  Back-substitutes the rows in place,
+        from the last pivot up, so each row is cleared only by finished rows."""
+        rows = self._rows
+        pivots = sorted(rows)
+        for c in reversed(pivots):
+            row = rows[c]
+            for d in [d for d in row if d != c and d in rows]:
+                row = self._clear(row, rows[d], d)
+            rows[c] = row
+        element, zero = self.field.element, self.field.zero
+        dense = []
+        for c in pivots:
+            lead = rows[c][c]
+            r = [zero] * self.ncols
+            for j, x in rows[c].items():
+                r[j] = element(x) / lead
+            dense.append(r)
+        out = Matrix(self.field, dense, ncols=self.ncols)
+        out._rref = (out, tuple(pivots))
+        return out
+
+    def _integers(self, vec: Sequence) -> dict[int, int]:
+        """The nonzero entries of vec as integers: residues over GF(p); over Q
+        the vector scaled by the lcm of its denominators."""
+        if len(vec) != self.ncols:
+            raise DimensionMismatch(f"vector length {len(vec)} vs {self.ncols} columns")
+        element = self.field.element
+        nz = {j: element(x) for j, x in enumerate(vec) if x}
+        if self._p:
+            return {j: x.v for j, x in nz.items()}
+        scale = lcm(*(x.denominator for x in nz.values()))
+        return {j: x.numerator * (scale // x.denominator) for j, x in nz.items()}
+
+    def _reduce(self, v: dict[int, int]) -> dict[int, int]:
+        """Forward-reduce v until its leading column is not a pivot; empty
+        when v lies in the span."""
+        rows = self._rows
+        while v:
+            c = min(v)
+            row = rows.get(c)
+            if row is None:
+                break
+            v = self._clear(v, row, c)
+        return v
+
+    def _clear(self, v: dict[int, int], row: dict[int, int], c: int) -> dict[int, int]:
+        """v with column c eliminated by ``row``, whose entry there is a pivot."""
+        b = v[c]
+        p = self._p
+        if p:
+            # GF(p): the pivot is 1, so subtract b times the row.
+            out = dict(v)
+            for j, x in row.items():
+                y = (out.get(j, 0) - b * x) % p
+                if y:
+                    out[j] = y
+                else:
+                    del out[j]
+            return out
+        # Q: a*v - b*row with the pair (a, b) reduced by its gcd, then the
+        # content divided out, so entries stay as small as the row space allows.
+        a = row[c]
+        g = gcd(a, b)
+        a, b = a // g, b // g
+        out = dict(v) if a == 1 else {j: a * x for j, x in v.items()}
+        for j, x in row.items():
+            y = out.get(j, 0) - b * x
+            if y:
+                out[j] = y
+            else:
+                del out[j]
+        g = gcd(*out.values())
+        return {j: x // g for j, x in out.items()} if g > 1 else out
+
+    def _pivot_row(self, v: dict[int, int], c: int) -> dict[int, int]:
+        """Scale a new pivot row: leading entry 1 over GF(p); over Q primitive
+        with a positive leading entry."""
+        if self._p:
+            inv = pow(v[c], -1, self._p)
+            return {j: x * inv % self._p for j, x in v.items()}
+        g = gcd(*v.values())
+        if v[c] < 0:
+            g = -g
+        return {j: x // g for j, x in v.items()}

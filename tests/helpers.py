@@ -11,27 +11,28 @@ import itertools
 import random
 from fractions import Fraction
 
-from liemult.algebra import LieAlgebra, QuotientMap, Subspace
+from liemult.algebra import LieAlgebra, Subspace
+from liemult.errors import NotInSubspace
 from liemult.fields import QQ
 from liemult.linalg import Matrix
 from liemult.words import PsiEvaluator
 
 
-def naive_rref(rows: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Textbook rational Gauss-Jordan elimination, no fraction-free tricks."""
-    work = [[Fraction(e) for e in r] for r in rows]
+def naive_rref(rows, field=QQ) -> list[list]:
+    """Textbook Gauss-Jordan elimination over ``field``, no fraction-free tricks."""
+    work = [[field.element(e) for e in r] for r in rows]
     m = len(work)
     ncols = len(work[0]) if m else 0
     r = 0
     for c in range(ncols):
-        pivot = next((i for i in range(r, m) if work[i][c] != 0), None)
+        pivot = next((i for i in range(r, m) if work[i][c]), None)
         if pivot is None:
             continue
         work[r], work[pivot] = work[pivot], work[r]
         piv = work[r][c]
         work[r] = [e / piv for e in work[r]]
         for i in range(m):
-            if i != r and work[i][c] != 0:
+            if i != r and work[i][c]:
                 f = work[i][c]
                 work[i] = [a - f * b for a, b in zip(work[i], work[r])]
         r += 1
@@ -80,6 +81,22 @@ def brute_psi_image_dim(L: LieAlgebra, i: int) -> int:
     return Matrix(L.field, seen_rows).rank()
 
 
-def quotient_coords_oracle(sup: Subspace, sub: Subspace, v):
-    """Independent route for quotient coordinates (fresh map each call)."""
-    return QuotientMap(sup, sub).coords(v)
+def quotient_coords_oracle(sup: Subspace, sub: Subspace, v) -> list:
+    """Coordinates of v in sup/sub by solving v = sum c_i * adapted_i with
+    naive_rref, where adapted is sub's basis followed by the rows of sup's
+    basis whose pivot column is not a pivot of sub."""
+    sub_pivots = set(sub.basis.pivot_columns())
+    complement = [
+        row
+        for row, p in zip(sup.basis.rows(), sup.basis.pivot_columns())
+        if p not in sub_pivots
+    ]
+    adapted = sub.basis.rows() + complement
+    k = len(adapted)
+    system = [[a[j] for a in adapted] + [v[j]] for j in range(sup.ambient)]
+    solved = naive_rref(system, sup.field)
+    # adapted is linearly independent, so a consistent system reduces to
+    # [I_k | c] and any further nonzero row is 0 = 1.
+    if len(solved) > k:
+        raise NotInSubspace("vector lies outside the larger subspace")
+    return [solved[i][k] for i in range(sub.dim, k)]

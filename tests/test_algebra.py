@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import random_rational_vector, random_unimodular
+from helpers import quotient_coords_oracle, random_rational_vector, random_unimodular
 from liemult.algebra import LieAlgebra, QuotientMap, Subspace, build
 from liemult.catalog import abelian, heisenberg, standard_filiform
 from liemult.errors import (
@@ -14,7 +14,7 @@ from liemult.errors import (
     NotAnIdeal,
     NotInSubspace,
 )
-from liemult.fields import QQ
+from liemult.fields import QQ, PrimeField
 from liemult.homology import multiplier_dim
 from liemult.linalg import Matrix
 
@@ -268,6 +268,33 @@ def test_quotient_map_coordinates():
     assert inner.coords(L.basis_vector(2)) == [Fraction(1)]
     with pytest.raises(NotInSubspace):
         inner.coords(L.basis_vector(0))
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2147483647)], ids=["Q", "GFp"])
+def test_quotient_map_matches_independent_solver(field):
+    # After a basis change the series terms are not coordinate subspaces, so
+    # the pivot-column read-off is checked against solving the linear system.
+    rng = random.Random(41)
+    L = standard_filiform(6, field=field).change_basis(random_unimodular(rng, 6, field))
+    series = L.lower_central_series()
+    assert any(sum(1 for e in row if e) > 1 for row in series.gamma(2).basis.rows())
+    for i in range(1, len(series.terms) - 1):
+        sup, sub = series.gamma(i), series.gamma(i + 1)
+        qm = QuotientMap(sup, sub)
+        rows = sup.basis.rows()
+        for _ in range(5):
+            v = L.zero_vector()
+            for row in rows:
+                c = field.element(rng.randint(-5, 5))
+                v = [a + c * b for a, b in zip(v, row)]
+            assert qm.coords(v) == quotient_coords_oracle(sup, sub, v)
+        outside = next((L.basis_vector(j) for j in range(L.n)
+                        if not sup.contains_vector(L.basis_vector(j))), None)
+        if outside is not None:
+            with pytest.raises(NotInSubspace):
+                qm.coords(outside)
+            with pytest.raises(NotInSubspace):
+                quotient_coords_oracle(sup, sub, outside)
 
 
 def test_central_ideals_guard_on_large_centers():

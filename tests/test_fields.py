@@ -50,6 +50,18 @@ def test_gf_division_round_trips(x, y):
     assert 0 <= (a / b).v < 101
 
 
+def test_gf_equal_to_int_implies_equal_hash():
+    # Only the canonical residue compares equal to an int, so set and dict
+    # lookups agree with ==: GF(7)(1) == 1, but GF(7)(1) != 8.
+    F = PrimeField(7)
+    for r in range(7):
+        x = F.element(r)
+        for k in range(-50, 50):
+            if x == k:
+                assert hash(x) == hash(k)
+            assert (k in {x}) == (x == k) == (k == r)
+
+
 def test_gf_division_by_zero():
     F = PrimeField(5)
     with pytest.raises(ZeroDivisionError):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from helpers import naive_rank, naive_rref, random_rational_matrix, random_unimodular
 from liemult.errors import DimensionMismatch, FieldMismatch, SingularMatrix
 from liemult.fields import QQ, PrimeField
-from liemult.linalg import Matrix, RowSpan, inverse, row_space_union, rref_with_transform
+from liemult.linalg import Matrix, RowSpan, inverse, row_space_union
 
 
 def test_rank_identity():
@@ -39,16 +39,38 @@ def test_kernel_vectors_annihilated():
             assert all(not e for e in m.mul_column(v))
 
 
-def test_bareiss_agrees_with_naive_elimination():
-    # 100 random matrices up to 12x12: production (fraction-free) route vs
-    # the textbook division-based oracle.
+def test_sparse_kernel_agrees_with_naive_elimination():
+    # 100 random matrices up to 12x12 per field: the RowSpan kernel (integer
+    # rows over Q, raw residues over GF(p)) vs textbook Gauss-Jordan.  GF(7)
+    # makes rank drops against Q common.
     rng = random.Random(7)
-    for _ in range(100):
-        rows = random_rational_matrix(rng, rng.randint(1, 12), rng.randint(1, 12))
+    for field in (QQ, PrimeField(7), PrimeField(2147483647)):
+        for _ in range(100):
+            rows = random_rational_matrix(rng, rng.randint(1, 12), rng.randint(1, 12))
+            if field != QQ:
+                rows = [[e.numerator for e in r] for r in rows]
+            m = Matrix(field, rows)
+            oracle = naive_rref(rows, field)
+            assert m.rank() == len(oracle)
+            assert m.rref().rows() == oracle
+
+
+def test_sparse_kernel_on_rows_with_large_content_and_negative_leads():
+    # Rows that are big rational multiples of small integer rows, about half
+    # with a negative leading entry: the kernel divides each row's content
+    # out and fixes the sign, so the result must not depend on the scaling.
+    rng = random.Random(19)
+    for _ in range(30):
+        nr, nc = rng.randint(1, 8), rng.randint(1, 8)
+        base = [[rng.randint(-3, 3) for _ in range(nc)] for _ in range(nr)]
+        rows = []
+        for r in base:
+            scale = Fraction(rng.choice([-1, 1]) * rng.randint(1, 10**30), rng.choice([1, 7, 10**12]))
+            rows.append([scale * e for e in r])
         m = Matrix(QQ, rows)
-        oracle = naive_rref(rows)
-        assert m.rank() == len(oracle)
-        assert m.rref().rows() == oracle
+        assert m.rank() == naive_rank(base)
+        assert m.rref().rows() == naive_rref(rows)
+        assert m.rref() == Matrix(QQ, base).rref()
 
 
 def test_rank_invariant_under_unimodular_row_operations():
@@ -125,23 +147,23 @@ def test_gf_kernel_and_rref():
 
 def test_inverse_round_trip():
     rng = random.Random(9)
-    for _ in range(10):
-        n = rng.randint(1, 6)
-        u = random_unimodular(rng, n)
-        assert u @ inverse(u) == Matrix.identity(QQ, n)
+    for field in (QQ, PrimeField(2147483647)):
+        for _ in range(10):
+            n = rng.randint(1, 6)
+            u = random_unimodular(rng, n, field)
+            assert u @ inverse(u) == Matrix.identity(field, n)
 
 
 def test_inverse_of_singular_matrix():
     with pytest.raises(SingularMatrix):
         inverse(Matrix(QQ, [[1, 2], [2, 4]]))
-
-
-def test_rref_with_transform_reproduces_rref():
-    rng = random.Random(13)
-    for _ in range(10):
-        m = Matrix(QQ, random_rational_matrix(rng, rng.randint(1, 5), rng.randint(1, 5)))
-        reduced, t = rref_with_transform(m)
-        assert (t @ m).rows()[: reduced.rank()] == m.rref().rows()
+    # det = 1 - 6 = -5: singular over GF(5) only.
+    rows = [[1, 2], [3, 1]]
+    with pytest.raises(SingularMatrix):
+        inverse(Matrix(PrimeField(5), rows))
+    m = Matrix(QQ, rows)
+    assert m @ inverse(m) == Matrix.identity(QQ, 2)
+    assert inverse(m) == Matrix(QQ, [[Fraction(-1, 5), Fraction(2, 5)], [Fraction(3, 5), Fraction(-1, 5)]])
 
 
 @settings(max_examples=50)
@@ -159,13 +181,16 @@ def test_rank_nullity_property(rows):
 
 def test_row_span_accumulator_matches_matrix_rref():
     rng = random.Random(17)
-    for _ in range(15):
-        rows = random_rational_matrix(rng, rng.randint(1, 6), 5)
-        span = RowSpan(QQ, 5)
-        for r in rows:
-            span.add(r)
-        assert span.matrix() == Matrix(QQ, rows).rref()
-        assert span.dim == Matrix(QQ, rows).rank()
+    for field in (QQ, PrimeField(7), PrimeField(2147483647)):
+        for _ in range(15):
+            rows = random_rational_matrix(rng, rng.randint(1, 6), 5)
+            if field != QQ:
+                rows = [[field.element(e.numerator) for e in r] for r in rows]
+            span = RowSpan(field, 5)
+            grew = [span.add(r) for r in rows]
+            assert span.matrix() == Matrix(field, rows).rref()
+            assert span.dim == Matrix(field, rows).rank() == sum(grew)
+            assert all(span.contains(r) for r in rows)
 
 
 def test_row_span_contains():
