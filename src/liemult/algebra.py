@@ -1,16 +1,22 @@
 """Lie algebras given by structure constants, with exact bracket evaluation.
 
 An algebra is stored as a sparse table c[(i, j)][k] over 0-based indices with
-i < j; antisymmetry is derived on lookup and never stored twice.  The Jacobi
-identity is validated eagerly at construction, so everything downstream may
-assume it.  Instances are immutable after construction (internal caches only
-memoize pure results) and safe to share between workers.
+i < j; antisymmetry is derived on lookup and never stored twice.  Beside it
+sits a private integer ad table, tab[a][j] = [e_a, e_j] as sparse ``{k: int}``
+rows for every a != j: residues over GF(p), and over Q the structure constants
+times the lcm D of their denominators.  Scaling by D changes no span and no
+zero test, so the lower central series, ``product_subspace`` and the Jacobi
+check run on raw ints and feed ``RowSpan`` directly.  The Jacobi identity is
+validated eagerly at construction, so everything downstream may assume it.
+Instances are immutable after construction (internal caches only memoize pure
+results) and safe to share between workers.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from math import lcm
 
 from .errors import (
     DimensionMismatch,
@@ -24,7 +30,7 @@ from .errors import (
     ResourceLimit,
 )
 from .fields import QQ
-from .linalg import Matrix, RowSpan, inverse
+from .linalg import Matrix, RowSpan, integer_row, inverse
 
 
 class Subspace:
@@ -150,6 +156,7 @@ class LieAlgebra:
             if entry:
                 clean[(i, j)] = entry
         self._table = clean
+        self._ad, self._scale = self._integer_ad_table()
         if labels is None:
             labels = tuple(f"x{i + 1}" for i in range(n))
         else:
@@ -227,18 +234,31 @@ class LieAlgebra:
         c = self.bracket(self.bracket(z, x), y)
         return [p + q + r for p, q, r in zip(a, b, c)]
 
-    def _jacobi_defect_basis(self, i: int, j: int, k: int) -> dict[int, object]:
-        out: dict[int, object] = {}
-        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-            for m, coeff in self.bracket_basis(a, b).items():
-                for t, c2 in self.bracket_basis(m, c).items():
-                    v = out.get(t)
-                    out[t] = coeff * c2 if v is None else v + coeff * c2
-        return {t: v for t, v in out.items() if v}
+    def _integer_ad_table(self) -> tuple[list[dict[int, dict[int, int]]], int]:
+        """(tab, D): tab[a][j] = D * [e_a, e_j] as a sparse integer row, for
+        every a != j with a nonzero bracket.  D is 1 over GF(p), where the
+        entries are residues, and the lcm of the denominators over Q."""
+        p = self.field.characteristic
+        scale = 1 if p else lcm(
+            *(c.denominator for comps in self._table.values() for c in comps.values())
+        )
+        tab: list[dict[int, dict[int, int]]] = [{} for _ in range(self.n)]
+        for (i, j), comps in self._table.items():
+            if p:
+                row = {k: c.v for k, c in comps.items()}
+                tab[j][i] = {k: p - x for k, x in row.items()}
+            else:
+                row = {k: c.numerator * (scale // c.denominator) for k, c in comps.items()}
+                tab[j][i] = {k: -x for k, x in row.items()}
+            tab[i][j] = row
+        return tab, scale
 
     def _validate_jacobi(self):
         # A triple can only have a defect if one of its pairs is a table key,
         # so iterate table keys against third indices instead of all triples.
+        # The defect is computed on the integer table, so it is D^2 times the
+        # field defect over Q and is reduced mod p over GF(p).
+        tab, p = self._ad, self.field.characteristic
         seen = set()
         for (i, j) in self._table:
             for k in range(self.n):
@@ -248,11 +268,18 @@ class LieAlgebra:
                 if triple in seen:
                     continue
                 seen.add(triple)
-                defect = self._jacobi_defect_basis(*triple)
+                a, b, c = triple
+                defect: dict[int, int] = {}
+                for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
+                    for m, u in tab[x].get(y, {}).items():
+                        for t, w in tab[m].get(z, {}).items():
+                            defect[t] = defect.get(t, 0) + u * w
+                defect = {t: v for t, v in defect.items() if (v % p if p else v)}
                 if defect:
+                    unit = self.field.one / self.field.element(self._scale**2)
                     dense = self.zero_vector()
                     for t, v in defect.items():
-                        dense[t] = v
+                        dense[t] = self.field.element(v) * unit
                     raise JacobiViolation(tuple(t + 1 for t in triple), dense)
 
     # -- structure accessors ------------------------------------------------
@@ -275,27 +302,55 @@ class LieAlgebra:
         for s in (a, b):
             if s.ambient != self.n:
                 raise DimensionMismatch("subspace of a different ambient space")
-        span = RowSpan(self.field, self.n)
-        for u in a.basis.rows():
-            for v in b.basis.rows():
-                w = self.bracket(u, v)
-                if any(w):
-                    span.add(w)
+        span = self._bracket_span(self._integer_rows(a), self._integer_rows(b))
         return Subspace(self.n, span.matrix())
 
+    def _integer_rows(self, s: Subspace) -> list[dict[int, int]]:
+        return [integer_row(self.field, r) for r in s.basis.rows()]
+
+    def _bracket_span(self, us: list[dict[int, int]], vs: list[dict[int, int]]) -> RowSpan:
+        """The span of [u, v] over integer rows u in us and v in vs, on the
+        integer ad table: [u, v] = sum over x, j of u[x] v[j] tab[x][j]."""
+        tab, p = self._ad, self.field.characteristic
+        span = RowSpan(self.field, self.n)
+        for u in us:
+            ad_u: dict[int, dict[int, int]] = {}  # j -> [u, e_j]
+            for x, ux in u.items():
+                for j, row in tab[x].items():
+                    acc = ad_u.setdefault(j, {})
+                    for k, c in row.items():
+                        acc[k] = acc.get(k, 0) + ux * c
+            for v in vs:
+                w: dict[int, int] = {}
+                for j, vj in v.items():
+                    for k, c in ad_u.get(j, {}).items():
+                        w[k] = w.get(k, 0) + vj * c
+                if p:
+                    w = {k: c % p for k, c in w.items() if c % p}
+                else:
+                    w = {k: c for k, c in w.items() if c}
+                if w:
+                    span.add_integers(w)
+        return span
+
     def lower_central_series(self) -> SeriesChain:
+        """γ₁ = L and γᵢ₊₁ = [γᵢ, L], bracketing γᵢ against every basis
+        vector (brackets against representatives of L/γ₂ alone would only
+        suffice once L is known to be nilpotent)."""
         if self._series is None:
             full = Subspace.full_space(self.field, self.n)
+            basis = [{j: 1} for j in range(self.n)]
             terms = [full]
-            prev = full
+            prev, rows = full, basis
             nilpotent = True
             while prev.dim > 0:
-                nxt = self.product_subspace(prev, full)
-                if nxt.dim == prev.dim:
+                span = self._bracket_span(rows, basis)
+                if span.dim == prev.dim:
                     nilpotent = False
                     break
-                terms.append(nxt)
-                prev = nxt
+                prev = Subspace(self.n, span.matrix())
+                rows = self._integer_rows(prev)
+                terms.append(prev)
             self._series = SeriesChain(tuple(terms), nilpotent)
         return self._series
 

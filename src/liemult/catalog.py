@@ -2,7 +2,8 @@
 
 The registry is immutable and built at import time.  The two classical small
 filiform algebras carry their standard classification-table labels; the rest
-use systematic names (filiform-n, abelian-n, heisenberg-3).
+use systematic names (filiform-n, abelian-n, heisenberg-3).  Vergne's other
+maximal-class families, m2 and Q_n, have builders but no registry entries.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import difflib
 from dataclasses import dataclass
 
 from .algebra import LieAlgebra, build
-from .errors import DimensionTooSmall, UnknownName
+from .errors import DimensionMismatch, DimensionTooSmall, UnknownName
 from .fields import QQ
 
 
@@ -31,6 +32,33 @@ def standard_filiform(n: int, field=QQ) -> LieAlgebra:
     if n < 3:
         raise DimensionTooSmall(f"the filiform family starts at n=3, got n={n}")
     return build(n, [(1, i, i + 1, 1) for i in range(2, n)], field=field)
+
+
+def filiform_m2(n: int, field=QQ) -> LieAlgebra:
+    """Vergne's m2: [x1, xi] = x_{i+1} for 2 <= i <= n-1 and
+    [x2, xi] = x_{i+2} for 3 <= i <= n-2.  Maximal class, n >= 5."""
+    if n < 5:
+        raise DimensionTooSmall(f"the m2 family starts at n=5, got n={n}")
+    return build(
+        n,
+        [(1, i, i + 1, 1) for i in range(2, n)] + [(2, i, i + 2, 1) for i in range(3, n - 1)],
+        field=field,
+    )
+
+
+def filiform_q(n: int, field=QQ) -> LieAlgebra:
+    """Vergne's Q_n for even n >= 6: [x1, xi] = x_{i+1} for 2 <= i <= n-2 and
+    [xi, x_{n+1-i}] = (-1)^i xn for 2 <= i <= n/2.  Maximal class."""
+    if n < 6:
+        raise DimensionTooSmall(f"the Q_n family starts at n=6, got n={n}")
+    if n % 2:
+        raise DimensionMismatch(f"Q_n is defined for even n only, got n={n}")
+    return build(
+        n,
+        [(1, i, i + 1, 1) for i in range(2, n - 1)]
+        + [(i, n + 1 - i, n, (-1) ** i) for i in range(2, n // 2 + 1)],
+        field=field,
+    )
 
 
 def abelian(n: int, field=QQ) -> LieAlgebra:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -20,7 +21,7 @@ from fractions import Fraction
 
 from . import algfile, bounds, catalog
 from .algebra import LieAlgebra
-from .errors import LieError, ResourceLimit
+from .errors import FieldMismatch, LieError, ResourceLimit
 from .fields import QQ, parse_field_spec
 from .homology import multiplier_dim
 from .words import lemma_defect, psi_image_dim, psi_image_dims
@@ -129,10 +130,14 @@ def _load_algebra(args) -> tuple[LieAlgebra, str]:
 def _rebuild_over(L: LieAlgebra, field) -> LieAlgebra:
     from .algebra import build
 
-    consts = [
-        (i, j, k, field.element(c.numerator) / field.element(c.denominator))
-        for (i, j, k, c) in L.structure_constants()
-    ]
+    consts = []
+    for i, j, k, c in L.structure_constants():
+        den = field.element(c.denominator)
+        if not den:
+            raise FieldMismatch(
+                f"structure constant ({i}, {j}, {k}) = {c} has no image in {field}"
+            )
+        consts.append((i, j, k, field.element(c.numerator) / den))
     return build(L.n, consts, field=field, labels=L.labels)
 
 
@@ -320,8 +325,9 @@ def _sweep_reports(args, with_ideals: bool = False) -> list[dict]:
         (args.family, n, str(field), args.unsafe_char_2, with_ideals)
         for n in range(max(args.min_dim, 3 if args.family == "filiform" else 1), args.max_dim + 1)
     ]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    workers = min(args.jobs, len(specs), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_bound_report_for, specs))
     return [_bound_report_for(s) for s in specs]
 

@@ -195,6 +195,17 @@ def inverse(m: Matrix) -> Matrix:
     return Matrix(m.field, [r[n:] for r in aug.rref()._rows], ncols=n)
 
 
+def integer_row(field, vec: Sequence) -> dict[int, int]:
+    """The nonzero entries of vec as integers: residues over GF(p); over Q the
+    vector scaled by the lcm of its denominators."""
+    element = field.element
+    nz = {j: element(x) for j, x in enumerate(vec) if x}
+    if field.characteristic:
+        return {j: x.v for j, x in nz.items()}
+    scale = lcm(*(x.denominator for x in nz.values()))
+    return {j: x.numerator * (scale // x.denominator) for j, x in nz.items()}
+
+
 class RowSpan:
     """Incrementally maintained row space over sparse exact integer rows.
 
@@ -216,7 +227,13 @@ class RowSpan:
 
     def add(self, vec: Sequence) -> bool:
         """Insert a vector; True if the span grew."""
-        v = self._reduce(self._integers(vec))
+        return self.add_integers(self._integers(vec))
+
+    def add_integers(self, v: dict[int, int]) -> bool:
+        """Insert a vector given as its nonzero integer entries ``{column: int}``:
+        residues mod p over GF(p), any nonzero integer multiple of the vector
+        over Q.  True if the span grew."""
+        v = self._reduce(v)
         if not v:
             return False
         c = min(v)
@@ -249,16 +266,9 @@ class RowSpan:
         return out
 
     def _integers(self, vec: Sequence) -> dict[int, int]:
-        """The nonzero entries of vec as integers: residues over GF(p); over Q
-        the vector scaled by the lcm of its denominators."""
         if len(vec) != self.ncols:
             raise DimensionMismatch(f"vector length {len(vec)} vs {self.ncols} columns")
-        element = self.field.element
-        nz = {j: element(x) for j, x in enumerate(vec) if x}
-        if self._p:
-            return {j: x.v for j, x in nz.items()}
-        scale = lcm(*(x.denominator for x in nz.values()))
-        return {j: x.numerator * (scale // x.denominator) for j, x in nz.items()}
+        return integer_row(self.field, vec)
 
     def _reduce(self, v: dict[int, int]) -> dict[int, int]:
         """Forward-reduce v until its leading column is not a pivot; empty

@@ -41,6 +41,25 @@ def naive_rref(rows, field=QQ) -> list[list]:
     return [row for row in work if any(row)]
 
 
+def bracket_span_oracle(L: LieAlgebra, us, vs) -> list[list]:
+    """Canonical basis of the span of the dense brackets [u, v], by naive_rref."""
+    return naive_rref([L.bracket(u, v) for u in us for v in vs], L.field)
+
+
+def series_oracle(L: LieAlgebra) -> tuple[list[list[list]], bool]:
+    """The lower central series as canonical bases of γ₁, γ₂, …, each the
+    naive_rref of the dense brackets of the previous term with every basis
+    vector, and whether it reached 0 (it stops when the dimension does)."""
+    basis = [L.basis_vector(j) for j in range(L.n)]
+    terms = [naive_rref(basis, L.field)]
+    while terms[-1]:
+        nxt = bracket_span_oracle(L, terms[-1], basis)
+        if len(nxt) == len(terms[-1]):
+            return terms, False
+        terms.append(nxt)
+    return terms, True
+
+
 def naive_rank(rows) -> int:
     return len(naive_rref(rows))
 

@@ -3,9 +3,15 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import quotient_coords_oracle, random_rational_vector, random_unimodular
+from helpers import (
+    bracket_span_oracle,
+    quotient_coords_oracle,
+    random_rational_vector,
+    random_unimodular,
+    series_oracle,
+)
 from liemult.algebra import LieAlgebra, QuotientMap, Subspace, build
-from liemult.catalog import abelian, heisenberg, standard_filiform
+from liemult.catalog import abelian, filiform_m2, filiform_q, heisenberg, standard_filiform
 from liemult.errors import (
     DimensionTooSmall,
     DuplicateBracket,
@@ -38,6 +44,34 @@ def test_build_rejects_jacobi_violation_with_triple():
         build(3, [(1, 2, 3, 1), (1, 3, 3, 1), (2, 3, 1, 1)])
     assert exc.value.triple == (1, 2, 3)
     assert any(exc.value.defect)
+
+
+def test_jacobi_defect_divisible_by_p_is_accepted_over_gf_p():
+    # The cyclic defect of (e1, e2, e3) is 2e1 + 0 + 5e1 = 7e1: zero in
+    # GF(7), a violation over Q.
+    table = [(1, 2, 2, 2), (1, 3, 3, 5), (2, 3, 1, 1)]
+    assert build(3, table, field=PrimeField(7)).n == 3
+    with pytest.raises(JacobiViolation) as exc:
+        build(3, table)
+    assert exc.value.triple == (1, 2, 3)
+    assert exc.value.defect == [7, 0, 0]
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["Q", "GF7"])
+def test_jacobi_violation_reports_the_defect_in_field_units(field):
+    # Denominators 2, 3, 5 over Q, so the integer table is scaled by 30; the
+    # reported defect is the field's own, e1/15 over Q.
+    third = field.one / field.element(3)
+    table = [(1, 2, 3, field.one / field.element(2)), (1, 3, 3, third),
+             (2, 3, 1, field.one / field.element(5))]
+    with pytest.raises(JacobiViolation) as exc:
+        build(3, table, field=field)
+    raw = LieAlgebra(3, {(i - 1, j - 1): {k - 1: c} for i, j, k, c in table},
+                     field=field, validate=False)
+    e = [raw.basis_vector(t) for t in range(3)]
+    assert exc.value.triple == (1, 2, 3)
+    assert exc.value.defect == raw.jacobi_defect(*e)
+    assert exc.value.defect[0] == field.one / field.element(15)
 
 
 def test_cyclic_looking_table_actually_satisfies_jacobi():
@@ -135,6 +169,63 @@ def test_non_nilpotent_series_stabilizes():
     assert not series.nilpotent
     assert series.dims() == (2, 1)
     assert L.nilpotency_class() is None
+
+
+def _sl2_plus_line(field) -> LieAlgebra:
+    """sl2 ⊕ (1-dim abelian) with h, e, f, z and [e, f] = h/2, so the
+    rational table has a denominator."""
+    half = field.one / field.element(2)
+    return build(4, [(1, 2, 2, 2), (1, 3, 3, -2), (2, 3, 1, half)], field=field)
+
+
+def _rationally_changed_filiform_6(field) -> LieAlgebra:
+    """filiform-6 in a basis with denominators 2, 3 and 5, so the rational
+    table has mixed denominators."""
+    scale = Matrix(field, [[field.one / field.element(d) if i == j else field.zero
+                            for j in range(6)] for i, d in enumerate((1, 2, 3, 5, 2, 1))])
+    return standard_filiform(6, field=field).change_basis(
+        scale @ random_unimodular(random.Random(6), 6, field))
+
+
+SERIES_CASES = (
+    [(f"basis-changed-filiform-{n}",
+      lambda fld, n=n: standard_filiform(n, field=fld).change_basis(
+          random_unimodular(random.Random(n), n, fld)))
+     for n in range(6, 10)]
+    + [
+        ("rationally-changed-filiform-6", _rationally_changed_filiform_6),
+        ("abelian-4", lambda fld: abelian(4, field=fld)),
+        ("heisenberg", lambda fld: heisenberg(field=fld)),
+        ("e1e2=e2", lambda fld: build(2, [(1, 2, 2, 1)], field=fld)),
+        ("sl2+line", _sl2_plus_line),
+    ]
+    + [(f"m2-{n}", lambda fld, n=n: filiform_m2(n, field=fld)) for n in (5, 8)]
+    + [(f"Q-{n}", lambda fld, n=n: filiform_q(n, field=fld)) for n in (6, 8)]
+)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7), PrimeField(2147483647)],
+                         ids=["Q", "GF7", "GFp"])
+@pytest.mark.parametrize("make", [m for _, m in SERIES_CASES],
+                         ids=[name for name, _ in SERIES_CASES])
+def test_series_matches_dense_bracket_oracle(make, field):
+    L = make(field)
+    oracle, nilpotent = series_oracle(L)
+    series = L.lower_central_series()
+    assert series.nilpotent == nilpotent
+    assert [t.basis.rows() for t in series.terms] == oracle
+    g2, g3 = series.gamma(2), series.gamma(3)
+    product = L.product_subspace(g2, g3)
+    assert product.basis.rows() == bracket_span_oracle(L, g2.basis.rows(), g3.basis.rows())
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["Q", "GF7"])
+def test_sl2_plus_line_is_not_nilpotent(field):
+    # [γ₂, L/γ₂ representatives] is 0 here, so a series that brackets only
+    # against those would wrongly stop at 0.
+    series = _sl2_plus_line(field).lower_central_series()
+    assert not series.nilpotent
+    assert series.dims() == (4, 3)
 
 
 def test_center_examples():

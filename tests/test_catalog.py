@@ -1,8 +1,20 @@
+import random
+
 import pytest
 
-from liemult.catalog import abelian, entries, get, heisenberg, names, standard_filiform
-from liemult.errors import DimensionTooSmall, UnknownName
-from liemult.fields import PrimeField
+from helpers import random_unimodular
+from liemult.catalog import (
+    abelian,
+    entries,
+    filiform_m2,
+    filiform_q,
+    get,
+    heisenberg,
+    names,
+    standard_filiform,
+)
+from liemult.errors import DimensionMismatch, DimensionTooSmall, UnknownName
+from liemult.fields import QQ, PrimeField
 from liemult.homology import multiplier_dim
 
 
@@ -80,3 +92,35 @@ def test_names_listing():
     assert "L(3,4,1,4)" in base and "filiform-4" not in base
     with_aliases = names(include_aliases=True)
     assert "filiform-4" in with_aliases
+
+
+# (family, n, dim M): m2 stays at 3, Q_n has n/2 - 1.
+VERGNE = ([(filiform_m2, n, 3) for n in range(5, 11)]
+          + [(filiform_q, n, n // 2 - 1) for n in (6, 8, 10)])
+
+
+@pytest.mark.parametrize("family,n,dim_m", VERGNE,
+                         ids=[f"{f.__name__}-{n}" for f, n, _ in VERGNE])
+def test_vergne_families_are_maximal_class_with_stable_multiplier(family, n, dim_m):
+    L = family(n)
+    ok, dims = L.is_maximal_class()
+    assert ok, dims
+    assert multiplier_dim(L) == dim_m
+    assert multiplier_dim(family(n, field=PrimeField(2147483647))) == dim_m
+    changed = L.change_basis(random_unimodular(random.Random(n), n, QQ))
+    assert changed != L
+    assert multiplier_dim(changed) == dim_m
+
+
+def test_vergne_relations_and_ranges():
+    assert [c[:3] for c in filiform_m2(6).structure_constants()] == [
+        (1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (2, 3, 5), (2, 4, 6)]
+    q6 = filiform_q(6)
+    assert q6.structure_constants() == (
+        (1, 2, 3, 1), (1, 3, 4, 1), (1, 4, 5, 1), (2, 5, 6, 1), (3, 4, 6, -1))
+    with pytest.raises(DimensionTooSmall):
+        filiform_m2(4)
+    with pytest.raises(DimensionTooSmall):
+        filiform_q(4)
+    with pytest.raises(DimensionMismatch):
+        filiform_q(7)

@@ -1,7 +1,10 @@
 import json
+from fractions import Fraction
 
 import pytest
 
+from liemult import cli
+from liemult.algebra import build
 from liemult.bounds import BoundReport, VIOLATED
 from liemult.cli import (
     EXIT_INPUT,
@@ -9,8 +12,11 @@ from liemult.cli import (
     EXIT_RESOURCE,
     EXIT_VIOLATION,
     _dicts_to_reports_exit,
+    _rebuild_over,
     main,
 )
+from liemult.errors import LieError
+from liemult.fields import PrimeField
 
 BAD_JACOBI = (
     "lie-algebra v1\nfield Q\ndim 3\n"
@@ -198,6 +204,44 @@ def test_family_sweep_with_jobs(capsys):
                                 "--max-dim", "6", "--jobs", "2"])
     assert code == EXIT_OK
     assert "filiform-6" in out
+
+
+@pytest.mark.parametrize("jobs,max_dim,cpus,workers", [
+    (8, 5, 16, 3),     # clamped to the 3 dimensions 3..5
+    (8, 8, 2, 2),      # clamped to the CPU count
+    (2, 8, 16, 2),     # as asked
+    (1, 8, 16, None),  # serial: no pool
+])
+def test_sweep_jobs_are_clamped(monkeypatch, capsys, jobs, max_dim, cpus, workers):
+    created = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            created.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    code, out, _ = run(capsys, ["verify-bound", "--family", "filiform",
+                                "--max-dim", str(max_dim), "--jobs", str(jobs)])
+    assert code == EXIT_OK
+    assert f"filiform-{max_dim}" in out
+    assert created == ([] if workers is None else [workers])
+
+
+def test_rebuild_over_a_field_where_a_denominator_vanishes():
+    L = build(3, [(1, 2, 3, Fraction(1, 7))])
+    with pytest.raises(LieError):
+        _rebuild_over(L, PrimeField(7))
+    assert _rebuild_over(L, PrimeField(5)).structure_constants() == ((1, 2, 3, 3),)
 
 
 def test_gf_field_flag(capsys):
