@@ -5,8 +5,9 @@ i < j; antisymmetry is derived on lookup and never stored twice.  Beside it
 sits a private integer ad table, tab[a][j] = [e_a, e_j] as sparse ``{k: int}``
 rows for every a != j: residues over GF(p), and over Q the structure constants
 times the lcm D of their denominators.  Scaling by D changes no span and no
-zero test, so the lower central series, ``product_subspace`` and the Jacobi
-check run on raw ints and feed ``RowSpan`` directly.  The Jacobi identity is
+zero test, so the lower central series, ``product_subspace``, the Jacobi
+check and the ideal check of ``quotient`` run on raw ints and feed
+``RowSpan`` directly.  The Jacobi identity is
 validated eagerly at construction, so everything downstream may assume it.
 Instances are immutable after construction (internal caches only memoize pure
 results) and safe to share between workers.
@@ -308,27 +309,37 @@ class LieAlgebra:
     def _integer_rows(self, s: Subspace) -> list[dict[int, int]]:
         return [integer_row(self.field, r) for r in s.basis.rows()]
 
+    def _ad_rows(self, u: dict[int, int]) -> dict[int, dict[int, int]]:
+        """j -> [u, e_j] for an integer row u, on the integer ad table:
+        [u, e_j] = sum over x of u[x] tab[x][j].  Entries are not reduced
+        mod p and may cancel to 0."""
+        ad_u: dict[int, dict[int, int]] = {}
+        for x, ux in u.items():
+            for j, row in self._ad[x].items():
+                acc = ad_u.setdefault(j, {})
+                for k, c in row.items():
+                    acc[k] = acc.get(k, 0) + ux * c
+        return ad_u
+
+    def _nonzero(self, w: dict[int, int]) -> dict[int, int]:
+        """The nonzero entries of an integer row, reduced mod p over GF(p)."""
+        p = self.field.characteristic
+        if p:
+            return {k: c % p for k, c in w.items() if c % p}
+        return {k: c for k, c in w.items() if c}
+
     def _bracket_span(self, us: list[dict[int, int]], vs: list[dict[int, int]]) -> RowSpan:
-        """The span of [u, v] over integer rows u in us and v in vs, on the
-        integer ad table: [u, v] = sum over x, j of u[x] v[j] tab[x][j]."""
-        tab, p = self._ad, self.field.characteristic
+        """The span of [u, v] over integer rows u in us and v in vs:
+        [u, v] = sum over j of v[j] [u, e_j]."""
         span = RowSpan(self.field, self.n)
         for u in us:
-            ad_u: dict[int, dict[int, int]] = {}  # j -> [u, e_j]
-            for x, ux in u.items():
-                for j, row in tab[x].items():
-                    acc = ad_u.setdefault(j, {})
-                    for k, c in row.items():
-                        acc[k] = acc.get(k, 0) + ux * c
+            ad_u = self._ad_rows(u)
             for v in vs:
                 w: dict[int, int] = {}
                 for j, vj in v.items():
                     for k, c in ad_u.get(j, {}).items():
                         w[k] = w.get(k, 0) + vj * c
-                if p:
-                    w = {k: c % p for k, c in w.items() if c % p}
-                else:
-                    w = {k: c for k, c in w.items() if c}
+                w = self._nonzero(w)
                 if w:
                     span.add_integers(w)
         return span
@@ -394,13 +405,17 @@ class LieAlgebra:
             raise DimensionMismatch("ideal of a different ambient space")
         if ideal.field != self.field:
             raise FieldMismatch("ideal over a different field")
-        for u in ideal.basis.rows():
+        rows = self._integer_rows(ideal)
+        span = RowSpan(self.field, self.n)
+        for r in rows:
+            span.add_integers(r)
+        for u, row in zip(ideal.basis.rows(), rows):
+            ad_u = self._ad_rows(row)
             for j in range(self.n):
-                w = self.bracket(u, self.basis_vector(j))
-                if not ideal.contains_vector(w):
+                if not span.contains_integers(self._nonzero(ad_u.get(j, {}))):
                     raise NotAnIdeal(
                         f"bracket of an ideal vector with {self.labels[j]} escapes the subspace",
-                        witness=(u, j, w),
+                        witness=(u, j, self.bracket(u, self.basis_vector(j))),
                     )
         pivot_set = set(ideal.basis.pivot_columns())
         free = [c for c in range(self.n) if c not in pivot_set]

@@ -319,8 +319,7 @@ def _bound_report_for(spec) -> dict:
     return doc
 
 
-def _sweep_reports(args, with_ideals: bool = False) -> list[dict]:
-    field = _resolve_field(args)
+def _sweep_reports(args, field, with_ideals: bool = False) -> list[dict]:
     specs = [
         (args.family, n, str(field), args.unsafe_char_2, with_ideals)
         for n in range(max(args.min_dim, 3 if args.family == "filiform" else 1), args.max_dim + 1)
@@ -342,7 +341,7 @@ def _dicts_to_reports_exit(docs: list[dict]) -> int:
 
 def _cmd_verify_bound(args) -> int:
     if getattr(args, "family", None):
-        docs = _sweep_reports(args)
+        docs = _sweep_reports(args, _resolve_field(args))
         headers = ["algebra", "n", "dim M", "parity bound", "n-2", "derived", "quadratic"]
         rows = []
         for d in docs:
@@ -417,34 +416,30 @@ def _cmd_catalog(args) -> int:
 def _cmd_report(args) -> int:
     if not getattr(args, "family", None):
         args.family = "filiform"
-    docs = _sweep_reports(args, with_ideals=True)
+    field = _resolve_field(args)
+    docs = _sweep_reports(args, field, with_ideals=True)
     columns = ["n", "dim_multiplier", "main_theorem_bound", "attained", "margin"]
     rows = []
     for d in docs:
         item = d["bounds"]["main_theorem"]
         value = item["value"]
-        attained = item["verdict"] == bounds.ATTAINED
         margin = None if value is None else value - d["dim_multiplier"]
-        rows.append([d["n"], d["dim_multiplier"],
-                     value if value is not None else "-",
-                     "yes" if attained else "no",
-                     margin if margin is not None else "-"])
+        rows.append([d["n"], d["dim_multiplier"], value, item["verdict"] == bounds.ATTAINED, margin])
+    human_rows = [
+        [n, dim_m, "-" if value is None else value, "yes" if attained else "no",
+         "-" if margin is None else margin]
+        for n, dim_m, value, attained, margin in rows
+    ]
     doc = {
         "format": REPORT_FORMAT,
         "command": "report",
         "family": args.family,
-        "field": str(_resolve_field(args)),
+        "field": str(field),
         "columns": columns,
-        "rows": [
-            [d["n"], d["dim_multiplier"], d["bounds"]["main_theorem"]["value"],
-             d["bounds"]["main_theorem"]["verdict"] == bounds.ATTAINED,
-             None if d["bounds"]["main_theorem"]["value"] is None
-             else d["bounds"]["main_theorem"]["value"] - d["dim_multiplier"]]
-            for d in docs
-        ],
+        "rows": rows,
         "reports": docs,
     }
-    _emit(args, _table(columns, rows), doc)
+    _emit(args, _table(columns, human_rows), doc)
     return _dicts_to_reports_exit(docs)
 
 

@@ -241,7 +241,11 @@ class RowSpan:
         return True
 
     def contains(self, vec: Sequence) -> bool:
-        return not self._reduce(self._integers(vec))
+        return self.contains_integers(self._integers(vec))
+
+    def contains_integers(self, v: dict[int, int]) -> bool:
+        """Membership of a vector given as in ``add_integers``."""
+        return not self._reduce(v)
 
     def matrix(self) -> Matrix:
         """The canonical reduced basis.  Back-substitutes the rows in place,

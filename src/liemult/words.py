@@ -16,12 +16,26 @@ The tensor-valued map replaces each outermost bracket [u_k, x_t] by
 ū_k ⊗ x̄_t, all signs +, with ū_k taken in γᵢ/γᵢ₊₁ and x̄_t in L/γ₂.
 Every inner word multiplies i arguments, so it always lies in γᵢ and the
 left projection is well defined.
+
+The image dimension is the rank of ψ over all (i+1)-tuples of m candidate
+vectors, but the m^(i+1) tuples are never walked one by one.  A zero word
+stays zero however it is extended (a left word at the end, a right word at
+the front), so the nonzero words of each length grow from the nonzero words
+one shorter, as trees keyed by integer codes.  Term k is nonzero only on
+tuples P + (o,) + S whose left word L(P), right word R(S), projected inner
+word π([R(S), L(P)]) and x̄_o are all nonzero; on any other tuple every term
+vanishes, so ψ is 0 there and the tuple cannot change the span.  The
+enumeration merges these per-term supports in lexicographic order, so its
+cost follows the number of nonzero words rather than m^(i+1), and the count
+of tuples examined (up to saturation) is what a full walk would report.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .algebra import LieAlgebra, QuotientMap, Subspace
 from .errors import (
@@ -184,82 +198,130 @@ class PsiImage:
     tuples_examined: int
 
 
-_MISSING = object()
+def _left_words(L: LieAlgebra, cand: list[dict], length: int, memo: dict):
+    """Yield the nonzero left-normed words of ``length`` candidates as
+    ``(code, value)`` in increasing code; the empty word is ``(0, None)``.
+
+    A word's code is its index sequence read as a base-m number, so codes of
+    one length sort lexicographically.  A left word grows at the end,
+    L(P·a) = [L(P), c_a], and a zero word stays zero under extension, so only
+    nonzero prefixes are extended: a depth-first walk of the prefix tree,
+    done as far as the caller reads.  ``memo`` keeps each prefix's extensions
+    for the other lengths that walk the same tree.
+    """
+    if length < 2:
+        yield from [(0, None)] if length == 0 else enumerate(cand)
+        return
+    m = len(cand)
+    for code, v in _left_words(L, cand, length - 1, memo):
+        ext = memo.get((length, code))
+        if ext is None:
+            ext = memo[length, code] = [
+                (code * m + a, w) for a, c in enumerate(cand) if (w := L.bracket_sparse(v, c))
+            ]
+        yield from ext
+
+
+def _right_words(L: LieAlgebra, cand: list[dict], shorter: list, length: int):
+    """Yield the nonzero right-normed words of ``length`` candidates as
+    ``(code, value)`` in increasing code, from ``shorter``, the complete list
+    of those one candidate shorter.  A right word grows at the front,
+    R(a·S) = [c_a, R(S)], so a zero R(S) is never extended."""
+    step = len(cand) ** (length - 1)
+    for a, c in enumerate(cand):
+        for code, v in shorter:
+            w = L.bracket_sparse(c, v)
+            if w:
+                yield a * step + code, w
+
+
+def _term_support(ev: PsiEvaluator, k: int, lefts, rights: list, outers: list, m: int):
+    """The tuples P + (o,) + S on which schedule term k is nonzero, in
+    increasing tuple code, as ``(code, k, inner coords, outer coords)``; k
+    breaks ties between streams, so the coordinates are never compared.
+
+    ``lefts`` and ``rights`` yield the nonzero left words of |P| and right
+    words of |S| candidates.  The term is the tensor of π([R(S), L(P)]) (an
+    empty word leaves the other factor alone) with x̄_o, so it is nonzero
+    exactly when both factors are; ``outers`` holds the candidates with
+    x̄_o ≠ 0.  The inner coordinates for one P are computed as the stream
+    reads them, once for all o.
+    """
+    scale = m ** (k - 1)
+    for pc, lw in lefts:
+        inner = _inner_coords(ev, lw, rights)
+        for (o, rc), pairs in zip(outers, itertools.tee(inner, len(outers))):
+            base = (pc * m + o) * scale
+            for sc, lc in pairs:
+                yield base + sc, k, lc, rc
+
+
+def _inner_coords(ev: PsiEvaluator, lw, rights):
+    """Yield ``(code of S, π([R(S), L(P)]))`` for L(P) = lw over the right
+    words R(S) of ``rights``, skipping zeros; π's nonzero coordinates are
+    listed as (offset of their row in the flat tensor, value)."""
+    L = ev.L
+    rd = ev.right_map.dim
+    for sc, rw in rights:
+        w = lw if rw is None else rw if lw is None else L.bracket_sparse(rw, lw)
+        if w:
+            lc = [(a * rd, x) for a, x in enumerate(ev.left_map.coords_sparse(w)) if x]
+            if lc:
+                yield sc, lc
 
 
 def _span_over_tuples(ev: PsiEvaluator, candidates, field) -> tuple[int, int, bool]:
-    """Rank of the span over candidate^(i+1); early exit at saturation.
+    """(rank, tuples examined, saturated) of the span of ψ over
+    candidate^(i+1), visiting only tuples on which some term can be nonzero.
 
-    Nested word values and their left-quotient coordinates are memoized on
-    candidate-index prefixes/suffixes, which the lexicographic product shares
-    heavily.
+    Term k evaluates on P + (o,) + S with |P| = i+1-k and |S| = k-1, and is
+    nonzero only if L(P) ≠ 0, R(S) ≠ 0, π([R(S), L(P)]) ≠ 0 and x̄_o ≠ 0.
+    On every other tuple all i+1 terms vanish, so ψ = 0 there and skipping
+    it cannot change the span.  Each term's support streams in increasing
+    tuple code (the tuple's lexicographic index); merging the i+1 streams and
+    summing the terms of equal codes evaluates ψ on their union in
+    lexicographic order, without building the product.  ``tuples examined``
+    is the index of the saturating tuple plus 1, or m^(i+1) without
+    saturation, exactly as a walk over the whole product would count.
+
+    Words are built only as far as the merge reads: left words by a lazy
+    walk of the prefix tree, and right words of all i candidates (read only
+    by the term with an empty left word) by first candidate.  Right words of
+    fewer candidates are listed in full, since every nonzero P pairs with
+    each of them.
     """
+    i, m = ev.i, len(candidates)
     L = ev.L
     cand = [{j: x for j, x in enumerate(c) if x} for c in candidates]
-    right_basis_coords = [ev.right_map.coords(list(c)) for c in candidates]
-    left_memo: dict[tuple[int, ...], dict] = {}
-    right_memo: dict[tuple[int, ...], dict] = {}
-    inner_memo: dict[tuple, list | None] = {}
-
-    def left_word(idxs):
-        v = left_memo.get(idxs)
-        if v is None:
-            v = cand[idxs[0]] if len(idxs) == 1 else L.bracket_sparse(left_word(idxs[:-1]), cand[idxs[-1]])
-            left_memo[idxs] = v
-        return v
-
-    def right_word(idxs):
-        v = right_memo.get(idxs)
-        if v is None:
-            v = cand[idxs[-1]] if len(idxs) == 1 else L.bracket_sparse(cand[idxs[0]], right_word(idxs[1:]))
-            right_memo[idxs] = v
-        return v
-
-    def inner_coords(right_idxs, left_idxs):
-        key = (right_idxs, left_idxs)
-        v = inner_memo.get(key, _MISSING)
-        if v is _MISSING:
-            if not right_idxs:
-                w = left_word(left_idxs)
-            elif not left_idxs:
-                w = right_word(right_idxs)
-            else:
-                w = L.bracket_sparse(right_word(right_idxs), left_word(left_idxs))
-            if w:
-                lc = ev.left_map.coords_sparse(w)
-                v = lc if any(lc) else None
-            else:
-                v = None
-            inner_memo[key] = v
-        return v
-
+    rights = [[(0, None)], list(enumerate(cand))]
+    for length in range(2, i):
+        rights.append(list(_right_words(L, cand, rights[-1], length)))
+    outers = []
+    for o, c in enumerate(candidates):
+        rc = [(b, x) for b, x in enumerate(ev.right_map.coords(list(c))) if x]
+        if rc:
+            outers.append((o, rc))
+    memo: dict = {}
+    streams = [
+        _term_support(ev, k, _left_words(L, cand, i + 1 - k, memo),
+                      rights[k - 1] if k <= i else _right_words(L, cand, rights[i - 1], i),
+                      outers, m)
+        for k in range(1, i + 2)
+    ]
     codim = ev.codomain_dim
-    ld, rd = ev.left_map.dim, ev.right_map.dim
     zero = field.zero
     span = RowSpan(field, codim)
-    count = 0
-    saturated = False
-    for tup in itertools.product(range(len(cand)), repeat=ev.i + 1):
-        count += 1
-        coords = None
-        for right, left, outer in ev.schedule:
-            lc = inner_coords(tuple(tup[t] for t in right), tuple(tup[t] for t in left))
-            if lc is None:
-                continue
-            rc = right_basis_coords[tup[outer]]
-            if coords is None:
-                coords = [zero] * (ld * rd)
-            for a, la in enumerate(lc):
-                if la:
-                    for b, rb in enumerate(rc):
-                        if rb:
-                            coords[a * rd + b] = coords[a * rd + b] + la * rb
-        if coords is not None and any(coords):
+    for code, terms in itertools.groupby(heapq.merge(*streams), key=itemgetter(0)):
+        coords = [zero] * codim
+        for _, _, lc, rc in terms:
+            for off, la in lc:
+                for b, rb in rc:
+                    coords[off + b] += la * rb
+        if any(coords):
             span.add(coords)
             if span.dim == codim:
-                saturated = True
-                break
-    return span.dim, count, saturated
+                return span.dim, code + 1, True
+    return span.dim, m ** (i + 1), False
 
 
 def psi_image_dim(L: LieAlgebra, i: int, mode: str = "exact") -> PsiImage:

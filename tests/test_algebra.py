@@ -5,6 +5,7 @@ import pytest
 
 from helpers import (
     bracket_span_oracle,
+    naive_rref,
     quotient_coords_oracle,
     random_rational_vector,
     random_unimodular,
@@ -300,11 +301,55 @@ def test_quotient_projection_section_identity():
     assert pres.projection.rank() == q
 
 
+def _first_escaping_bracket(L, subspace):
+    """(u, j, [u, e_j]) for the first basis row u and index j whose dense
+    bracket leaves the subspace, tested by the rank of naive_rref."""
+    rows = subspace.basis.rows()
+    for u in rows:
+        for j in range(L.n):
+            w = L.bracket(u, L.basis_vector(j))
+            if len(naive_rref(rows + [w], L.field)) > len(rows):
+                return u, j, w
+    return None
+
+
 def test_quotient_rejects_non_ideal():
     L = standard_filiform(4)
     not_ideal = Subspace.from_vectors(QQ, 4, [L.basis_vector(2)])  # [x1, x3] = x4 escapes
-    with pytest.raises(NotAnIdeal):
+    with pytest.raises(NotAnIdeal) as info:
         L.quotient(not_ideal)
+    assert str(info.value) == "bracket of an ideal vector with x1 escapes the subspace"
+    assert info.value.witness == (L.basis_vector(2), 0, [0, 0, 0, -1])
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7), PrimeField(2147483647)],
+                         ids=["Q", "GF7", "GFp"])
+def test_quotient_ideal_check_matches_dense_oracle(field):
+    # The check runs on the integer ad table; the witness must be the first
+    # escaping (u, j) in basis-row order, with w the dense field vector.
+    rng = random.Random(17)
+    for L in (standard_filiform(6, field=field).change_basis(random_unimodular(rng, 6, field)),
+              _rationally_changed_filiform_6(field)):
+        series = L.lower_central_series()
+        subspaces = [series.gamma(i) for i in range(1, len(series.terms))] + [L.center()]
+        subspaces += [series.gamma(3).sum(Subspace.from_vectors(field, 6, [L.basis_vector(j)]))
+                      for j in range(6)]
+        subspaces.append(Subspace.from_vectors(
+            field, 6, [[field.element(rng.randint(-3, 3)) for _ in range(6)] for _ in range(2)]))
+        rejected = 0
+        for s in subspaces:
+            expected = _first_escaping_bracket(L, s)
+            if expected is None:
+                assert L.quotient(s).quotient.n == 6 - s.dim
+                continue
+            rejected += 1
+            with pytest.raises(NotAnIdeal) as info:
+                L.quotient(s)
+            u, j, w = expected
+            assert info.value.witness == (u, j, w)
+            assert str(info.value) == (
+                f"bracket of an ideal vector with {L.labels[j]} escapes the subspace")
+        assert rejected >= 2
 
 
 def test_quotient_functoriality_series_dims():

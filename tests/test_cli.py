@@ -1,11 +1,13 @@
+import hashlib
 import json
 from fractions import Fraction
 
 import pytest
 
-from liemult import cli
+from liemult import algfile, cli
 from liemult.algebra import build
 from liemult.bounds import BoundReport, VIOLATED
+from liemult.catalog import filiform_q
 from liemult.cli import (
     EXIT_INPUT,
     EXIT_OK,
@@ -154,6 +156,53 @@ def test_report_deterministic_machine_output(tmp_path, capsys):
     doc = json.loads(outputs[0])
     assert doc["columns"][0] == "n"
     assert [row[0] for row in doc["rows"]] == [3, 4, 5, 6]
+
+
+REPORT_6_HUMAN = """\
+n  dim_multiplier  main_theorem_bound  attained  margin
+-  --------------  ------------------  --------  ------
+3  2               2                   yes       0
+4  2               2                   yes       0
+5  3               3                   yes       0
+6  3               3                   yes       0
+"""
+
+
+def test_report_outputs_are_pinned(capsys):
+    # Both renderings of the table come from the same rows; the machine
+    # document's hash pins every byte of it, per-degree psi records included.
+    code, human, _ = run(capsys, ["report", "--family", "filiform", "--max-dim", "6"])
+    assert code == EXIT_OK
+    assert human == REPORT_6_HUMAN
+    code, machine, _ = run(capsys, ["report", "--family", "filiform", "--max-dim", "6",
+                                    "--format", "machine"])
+    assert code == EXIT_OK
+    doc = json.loads(machine)
+    assert doc["field"] == "Q" and doc["family"] == "filiform"
+    assert doc["rows"] == [[3, 2, 2, True, 0], [4, 2, 2, True, 0],
+                           [5, 3, 3, True, 0], [6, 3, 3, True, 0]]
+    assert hashlib.sha256(machine.encode()).hexdigest() == (
+        "8d2e7194fb4bb0bd3a4f38b66458b4c13307e81e7ba212dde112ee93f3a54ed0")
+
+
+def test_psi_machine_document_for_q6(tmp_path, capsys):
+    # Q_6 saturates its 2-dimensional codomain at i = 5 on the 22nd tuple.
+    path = tmp_path / "q6.alg"
+    path.write_text(algfile.serialize_algebra(filiform_q(6)))
+    code, out, _ = run(capsys, ["psi", "--file", str(path), "--i", "5", "--format", "machine"])
+    assert code == EXIT_OK
+    assert out == (
+        "{\n"
+        f'  "algebra": {json.dumps(str(path))},\n'
+        '  "command": "psi",\n'
+        '  "dim": 2,\n'
+        '  "exact": true,\n'
+        '  "format": "liemult-report-v1",\n'
+        '  "i": 5,\n'
+        '  "mode": "exact",\n'
+        '  "tuples_examined": 22\n'
+        "}\n"
+    )
 
 
 def test_report_round_trips_as_json(capsys):

@@ -4,9 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import brute_psi_image_dim, random_rational_vector
+from helpers import brute_psi_image_dim, random_rational_vector, random_unimodular
 from liemult.algebra import Subspace, build
-from liemult.catalog import abelian, heisenberg, standard_filiform
+from liemult.catalog import abelian, filiform_m2, filiform_q, heisenberg, standard_filiform
 from liemult.errors import (
     CharTwoField,
     EmptyWord,
@@ -223,6 +223,65 @@ def test_psi_image_dims_n4_match_exhaustive_enumeration():
     L = standard_filiform(4)
     assert psi_image_dim(L, 2, "exact").dim == brute_psi_image_dim(L, 2) == 0
     assert psi_image_dim(L, 3, "exact").dim == brute_psi_image_dim(L, 3) == 1
+
+
+GFP = PrimeField(2147483647)
+
+
+def _alternating(n, mode="exact", m=2):
+    """(i, dim, exact, mode, tuples_examined) of every degree for a
+    maximal-class algebra whose images alternate 0, 1 without saturating the
+    2-dimensional codomain, so all m^(i+1) tuples count as examined."""
+    return [(i, i % 2, mode == "exact", mode, m ** (i + 1)) for i in range(2, n)]
+
+
+def _images(L, mode="exact"):
+    return [(p.i, p.dim, p.exact, p.mode, p.tuples_examined)
+            for p in (psi_image_dim(L, i, mode) for i in range(2, L.nilpotency_class() + 1))]
+
+
+def _basis_changed(L, seed):
+    return L.change_basis(random_unimodular(random.Random(seed), L.n, L.field))
+
+
+# Values from the full walk over candidate^(i+1) that enumeration of the
+# support must reproduce, tuples_examined included.  The Q_n family
+# saturates its codomain at the top degree.
+PSI_PINS = (
+    [(f"filiform-{n}-{f}", lambda n=n, fld=fld: standard_filiform(n, field=fld), _alternating(n))
+     for n in range(4, 11) for f, fld in (("Q", QQ), ("GF7", PrimeField(7)), ("GFp", GFP))]
+    + [(f"m2-{n}", lambda n=n: filiform_m2(n), _alternating(n)) for n in range(5, 9)]
+    + [("Q6", lambda: filiform_q(6), _alternating(5) + [(5, 2, True, "exact", 22)]),
+       ("Q8", lambda: filiform_q(8), _alternating(7) + [(7, 2, True, "exact", 70)]),
+       # Every basis vector lies outside gamma_2 here, and the support of
+       # the terms is the whole product.
+       ("basis-changed-filiform-5", lambda: _basis_changed(standard_filiform(5, field=GFP), 5),
+        _alternating(5, m=5))]
+)
+
+
+@pytest.mark.parametrize("build_algebra,expected", [c[1:] for c in PSI_PINS],
+                         ids=[c[0] for c in PSI_PINS])
+def test_psi_image_dim_matches_full_enumeration(build_algebra, expected):
+    L = build_algebra()
+    assert _images(L) == expected
+    # The oracle walks all n^(i+1) basis tuples; keep it to the cheap degrees.
+    for i, dim, *_ in expected:
+        if L.n ** (i + 1) <= 625:
+            assert brute_psi_image_dim(L, i) == dim
+
+
+@pytest.mark.parametrize("seed", [None, 6], ids=["plain", "basis-changed"])
+def test_psi_generator_mode_matches_full_enumeration(seed):
+    L = standard_filiform(6)
+    if seed is not None:
+        L = _basis_changed(L, seed)
+    assert _images(L, "generators") == _alternating(6, "generators")
+
+
+def test_psi_exact_mode_through_n18():
+    dims = psi_image_dims(standard_filiform(18, field=GFP))
+    assert [(p.i, p.dim, p.exact, p.mode, p.tuples_examined) for p in dims] == _alternating(18)
 
 
 def test_psi_image_dim_abelian_is_zero_any_degree():
