@@ -7,7 +7,10 @@ rows for every a != j: residues over GF(p), and over Q the structure constants
 times the lcm D of their denominators.  Scaling by D changes no span and no
 zero test, so the lower central series, ``product_subspace``, the Jacobi
 check and the ideal check of ``quotient`` run on raw ints and feed
-``RowSpan`` directly.  The Jacobi identity is
+``RowSpan`` directly.  A ``Subspace`` is the canonical integer rows of a
+``RowSpan``; membership, sums, equality, ``Subspace.reduce`` (the one exact
+reduction, behind ``quotient`` and ``QuotientMap``) run on those rows, and
+the dense basis is built only when asked for.  The Jacobi identity is
 validated eagerly at construction, so everything downstream may assume it.
 Instances are immutable after construction (internal caches only memoize pure
 results) and safe to share between workers.
@@ -35,24 +38,37 @@ from .linalg import Matrix, RowSpan, integer_row, inverse
 
 
 class Subspace:
-    """A subspace of the ambient coordinate space, held as a canonical
-    reduced-echelon basis so equal subspaces compare equal."""
+    """A subspace of the ambient coordinate space, held as the canonical rows
+    of a ``RowSpan`` so equal subspaces compare equal however they were built.
+    The constructor takes a spanning ``Matrix`` or a ``RowSpan``, which it
+    takes over rather than copies; ``basis`` is the dense reduced-echelon
+    basis, built on first use."""
 
-    def __init__(self, ambient: int, basis: Matrix):
+    def __init__(self, ambient: int, basis: Matrix | RowSpan):
         if basis.ncols != ambient:
             raise DimensionMismatch(f"basis has {basis.ncols} columns, ambient is {ambient}")
-        reduced = basis.rref()
+        span = basis._echelon() if isinstance(basis, Matrix) else basis
         self.ambient = ambient
-        self.basis = reduced
-        self.field = basis.field
+        self.field = span.field
+        self._span = span
+        self._rows = span.canonical_rows()
+        self._basis: Matrix | None = None
 
     @classmethod
     def from_vectors(cls, field, ambient: int, vectors) -> "Subspace":
         return cls(ambient, Matrix(field, [list(v) for v in vectors], ncols=ambient))
 
     @classmethod
+    def _spanned(cls, field, ambient: int, rows) -> "Subspace":
+        # The span of integer rows given as RowSpan.add_integers takes them.
+        span = RowSpan(field, ambient)
+        for r in rows:
+            span.add_integers(r)
+        return cls(ambient, span)
+
+    @classmethod
     def zero_space(cls, field, ambient: int) -> "Subspace":
-        return cls(ambient, Matrix(field, [], ncols=ambient))
+        return cls(ambient, RowSpan(field, ambient))
 
     @classmethod
     def full_space(cls, field, ambient: int) -> "Subspace":
@@ -60,41 +76,64 @@ class Subspace:
 
     @property
     def dim(self) -> int:
-        return self.basis.nrows
+        return len(self._rows)
 
-    def reduce(self, v) -> list:
-        """Reduce a vector modulo the subspace (clear the pivot columns)."""
-        w = list(v)
-        for i, p in enumerate(self.basis.pivot_columns()):
-            x = w[p]
-            if x:
-                row = self.basis.row(i)
-                w = [a - x * b for a, b in zip(w, row)]
-        return w
+    @property
+    def basis(self) -> Matrix:
+        if self._basis is None:
+            self._basis = self._span.matrix()
+        return self._basis
+
+    def reduce(self, v) -> dict:
+        """v modulo the subspace as a sparse ``{index: scalar}`` dict, for v
+        a sequence or such a dict: v minus (v_c / lead_c) row_c over the
+        pivots c, which clears every pivot column, since each row is zero at
+        the other pivots."""
+        iv, scale = integer_row(self.field, v, self.ambient)
+        rows, p = self._rows, self.field.characteristic
+        hits = [c for c in iv if c in rows]
+        d = lcm(*(rows[c][c] for c in hits))  # 1 over GF(p), where every lead is 1
+        w = {j: d * x for j, x in iv.items()} if d > 1 else dict(iv)
+        for c in hits:
+            b = iv[c] * (d // rows[c][c])
+            for j, x in rows[c].items():
+                w[j] = w.get(j, 0) - b * x
+        element = self.field.element
+        unit = self.field.one / element(scale * d)
+        return {j: element(x) * unit for j, x in w.items() if (x % p if p else x)}
 
     def contains_vector(self, v) -> bool:
-        return all(not e for e in self.reduce(v))
+        return self._span.contains_integers(integer_row(self.field, v, self.ambient)[0])
 
     def contains_subspace(self, other: "Subspace") -> bool:
-        return all(self.contains_vector(r) for r in other.basis.rows())
+        self._check_same_space(other)
+        return all(self._span.contains_integers(r) for r in other._rows.values())
 
     def sum(self, other: "Subspace") -> "Subspace":
-        if self.ambient != other.ambient:
-            raise DimensionMismatch("subspaces of different ambient spaces")
-        return Subspace(self.ambient, self.basis.stack(other.basis))
+        self._check_same_space(other)
+        rows = [*self._rows.values(), *other._rows.values()]
+        return Subspace._spanned(self.field, self.ambient, rows)
 
     def dim_intersection(self, other: "Subspace") -> int:
         return self.dim + other.dim - self.sum(other).dim
+
+    def _check_same_space(self, other: "Subspace"):
+        if self.ambient != other.ambient:
+            raise DimensionMismatch("subspaces of different ambient spaces")
+        if self.field != other.field:
+            raise FieldMismatch("subspaces over different fields")
 
     def __eq__(self, other):
         return (
             isinstance(other, Subspace)
             and self.ambient == other.ambient
-            and self.basis == other.basis
+            and self.field == other.field
+            and self._rows == other._rows
         )
 
     def __hash__(self):
-        return hash((self.ambient, self.basis))
+        rows = tuple((c, frozenset(r.items())) for c, r in self._rows.items())
+        return hash((self.ambient, self.field, rows))
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} of {self.ambient})"
@@ -303,11 +342,7 @@ class LieAlgebra:
         for s in (a, b):
             if s.ambient != self.n:
                 raise DimensionMismatch("subspace of a different ambient space")
-        span = self._bracket_span(self._integer_rows(a), self._integer_rows(b))
-        return Subspace(self.n, span.matrix())
-
-    def _integer_rows(self, s: Subspace) -> list[dict[int, int]]:
-        return [integer_row(self.field, r) for r in s.basis.rows()]
+        return Subspace(self.n, self._bracket_span(a._rows.values(), b._rows.values()))
 
     def _ad_rows(self, u: dict[int, int]) -> dict[int, dict[int, int]]:
         """j -> [u, e_j] for an integer row u, on the integer ad table:
@@ -328,7 +363,7 @@ class LieAlgebra:
             return {k: c % p for k, c in w.items() if c % p}
         return {k: c for k, c in w.items() if c}
 
-    def _bracket_span(self, us: list[dict[int, int]], vs: list[dict[int, int]]) -> RowSpan:
+    def _bracket_span(self, us, vs) -> RowSpan:
         """The span of [u, v] over integer rows u in us and v in vs:
         [u, v] = sum over j of v[j] [u, e_j]."""
         span = RowSpan(self.field, self.n)
@@ -350,18 +385,14 @@ class LieAlgebra:
         suffice once L is known to be nilpotent)."""
         if self._series is None:
             full = Subspace.full_space(self.field, self.n)
-            basis = [{j: 1} for j in range(self.n)]
             terms = [full]
-            prev, rows = full, basis
             nilpotent = True
-            while prev.dim > 0:
-                span = self._bracket_span(rows, basis)
-                if span.dim == prev.dim:
+            while terms[-1].dim > 0:
+                span = self._bracket_span(terms[-1]._rows.values(), full._rows.values())
+                if span.dim == terms[-1].dim:
                     nilpotent = False
                     break
-                prev = Subspace(self.n, span.matrix())
-                rows = self._integer_rows(prev)
-                terms.append(prev)
+                terms.append(Subspace(self.n, span))
             self._series = SeriesChain(tuple(terms), nilpotent)
         return self._series
 
@@ -405,33 +436,25 @@ class LieAlgebra:
             raise DimensionMismatch("ideal of a different ambient space")
         if ideal.field != self.field:
             raise FieldMismatch("ideal over a different field")
-        rows = self._integer_rows(ideal)
-        span = RowSpan(self.field, self.n)
-        for r in rows:
-            span.add_integers(r)
-        for u, row in zip(ideal.basis.rows(), rows):
+        for u, row in zip(ideal.basis.rows(), ideal._rows.values()):
             ad_u = self._ad_rows(row)
             for j in range(self.n):
-                if not span.contains_integers(self._nonzero(ad_u.get(j, {}))):
+                if not ideal._span.contains_integers(self._nonzero(ad_u.get(j, {}))):
                     raise NotAnIdeal(
                         f"bracket of an ideal vector with {self.labels[j]} escapes the subspace",
                         witness=(u, j, self.bracket(u, self.basis_vector(j))),
                     )
-        pivot_set = set(ideal.basis.pivot_columns())
-        free = [c for c in range(self.n) if c not in pivot_set]
+        free = [c for c in range(self.n) if c not in ideal._rows]
         q = len(free)
-        proj_rows = []
-        for i in range(self.n):
-            w = ideal.reduce(self.basis_vector(i))
-            proj_rows.append([w[f] for f in free])
-        projection = Matrix(self.field, proj_rows, ncols=q)
-        section_rows = [self.basis_vector(f) for f in free]
-        section = Matrix(self.field, section_rows, ncols=self.n)
+        zero, one = self.field.zero, self.field.one
+        reduced = [ideal.reduce({i: one}) for i in range(self.n)]
+        projection = Matrix(self.field, [[w.get(f, zero) for f in free] for w in reduced], ncols=q)
+        section = Matrix(self.field, [self.basis_vector(f) for f in free], ncols=self.n)
         table: dict[tuple[int, int], dict[int, object]] = {}
         for a in range(q):
             for b in range(a + 1, q):
-                w = ideal.reduce(self.bracket(self.basis_vector(free[a]), self.basis_vector(free[b])))
-                comps = {k: w[f] for k, f in enumerate(free) if w[f]}
+                w = ideal.reduce(self.bracket_basis(free[a], free[b]))
+                comps = {k: w[f] for k, f in enumerate(free) if f in w}
                 if comps:
                     table[(a, b)] = comps
         quotient = LieAlgebra(
@@ -447,7 +470,7 @@ class LieAlgebra:
         lexicographically.  The family has 2^dim Z(L) members, so centers
         beyond 16 dimensions are refused.
         """
-        rows = self.center().basis.rows()
+        rows = list(self.center()._rows.values())
         if len(rows) > 16:
             raise ResourceLimit(
                 f"the center is {len(rows)}-dimensional; enumerating "
@@ -456,7 +479,7 @@ class LieAlgebra:
         out = [Subspace.zero_space(self.field, self.n)]
         for size in range(1, len(rows) + 1):
             for combo in itertools.combinations(range(len(rows)), size):
-                out.append(Subspace.from_vectors(self.field, self.n, [rows[i] for i in combo]))
+                out.append(Subspace._spanned(self.field, self.n, [rows[i] for i in combo]))
         return out
 
     # -- basis changes ---------------------------------------------------------
@@ -527,37 +550,17 @@ class QuotientMap:
     """
 
     def __init__(self, sup: Subspace, sub: Subspace):
-        if sup.ambient != sub.ambient:
-            raise DimensionMismatch("nested subspaces must share the ambient space")
         if not sup.contains_subspace(sub):
             raise NotInSubspace("the second subspace is not contained in the first")
         self.sup = sup
         self.sub = sub
-        sub_pivots = set(sub.basis.pivot_columns())
-        kept = [
-            (i, p) for i, p in enumerate(sup.basis.pivot_columns()) if p not in sub_pivots
-        ]
-        self.dim = len(kept)
-        self._pivots = [p for _, p in kept]
-        self._complement = [sup.basis.row(i) for i, _ in kept]
+        self._pivots = [p for p in sup._rows if p not in sub._rows]
+        self.dim = len(self._pivots)
 
     def coords(self, v) -> list:
-        """Coordinates of v (which must lie in U) in the U/W basis."""
+        """Coordinates of v (a sequence or a sparse dict; it must lie in U) in the U/W basis."""
         if not self.sup.contains_vector(v):
             raise NotInSubspace("vector lies outside the larger subspace")
         w = self.sub.reduce(v)
-        return [w[p] for p in self._pivots]
-
-    def coords_sparse(self, v: dict[int, object]) -> list:
-        """coords() for a sparse {index: coeff} vector."""
-        dense = [self.sup.field.zero] * self.sup.ambient
-        for j, x in v.items():
-            dense[j] = x
-        return self.coords(dense)
-
-    def lift(self, coords) -> list:
-        out = [self.sup.field.zero] * self.sup.ambient
-        for c, row in zip(coords, self._complement):
-            if c:
-                out = [a + c * b for a, b in zip(out, row)]
-        return out
+        zero = self.sup.field.zero
+        return [w.get(p, zero) for p in self._pivots]

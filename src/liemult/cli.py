@@ -290,20 +290,14 @@ def _cmd_lemma_test(args) -> int:
     return EXIT_OK
 
 
-def _report_to_row(rep: bounds.BoundReport) -> list:
+def _bound_row(doc: dict) -> list:
+    """One ``verify-bound`` table row from a ``BoundReport.to_dict()``."""
     def cell(key):
-        value, verdict = rep.bounds[key]
-        return f"{value} ({verdict})" if value is not None else verdict
+        item = doc["bounds"][key]
+        return item["verdict"] if item["value"] is None else f"{item['value']} ({item['verdict']})"
 
-    return [
-        rep.algebra_id,
-        rep.n,
-        rep.dim_multiplier,
-        cell("main_theorem"),
-        cell("nminus2"),
-        cell("derived_subalgebra"),
-        cell("moneyhun"),
-    ]
+    return [doc["algebra"], doc["n"], doc["dim_multiplier"], cell("main_theorem"),
+            cell("nminus2"), cell("derived_subalgebra"), cell("moneyhun")]
 
 
 def _bound_report_for(spec) -> dict:
@@ -342,26 +336,13 @@ def _dicts_to_reports_exit(docs: list[dict]) -> int:
 def _cmd_verify_bound(args) -> int:
     if getattr(args, "family", None):
         docs = _sweep_reports(args, _resolve_field(args))
-        headers = ["algebra", "n", "dim M", "parity bound", "n-2", "derived", "quadratic"]
-        rows = []
-        for d in docs:
-            def cell(key):
-                item = d["bounds"][key]
-                if item["value"] is None:
-                    return item["verdict"]
-                return f"{item['value']} ({item['verdict']})"
-
-            rows.append([d["algebra"], d["n"], d["dim_multiplier"], cell("main_theorem"),
-                         cell("nminus2"), cell("derived_subalgebra"), cell("moneyhun")])
-        doc = {"format": REPORT_FORMAT, "command": "verify-bound", "reports": docs}
-        _emit(args, _table(headers, rows), doc)
-        return _dicts_to_reports_exit(docs)
-    L, name = _load_algebra(args)
-    rep = bounds.bound_report(L, algebra_id=name)
-    doc = {"format": REPORT_FORMAT, "command": "verify-bound", "reports": [rep.to_dict()]}
+    else:
+        L, name = _load_algebra(args)
+        docs = [bounds.bound_report(L, algebra_id=name).to_dict()]
+    doc = {"format": REPORT_FORMAT, "command": "verify-bound", "reports": docs}
     headers = ["algebra", "n", "dim M", "parity bound", "n-2", "derived", "quadratic"]
-    _emit(args, _table(headers, [_report_to_row(rep)]), doc)
-    return EXIT_VIOLATION if rep.has_violation else EXIT_OK
+    _emit(args, _table(headers, [_bound_row(d) for d in docs]), doc)
+    return _dicts_to_reports_exit(docs)
 
 
 def _cmd_verify_thm13(args) -> int:

@@ -8,7 +8,8 @@ of Bareiss, reduced to cross-multiplying two integer rows and dividing the
 content out, so no rational arithmetic runs inside elimination.  One clearing
 step, ``RowSpan._clear``, is the only elimination arithmetic and the only
 place it differs by field; forward reduction (``add``, ``contains``) and
-back-substitution to the canonical reduced basis (``matrix``) both use it.
+back-substitution to the canonical reduced basis (``canonical_rows``, the
+integer rows a ``Subspace`` keeps; ``matrix`` makes them dense) both use it.
 
 ``Matrix`` is a dense immutable matrix over one field.  Its rank, echelon
 form, kernel basis and inverse all feed its rows into a ``RowSpan``.  Echelon
@@ -195,24 +196,34 @@ def inverse(m: Matrix) -> Matrix:
     return Matrix(m.field, [r[n:] for r in aug.rref()._rows], ncols=n)
 
 
-def integer_row(field, vec: Sequence) -> dict[int, int]:
-    """The nonzero entries of vec as integers: residues over GF(p); over Q the
-    vector scaled by the lcm of its denominators."""
+def integer_row(field, vec, ncols: int) -> tuple[dict[int, int], int]:
+    """(row, s): the nonzero entries of vec as integers, row = s * vec.  Over
+    GF(p) they are residues and s = 1; over Q, s is the lcm of the
+    denominators.  vec is a sequence of length ncols or a sparse
+    ``{index: scalar}`` dict with indices in range(ncols)."""
+    if isinstance(vec, dict):
+        if vec and not (min(vec) >= 0 and max(vec) < ncols):
+            raise DimensionMismatch(f"vector index out of range for {ncols} columns")
+        items = vec.items()
+    elif len(vec) != ncols:
+        raise DimensionMismatch(f"vector length {len(vec)} vs {ncols} columns")
+    else:
+        items = enumerate(vec)
     element = field.element
-    nz = {j: element(x) for j, x in enumerate(vec) if x}
+    nz = {j: element(x) for j, x in items if x}
     if field.characteristic:
-        return {j: x.v for j, x in nz.items()}
+        return {j: x.v for j, x in nz.items()}, 1
     scale = lcm(*(x.denominator for x in nz.values()))
-    return {j: x.numerator * (scale // x.denominator) for j, x in nz.items()}
+    return {j: x.numerator * (scale // x.denominator) for j, x in nz.items()}, scale
 
 
 class RowSpan:
     """Incrementally maintained row space over sparse exact integer rows.
 
     ``add`` and ``contains`` forward-reduce a vector against the pivot rows;
-    ``matrix()`` back-substitutes and returns the canonical reduced basis.
-    Rows may arrive one at a time (series, image enumeration); every
-    ``Matrix`` elimination also runs here.
+    ``canonical_rows()`` back-substitutes to the canonical reduced basis and
+    ``matrix()`` makes it dense.  Rows may arrive one at a time (series, image
+    enumeration); every ``Matrix`` elimination also runs here.
     """
 
     def __init__(self, field, ncols: int):
@@ -227,7 +238,7 @@ class RowSpan:
 
     def add(self, vec: Sequence) -> bool:
         """Insert a vector; True if the span grew."""
-        return self.add_integers(self._integers(vec))
+        return self.add_integers(integer_row(self.field, vec, self.ncols)[0])
 
     def add_integers(self, v: dict[int, int]) -> bool:
         """Insert a vector given as its nonzero integer entries ``{column: int}``:
@@ -241,15 +252,17 @@ class RowSpan:
         return True
 
     def contains(self, vec: Sequence) -> bool:
-        return self.contains_integers(self._integers(vec))
+        return self.contains_integers(integer_row(self.field, vec, self.ncols)[0])
 
     def contains_integers(self, v: dict[int, int]) -> bool:
         """Membership of a vector given as in ``add_integers``."""
         return not self._reduce(v)
 
-    def matrix(self) -> Matrix:
-        """The canonical reduced basis.  Back-substitutes the rows in place,
-        from the last pivot up, so each row is cleared only by finished rows."""
+    def canonical_rows(self) -> dict[int, dict[int, int]]:
+        """The canonical reduced basis, keyed by pivot in pivot order: each row
+        zero at the other pivots, so one row space always has the same rows.
+        Back-substitutes in place from the last pivot up, so each row is
+        cleared only by finished rows."""
         rows = self._rows
         pivots = sorted(rows)
         for c in reversed(pivots):
@@ -257,22 +270,23 @@ class RowSpan:
             for d in [d for d in row if d != c and d in rows]:
                 row = self._clear(row, rows[d], d)
             rows[c] = row
+        self._rows = {c: rows[c] for c in pivots}
+        return self._rows
+
+    def matrix(self) -> Matrix:
+        """The canonical reduced basis as a dense ``Matrix``."""
+        rows = self.canonical_rows()
         element, zero = self.field.element, self.field.zero
         dense = []
-        for c in pivots:
-            lead = rows[c][c]
+        for c, row in rows.items():
+            lead = row[c]
             r = [zero] * self.ncols
-            for j, x in rows[c].items():
+            for j, x in row.items():
                 r[j] = element(x) / lead
             dense.append(r)
         out = Matrix(self.field, dense, ncols=self.ncols)
-        out._rref = (out, tuple(pivots))
+        out._rref = (out, tuple(rows))
         return out
-
-    def _integers(self, vec: Sequence) -> dict[int, int]:
-        if len(vec) != self.ncols:
-            raise DimensionMismatch(f"vector length {len(vec)} vs {self.ncols} columns")
-        return integer_row(self.field, vec)
 
     def _reduce(self, v: dict[int, int]) -> dict[int, int]:
         """Forward-reduce v until its leading column is not a pivot; empty

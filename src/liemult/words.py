@@ -150,9 +150,7 @@ class PsiEvaluator:
         self.L = L
         self.i = i
         self.left_map = QuotientMap(series.gamma(i), series.gamma(i + 1))
-        self.right_map = QuotientMap(
-            Subspace.full_space(L.field, L.n), series.gamma(2)
-        )
+        self.right_map = QuotientMap(series.gamma(1), series.gamma(2))
         self.schedule = term_schedule(i)
 
     @property
@@ -265,7 +263,7 @@ def _inner_coords(ev: PsiEvaluator, lw, rights):
     for sc, rw in rights:
         w = lw if rw is None else rw if lw is None else L.bracket_sparse(rw, lw)
         if w:
-            lc = [(a * rd, x) for a, x in enumerate(ev.left_map.coords_sparse(w)) if x]
+            lc = [(a * rd, x) for a, x in enumerate(ev.left_map.coords(w)) if x]
             if lc:
                 yield sc, lc
 

@@ -14,10 +14,13 @@ from helpers import (
 from liemult.algebra import LieAlgebra, QuotientMap, Subspace, build
 from liemult.catalog import abelian, filiform_m2, filiform_q, heisenberg, standard_filiform
 from liemult.errors import (
+    DimensionMismatch,
     DimensionTooSmall,
     DuplicateBracket,
+    FieldMismatch,
     IndexOutOfRange,
     JacobiViolation,
+    LieError,
     NotAnIdeal,
     NotInSubspace,
 )
@@ -406,7 +409,8 @@ def test_quotient_map_coordinates():
         inner.coords(L.basis_vector(0))
 
 
-@pytest.mark.parametrize("field", [QQ, PrimeField(2147483647)], ids=["Q", "GFp"])
+@pytest.mark.parametrize("field", [QQ, PrimeField(7), PrimeField(2147483647)],
+                         ids=["Q", "GF7", "GFp"])
 def test_quotient_map_matches_independent_solver(field):
     # After a basis change the series terms are not coordinate subspaces, so
     # the pivot-column read-off is checked against solving the linear system.
@@ -431,6 +435,123 @@ def test_quotient_map_matches_independent_solver(field):
                 qm.coords(outside)
             with pytest.raises(NotInSubspace):
                 quotient_coords_oracle(sup, sub, outside)
+
+
+def test_wrong_lengths_and_ambients_raise_dimension_mismatch():
+    L = standard_filiform(5)
+    g2 = L.lower_central_series().gamma(2)
+    qm = QuotientMap(Subspace.full_space(QQ, 5), g2)
+    for v in ([0, 0, 1], [0, 0, 1, 0, 0, 0, 0], {7: 1}):
+        with pytest.raises(DimensionMismatch):
+            g2.contains_vector(v)
+        with pytest.raises(DimensionMismatch):
+            qm.coords(v)
+        with pytest.raises(DimensionMismatch):
+            g2.reduce(v)
+    for a, b in ((g2, Subspace.full_space(QQ, 3)), (Subspace.full_space(QQ, 3), g2)):
+        with pytest.raises(DimensionMismatch):
+            a.contains_subspace(b)
+    assert issubclass(DimensionMismatch, LieError)
+    with pytest.raises(FieldMismatch):
+        g2.sum(Subspace.full_space(PrimeField(7), 5))
+    with pytest.raises(FieldMismatch):
+        g2.contains_subspace(Subspace.zero_space(PrimeField(7), 5))
+
+
+FIELDS = [QQ, PrimeField(7), PrimeField(2147483647)]
+FIELD_IDS = ["Q", "GF7", "GFp"]
+
+
+def _basis_changed_filiform_6(field, seed=41):
+    return standard_filiform(6, field=field).change_basis(
+        random_unimodular(random.Random(seed), 6, field))
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_equal_subspaces_compare_and_hash_equal_across_routes(field):
+    L = _basis_changed_filiform_6(field)
+    series = L.lower_central_series()
+    g2, g3 = series.gamma(2), series.gamma(3)
+    scales = [field.one / field.element(3), field.element(-5), field.element(4) / field.element(5)]
+
+    def rebuilt(s):
+        # The same rows reordered, scaled by nonunits, and the last row
+        # replaced by its sum with the first, so the input is not echelon.
+        rows = [[c * x for x in r] for c, r in zip(scales * 3, reversed(s.basis.rows()))]
+        rows[-1] = [a + b for a, b in zip(rows[-1], rows[0])]
+        return Subspace.from_vectors(field, 6, rows)
+
+    for s in (g2, g3):
+        routes = [rebuilt(s), Subspace(6, Matrix(field, s.basis.rows())), s.sum(g3),
+                  rebuilt(s).sum(Subspace.zero_space(field, 6))]
+        for other in routes:
+            assert other == s and hash(other) == hash(s)
+        assert len({s, *routes}) == 1
+    half = g2.basis.rows()
+    assert Subspace.from_vectors(field, 6, half[:2]).sum(
+        Subspace.from_vectors(field, 6, half[2:])) == g2
+    assert g2 != g3 and len({g2, g3, rebuilt(g2), rebuilt(g3)}) == 2
+    keys = {g2: "g2", g3: "g3"}
+    assert keys[rebuilt(g3)] == "g3" and keys[g3.sum(g2)] == "g2"
+    coordinate = Subspace.from_vectors(field, 6, [L.basis_vector(j) for j in range(g3.dim)])
+    assert coordinate.dim == g3.dim and not g3.contains_subspace(coordinate)
+    assert coordinate != g3 and coordinate not in keys
+    other_field = PrimeField(11) if field == QQ else QQ
+    assert Subspace.full_space(other_field, 6) != series.gamma(1)
+
+
+def _in_span(rows, v, field) -> bool:
+    return len(naive_rref(rows + [v], field)) == len(naive_rref(rows, field))
+
+
+def _pivots(rows) -> list[int]:
+    return [next(j for j, x in enumerate(r) if x) for r in rows]
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_subspace_operations_match_naive_rref(field):
+    rng = random.Random(43)
+    L = _basis_changed_filiform_6(field)
+    series = L.lower_central_series()
+    ideals = list(series.terms) + [L.center()]
+    others = [Subspace.from_vectors(
+        field, 6, [[field.element(rng.randint(-3, 3)) for _ in range(6)] for _ in range(k)])
+        for k in (1, 2, 3)]
+    others += [series.gamma(3).sum(Subspace.from_vectors(field, 6, [L.basis_vector(j)]))
+               for j in range(6)]
+    zero = field.zero
+    for s in ideals + others:
+        rows = s.basis.rows()
+        assert rows == naive_rref(rows, field)
+        pivots = _pivots(rows)
+        vectors = [[field.element(rng.randint(-4, 4)) for _ in range(6)] for _ in range(4)]
+        for _ in range(3):
+            v = L.zero_vector()
+            for row in rows:
+                v = [a + field.element(rng.randint(-5, 5)) * b for a, b in zip(v, row)]
+            vectors.append(v)
+        for v in vectors:
+            assert s.contains_vector(v) == _in_span(rows, v, field)
+            w = s.reduce(v)
+            dense = [w.get(j, zero) for j in range(6)]
+            # The reduction is the unique vector congruent to v that is zero
+            # at every pivot column.
+            assert all(not dense[p] for p in pivots)
+            assert _in_span(rows, [a - b for a, b in zip(v, dense)], field)
+            assert s.reduce({j: x for j, x in enumerate(v) if x}) == w
+        for t in ideals + others:
+            both = naive_rref(rows + t.basis.rows(), field)
+            assert s.sum(t).basis.rows() == both
+            assert s.dim_intersection(t) == s.dim + t.dim - len(both)
+    for K in ideals:
+        pres = L.quotient(K)
+        rows = K.basis.rows()
+        free = [j for j in range(6) if j not in _pivots(rows)]
+        for i in range(6):
+            lift = L.zero_vector()
+            for f, x in zip(free, pres.projection.row(i)):
+                lift[f] = x
+            assert _in_span(rows, [a - b for a, b in zip(L.basis_vector(i), lift)], field)
 
 
 def test_central_ideals_guard_on_large_centers():

@@ -185,6 +185,30 @@ def test_report_outputs_are_pinned(capsys):
         "8d2e7194fb4bb0bd3a4f38b66458b4c13307e81e7ba212dde112ee93f3a54ed0")
 
 
+VERIFY_BOUND_6_HUMAN = """\
+algebra     n  dim M  parity bound  n-2             derived       quadratic
+----------  -  -----  ------------  --------------  ------------  ----------
+filiform-3  3  2      2 (attained)  not-applicable  2 (attained)  3 (holds)
+filiform-4  4  2      2 (attained)  2 (attained)    3 (holds)     6 (holds)
+filiform-5  5  3      3 (attained)  3 (attained)    4 (holds)     10 (holds)
+filiform-6  6  3      3 (attained)  4 (holds)       5 (holds)     15 (holds)
+"""
+
+VERIFY_BOUND_L3414_HUMAN = """\
+algebra     n  dim M  parity bound  n-2           derived    quadratic
+----------  -  -----  ------------  ------------  ---------  ---------
+L(3,4,1,4)  4  2      2 (attained)  2 (attained)  3 (holds)  6 (holds)
+"""
+
+
+def test_verify_bound_tables_are_pinned(capsys):
+    # The sweep and the single-algebra branch render the same table.
+    code, out, _ = run(capsys, ["verify-bound", "--family", "filiform", "--max-dim", "6"])
+    assert (code, out) == (EXIT_OK, VERIFY_BOUND_6_HUMAN)
+    code, out, _ = run(capsys, ["verify-bound", "--name", "L(3,4,1,4)"])
+    assert (code, out) == (EXIT_OK, VERIFY_BOUND_L3414_HUMAN)
+
+
 def test_psi_machine_document_for_q6(tmp_path, capsys):
     # Q_6 saturates its 2-dimensional codomain at i = 5 on the 22nd tuple.
     path = tmp_path / "q6.alg"
