@@ -6,11 +6,11 @@ sits a private integer ad table, tab[a][j] = [e_a, e_j] as sparse ``{k: int}``
 rows for every a != j: residues over GF(p), and over Q the structure constants
 times the lcm D of their denominators.  Scaling by D changes no span and no
 zero test, so the lower central series, ``product_subspace``, the Jacobi
-check and the ideal check of ``quotient`` run on raw ints and feed
-``RowSpan`` directly.  A ``Subspace`` is the canonical integer rows of a
-``RowSpan``; membership, sums, equality, ``Subspace.reduce`` (the one exact
-reduction, behind ``quotient`` and ``QuotientMap``) run on those rows, and
-the dense basis is built only when asked for.  The Jacobi identity is
+check, the ideal check of ``quotient`` and ``change_basis`` run on raw ints
+and feed ``RowSpan`` directly.  A ``Subspace`` is the canonical integer rows
+of a ``RowSpan``; membership, sums, equality, ``Subspace.reduce`` (the one
+exact reduction, behind ``quotient`` and ``QuotientMap``) run on those rows,
+and the dense basis is built only when asked for.  The Jacobi identity is
 validated eagerly at construction, so everything downstream may assume it.
 Instances are immutable after construction (internal caches only memoize pure
 results) and safe to share between workers.
@@ -207,6 +207,7 @@ class LieAlgebra:
         self._series: SeriesChain | None = None
         self._center: Subspace | None = None
         self._multiplier_dim: int | None = None
+        self._adapted: LieAlgebra | None = None  # set by homology._chain_adapted
         if validate:
             self._validate_jacobi()
 
@@ -370,11 +371,7 @@ class LieAlgebra:
         for u in us:
             ad_u = self._ad_rows(u)
             for v in vs:
-                w: dict[int, int] = {}
-                for j, vj in v.items():
-                    for k, c in ad_u.get(j, {}).items():
-                        w[k] = w.get(k, 0) + vj * c
-                w = self._nonzero(w)
+                w = self._nonzero(_bracket_with(ad_u, v))
                 if w:
                     span.add_integers(w)
         return span
@@ -485,21 +482,37 @@ class LieAlgebra:
     # -- basis changes ---------------------------------------------------------
 
     def change_basis(self, p: Matrix) -> "LieAlgebra":
-        """Rewrite the table in the basis f_i = sum_j p[i][j] e_j."""
+        """Rewrite the table in the basis f_i = sum_j p[i][j] e_j.
+
+        Each [f_i, f_j] is computed on the integer ad table from the integer
+        rows of p, and its coordinates w p^-1 come from one exact inverse
+        (``SingularMatrix`` when p has none), also as integer rows."""
         if p.shape != (self.n, self.n):
             raise DimensionMismatch("change of basis must be square of matching size")
         if p.field != self.field:
             raise FieldMismatch("change of basis over a different field")
-        p_inv = inverse(p)
+        field, n = self.field, self.n
+        rows = [integer_row(field, r, n) for r in p.rows()]
+        inv = [integer_row(field, r, n) for r in inverse(p).rows()]
+        s_inv = lcm(*(s for _, s in inv))
+        inv = [{k: x * (s_inv // s) for k, x in r.items()} for r, s in inv]
+        element = field.element
         table: dict[tuple[int, int], dict[int, object]] = {}
-        for i in range(self.n):
-            for j in range(i + 1, self.n):
-                w = self.bracket(p.row(i), p.row(j))
-                coords = p_inv.mul_row(w) if any(w) else w
-                comps = {k: c for k, c in enumerate(coords) if c}
-                if comps:
-                    table[(i, j)] = comps
-        return LieAlgebra(self.n, table, field=self.field)
+        for i, (u, su) in enumerate(rows):
+            ad_u = self._ad_rows(u)
+            for j in range(i + 1, n):
+                v, sv = rows[j]
+                # w = D su sv [f_i, f_j] in e-coordinates, so w p^-1 carries
+                # the factor D su sv s_inv that ``unit`` divides out.
+                coords: dict[int, int] = {}
+                for m, x in self._nonzero(_bracket_with(ad_u, v)).items():
+                    for k, y in inv[m].items():
+                        coords[k] = coords.get(k, 0) + x * y
+                coords = self._nonzero(coords)
+                if coords:
+                    unit = field.one / element(self._scale * su * sv * s_inv)
+                    table[(i, j)] = {k: element(coords[k]) * unit for k in sorted(coords)}
+        return LieAlgebra(n, table, field=field)
 
     def __eq__(self, other):
         return (
@@ -514,6 +527,16 @@ class LieAlgebra:
 
     def __repr__(self):
         return f"LieAlgebra(n={self.n}, field={self.field})"
+
+
+def _bracket_with(ad_u: dict[int, dict[int, int]], v: dict[int, int]) -> dict[int, int]:
+    """[u, v] = sum over j of v[j] [u, e_j] for an integer row v, given
+    ad_u = ``LieAlgebra._ad_rows(u)``.  Entries are not reduced mod p."""
+    w: dict[int, int] = {}
+    for j, vj in v.items():
+        for k, c in ad_u.get(j, {}).items():
+            w[k] = w.get(k, 0) + vj * c
+    return w
 
 
 def build(n: int, brackets, field=QQ, labels=None) -> LieAlgebra:

@@ -16,7 +16,6 @@ import json
 import os
 import random
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 from . import algfile, bounds, catalog
@@ -41,6 +40,17 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+
+def _count(text: str) -> int:
+    """An argparse type: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _build_parser() -> _Parser:
@@ -83,13 +93,13 @@ def _build_parser() -> _Parser:
     add_input_args(p)
     add_output_args(p)
     p.add_argument("--i", type=int, default=None, help="single word degree (default: sweep)")
-    p.add_argument("--tuples", type=int, default=200)
+    p.add_argument("--tuples", type=_count, default=200)
     p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("verify-bound", help="evaluate all multiplier bounds")
     add_input_args(p, family_ok=True)
     add_output_args(p)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_count, default=1)
 
     p = sub.add_parser("verify-thm13", help="central-ideal inequality over all central ideals")
     add_input_args(p)
@@ -101,8 +111,10 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("report", help="per-dimension bound table for a family")
     add_input_args(p, family_ok=True)
     add_output_args(p)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_count, default=1)
+    p.set_defaults(family="filiform")
 
+    parser.commands = sub.choices
     return parser
 
 
@@ -139,6 +151,11 @@ def _rebuild_over(L: LieAlgebra, field) -> LieAlgebra:
             )
         consts.append((i, j, k, field.element(c.numerator) / den))
     return build(L.n, consts, field=field, labels=L.labels)
+
+
+def _family_dims(args) -> range:
+    """The dimensions of a ``--family`` sweep."""
+    return range(max(args.min_dim, 3 if args.family == "filiform" else 1), args.max_dim + 1)
 
 
 def _family_algebra(family: str, n: int, field):
@@ -315,11 +332,13 @@ def _bound_report_for(spec) -> dict:
 
 def _sweep_reports(args, field, with_ideals: bool = False) -> list[dict]:
     specs = [
-        (args.family, n, str(field), args.unsafe_char_2, with_ideals)
-        for n in range(max(args.min_dim, 3 if args.family == "filiform" else 1), args.max_dim + 1)
+        (args.family, n, str(field), args.unsafe_char_2, with_ideals) for n in _family_dims(args)
     ]
     workers = min(args.jobs, len(specs), os.cpu_count() or 1)
     if workers > 1:
+        # Imported here: the process pool costs every other command memory.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_bound_report_for, specs))
     return [_bound_report_for(s) for s in specs]
@@ -395,8 +414,6 @@ def _cmd_catalog(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    if not getattr(args, "family", None):
-        args.family = "filiform"
     field = _resolve_field(args)
     docs = _sweep_reports(args, field, with_ideals=True)
     columns = ["n", "dim_multiplier", "main_theorem_bound", "attained", "margin"]
@@ -441,6 +458,11 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "family", None) and not _family_dims(args):
+            parser.commands[args.command].error(
+                f"--min-dim {args.min_dim} and --max-dim {args.max_dim} "
+                f"select no {args.family} algebra"
+            )
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_INPUT
     try:

@@ -60,6 +60,20 @@ def series_oracle(L: LieAlgebra) -> tuple[list[list[list]], bool]:
     return terms, True
 
 
+def change_basis_oracle(L: LieAlgebra, p: Matrix) -> tuple:
+    """The structure constants of L in the basis f_i = sum_j p[i][j] e_j, in
+    the form ``structure_constants()`` gives them: [f_i, f_j] is the dense
+    ``bracket`` of two rows of p, and its coordinates c solve c p = [f_i, f_j]
+    by naive_rref on the augmented system [p^T | w] (p must be invertible)."""
+    n, rows = L.n, p.rows()
+    out = []
+    for i, j in itertools.combinations(range(n), 2):
+        w = L.bracket(rows[i], rows[j])
+        solved = naive_rref([[rows[k][m] for k in range(n)] + [w[m]] for m in range(n)], L.field)
+        out.extend((i + 1, j + 1, k + 1, solved[k][n]) for k in range(n) if solved[k][n])
+    return tuple(out)
+
+
 def naive_rank(rows) -> int:
     return len(naive_rref(rows))
 

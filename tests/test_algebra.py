@@ -5,6 +5,7 @@ import pytest
 
 from helpers import (
     bracket_span_oracle,
+    change_basis_oracle,
     naive_rref,
     quotient_coords_oracle,
     random_rational_vector,
@@ -23,6 +24,7 @@ from liemult.errors import (
     LieError,
     NotAnIdeal,
     NotInSubspace,
+    SingularMatrix,
 )
 from liemult.fields import QQ, PrimeField
 from liemult.homology import multiplier_dim
@@ -565,3 +567,55 @@ def test_zero_dimensional_algebra():
     Z = LieAlgebra(0, {})
     assert Z.lower_central_series().dims() == (0,)
     assert Z.is_nilpotent()
+
+
+CHANGE_OF_BASIS_CASES = [
+    ("filiform-7", lambda fld: standard_filiform(7, field=fld)),
+    ("m2-7", lambda fld: filiform_m2(7, field=fld)),
+    ("Q-8", lambda fld: filiform_q(8, field=fld)),
+    ("heisenberg", lambda fld: heisenberg(field=fld)),
+    ("rationally-changed-filiform-6", _rationally_changed_filiform_6),
+]
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+@pytest.mark.parametrize("make", [m for _, m in CHANGE_OF_BASIS_CASES],
+                         ids=[name for name, _ in CHANGE_OF_BASIS_CASES])
+@pytest.mark.parametrize("unimodular", [True, False], ids=["unimodular", "scaled"])
+def test_change_basis_matches_dense_oracle(field, make, unimodular):
+    L = make(field)
+    n = L.n
+    p = random_unimodular(random.Random(10 * n + unimodular), n, field)
+    if not unimodular:
+        # Rows scaled by 2, 1/3, -1 and 5 in turn: det != 1, and over Q the
+        # inverse has denominators.
+        scales = [field.element(2), field.one / field.element(3), -field.one, field.element(5)]
+        p = Matrix(field, [[scales[i % 4] * x for x in row] for i, row in enumerate(p.rows())])
+    want = change_basis_oracle(L, p)
+    got = L.change_basis(p).structure_constants()
+    assert got == want
+    assert [(i, j, k, str(c)) for i, j, k, c in got] == [(i, j, k, str(c)) for i, j, k, c in want]
+
+
+def test_change_basis_rejects_a_singular_matrix():
+    # det = 7: invertible over Q, singular over GF(7).
+    rows = [[1, 1, 0], [1, 8, 0], [0, 0, 1]]
+    heisenberg(field=QQ).change_basis(Matrix(QQ, rows))
+    with pytest.raises(SingularMatrix):
+        heisenberg(field=PrimeField(7)).change_basis(Matrix(PrimeField(7), rows))
+    with pytest.raises(SingularMatrix):
+        standard_filiform(4).change_basis(Matrix(QQ, [[1, 0, 0, 0], [0, 1, 0, 0],
+                                                      [0, 1, 0, 0], [0, 0, 0, 1]]))
+
+
+def test_change_basis_rejects_a_matrix_over_another_field():
+    with pytest.raises(FieldMismatch):
+        standard_filiform(4).change_basis(Matrix.identity(PrimeField(7), 4))
+
+
+def test_change_basis_rejects_a_matrix_of_the_wrong_shape():
+    L = standard_filiform(4)
+    with pytest.raises(DimensionMismatch):
+        L.change_basis(Matrix.identity(QQ, 5))
+    with pytest.raises(DimensionMismatch):
+        L.change_basis(Matrix(QQ, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]]))

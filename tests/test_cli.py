@@ -1,6 +1,11 @@
+import concurrent.futures
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -301,13 +306,43 @@ def test_sweep_jobs_are_clamped(monkeypatch, capsys, jobs, max_dim, cpus, worker
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
     code, out, _ = run(capsys, ["verify-bound", "--family", "filiform",
                                 "--max-dim", str(max_dim), "--jobs", str(jobs)])
     assert code == EXIT_OK
     assert f"filiform-{max_dim}" in out
     assert created == ([] if workers is None else [workers])
+
+
+def test_importing_the_cli_leaves_the_process_pool_unloaded():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    probe = "import sys, liemult.cli; print('concurrent.futures.process' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert done.stdout.strip() == "False"
+
+
+def test_lemma_test_rejects_fewer_than_one_tuple(capsys):
+    code, out, err = run(capsys, ["lemma-test", "--name", "L(7,5,1,7)", "--tuples", "-1"])
+    assert code == EXIT_INPUT
+    assert out == "" and "--tuples: must be at least 1" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["report", "--family", "filiform", "--max-dim", "0"],
+    ["verify-bound", "--family", "abelian", "--min-dim", "5", "--max-dim", "4"],
+], ids=["report", "verify-bound"])
+def test_family_range_without_an_algebra_is_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == EXIT_INPUT
+    assert out == "" and "select no" in err
+
+
+def test_jobs_below_one_is_a_usage_error(capsys):
+    code, out, err = run(capsys, ["report", "--max-dim", "5", "--jobs", "-3"])
+    assert code == EXIT_INPUT
+    assert out == "" and "--jobs: must be at least 1" in err
 
 
 def test_rebuild_over_a_field_where_a_denominator_vanishes():

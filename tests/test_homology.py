@@ -5,11 +5,19 @@ import pytest
 
 from helpers import random_unimodular
 from liemult.algebra import build
-from liemult.catalog import abelian, entries, heisenberg, standard_filiform
-from liemult.errors import IndexOutOfRange, NonNilpotent, ResourceLimit
-from liemult.fields import QQ
+from liemult.catalog import (
+    abelian,
+    entries,
+    filiform_m2,
+    filiform_q,
+    heisenberg,
+    standard_filiform,
+)
+from liemult.errors import GeneratorSearchFailed, IndexOutOfRange, NonNilpotent, ResourceLimit
+from liemult.fields import QQ, PrimeField
 from liemult.homology import ExteriorBasis, boundary_matrices, multiplier_dim
 from liemult.linalg import Matrix, row_space_union
+from liemult.words import generator_chain
 
 
 @pytest.mark.parametrize("n,k", [(4, 2), (4, 3), (8, 2), (8, 3), (3, 3)])
@@ -125,3 +133,71 @@ def test_boundary_shapes():
     pair = boundary_matrices(L)
     assert pair.d2.shape == (comb(6, 2), 6)
     assert pair.d3.shape == (comb(6, 3), comb(6, 2))
+
+
+# -- the generator-chain route of multiplier_dim ---------------------------------
+
+FIELDS = [QQ, PrimeField(7), PrimeField(2147483647)]
+FIELD_IDS = ["Q", "GF7", "GFp"]
+
+# Maximal class over GF(2) in a graded basis x1, x2, x3, ..., x8 with x_k of
+# degree k - 1.  The elements s of L/γ₂ with [x_k, s] = 0 form the lines
+# <x2> (k = 3, 4, 6), <x1> (k = 5) and <x1 + x2> (k = 7): every s ∉ γ₂
+# kills some layer, so no generator chain exists.
+NO_CHAIN_GF2 = [(1, 2, 3, 1), (1, 3, 4, -1), (1, 4, 5, -1), (2, 5, 6, -1), (3, 4, 6, 1),
+                (1, 6, 7, -1), (3, 5, 7, 1), (1, 7, 8, -1), (2, 7, 8, -1), (3, 6, 8, 1),
+                (4, 5, 8, 1)]
+
+
+def _raw_multiplier_dim(L):
+    """dim M from the complex of L in L's own basis."""
+    pair = boundary_matrices(L)
+    return comb(L.n, 2) - pair.d2.rank() - pair.d3.rank()
+
+
+def _coordinate_series(L):
+    return all(len(row) == 1 for term in L.lower_central_series().terms
+               for row in term._rows.values())
+
+
+def _changed(L, seed):
+    return L.change_basis(random_unimodular(random.Random(seed), L.n, L.field))
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+@pytest.mark.parametrize("family,n", [(standard_filiform, 9), (filiform_m2, 9), (filiform_q, 8)],
+                         ids=["filiform-9", "m2-9", "Q-8"])
+def test_maximal_class_input_takes_the_generator_chain_basis(field, family, n):
+    base = family(n, field=field)
+    L = _changed(base, n)
+    assert not _coordinate_series(L)
+    assert multiplier_dim(L) == _raw_multiplier_dim(L) == multiplier_dim(base)
+    adapted = L._adapted
+    assert adapted is not None and _coordinate_series(adapted)
+    assert len(adapted.structure_constants()) < len(L.structure_constants())
+    # A catalog basis is already adapted, so it keeps its own basis.
+    assert _coordinate_series(base) and base._adapted is None
+    # The quotient by the center, as verify_central_quotient_bound forms it.
+    quotient = L.quotient(L.center()).quotient
+    assert multiplier_dim(quotient) == _raw_multiplier_dim(quotient)
+    assert quotient._adapted is not None
+
+
+def test_non_maximal_class_input_keeps_its_basis():
+    # filiform-5 ⊕ line: dim M = 3 + 0 + dim(L/L²) · 1 = 5.
+    L = _changed(build(6, [(1, 2, 3, 1), (1, 3, 4, 1), (1, 4, 5, 1)]), 5)
+    assert not _coordinate_series(L)
+    assert multiplier_dim(L) == _raw_multiplier_dim(L) == 5
+    assert L._adapted is None
+
+
+def test_input_without_a_generator_chain_keeps_its_basis():
+    F = PrimeField(2, allow_char_two=True)
+    graded = build(8, NO_CHAIN_GF2, field=F)
+    assert graded.is_maximal_class()[0]
+    L = _changed(graded, 8)
+    assert not _coordinate_series(L)
+    with pytest.raises(GeneratorSearchFailed):
+        generator_chain(L)
+    assert multiplier_dim(L) == _raw_multiplier_dim(L) == multiplier_dim(graded)
+    assert L._adapted is None
