@@ -10,10 +10,20 @@ check, the ideal check of ``quotient`` and ``change_basis`` run on raw ints
 and feed ``RowSpan`` directly.  A ``Subspace`` is the canonical integer rows
 of a ``RowSpan``; membership, sums, equality, ``Subspace.reduce`` (the one
 exact reduction, behind ``quotient`` and ``QuotientMap``) run on those rows,
-and the dense basis is built only when asked for.  The Jacobi identity is
-validated eagerly at construction, so everything downstream may assume it.
-Instances are immutable after construction (internal caches only memoize pure
-results) and safe to share between workers.
+and the dense basis is built only when asked for.
+
+Construction also searches the ad table once for a generator chain
+(s, s₁, s₂, …, s_c), sₖ₊₁ = [sₖ, s] (``_chain_rewrite``).  When one is found
+in a basis that is not already adapted to the lower central series, the
+algebra keeps A, itself rewritten in the chain basis P, whose table is
+nearly a shift.  The Jacobi identity is validated eagerly at construction,
+so everything downstream may assume it: on A when there is a rewrite (it
+holds on A exactly when it holds on L) and on L's own table otherwise, and
+a violation is always reported from L's own table.  The lower central series
+is A's series mapped back through P when there is a rewrite, and is computed
+on L's table otherwise.  Instances are immutable after construction
+(internal caches only memoize pure results) and safe to share between
+workers.
 """
 
 from __future__ import annotations
@@ -32,6 +42,7 @@ from .errors import (
     NotAnIdeal,
     NotInSubspace,
     ResourceLimit,
+    SingularMatrix,
 )
 from .fields import QQ
 from .linalg import Matrix, RowSpan, integer_row, inverse
@@ -178,6 +189,18 @@ class LieAlgebra:
     """A finite-dimensional Lie algebra over an exact field."""
 
     def __init__(self, n: int, table, field=QQ, labels=None, validate: bool = True):
+        self._setup(n, table, field, labels)
+        self._rewrite = self._chain_rewrite()
+        if validate:
+            self._validate()
+        if self._rewrite is not None:
+            series = self._rewrite[1].lower_central_series()
+            if series.nilpotency_class == n - 1 and all(
+                len(row) == 1 for term in series.terms for row in term._rows.values()
+            ):
+                self._adapted = self._rewrite[1]
+
+    def _setup(self, n: int, table, field, labels):
         if n < 0:
             raise DimensionMismatch("dimension must be nonnegative")
         self.n = n
@@ -197,6 +220,10 @@ class LieAlgebra:
                 clean[(i, j)] = entry
         self._table = clean
         self._ad, self._scale = self._integer_ad_table()
+        # γ₂ = [L, L] is the span of the table rows, one row per key.
+        self._derived = RowSpan(field, n)
+        for (i, j) in clean:
+            self._derived.add_integers(self._ad[i][j])
         if labels is None:
             labels = tuple(f"x{i + 1}" for i in range(n))
         else:
@@ -207,9 +234,10 @@ class LieAlgebra:
         self._series: SeriesChain | None = None
         self._center: Subspace | None = None
         self._multiplier_dim: int | None = None
-        self._adapted: LieAlgebra | None = None  # set by homology._chain_adapted
-        if validate:
-            self._validate_jacobi()
+        # (chain rows P, this algebra in the basis P) from ``_chain_rewrite``,
+        # and that algebra again when its basis is adapted to its series.
+        self._rewrite: tuple[list[dict[int, int]], LieAlgebra] | None = None
+        self._adapted: LieAlgebra | None = None
 
     # -- bracket evaluation -------------------------------------------------
 
@@ -294,34 +322,56 @@ class LieAlgebra:
             tab[i][j] = row
         return tab, scale
 
+    def _validate(self):
+        """Validate Jacobi, on the rewrite when there is one.  The Jacobiator
+        is trilinear and P is invertible, so it vanishes on L exactly when it
+        vanishes on L written in the basis P, whose table is sparse.  A
+        violation is reported from L's own table, with the triple and defect
+        that ``_validate_jacobi`` names there."""
+        if self._rewrite is None:
+            self._validate_jacobi()
+            return
+        try:
+            self._rewrite[1]._validate_jacobi()
+        except JacobiViolation:
+            self._validate_jacobi()
+            raise RuntimeError(
+                "internal error: the Jacobi identity fails in the generator-chain "
+                "basis but holds in the input basis"
+            )
+
     def _validate_jacobi(self):
         # A triple can only have a defect if one of its pairs is a table key,
         # so iterate table keys against third indices instead of all triples.
         # The defect is computed on the integer table, so it is D^2 times the
         # field defect over Q and is reduced mod p over GF(p).
-        tab, p = self._ad, self.field.characteristic
+        tab, p, n = self._ad, self.field.characteristic, self.n
         seen = set()
-        for (i, j) in self._table:
-            for k in range(self.n):
+        for (i, j) in self._table:  # i < j
+            for k in range(n):
                 if k == i or k == j:
                     continue
-                triple = tuple(sorted((i, j, k)))
-                if triple in seen:
+                a, b, c = (k, i, j) if k < i else (i, k, j) if k < j else (i, j, k)
+                code = (a * n + b) * n + c
+                if code in seen:
                     continue
-                seen.add(triple)
-                a, b, c = triple
+                seen.add(code)
                 defect: dict[int, int] = {}
                 for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
-                    for m, u in tab[x].get(y, {}).items():
-                        for t, w in tab[m].get(z, {}).items():
-                            defect[t] = defect.get(t, 0) + u * w
-                defect = {t: v for t, v in defect.items() if (v % p if p else v)}
+                    xy = tab[x].get(y)
+                    if xy:
+                        for m, u in xy.items():
+                            mz = tab[m].get(z)
+                            if mz:
+                                for t, w in mz.items():
+                                    defect[t] = defect.get(t, 0) + u * w
+                defect = self._nonzero(defect) if defect else defect
                 if defect:
                     unit = self.field.one / self.field.element(self._scale**2)
                     dense = self.zero_vector()
                     for t, v in defect.items():
                         dense[t] = self.field.element(v) * unit
-                    raise JacobiViolation(tuple(t + 1 for t in triple), dense)
+                    raise JacobiViolation((a + 1, b + 1, c + 1), dense)
 
     # -- structure accessors ------------------------------------------------
 
@@ -371,27 +421,54 @@ class LieAlgebra:
         for u in us:
             ad_u = self._ad_rows(u)
             for v in vs:
-                w = self._nonzero(_bracket_with(ad_u, v))
+                w = self._nonzero(_combine(ad_u, v))
                 if w:
                     span.add_integers(w)
         return span
 
     def lower_central_series(self) -> SeriesChain:
-        """γ₁ = L and γᵢ₊₁ = [γᵢ, L], bracketing γᵢ against every basis
-        vector (brackets against representatives of L/γ₂ alone would only
-        suffice once L is known to be nilpotent)."""
+        """γ₁ = L and γᵢ₊₁ = [γᵢ, L].  With a rewrite, the series of the
+        sparse rewrite mapped back through P; otherwise computed here."""
         if self._series is None:
-            full = Subspace.full_space(self.field, self.n)
-            terms = [full]
-            nilpotent = True
-            while terms[-1].dim > 0:
-                span = self._bracket_span(terms[-1]._rows.values(), full._rows.values())
-                if span.dim == terms[-1].dim:
-                    nilpotent = False
-                    break
-                terms.append(Subspace(self.n, span))
-            self._series = SeriesChain(tuple(terms), nilpotent)
+            self._series = self._series_via_chain() if self._rewrite else self._own_series()
         return self._series
+
+    def _own_series(self) -> SeriesChain:
+        # γ₂ is the span of the table rows; each later term brackets γᵢ
+        # against every basis vector (brackets against representatives of
+        # L/γ₂ alone would only suffice once L is known to be nilpotent).
+        full = Subspace.full_space(self.field, self.n)
+        terms = [full]
+        nilpotent = True
+        span = self._derived
+        while terms[-1].dim > 0:
+            if span.dim == terms[-1].dim:
+                nilpotent = False
+                break
+            terms.append(Subspace(self.n, span))
+            span = self._bracket_span(terms[-1]._rows.values(), full._rows.values())
+        return SeriesChain(tuple(terms), nilpotent)
+
+    def _series_via_chain(self) -> SeriesChain:
+        """γᵢ(L) is the span of x P over the canonical rows x of γᵢ(A), for A
+        this algebra in the basis of the rows of P; that holds for any
+        invertible P, nilpotent or not.  The spans grow from the smallest term
+        up: a row of γᵢ(A) whose pivot is a pivot of γᵢ₊₁(A) adds nothing new,
+        so only the others are mapped and added."""
+        rows, rewrite = self._rewrite
+        chain = rewrite.lower_central_series()
+        rows = dict(enumerate(rows))
+        span = RowSpan(self.field, self.n)
+        terms: list[Subspace] = []
+        smaller: dict = {}
+        for term in reversed(chain.terms):
+            for c, x in term._rows.items():
+                if c not in smaller:
+                    span.add_integers(self._nonzero(_combine(rows, x)))
+            span.canonical_rows()
+            terms.append(Subspace(self.n, span.copy()))
+            smaller = term._rows
+        return SeriesChain(tuple(reversed(terms)), chain.nilpotent)
 
     def is_nilpotent(self) -> bool:
         return self.lower_central_series().nilpotent
@@ -491,11 +568,14 @@ class LieAlgebra:
             raise DimensionMismatch("change of basis must be square of matching size")
         if p.field != self.field:
             raise FieldMismatch("change of basis over a different field")
+        return LieAlgebra(self.n, self._table_in_basis(p), field=self.field)
+
+    def _table_in_basis(self, p: Matrix) -> dict[tuple[int, int], dict[int, object]]:
         field, n = self.field, self.n
         rows = [integer_row(field, r, n) for r in p.rows()]
         inv = [integer_row(field, r, n) for r in inverse(p).rows()]
         s_inv = lcm(*(s for _, s in inv))
-        inv = [{k: x * (s_inv // s) for k, x in r.items()} for r, s in inv]
+        inv = {m: {k: x * (s_inv // s) for k, x in r.items()} for m, (r, s) in enumerate(inv)}
         element = field.element
         table: dict[tuple[int, int], dict[int, object]] = {}
         for i, (u, su) in enumerate(rows):
@@ -504,15 +584,81 @@ class LieAlgebra:
                 v, sv = rows[j]
                 # w = D su sv [f_i, f_j] in e-coordinates, so w p^-1 carries
                 # the factor D su sv s_inv that ``unit`` divides out.
-                coords: dict[int, int] = {}
-                for m, x in self._nonzero(_bracket_with(ad_u, v)).items():
-                    for k, y in inv[m].items():
-                        coords[k] = coords.get(k, 0) + x * y
-                coords = self._nonzero(coords)
+                coords = self._nonzero(_combine(inv, self._nonzero(_combine(ad_u, v))))
                 if coords:
                     unit = field.one / element(self._scale * su * sv * s_inv)
                     table[(i, j)] = {k: element(coords[k]) * unit for k in sorted(coords)}
-        return LieAlgebra(n, table, field=field)
+        return table
+
+    # -- the generator-chain basis -------------------------------------------
+
+    def _chain_tail(self, s: dict[int, int], s1: dict[int, int], length: int):
+        """The ``length`` vectors s₂, s₃, … with sₖ₊₁ = [sₖ, s], for integer
+        rows s and s₁, built on the integer ad table; None as soon as one is
+        0.  Each step multiplies by D, so sₖ comes out as D^(k-1) times the
+        bracket of the rows (reduced mod p over GF(p))."""
+        ad_s = self._ad_rows(s)
+        p = self.field.characteristic
+        tail, cur = [], s1
+        for _ in range(length):
+            # [cur, s] = -[s, cur]; p - x negates a residue, and is -x over Q.
+            cur = {k: p - x for k, x in self._nonzero(_combine(ad_s, cur)).items()}
+            if not cur:
+                return None
+            tail.append(cur)
+        return tail
+
+    def _chain_rewrite(self):
+        """(P, A): the rows of P are a generator chain (s, s₁, s₂, …, s_c) of
+        L as integer rows, and A is L in that basis; None without a rewrite.
+
+        The search needs dim γ₂ = n - 2.  With a < b the two free (non-pivot)
+        columns of γ₂, e_a and e_b are independent modulo γ₂, and s runs over
+        e_a (s₁ = e_b), e_b (s₁ = e_a), then e_a + t e_b (s₁ = e_b) for
+        t = 1, …, n - 2 (and t < p over GF(p)): n = c + 1 distinct
+        directions of L/γ₂.  The first s whose n - 2 tail vectors sₖ₊₁ =
+        [sₖ, s] are all nonzero is kept.
+
+        Why this succeeds for maximal class over Q or a large GF(p): if sₖ
+        lies in γₖ but not in γₖ₊₁, then [sₖ, s] mod γₖ₊₂ is linear in s,
+        vanishes on γ₂ and not on L, so the s that fail at step k form at
+        most one line of L/γ₂ (a two-step centralizer; step 1 only needs s
+        and s₁ independent, which every pair tried is).  A failure at one
+        step leaves every later vector one term too deep, so s_c = 0 and the
+        tail is not all nonzero; a tail that is all nonzero is a basis of γ₂
+        adapted to the series.  At most c - 1 lines fail, and the c + 1
+        directions tried are distinct lines.  Over GF(2) every line of L/γ₂
+        may fail (``NO_CHAIN_GF2`` in the tests), and L keeps its basis.
+
+        No rewrite is made when the tail s₂, …, s_c holds unit vectors only:
+        then every γᵢ is already a coordinate subspace, as in the catalog
+        bases and their quotients (s itself may be e_a + t e_b there, as for
+        Qₙ).  Input that is not a Lie algebra of maximal class may give a
+        singular P, and then there is no rewrite either."""
+        n, derived = self.n, self._derived
+        if n < 3 or derived.dim != n - 2:
+            return None
+        a, b = (c for c in range(n) if c not in derived.pivots)
+        p = self.field.characteristic
+        tries = [({a: 1}, {b: 1}), ({b: 1}, {a: 1})]
+        tries += [({a: 1, b: t}, {b: 1}) for t in range(1, n - 1) if not p or t < p]
+        for s, s1 in tries:
+            tail = self._chain_tail(s, s1, n - 2)
+            if tail is not None:
+                break
+        else:
+            return None
+        if all(len(v) == 1 for v in tail):
+            return None
+        rows = [s, s1, *tail]
+        p_rows = Matrix(self.field, [[r.get(j, 0) for j in range(n)] for r in rows])
+        try:
+            table = self._table_in_basis(p_rows)
+        except SingularMatrix:
+            return None
+        rewrite = LieAlgebra.__new__(LieAlgebra)
+        rewrite._setup(n, table, self.field, None)
+        return rows, rewrite
 
     def __eq__(self, other):
         return (
@@ -529,12 +675,13 @@ class LieAlgebra:
         return f"LieAlgebra(n={self.n}, field={self.field})"
 
 
-def _bracket_with(ad_u: dict[int, dict[int, int]], v: dict[int, int]) -> dict[int, int]:
-    """[u, v] = sum over j of v[j] [u, e_j] for an integer row v, given
-    ad_u = ``LieAlgebra._ad_rows(u)``.  Entries are not reduced mod p."""
+def _combine(rows: dict[int, dict[int, int]], v: dict[int, int]) -> dict[int, int]:
+    """The integer row sum over j of v[j] rows[j] (a missing row is 0).  With
+    rows = ``LieAlgebra._ad_rows(u)`` it is [u, v].  Entries are not reduced
+    mod p."""
     w: dict[int, int] = {}
     for j, vj in v.items():
-        for k, c in ad_u.get(j, {}).items():
+        for k, c in rows.get(j, {}).items():
             w[k] = w.get(k, 0) + vj * c
     return w
 

@@ -53,9 +53,10 @@ class JacobiViolation(LieError):
         self.triple = triple
         self.defect = defect
         i, j, k = triple
+        entries = ", ".join(str(x) for x in defect)
         super().__init__(
             f"Jacobi identity fails on basis triple ({i}, {j}, {k}); "
-            f"defect vector {defect}"
+            f"defect vector [{entries}]"
         )
 
 

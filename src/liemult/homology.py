@@ -12,16 +12,17 @@ a ∧ b = -b ∧ a when a > b).  Ranks are convention independent; the sign
 convention above is normative for golden outputs.
 
 ``boundary_matrices(L)`` is always the complex of L in L's own basis, but
-``multiplier_dim`` takes one of two routes.  Maximal-class input whose
-basis is not adapted to the lower central series (some γᵢ is not a
-coordinate subspace) is first rewritten in its generator-chain basis
-(s, s₁, s₂, …, s_c), where [·, s] is a shift and the table keeps a few
-dozen constants instead of hundreds, so d3 is sparse (the adapted route).
-Everything else keeps its own basis (the raw route): input not of maximal
-class, a basis already adapted (the catalog bases and their quotients), and
-input without a generator chain, which can happen over a small GF(p).  dim M
-does not depend on the basis, and the rewrite is an exact change of basis
-whose inverse the kernel computes, so either route prints the same theorem.
+``multiplier_dim`` takes one of two routes, chosen when L is constructed.
+Maximal-class input whose basis is not adapted to the lower central series
+(some γᵢ is not a coordinate subspace) carries ``L._adapted``, L rewritten
+in its generator-chain basis (s, s₁, s₂, …, s_c), where [·, s] is a shift
+and the table keeps a few dozen constants instead of hundreds, so d3 is
+sparse (the adapted route).  Everything else keeps its own basis (the raw
+route): input not of maximal class, a basis already adapted (the catalog
+bases and their quotients), and input without a generator chain, which can
+happen over a small GF(p).  dim M does not depend on the basis, and the
+rewrite is an exact change of basis whose inverse the kernel computes, so
+either route prints the same theorem.
 """
 
 from __future__ import annotations
@@ -31,9 +32,8 @@ from dataclasses import dataclass
 from math import comb
 
 from .algebra import LieAlgebra
-from .errors import GeneratorSearchFailed, IndexOutOfRange, NonNilpotent, ResourceLimit
+from .errors import IndexOutOfRange, NonNilpotent, ResourceLimit
 from .linalg import Matrix
-from .words import generator_chain
 
 MAX_HOMOLOGY_DIM = 64
 
@@ -122,33 +122,11 @@ def boundary_matrices(L: LieAlgebra) -> BoundaryPair:
     )
 
 
-def _chain_adapted(L: LieAlgebra) -> LieAlgebra:
-    """L in its generator-chain basis (s, s₁, s₂, …, s_c), or L itself.
-
-    The rewrite is made only for maximal-class input in which some γᵢ is not
-    a coordinate subspace (a canonical row has more than one entry); a
-    basis whose series terms are all coordinate subspaces is already
-    adapted.  Without a generator chain (possible over a small GF(p)) L
-    keeps its own basis.  The rewrite is cached on L."""
-    if L._adapted is not None:
-        return L._adapted
-    series = L.lower_central_series()
-    if L.n < 3 or series.nilpotency_class != L.n - 1:
-        return L
-    if all(len(row) == 1 for term in series.terms for row in term._rows.values()):
-        return L
-    try:
-        chain = generator_chain(L)
-    except GeneratorSearchFailed:
-        return L
-    L._adapted = L.change_basis(Matrix(L.field, [chain.s, chain.s1, *chain.tail]))
-    return L._adapted
-
-
 def multiplier_dim(L: LieAlgebra) -> int:
     """dim of the Schur multiplier of a nilpotent algebra, exactly.
 
-    Computed as C(n,2) - rank(d2) - rank(d3) on ``_chain_adapted(L)``.
+    Computed as C(n,2) - rank(d2) - rank(d3) on L's adapted rewrite when
+    construction made one, and on L itself otherwise.
     """
     if L._multiplier_dim is not None:
         return L._multiplier_dim
@@ -158,7 +136,7 @@ def multiplier_dim(L: LieAlgebra) -> int:
         )
     if not L.is_nilpotent():
         raise NonNilpotent("the multiplier computation requires a nilpotent algebra")
-    pair = boundary_matrices(_chain_adapted(L))
+    pair = boundary_matrices(L._adapted or L)
     value = comb(L.n, 2) - pair.d2.rank() - pair.d3.rank()
     L._multiplier_dim = value
     return value

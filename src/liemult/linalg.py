@@ -236,6 +236,17 @@ class RowSpan:
     def dim(self) -> int:
         return len(self._rows)
 
+    @property
+    def pivots(self):
+        """The pivot columns (a view, in no particular order)."""
+        return self._rows.keys()
+
+    def copy(self) -> "RowSpan":
+        # Rows are replaced, never changed in place, so they can be shared.
+        out = RowSpan(self.field, self.ncols)
+        out._rows = dict(self._rows)
+        return out
+
     def add(self, vec: Sequence) -> bool:
         """Insert a vector; True if the span grew."""
         return self.add_integers(integer_row(self.field, vec, self.ncols)[0])

@@ -49,7 +49,7 @@ from .errors import (
     TupleSpaceTooLarge,
     WordTooShort,
 )
-from .linalg import RowSpan
+from .linalg import RowSpan, integer_row
 
 TUPLE_ENUMERATION_CAP = 10**6
 
@@ -401,10 +401,20 @@ def _try_chain(L: LieAlgebra, series, s, s1):
     if pair.dim != gamma2.dim + 2:
         return None  # not independent modulo gamma2
     c = series.nilpotency_class
+    field = L.field
+    (u, su), (u1, su1) = integer_row(field, s, L.n), integer_row(field, s1, L.n)
+    rows = L._chain_tail(u, u1, c - 1)
+    if rows is None:
+        return None
+    # Row k - 2 is (D su)^(k-1) su1 s_k, with D the integer table's scale.
     tail = []
-    cur = s1
-    for idx in range(2, c + 1):
-        cur = L.bracket(cur, s)
+    unit = field.one / field.element(su1)
+    step = field.one / field.element(L._scale * su)
+    for idx, row in enumerate(rows, start=2):
+        unit *= step
+        cur = L.zero_vector()
+        for k, x in row.items():
+            cur[k] = field.element(x) * unit
         if not series.gamma(idx).contains_vector(cur):
             return None
         if series.gamma(idx + 1).contains_vector(cur):

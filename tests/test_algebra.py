@@ -80,6 +80,79 @@ def test_jacobi_violation_reports_the_defect_in_field_units(field):
     assert exc.value.defect[0] == field.one / field.element(15)
 
 
+def _perturbed_dense_table(field, perturbation, n=9, seed=9):
+    """Standard filiform-n with (i, j, k, c) added to its table, written in a
+    seeded unimodular basis, with no validation on the way.  The catalog
+    perturbations below land in γ₂ = <x3, ..., xn>, so dim γ₂ stays n - 2
+    and construction still searches for a chain."""
+    table: dict = {}
+    for i, j, k, c in standard_filiform(n, field=field).structure_constants():
+        table.setdefault((i - 1, j - 1), {})[k - 1] = c
+    i, j, k, c = perturbation
+    entry = table.setdefault((i - 1, j - 1), {})
+    entry[k - 1] = entry.get(k - 1, field.zero) + field.element(c)
+    raw = LieAlgebra(n, table, field=field, validate=False)
+    return raw._table_in_basis(random_unimodular(random.Random(seed), n, field))
+
+
+PERTURBATIONS = [(2, 3, 5, 1), (2, 4, 6, 1), (3, 4, 7, 2), (2, 3, 6, 1), (3, 5, 8, 1),
+                 (2, 5, 7, 1)]
+
+
+def _violation(make):
+    with pytest.raises(JacobiViolation) as exc:
+        make()
+    return exc.value
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7), PrimeField(2147483647)],
+                         ids=["Q", "GF7", "GFp"])
+@pytest.mark.parametrize("perturbation", PERTURBATIONS)
+def test_route_taking_violation_names_the_input_basis_triple(field, perturbation):
+    table = _perturbed_dense_table(field, perturbation)
+    raw = LieAlgebra(9, table, field=field, validate=False)
+    assert raw._rewrite is not None
+    direct = _violation(raw._validate_jacobi)
+    got = _violation(lambda: LieAlgebra(9, table, field=field))
+    assert (got.triple, got.defect, str(got)) == (direct.triple, direct.defect, str(direct))
+
+
+def test_route_taking_table_valid_over_gf7_only():
+    # 7 x5 added to [x2, x3]: zero mod 7, and P is unimodular, so the
+    # constants are integers that reduce to filiform-9 in the basis P.
+    table = _perturbed_dense_table(QQ, (2, 3, 5, 7))
+    assert all(c.denominator == 1 for comps in table.values() for c in comps.values())
+    residues = {key: {k: c.numerator for k, c in comps.items()} for key, comps in table.items()}
+    L7 = LieAlgebra(9, residues, field=PrimeField(7))
+    assert L7._adapted is not None and L7.is_maximal_class()[0]
+    raw = LieAlgebra(9, table, validate=False)
+    assert raw._rewrite is not None
+    direct = _violation(raw._validate_jacobi)
+    got = _violation(lambda: LieAlgebra(9, table))
+    assert (got.triple, got.defect) == (direct.triple, direct.defect)
+    assert any(got.defect) and all(x.numerator % 7 == 0 for x in got.defect)
+
+
+def test_violation_only_in_the_chain_basis_is_an_internal_error(monkeypatch):
+    # Jacobi cannot fail in one basis and hold in another; a rewrite that
+    # says so is a bug, and construction must not accept the input silently.
+    L = standard_filiform(7).change_basis(random_unimodular(random.Random(7), 7))
+    table: dict = {}
+    for i, j, k, c in L.structure_constants():
+        table.setdefault((i - 1, j - 1), {})[k - 1] = c
+    original = LieAlgebra._table_in_basis
+
+    def corrupted(self, p):
+        out = original(self, p)
+        entry = out.setdefault((1, 2), {})
+        entry[3] = entry.get(3, 0) + 1  # [f1, f2] += f3, and [f3, f0] = f4
+        return out
+
+    monkeypatch.setattr(LieAlgebra, "_table_in_basis", corrupted)
+    with pytest.raises(RuntimeError, match="internal error"):
+        LieAlgebra(7, table)
+
+
 def test_cyclic_looking_table_actually_satisfies_jacobi():
     # Each cyclic term vanishes or cancels; this is a disguised simple algebra,
     # not a violation.

@@ -73,6 +73,18 @@ def test_check_jacobi_violation_exits_1(tmp_path, capsys):
     assert "(1, 2, 3)" in err
 
 
+@pytest.mark.parametrize("field,coeff,shown", [("Q", "1/2", "[1/2, 0, 0]"),
+                                               ("GF(7)", "4", "[4, 0, 0]")])
+def test_check_prints_the_jacobi_defect_in_field_notation(tmp_path, capsys, field, coeff, shown):
+    # The cyclic defect of (e1, e2, e3) is [[e3, e1], e2] = [e2, e3] = coeff e1.
+    path = tmp_path / "bad.alg"
+    path.write_text(f"lie-algebra v1\nfield {field}\ndim 3\n"
+                    f"bracket 1 2 3 1\nbracket 1 3 3 1\nbracket 2 3 1 {coeff}\n")
+    code, _, err = run(capsys, ["check", "--file", str(path)])
+    assert code == EXIT_INPUT
+    assert err == f"error: Jacobi identity fails on basis triple (1, 2, 3); defect vector {shown}\n"
+
+
 def test_check_duplicate_bracket_exits_1(tmp_path, capsys):
     path = tmp_path / "dup.alg"
     path.write_text("lie-algebra v1\nfield Q\ndim 3\nbracket 1 2 3 1\nbracket 1 2 3 1\n")

@@ -3,7 +3,7 @@ from math import comb
 
 import pytest
 
-from helpers import random_unimodular
+from helpers import random_unimodular, series_oracle
 from liemult.algebra import build
 from liemult.catalog import (
     abelian,
@@ -199,5 +199,71 @@ def test_input_without_a_generator_chain_keeps_its_basis():
     assert not _coordinate_series(L)
     with pytest.raises(GeneratorSearchFailed):
         generator_chain(L)
+    # Every line of L/γ₂ fails the construction-time search too.
+    assert L._rewrite is None and L._adapted is None
+    oracle, nilpotent = series_oracle(L)
+    assert nilpotent and [t.basis.rows() for t in L.lower_central_series().terms] == oracle
     assert multiplier_dim(L) == _raw_multiplier_dim(L) == multiplier_dim(graded)
-    assert L._adapted is None
+
+
+def _direction(L):
+    """The direction of L/γ₂ that the construction-time chain search took as s."""
+    s, s1 = L._rewrite[0][:2]
+    if len(s) == 2:
+        return "e_a + t e_b"
+    return "e_a" if min(s) < min(s1) else "e_b"
+
+
+# (family, n, seed of the basis change, direction the search takes).  Qₙ has
+# two-step centralizers through x1 and x2, so a basis whose free columns of γ₂
+# point along them needs e_a + t e_b.
+ROUTE_CASES = [
+    (standard_filiform, 7, 0, "e_a"),
+    (standard_filiform, 7, 4, "e_b"),
+    (filiform_m2, 9, 0, "e_a"),
+    (filiform_m2, 9, 1, "e_b"),
+    (filiform_q, 8, 1, "e_a"),
+    (filiform_q, 8, 23, "e_b"),
+    (filiform_q, 8, 55, "e_a + t e_b"),
+    (filiform_q, 6, 54, "e_a + t e_b"),
+]
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+@pytest.mark.parametrize("family,n,seed,direction", ROUTE_CASES,
+                         ids=[f"{f.__name__}-{n}-seed{s}" for f, n, s, _ in ROUTE_CASES])
+def test_series_in_the_chain_basis_matches_the_oracle(field, family, n, seed, direction):
+    L = _changed(family(n, field=field), seed)
+    assert L._rewrite is not None and _direction(L) == direction
+    oracle, nilpotent = series_oracle(L)
+    series = L.lower_central_series()
+    assert series.nilpotent and nilpotent
+    assert [t.basis.rows() for t in series.terms] == oracle
+    assert L._adapted is L._rewrite[1]
+    assert multiplier_dim(L) == _raw_multiplier_dim(L)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_series_in_the_chain_basis_of_a_non_nilpotent_algebra(field):
+    # [x1, x2] = x3, [x1, x3] = x3: γ₂ = <x3> = γ₃, and the chain (x1, x2, -x3)
+    # is a basis, so a dense basis is rewritten although L is not nilpotent.
+    L = _changed(build(3, [(1, 2, 3, 1), (1, 3, 3, 1)], field=field), 3)
+    assert L._rewrite is not None and L._adapted is None
+    oracle, nilpotent = series_oracle(L)
+    series = L.lower_central_series()
+    assert not series.nilpotent and not nilpotent
+    assert [t.basis.rows() for t in series.terms] == oracle
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_catalog_bases_and_their_central_quotients_store_no_rewrite(field):
+    algebras = ([heisenberg(field=field)]
+                + [standard_filiform(n, field=field) for n in range(3, 15)]
+                + [filiform_m2(n, field=field) for n in range(5, 15)]
+                + [filiform_q(n, field=field) for n in range(6, 15, 2)])
+    if field == QQ:
+        algebras += [e.algebra for e in entries()]
+    for L in algebras:
+        ideals = L.central_ideals() if L.n <= 8 else [L.center()]
+        for A in [L] + [L.quotient(K).quotient for K in ideals]:
+            assert A._rewrite is None and A._adapted is None

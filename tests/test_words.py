@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -368,6 +369,54 @@ def test_generator_chain_fallback_on_swapped_basis():
     for idx, v in enumerate(chain.tail, start=2):
         assert series.gamma(idx).contains_vector(v)
         assert not series.gamma(idx + 1).contains_vector(v)
+
+
+# sha256 of the (s, s1, tail) output, entries in field notation, one line per
+# algebra: catalog standard filiform 3..12, m2 5..10, Q 6/8/10, then seeded
+# basis changes (seeds 1-3) of filiform-7, filiform-10, m2-8 and Q-8, and over
+# Q rational basis changes, whose tables have denominators (the integer ad
+# table is scaled by D > 1).  The catalog Q_n need the e_a + t e_b escape
+# hatch.  Pinned from the dense field-scalar search, so a change of how the
+# tail is built cannot move them.
+CHAIN_PINS = {
+    ("Q", "catalog"): "61052d5b5f9e44c0938efb0ff60377a8abad3ce83d7e3d80579f049fd1f6e87b",
+    ("Q", "dense"): "ce13673f417c30856843ed6fc95fd487eb290fd1c14b526322a0a7ec674de219",
+    ("GF7", "catalog"): "9130407fb4d9af17f20d893825a24571de3d0d298a13ce8e53a2bab07b35549d",
+    ("GF7", "dense"): "d1ed8040c8a05be39734510edb784619476df79496125bcc42d00c1f62e44678",
+    ("GFp", "catalog"): "b0cb3b755cc23bd89c2b089f56bd8b6867ec692b4382cc4aad2f0548cf9c7f18",
+    ("GFp", "dense"): "c7871ff9c5602d2801a4fc08dd3d3fb500607e920a47e818f4581156adf1e1ff",
+    ("Q", "rational"): "33ce5053fe3d428364b4c8fbaf881eff9b9f49fea0a4de0d2d51cee49b851066",
+}
+CHAIN_FIELDS = {"Q": QQ, "GF7": PrimeField(7), "GFp": PrimeField(2147483647)}
+
+
+@pytest.mark.parametrize("fid,kind", sorted(CHAIN_PINS))
+def test_generator_chain_outputs_are_pinned(fid, kind):
+    F = CHAIN_FIELDS[fid]
+    if kind == "catalog":
+        algebras = ([standard_filiform(n, F) for n in range(3, 13)]
+                    + [filiform_m2(n, F) for n in range(5, 11)]
+                    + [filiform_q(n, F) for n in (6, 8, 10)])
+    elif kind == "rational":
+        algebras = []
+        for family, n in ((standard_filiform, 7), (filiform_m2, 7), (filiform_q, 8)):
+            for seed in (1, 2):
+                scale = Matrix(F, [[F.one / F.element(1 + (i * 7 + seed) % 5) if i == j else F.zero
+                                    for j in range(n)] for i in range(n)])
+                L = family(n).change_basis(scale @ random_unimodular(random.Random(seed), n))
+                assert L._scale > 1
+                algebras.append(L)
+    else:
+        algebras = [family(n, F).change_basis(random_unimodular(random.Random(seed), n, F))
+                    for family, n in ((standard_filiform, 7), (standard_filiform, 10),
+                                      (filiform_m2, 8), (filiform_q, 8))
+                    for seed in (1, 2, 3)]
+    lines = []
+    for L in algebras:
+        chain = generator_chain(L)
+        lines.append("|".join(",".join(str(x) for x in v)
+                              for v in (chain.s, chain.s1, *chain.tail)))
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == CHAIN_PINS[fid, kind]
 
 
 def test_odd_witness_found_in_n4_filiform():
