@@ -61,13 +61,14 @@ def parse_algebra(text: str, allow_char_two: bool = False) -> LieAlgebra:
         elif directive == "dim":
             if dim is not None:
                 raise AlgebraFileError("duplicate dim directive", lineno)
-            if len(tokens) != 2 or not tokens[1].isdigit():
+            # isdecimal, not isdigit: int() rejects digits such as "²".
+            if len(tokens) != 2 or not tokens[1].isdecimal():
                 raise AlgebraFileError("dim directive takes one nonnegative integer", lineno)
             dim = int(tokens[1])
         elif directive == "label":
             if dim is None:
                 raise AlgebraFileError("label before dim directive", lineno)
-            if len(tokens) != 3 or not tokens[1].isdigit():
+            if len(tokens) != 3 or not tokens[1].isdecimal():
                 raise AlgebraFileError("label directive is: label INDEX NAME", lineno)
             idx = int(tokens[1])
             if not 1 <= idx <= dim:

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from . import algfile, bounds, catalog
 from .algebra import LieAlgebra
-from .errors import FieldMismatch, LieError, ResourceLimit
+from .errors import AlgebraFileError, FieldMismatch, LieError, ResourceLimit
 from .fields import QQ, parse_field_spec
 from .homology import multiplier_dim
 from .words import lemma_defect, psi_image_dim, psi_image_dims
@@ -126,8 +126,14 @@ def _resolve_field(args):
 
 def _load_algebra(args) -> tuple[LieAlgebra, str]:
     if getattr(args, "file", None):
-        with open(args.file, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        try:
+            with open(args.file, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise AlgebraFileError(
+                f"{args.file}: not UTF-8 text "
+                f"(byte 0x{exc.object[exc.start]:02x} at offset {exc.start})"
+            ) from None
         return algfile.parse_algebra(text, allow_char_two=args.unsafe_char_2), args.file
     if getattr(args, "name", None):
         entry = catalog.get(args.name)

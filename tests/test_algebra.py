@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -692,3 +693,94 @@ def test_change_basis_rejects_a_matrix_of_the_wrong_shape():
         L.change_basis(Matrix.identity(QQ, 5))
     with pytest.raises(DimensionMismatch):
         L.change_basis(Matrix(QQ, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]]))
+
+
+# sha256 of the ``structure_constants()`` listings below, one "i j k c" line
+# per constant, pinned from the dense-Matrix implementation of the change of
+# basis.  Any change to the basis-change arithmetic must reproduce them.
+PIN_BUILDERS = {"filiform": standard_filiform, "m2": filiform_m2, "Q": filiform_q}
+REWRITE_PINS = {
+    ("filiform", "Q"): ("d9ba6f5463ff120df7e651c352a963406ae373a6b2e3a4c7c990f846061b748a",
+                        "23b79541790ddb98863f37e602ec430f0da8996ab583aa42ee9b708f4428ec7a"),
+    ("m2", "Q"): ("4666430d4264b4da6bee00e913376599b34bef55aea9bb43e83697aaa1c193ee",
+                  "0709e2cbc5999101305650cf888f1500024728dcca0b3beeaa2030b9852a575d"),
+    ("Q", "Q"): ("2cfca938b96f470c056298522d6ea5269b02c4e9304243fbd0a568d320d379ca",
+                 "3fde055c60fb2e72067508025fc72d004110535051371242c0e82c8a1081b1ad"),
+    ("filiform", "GF7"): ("84338b372911d7d3de01af4c644ec1349a725550f8914d11e626c1058a36b85a",
+                          "f58867220ac4081a2eae617bb26360080f85dc46eb6c9d9caba17fe2bb9f9972"),
+    ("m2", "GF7"): ("0447de3485594167f75a1253dea8af8e1bd7eb2f27c702a7d223b9b9ca72efaf",
+                    "6d2a60fb8fd65817fe4abbd582b9d850ff641d8b519b3dcdadae968aae593011"),
+    ("Q", "GF7"): ("4144741c7b92b81c4af9c4dffd3b7f97a5b3bd35d599f8ab98b688c987795396",
+                   "d106eb13aaf697c10c39062a49898d9d1316118edfdcecdd3a29873a8df985df"),
+    ("filiform", "GFp"): ("687b57a4ffca19ed586aba31bdbf820069c91f2e438c31421024917d84321e9d",
+                          "861ad188a515eb91d5790395eacd38f781ecc95c1bf317783279476367ab9c6b"),
+    ("m2", "GFp"): ("83bc73e3659808f40463cacbf7bc7a8fe53291e8eaaca9c3c7ce64a85d82fd2f",
+                    "a959127a344c61f3154b8fb1fa837cd7822c54edb213544e1848bd60280848b2"),
+    ("Q", "GFp"): ("ea87c440760361efc14be1823522ab82fddf0b160b11a411c65f0389ee3a70fa",
+                   "b1bbb7957ba00bf6a54533090efa61276e9da2775206c6aefca05e70d4d0d377"),
+}
+# Rows scaled by 2, 1/3, -1 and 5 in turn, so over Q the rows of P have
+# scales 1 and 3 and the table has denominators; the rewrite of that table
+# (second digest) then runs with D > 1.
+SCALED_PINS = {
+    ("filiform", "Q"): ("8dca6771c8643c4fa51ed7d054296f8aa89717b3afab6e7750f20cba6637939e",
+                        "b6710cb4ea52f1e2bf70de1e0c3487ef74b9794ffb5a86ed208755a072d13464"),
+    ("m2", "Q"): ("9845ef1b1d95abdb6a94f6909673c62483505daaa04291083fdc285e41704720",
+                  "cb00cb01add077d84a24618945f27478524af6fa606a4e56793c615662da170f"),
+    ("Q", "Q"): ("04b7a6a0adcf89c481625a2ca387d03e457384afea90b50a89485bb0b5b8fd3b",
+                 "1317fff7f2103602baa21f016135c4f017050f437ba22b6de3f9524e8079d26b"),
+    ("filiform", "GF7"): ("5d002a44090a907d7378a9977a15490d508a271c5d1f434b851876f02e3c5f87",
+                          "e8acee1ce3fcda327c103da6b453f842a603c654df6b6be274dcb715b3adc1ff"),
+    ("m2", "GF7"): ("3534d15bf3f3d55437e1d3b2398e1b0e9243aa28e56788dded549f373c9ba1c7",
+                    "80a629b1bae88b6033cb62747342d2e0d0689f4146b451781b037e9eec15bd33"),
+    ("Q", "GF7"): ("bf034d2c76012ad3e3d4219e57572186a8eb288b1c991f5eabef1be8568abfd6",
+                   "d6dd24374368d0203d95acbca7eaa1a665f70b4487f017f6387c68e75a06a359"),
+    ("filiform", "GFp"): ("35775cc688bcac7fb9b69bcebd30a8b6c27780ac3581d627bd214c6431981ddf",
+                          "7d9293f02aafba04cfa12bc216e7add1b2048604e2e01aa7c2db7f0c4134a622"),
+    ("m2", "GFp"): ("24a646364f815f5bb1eae1349ebdd29b87033fda637cc65667c489ab465aa413",
+                    "536863fdffd32e909c0468bc54f073ec7e0365e8723b2dc4a63de57227aec36f"),
+    ("Q", "GFp"): ("0806d7dc4e1f6cd7ddd3fbd224d2797f487b97a9a62850635f801d7dd3c517cc",
+                   "737a43f2a08d8281bae83a47d96d69ebb8bbbfb3a9bee6957833064482814d4b"),
+}
+# P of determinant 7: the Q table is pinned, and over GF(7) P is singular.
+DET7_PINS = {
+    "filiform": "2a8f6701376dbb693d3e307c686baf55e97bc372442828081f3189d18a2cdfb5",
+    "m2": "2aa631c201cb1c5923ee852ead7b0487680ffe1f37af27710b480d47139fbf48",
+    "Q": "680fcb1bdadb61b61dd4e3c0c0fabe3e4b0108509370fc30edf317d583d62caf",
+}
+
+
+def _constants_digest(L: LieAlgebra) -> str:
+    text = "".join(f"{i} {j} {k} {c}\n" for i, j, k, c in L.structure_constants())
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _det7_matrix(field, n: int) -> Matrix:
+    b = [[field.one if i == j else field.zero for j in range(n)] for i in range(n)]
+    b[0][1], b[1][0], b[1][1] = field.one, field.one, field.element(8)
+    return Matrix(field, b) @ random_unimodular(random.Random(7 * n), n, field)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+@pytest.mark.parametrize("family", sorted(PIN_BUILDERS))
+def test_change_basis_and_rewrite_match_their_pins(family, field):
+    fid = FIELD_IDS[FIELDS.index(field)]
+    base = PIN_BUILDERS[family](10, field=field)
+    dense = base.change_basis(random_unimodular(random.Random(10), 10, field))
+    assert dense._adapted is not None
+    assert (_constants_digest(dense), _constants_digest(dense._rewrite[1])) == REWRITE_PINS[family, fid]
+    p = random_unimodular(random.Random(11), 10, field).rows()
+    scales = [field.element(2), field.one / field.element(3), -field.one, field.element(5)]
+    scaled = base.change_basis(Matrix(field, [[scales[i % 4] * x for x in row]
+                                              for i, row in enumerate(p)]))
+    assert scaled._rewrite is not None
+    assert (_constants_digest(scaled), _constants_digest(scaled._rewrite[1])) == SCALED_PINS[family, fid]
+
+
+@pytest.mark.parametrize("family", sorted(PIN_BUILDERS))
+def test_change_basis_singular_over_gf7_only_matches_its_pin(family):
+    build_ = PIN_BUILDERS[family]
+    assert _constants_digest(build_(10).change_basis(_det7_matrix(QQ, 10))) == DET7_PINS[family]
+    gf7 = PrimeField(7)
+    with pytest.raises(SingularMatrix):
+        build_(10, field=gf7).change_basis(_det7_matrix(gf7, 10))

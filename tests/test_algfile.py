@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from liemult.algfile import parse_algebra, serialize_algebra
@@ -7,6 +9,7 @@ from liemult.errors import (
     DuplicateBracket,
     FieldSpecError,
     JacobiViolation,
+    LieError,
 )
 from liemult.fields import PrimeField
 
@@ -136,3 +139,119 @@ def test_zero_coefficients_normalized_away():
     L = parse_algebra(text)
     assert L.is_abelian()
     assert serialize_algebra(L) == "lie-algebra v1\nfield Q\ndim 3\n"
+
+
+H = "lie-algebra v1\n"
+# (text, exception type, full message, its ``line`` attribute) for every
+# malformed-file case: parse errors must keep their wording and line numbers.
+MALFORMED = {
+    "missing-header": (
+        "field Q\ndim 2\n", AlgebraFileError,
+        "line 1: missing header line 'lie-algebra v1'", 1),
+    "unsupported-version": (
+        "lie-algebra v9\nfield Q\ndim 2\n", AlgebraFileError,
+        "line 1: unsupported format version 'lie-algebra v9' (expected 'lie-algebra v1')", 1),
+    "empty-file": (
+        "# only a comment\n\n", AlgebraFileError,
+        "empty file; expected header 'lie-algebra v1'", None),
+    "missing-field": (
+        H + "dim 2\n", AlgebraFileError, "missing field directive", None),
+    "missing-dim": (
+        H + "field Q\n", AlgebraFileError, "missing dim directive", None),
+    "duplicate-field": (
+        H + "field Q\nfield Q\ndim 2\n", AlgebraFileError,
+        "line 3: duplicate field directive", 3),
+    "field-arity": (
+        H + "field Q GF(7)\ndim 2\n", AlgebraFileError,
+        "line 2: field directive takes exactly one argument", 2),
+    "unknown-field": (
+        H + "field R\ndim 2\n", FieldSpecError,
+        "line 2: unrecognized field spec 'R' (use Q or GF(p))", None),
+    "char-two": (
+        H + "field GF(2)\ndim 2\n", FieldSpecError,
+        "line 2: characteristic 2 requires the explicit unsafe-char-2 override", None),
+    "composite-modulus": (
+        H + "field GF(9)\ndim 2\n", FieldSpecError, "line 2: modulus 9 is not prime", None),
+    "duplicate-dim": (
+        H + "field Q\ndim 2\ndim 3\n", AlgebraFileError, "line 4: duplicate dim directive", 4),
+    "negative-dim": (
+        H + "field Q\ndim -1\n", AlgebraFileError,
+        "line 3: dim directive takes one nonnegative integer", 3),
+    "superscript-dim": (
+        H + "field Q\ndim ²\n", AlgebraFileError,
+        "line 3: dim directive takes one nonnegative integer", 3),
+    "label-before-dim": (
+        H + "field Q\nlabel 1 a\ndim 2\n", AlgebraFileError,
+        "line 3: label before dim directive", 3),
+    "label-arity": (
+        H + "field Q\ndim 2\nlabel 1\n", AlgebraFileError,
+        "line 4: label directive is: label INDEX NAME", 4),
+    "superscript-label": (
+        H + "field Q\ndim 2\nlabel ² a\n", AlgebraFileError,
+        "line 4: label directive is: label INDEX NAME", 4),
+    "label-out-of-range": (
+        H + "field Q\ndim 2\nlabel 3 c\n", AlgebraFileError,
+        "line 4: label index 3 out of range [1, 2]", 4),
+    "bracket-before-dim": (
+        H + "field Q\nbracket 1 2 3 1\ndim 3\n", AlgebraFileError,
+        "line 3: bracket before field/dim directives", 3),
+    "bracket-arity": (
+        H + "field Q\ndim 3\nbracket 1 2 3\n", AlgebraFileError,
+        "line 4: bracket directive is: bracket I J K COEFF", 4),
+    "non-integer-index": (
+        H + "field Q\ndim 3\nbracket 1 b 3 1\n", AlgebraFileError,
+        "line 4: bracket indices must be integers", 4),
+    "unordered-pair": (
+        H + "field Q\ndim 3\nbracket 2 1 3 1\n", AlgebraFileError,
+        "line 4: bracket indices (2, 1) must satisfy 1 <= i < j <= 3", 4),
+    "pair-out-of-range": (
+        H + "field Q\ndim 3\nbracket 1 4 3 1\n", AlgebraFileError,
+        "line 4: bracket indices (1, 4) must satisfy 1 <= i < j <= 3", 4),
+    "component-out-of-range": (
+        H + "field Q\ndim 3\nbracket 1 2 9 1\n", AlgebraFileError,
+        "line 4: component index 9 out of range [1, 3]", 4),
+    "component-zero": (
+        H + "field Q\ndim 3\nbracket 1 2 0 1\n", AlgebraFileError,
+        "line 4: component index 0 out of range [1, 3]", 4),
+    "duplicate-key": (
+        H + "field Q\ndim 3\nbracket 1 2 3 1\n\nbracket 1 2 3 2\n", DuplicateBracket,
+        "line 6: duplicate bracket key (1, 2, 3) (first seen on line 4)", None),
+    "duplicate-zero-key": (
+        H + "field Q\ndim 3\nbracket 1 2 3 0\nbracket 1 2 3 0\n", DuplicateBracket,
+        "line 5: duplicate bracket key (1, 2, 3) (first seen on line 4)", None),
+    "zero-denominator": (
+        H + "field Q\ndim 3\nbracket 1 2 3 1/0\n", AlgebraFileError,
+        "line 4: '1/0' has a zero denominator", 4),
+    "decimal-literal": (
+        H + "field Q\ndim 3\nbracket 1 2 3 1.5\n", AlgebraFileError,
+        "line 4: '1.5' is not a rational literal (use p/q or an integer)", 4),
+    "rational-over-gf7": (
+        H + "field GF(7)\ndim 3\nbracket 1 2 3 1/2\n", AlgebraFileError,
+        "line 4: rational literal '1/2' is not allowed over GF(7)", 4),
+    "non-integer-over-gf7": (
+        H + "field GF(7)\ndim 3\nbracket 1 2 3 x\n", AlgebraFileError,
+        "line 4: 'x' is not an integer literal", 4),
+    "unknown-directive": (
+        H + "field Q\ndim 2\nfrobnicate 1\n", AlgebraFileError,
+        "line 4: unknown directive 'frobnicate'", 4),
+    "jacobi": (
+        H + "field Q\ndim 3\nbracket 1 2 3 1\nbracket 1 3 3 1\nbracket 2 3 1 1\n",
+        JacobiViolation,
+        "Jacobi identity fails on basis triple (1, 2, 3); defect vector [1, 0, 0]", None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_file_errors_are_pinned(case):
+    text, kind, message, line = MALFORMED[case]
+    with pytest.raises(LieError) as exc:
+        parse_algebra(text)
+    assert type(exc.value) is kind
+    assert str(exc.value) == message
+    assert getattr(exc.value, "line", None) == line
+
+
+def test_rational_literals_keep_their_value():
+    text = H + "field Q\ndim 3\nbracket 1 2 3 -6/4\nbracket 1 3 3 +7\n"
+    consts = parse_algebra(text).structure_constants()
+    assert [c for *_, c in consts] == [Fraction(-3, 2), Fraction(7)]

@@ -93,6 +93,27 @@ def test_check_duplicate_bracket_exits_1(tmp_path, capsys):
     assert "duplicate" in err
 
 
+@pytest.mark.parametrize("line,shown", [
+    ("dim ²", "line 3: dim directive takes one nonnegative integer"),
+    ("dim 2\nlabel ² a", "line 4: label directive is: label INDEX NAME"),
+])
+def test_check_superscript_digit_is_an_input_error(tmp_path, capsys, line, shown):
+    path = tmp_path / "sup.alg"
+    path.write_text(f"lie-algebra v1\nfield Q\n{line}\n", encoding="utf-8")
+    code, out, err = run(capsys, ["check", "--file", str(path)])
+    assert (code, out) == (EXIT_INPUT, "")
+    assert err == f"error: {shown}\n"
+
+
+def test_check_file_that_is_not_utf8_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "latin1.alg"
+    path.write_bytes(b"lie-algebra v1\nfield Q\ndim 2\nlabel 1 \xff\n")
+    code, out, err = run(capsys, ["check", "--file", str(path)])
+    assert (code, out) == (EXIT_INPUT, "")
+    assert err.startswith("error: ") and str(path) in err and "UTF-8" in err
+    assert "Traceback" not in err and err.count("\n") == 1
+
+
 def test_check_char_two_without_override_exits_1(tmp_path, capsys):
     path = tmp_path / "char2.alg"
     path.write_text("lie-algebra v1\nfield GF(2)\ndim 2\n")
