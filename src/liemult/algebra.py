@@ -29,7 +29,9 @@ workers.
 from __future__ import annotations
 
 import itertools
+from operator import mul
 from dataclasses import dataclass
+from fractions import Fraction
 from math import lcm
 
 from .errors import (
@@ -45,7 +47,7 @@ from .errors import (
     SingularMatrix,
 )
 from .fields import QQ
-from .linalg import Matrix, RowSpan, integer_row, inverse
+from .linalg import Matrix, RowSpan, integer_row, inverse_rows
 
 
 class Subspace:
@@ -559,35 +561,61 @@ class LieAlgebra:
     # -- basis changes ---------------------------------------------------------
 
     def change_basis(self, p: Matrix) -> "LieAlgebra":
-        """Rewrite the table in the basis f_i = sum_j p[i][j] e_j.
-
-        Each [f_i, f_j] is computed on the integer ad table from the integer
-        rows of p, and its coordinates w p^-1 come from one exact inverse
-        (``SingularMatrix`` when p has none), also as integer rows."""
+        """Rewrite the table in the basis f_i = sum_j p[i][j] e_j, from the
+        integer rows of p (``SingularMatrix`` when p has no inverse)."""
         if p.shape != (self.n, self.n):
             raise DimensionMismatch("change of basis must be square of matching size")
         if p.field != self.field:
             raise FieldMismatch("change of basis over a different field")
-        return LieAlgebra(self.n, self._table_in_basis(p), field=self.field)
+        rows = [integer_row(self.field, r, self.n) for r in p.rows()]
+        return LieAlgebra(self.n, self._table_in_basis(rows), field=self.field)
 
-    def _table_in_basis(self, p: Matrix) -> dict[tuple[int, int], dict[int, object]]:
-        field, n = self.field, self.n
-        rows = [integer_row(field, r, n) for r in p.rows()]
-        inv = [integer_row(field, r, n) for r in inverse(p).rows()]
-        s_inv = lcm(*(s for _, s in inv))
-        inv = {m: {k: x * (s_inv // s) for k, x in r.items()} for m, (r, s) in enumerate(inv)}
+    def _table_in_basis(self, rows) -> dict[tuple[int, int], dict[int, object]]:
+        """The table of L in the basis f_i = u_i / s_i, for ``rows`` the
+        integer pairs (u_i, s_i) that ``integer_row`` makes; the one
+        basis-change kernel, behind ``change_basis`` and ``_chain_rewrite``.
+
+        The integer ad table is laid out once as dense columns, ad[k][b] =
+        (D [e_a, e_b]_k over a), None where all zero.  For each i, ad_i[k] =
+        (D [u_i, e_b]_k over b) are dot products of u_i with those columns;
+        w = D [u_i, u_j] is the dot products of u_j with the rows ad_i[k];
+        and the coordinates of w are its dot products with the columns of
+        the integer inverse R / den of P (``inverse_rows``).  Each product
+        runs over the support of a sparse row (``_dot``).  Over GF(p) every
+        stage is reduced mod p; over Q, [f_i, f_j] = w R / (D s_i s_j den)."""
+        field, n, p = self.field, self.n, self.field.characteristic
+        inv, den = inverse_rows(field, rows)
+        ad = [[[0] * n for _ in range(n)] for _ in range(n)]
+        for a, tab_a in enumerate(self._ad):
+            for b, row in tab_a.items():
+                for k, c in row.items():
+                    ad[k][b][a] = c
+        ad = [[col if any(col) else None for col in ad_k] for ad_k in ad]
+        inv_cols = [[r.get(m, 0) for r in inv] for m in range(n)]
+        dots = [_dot(u, n) for u, _ in rows]
         element = field.element
         table: dict[tuple[int, int], dict[int, object]] = {}
-        for i, (u, su) in enumerate(rows):
-            ad_u = self._ad_rows(u)
+        for i in range(n - 1):
+            dot_i = dots[i]
+            ad_i = [[dot_i(col) if col else 0 for col in ad_k] for ad_k in ad]
+            if p:
+                ad_i = [[x % p for x in r] for r in ad_i]
+            ad_i = [r if any(r) else None for r in ad_i]
+            si = rows[i][1]
             for j in range(i + 1, n):
-                v, sv = rows[j]
-                # w = D su sv [f_i, f_j] in e-coordinates, so w p^-1 carries
-                # the factor D su sv s_inv that ``unit`` divides out.
-                coords = self._nonzero(_combine(inv, self._nonzero(_combine(ad_u, v))))
-                if coords:
-                    unit = field.one / element(self._scale * su * sv * s_inv)
-                    table[(i, j)] = {k: element(coords[k]) * unit for k in sorted(coords)}
+                dot_j = dots[j]
+                w = [dot_j(r) if r else 0 for r in ad_i]
+                if p:
+                    w = [x % p for x in w]
+                if not any(w):
+                    continue
+                dot_w = _dot(dict((k, x) for k, x in enumerate(w) if x), n)
+                coords = [dot_w(col) for col in inv_cols]
+                if p:
+                    coords = [x % p for x in coords]
+                d = self._scale * si * rows[j][1] * den  # always 1 over GF(p)
+                scalar = element if d == 1 else lambda x: Fraction(x, d)
+                table[(i, j)] = {m: scalar(x) for m, x in enumerate(coords) if x}
         return table
 
     # -- the generator-chain basis -------------------------------------------
@@ -651,9 +679,8 @@ class LieAlgebra:
         if all(len(v) == 1 for v in tail):
             return None
         rows = [s, s1, *tail]
-        p_rows = Matrix(self.field, [[r.get(j, 0) for j in range(n)] for r in rows])
         try:
-            table = self._table_in_basis(p_rows)
+            table = self._table_in_basis([(r, 1) for r in rows])
         except SingularMatrix:
             return None
         rewrite = LieAlgebra.__new__(LieAlgebra)
@@ -684,6 +711,17 @@ def _combine(rows: dict[int, dict[int, int]], v: dict[int, int]) -> dict[int, in
         for k, c in rows.get(j, {}).items():
             w[k] = w.get(k, 0) + vj * c
     return w
+
+
+def _dot(u: dict[int, int], n: int):
+    """The dot product with the integer row u as a function of a dense
+    column: over u's support when u is sparse, with ``sum(map(mul, …))``
+    over a dense copy of u otherwise."""
+    if 2 * len(u) > n:
+        dense = [u.get(a, 0) for a in range(n)]
+        return lambda col: sum(map(mul, dense, col))
+    items = list(u.items())
+    return lambda col: sum([x * col[a] for a, x in items])
 
 
 def build(n: int, brackets, field=QQ, labels=None) -> LieAlgebra:

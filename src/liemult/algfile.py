@@ -18,7 +18,7 @@ serializer emits brackets sorted by (I, J, K), so output is byte-stable and
 
 from __future__ import annotations
 
-from .algebra import LieAlgebra, build
+from .algebra import LieAlgebra
 from .errors import AlgebraFileError, BadScalarLiteral, DuplicateBracket, FieldSpecError
 from .fields import parse_field_spec
 
@@ -30,7 +30,7 @@ def parse_algebra(text: str, allow_char_two: bool = False) -> LieAlgebra:
     field = None
     dim = None
     labels: dict[int, str] = {}
-    brackets: list[tuple[int, int, int, object]] = []
+    table: dict[tuple[int, int], dict[int, object]] = {}
     seen_keys: dict[tuple[int, int, int], int] = {}
     header_seen = False
 
@@ -99,7 +99,8 @@ def parse_algebra(text: str, allow_char_two: bool = False) -> LieAlgebra:
                 coeff = field.parse(tokens[4])
             except BadScalarLiteral as exc:
                 raise AlgebraFileError(str(exc), lineno) from exc
-            brackets.append((i, j, k, coeff))
+            if coeff:
+                table.setdefault((i - 1, j - 1), {})[k - 1] = coeff
         else:
             raise AlgebraFileError(f"unknown directive {directive!r}", lineno)
 
@@ -113,7 +114,7 @@ def parse_algebra(text: str, allow_char_two: bool = False) -> LieAlgebra:
     label_list = None
     if labels:
         label_list = [labels.get(i + 1, f"x{i + 1}") for i in range(dim)]
-    return build(dim, brackets, field=field, labels=label_list)
+    return LieAlgebra(dim, table, field=field, labels=label_list)
 
 
 def serialize_algebra(L: LieAlgebra) -> str:

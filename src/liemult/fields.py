@@ -63,10 +63,13 @@ class RationalField:
         text = text.strip()
         if not _RATIONAL_RE.match(text):
             raise BadScalarLiteral(f"{text!r} is not a rational literal (use p/q or an integer)")
-        value = text.split("/")
-        if len(value) == 2 and int(value[1]) == 0:
+        # The literal is validated, so int() converts its parts directly.
+        num, _, den = text.partition("/")
+        if not den:
+            return Fraction(int(num))
+        if int(den) == 0:
             raise BadScalarLiteral(f"{text!r} has a zero denominator")
-        return Fraction(text)
+        return Fraction(int(num), int(den))
 
     def __repr__(self):
         return "Q"

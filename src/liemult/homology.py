@@ -134,7 +134,9 @@ def multiplier_dim(L: LieAlgebra) -> int:
         raise ResourceLimit(
             f"dimension {L.n} exceeds the homology guard ({MAX_HOMOLOGY_DIM})"
         )
-    if not L.is_nilpotent():
+    # An adapted rewrite has class n - 1, so L is nilpotent; asking L would
+    # map the rewrite's whole series back through P.
+    if L._adapted is None and not L.is_nilpotent():
         raise NonNilpotent("the multiplier computation requires a nilpotent algebra")
     pair = boundary_matrices(L._adapted or L)
     value = comb(L.n, 2) - pair.d2.rank() - pair.d3.rank()

@@ -12,7 +12,8 @@ back-substitution to the canonical reduced basis (``canonical_rows``, the
 integer rows a ``Subspace`` keeps; ``matrix`` makes them dense) both use it.
 
 ``Matrix`` is a dense immutable matrix over one field.  Its rank, echelon
-form, kernel basis and inverse all feed its rows into a ``RowSpan``.  Echelon
+form, kernel basis and inverse all feed its rows into a ``RowSpan``;
+``inverse_rows``, the inverse on integer rows, is the one inverse routine.  Echelon
 form here always means the canonical reduced form: leading entries 1, zeros
 above and below every pivot, zero rows dropped.  That makes every basis
 produced by this module byte-deterministic.
@@ -185,15 +186,35 @@ def row_space_union(a: Matrix, b: Matrix) -> Matrix:
 
 
 def inverse(m: Matrix) -> Matrix:
-    """Inverse of a square matrix: the right half of the reduced [m | I]."""
+    """Inverse of a square matrix, from ``inverse_rows`` of its integer rows."""
     if m.nrows != m.ncols:
         raise DimensionMismatch("only square matrices can be inverted")
-    n = m.nrows
-    unit = Matrix.identity(m.field, n)._rows
-    aug = Matrix(m.field, [r + e for r, e in zip(m._rows, unit)], ncols=2 * n)
-    if aug.pivot_columns() != tuple(range(n)):
+    n, field = m.nrows, m.field
+    rows, den = inverse_rows(field, [integer_row(field, r, n) for r in m._rows])
+    element, zero = field.element, field.zero
+    d = element(den)
+    return Matrix(field, [[element(r[j]) / d if j in r else zero for j in range(n)]
+                          for r in rows], ncols=n)
+
+
+def inverse_rows(field, rows: list[tuple[dict[int, int], int]]) -> tuple[list[dict[int, int]], int]:
+    """(R, den) with R / den the inverse of the square matrix P whose row i is
+    u_i / s_i, for ``rows`` the pairs (u_i, s_i) that ``integer_row`` makes.
+
+    One ``RowSpan`` over the integer rows [u_i | s_i e_i], which span the row
+    space of [P | I] and so of [I | P^-1]: the canonical row with pivot k is
+    its lead times [e_k | row k of P^-1].  R holds those right halves over the
+    common denominator den (1 over GF(p), where every lead is 1).  Raises
+    ``SingularMatrix`` when some pivot lies in the right half."""
+    n = len(rows)
+    span = RowSpan(field, 2 * n)
+    for i, (u, s) in enumerate(rows):
+        span.add_integers({**u, n + i: s})
+    canon = span.canonical_rows()
+    if any(c >= n for c in canon):
         raise SingularMatrix("matrix is singular")
-    return Matrix(m.field, [r[n:] for r in aug.rref()._rows], ncols=n)
+    den = lcm(*(r[c] for c, r in canon.items()))
+    return [{j - n: x * (den // r[c]) for j, x in r.items() if j >= n} for c, r in canon.items()], den
 
 
 def integer_row(field, vec, ncols: int) -> tuple[dict[int, int], int]:

@@ -29,7 +29,7 @@ from liemult.errors import (
 )
 from liemult.fields import QQ, PrimeField
 from liemult.homology import multiplier_dim
-from liemult.linalg import Matrix
+from liemult.linalg import Matrix, integer_row
 
 FILIFORM_4 = [(1, 2, 3, 1), (1, 3, 4, 1)]
 
@@ -93,7 +93,8 @@ def _perturbed_dense_table(field, perturbation, n=9, seed=9):
     entry = table.setdefault((i - 1, j - 1), {})
     entry[k - 1] = entry.get(k - 1, field.zero) + field.element(c)
     raw = LieAlgebra(n, table, field=field, validate=False)
-    return raw._table_in_basis(random_unimodular(random.Random(seed), n, field))
+    p = random_unimodular(random.Random(seed), n, field)
+    return raw._table_in_basis([integer_row(field, r, n) for r in p.rows()])
 
 
 PERTURBATIONS = [(2, 3, 5, 1), (2, 4, 6, 1), (3, 4, 7, 2), (2, 3, 6, 1), (3, 5, 8, 1),
