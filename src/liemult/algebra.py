@@ -6,11 +6,13 @@ sits a private integer ad table, tab[a][j] = [e_a, e_j] as sparse ``{k: int}``
 rows for every a != j: residues over GF(p), and over Q the structure constants
 times the lcm D of their denominators.  Scaling by D changes no span and no
 zero test, so the lower central series, ``product_subspace``, the Jacobi
-check, the ideal check of ``quotient`` and ``change_basis`` run on raw ints
-and feed ``RowSpan`` directly.  A ``Subspace`` is the canonical integer rows
-of a ``RowSpan``; membership, sums, equality, ``Subspace.reduce`` (the one
-exact reduction, behind ``quotient`` and ``QuotientMap``) run on those rows,
-and the dense basis is built only when asked for.
+check and the ideal check of ``quotient`` run on raw ints and feed
+``RowSpan`` directly, and ``change_basis`` and the chain rewrite share one
+integer basis-change kernel (``_table_in_basis``) with the integer inverse
+``inverse_rows``.  A ``Subspace`` is the canonical integer rows of a
+``RowSpan``; membership, sums, equality, ``Subspace.reduce`` (the one exact
+reduction, behind ``quotient`` and ``QuotientMap``) run on those rows, and
+the dense basis is built only when asked for.
 
 Construction also searches the ad table once for a generator chain
 (s, s₁, s₂, …, s_c), sₖ₊₁ = [sₖ, s] (``_chain_rewrite``).  When one is found
@@ -29,10 +31,10 @@ workers.
 from __future__ import annotations
 
 import itertools
-from operator import mul
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import mul
 
 from .errors import (
     DimensionMismatch,
@@ -570,19 +572,21 @@ class LieAlgebra:
         rows = [integer_row(self.field, r, self.n) for r in p.rows()]
         return LieAlgebra(self.n, self._table_in_basis(rows), field=self.field)
 
-    def _table_in_basis(self, rows) -> dict[tuple[int, int], dict[int, object]]:
+    def _table_in_basis(
+        self, rows: list[tuple[dict[int, int], int]]
+    ) -> dict[tuple[int, int], dict[int, object]]:
         """The table of L in the basis f_i = u_i / s_i, for ``rows`` the
         integer pairs (u_i, s_i) that ``integer_row`` makes; the one
         basis-change kernel, behind ``change_basis`` and ``_chain_rewrite``.
 
-        The integer ad table is laid out once as dense columns, ad[k][b] =
-        (D [e_a, e_b]_k over a), None where all zero.  For each i, ad_i[k] =
-        (D [u_i, e_b]_k over b) are dot products of u_i with those columns;
-        w = D [u_i, u_j] is the dot products of u_j with the rows ad_i[k];
-        and the coordinates of w are its dot products with the columns of
-        the integer inverse R / den of P (``inverse_rows``).  Each product
-        runs over the support of a sparse row (``_dot``).  Over GF(p) every
-        stage is reduced mod p; over Q, [f_i, f_j] = w R / (D s_i s_j den)."""
+        The integer ad table is laid out once as dense columns: ad[k][b] is
+        D [e_a, e_b]_k over a, or None where that is all zero.  Then three
+        stages of integer dot products, each over the support of a sparse
+        row (``_dot_with``) and reduced mod p over GF(p):
+        ad_i[k][b] = D [u_i, e_b]_k is u_i against the columns;
+        w = D [u_i, u_j] is u_j against the rows ad_i[k];
+        and w against the columns of the integer inverse R / den of P
+        (``inverse_rows``) gives [f_i, f_j] = w R / (D s_i s_j den)."""
         field, n, p = self.field, self.n, self.field.characteristic
         inv, den = inverse_rows(field, rows)
         ad = [[[0] * n for _ in range(n)] for _ in range(n)]
@@ -592,7 +596,7 @@ class LieAlgebra:
                     ad[k][b][a] = c
         ad = [[col if any(col) else None for col in ad_k] for ad_k in ad]
         inv_cols = [[r.get(m, 0) for r in inv] for m in range(n)]
-        dots = [_dot(u, n) for u, _ in rows]
+        dots = [_dot_with(u, n) for u, _ in rows]
         element = field.element
         table: dict[tuple[int, int], dict[int, object]] = {}
         for i in range(n - 1):
@@ -609,7 +613,7 @@ class LieAlgebra:
                     w = [x % p for x in w]
                 if not any(w):
                     continue
-                dot_w = _dot(dict((k, x) for k, x in enumerate(w) if x), n)
+                dot_w = _dot_with({k: x for k, x in enumerate(w) if x}, n)
                 coords = [dot_w(col) for col in inv_cols]
                 if p:
                     coords = [x % p for x in coords]
@@ -713,7 +717,7 @@ def _combine(rows: dict[int, dict[int, int]], v: dict[int, int]) -> dict[int, in
     return w
 
 
-def _dot(u: dict[int, int], n: int):
+def _dot_with(u: dict[int, int], n: int):
     """The dot product with the integer row u as a function of a dense
     column: over u's support when u is sparse, with ``sum(map(mul, …))``
     over a dense copy of u otherwise."""

@@ -14,6 +14,10 @@ Requirements: 1 <= I < J <= N (antisymmetry is implied, never written),
 integer literal over GF(p).  Duplicate (I, J, K) keys are rejected.  The
 serializer emits brackets sorted by (I, J, K), so output is byte-stable and
 ``parse(serialize(L))`` reproduces the same sparse table.
+
+A file is validated in one pass: every check above runs as its line is read
+and reports the line number, and the parser builds the 0-based table and
+constructs ``LieAlgebra`` from it directly, which then checks Jacobi.
 """
 
 from __future__ import annotations

@@ -12,11 +12,11 @@ back-substitution to the canonical reduced basis (``canonical_rows``, the
 integer rows a ``Subspace`` keeps; ``matrix`` makes them dense) both use it.
 
 ``Matrix`` is a dense immutable matrix over one field.  Its rank, echelon
-form, kernel basis and inverse all feed its rows into a ``RowSpan``;
-``inverse_rows``, the inverse on integer rows, is the one inverse routine.  Echelon
-form here always means the canonical reduced form: leading entries 1, zeros
-above and below every pivot, zero rows dropped.  That makes every basis
-produced by this module byte-deterministic.
+form, kernel basis and inverse all feed its rows into a ``RowSpan``; the
+inverse is ``inverse_rows``, the one inverse routine, which works on integer
+rows.  Echelon form here always means the canonical reduced form: leading
+entries 1, zeros above and below every pivot, zero rows dropped.  That makes
+every basis produced by this module byte-deterministic.
 """
 
 from __future__ import annotations
@@ -197,7 +197,9 @@ def inverse(m: Matrix) -> Matrix:
                           for r in rows], ncols=n)
 
 
-def inverse_rows(field, rows: list[tuple[dict[int, int], int]]) -> tuple[list[dict[int, int]], int]:
+def inverse_rows(
+    field, rows: list[tuple[dict[int, int], int]]
+) -> tuple[list[dict[int, int]], int]:
     """(R, den) with R / den the inverse of the square matrix P whose row i is
     u_i / s_i, for ``rows`` the pairs (u_i, s_i) that ``integer_row`` makes.
 
@@ -214,7 +216,8 @@ def inverse_rows(field, rows: list[tuple[dict[int, int], int]]) -> tuple[list[di
     if any(c >= n for c in canon):
         raise SingularMatrix("matrix is singular")
     den = lcm(*(r[c] for c, r in canon.items()))
-    return [{j - n: x * (den // r[c]) for j, x in r.items() if j >= n} for c, r in canon.items()], den
+    inv = [{j - n: x * (den // r[c]) for j, x in r.items() if j >= n} for c, r in canon.items()]
+    return inv, den
 
 
 def integer_row(field, vec, ncols: int) -> tuple[dict[int, int], int]:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from helpers import naive_rank, naive_rref, random_rational_matrix, random_unimodular
 from liemult.errors import DimensionMismatch, FieldMismatch, SingularMatrix
 from liemult.fields import QQ, PrimeField
-from liemult.linalg import Matrix, RowSpan, inverse, row_space_union
+from liemult.linalg import Matrix, RowSpan, integer_row, inverse, inverse_rows, row_space_union
 
 
 def test_rank_identity():
@@ -164,6 +164,30 @@ def test_inverse_of_singular_matrix():
     m = Matrix(QQ, rows)
     assert m @ inverse(m) == Matrix.identity(QQ, 2)
     assert inverse(m) == Matrix(QQ, [[Fraction(-1, 5), Fraction(2, 5)], [Fraction(3, 5), Fraction(-1, 5)]])
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["Q", "GF7"])
+def test_inverse_rows_matches_the_naive_inverse(field):
+    # Rational entries give rows with scales above 1 over Q.
+    rng = random.Random(5)
+    checked = 0
+    while checked < 12:
+        n = rng.randint(1, 6)
+        m = Matrix(field, [[field.element(x.numerator) / field.element(x.denominator)
+                            for x in row] for row in random_rational_matrix(rng, n, n)])
+        reduced = naive_rref([r + [field.one if i == j else field.zero for j in range(n)]
+                              for i, r in enumerate(m.rows())], field)
+        if [r[:n] for r in reduced] != Matrix.identity(field, n).rows():
+            with pytest.raises(SingularMatrix):
+                inverse(m)
+            continue
+        want = [r[n:] for r in reduced]
+        assert inverse(m).rows() == want
+        rows, den = inverse_rows(field, [integer_row(field, r, n) for r in m.rows()])
+        assert den == 1 or not field.characteristic
+        d = field.element(den)
+        assert [[field.element(r.get(j, 0)) / d for j in range(n)] for r in rows] == want
+        checked += 1
 
 
 @settings(max_examples=50)
