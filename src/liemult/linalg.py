@@ -191,10 +191,8 @@ def inverse(m: Matrix) -> Matrix:
         raise DimensionMismatch("only square matrices can be inverted")
     n, field = m.nrows, m.field
     rows, den = inverse_rows(field, [integer_row(field, r, n) for r in m._rows])
-    element, zero = field.element, field.zero
-    d = element(den)
-    return Matrix(field, [[element(r[j]) / d if j in r else zero for j in range(n)]
-                          for r in rows], ncols=n)
+    element, d = field.element, field.element(den)
+    return Matrix(field, [[element(r.get(j, 0)) / d for j in range(n)] for r in rows], ncols=n)
 
 
 def inverse_rows(
