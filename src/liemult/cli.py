@@ -12,6 +12,7 @@ guard refused the computation.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -23,7 +24,7 @@ from .algebra import LieAlgebra
 from .errors import AlgebraFileError, FieldMismatch, LieError, ResourceLimit
 from .fields import QQ, parse_field_spec
 from .homology import multiplier_dim
-from .words import lemma_defect, psi_image_dim, psi_image_dims
+from .words import lemma_defect, psi_image_dim
 
 REPORT_FORMAT = "liemult-report-v1"
 
@@ -53,6 +54,7 @@ def _count(text: str) -> int:
     return value
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="liemult", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -87,7 +89,6 @@ def _build_parser() -> _Parser:
     add_input_args(p)
     add_output_args(p)
     p.add_argument("--i", type=int, required=True)
-    p.add_argument("--mode", choices=["exact", "generators"], default="exact")
 
     p = sub.add_parser("lemma-test", help="randomized check of the bracket identity")
     add_input_args(p)
@@ -252,7 +253,7 @@ def _cmd_multiplier(args) -> int:
 
 def _cmd_psi(args) -> int:
     L, name = _load_algebra(args)
-    image = psi_image_dim(L, args.i, mode=args.mode)
+    image = psi_image_dim(L, args.i)
     doc = {
         "format": REPORT_FORMAT,
         "command": "psi",
@@ -263,8 +264,7 @@ def _cmd_psi(args) -> int:
         "mode": image.mode,
         "tuples_examined": image.tuples_examined,
     }
-    kind = "exact" if image.exact else "lower bound"
-    _emit(args, f"dim im psi_{image.i} = {image.dim} ({kind}, {image.mode} mode)", doc)
+    _emit(args, f"dim im psi_{image.i} = {image.dim} (exact, exact mode)", doc)
     return EXIT_OK
 
 

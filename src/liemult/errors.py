@@ -132,4 +132,4 @@ class ResourceLimit(LieError):
 
 
 class TupleSpaceTooLarge(ResourceLimit):
-    """Exact image enumeration would exceed the tuple cap."""
+    """ψ image enumeration exceeded its bracket budget."""

@@ -17,17 +17,24 @@ The tensor-valued map replaces each outermost bracket [u_k, x_t] by
 Every inner word multiplies i arguments, so it always lies in γᵢ and the
 left projection is well defined.
 
-The image dimension is the rank of ψ over all (i+1)-tuples of m candidate
-vectors, but the m^(i+1) tuples are never walked one by one.  A zero word
-stays zero however it is extended (a left word at the end, a right word at
-the front), so the nonzero words of each length grow from the nonzero words
-one shorter, as trees keyed by integer codes.  Term k is nonzero only on
-tuples P + (o,) + S whose left word L(P), right word R(S), projected inner
-word π([R(S), L(P)]) and x̄_o are all nonzero; on any other tuple every term
-vanishes, so ψ is 0 there and the tuple cannot change the span.  The
-enumeration merges these per-term supports in lexicographic order, so its
-cost follows the number of nonzero words rather than m^(i+1), and the count
-of tuples examined (up to saturation) is what a full walk would report.
+ψ vanishes as soon as any argument lies in γ₂, whatever element of γ₂ it
+is: in the outer slot x̄ = 0 in L/γ₂, and in an inner slot the inner word
+has weight at least i+1, so it lies in γᵢ₊₁ and ū = 0.  ψ is multilinear,
+so ψ on the tuples of any complement T of γ₂ spans its image.  T is the d =
+dim L/γ₂ unit vectors at the free (non-pivot) columns of γ₂'s canonical
+rows, and the image dimension is exact.  The d^(i+1) tuples are never
+walked one by one.  A zero word stays zero however it is extended (a left
+word at the end, a right word at the front), so the nonzero words of each
+length grow from the nonzero words one shorter, as trees keyed by integer
+codes.  Term k is nonzero only on tuples P + (o,) + S whose left word
+L(P), right word R(S) and projected inner word π([R(S), L(P)]) are all
+nonzero (x̄_o never is zero); on any other tuple every term vanishes, so ψ
+is 0 there and the tuple cannot change the span.  The enumeration merges these per-term
+supports in lexicographic order, so its cost follows the number of nonzero
+words rather than d^(i+1), and the count of tuples examined (up to
+saturation) is what a full walk would report.  Each bracket it evaluates
+is charged the product of its operands' support sizes, and past
+``PSI_BRACKET_BUDGET`` the enumeration raises ``TupleSpaceTooLarge``.
 """
 
 from __future__ import annotations
@@ -51,7 +58,8 @@ from .errors import (
 )
 from .linalg import RowSpan, integer_row
 
-TUPLE_ENUMERATION_CAP = 10**6
+# Bracket steps (|x|·|y| per evaluated bracket) one ψ degree may spend.
+PSI_BRACKET_BUDGET = 2 * 10**5
 
 
 def normed_bracket(L: LieAlgebra, xs, orientation: str = "left") -> list:
@@ -186,8 +194,10 @@ def psi(L: LieAlgebra, i: int, xs) -> TensorElement:
 
 @dataclass(frozen=True)
 class PsiImage:
-    """Image dimension of a tensor map; ``exact`` is False when the value is
-    only a certified lower bound (restricted tuple family, no saturation)."""
+    """Image dimension of a tensor map.  The dimension is always exact:
+    ``exact`` is always True and ``mode`` always "exact"; both stay because
+    the machine report prints them.  ``tuples_examined`` counts the tuples of
+    the free-column candidates up to saturation."""
 
     i: int
     dim: int
@@ -196,7 +206,7 @@ class PsiImage:
     tuples_examined: int
 
 
-def _left_words(L: LieAlgebra, cand: list[dict], length: int, memo: dict):
+def _left_words(bracket, cand: list[dict], length: int, memo: dict):
     """Yield the nonzero left-normed words of ``length`` candidates as
     ``(code, value)`` in increasing code; the empty word is ``(0, None)``.
 
@@ -211,16 +221,16 @@ def _left_words(L: LieAlgebra, cand: list[dict], length: int, memo: dict):
         yield from [(0, None)] if length == 0 else enumerate(cand)
         return
     m = len(cand)
-    for code, v in _left_words(L, cand, length - 1, memo):
+    for code, v in _left_words(bracket, cand, length - 1, memo):
         ext = memo.get((length, code))
         if ext is None:
             ext = memo[length, code] = [
-                (code * m + a, w) for a, c in enumerate(cand) if (w := L.bracket_sparse(v, c))
+                (code * m + a, w) for a, c in enumerate(cand) if (w := bracket(v, c))
             ]
         yield from ext
 
 
-def _right_words(L: LieAlgebra, cand: list[dict], shorter: list, length: int):
+def _right_words(bracket, cand: list[dict], shorter: list, length: int):
     """Yield the nonzero right-normed words of ``length`` candidates as
     ``(code, value)`` in increasing code, from ``shorter``, the complete list
     of those one candidate shorter.  A right word grows at the front,
@@ -228,54 +238,70 @@ def _right_words(L: LieAlgebra, cand: list[dict], shorter: list, length: int):
     step = len(cand) ** (length - 1)
     for a, c in enumerate(cand):
         for code, v in shorter:
-            w = L.bracket_sparse(c, v)
+            w = bracket(c, v)
             if w:
                 yield a * step + code, w
 
 
-def _term_support(ev: PsiEvaluator, k: int, lefts, rights: list, outers: list, m: int):
+def _term_support(ev: PsiEvaluator, bracket, k: int, lefts, rights: list, m: int):
     """The tuples P + (o,) + S on which schedule term k is nonzero, in
-    increasing tuple code, as ``(code, k, inner coords, outer coords)``; k
-    breaks ties between streams, so the coordinates are never compared.
+    increasing tuple code, as ``(code, k, inner coords, o)``; k breaks ties
+    between streams, so the coordinates are never compared.
 
     ``lefts`` and ``rights`` yield the nonzero left words of |P| and right
     words of |S| candidates.  The term is the tensor of π([R(S), L(P)]) (an
-    empty word leaves the other factor alone) with x̄_o, so it is nonzero
-    exactly when both factors are; ``outers`` holds the candidates with
-    x̄_o ≠ 0.  The inner coordinates for one P are computed as the stream
-    reads them, once for all o.
+    empty word leaves the other factor alone) with x̄_o, which is the o-th
+    basis vector of L/γ₂ for the o-th free-column candidate, so it is
+    nonzero exactly when π([R(S), L(P)]) is.  The inner coordinates for one
+    P are computed as the stream reads them, once for all o.
     """
     scale = m ** (k - 1)
     for pc, lw in lefts:
-        inner = _inner_coords(ev, lw, rights)
-        for (o, rc), pairs in zip(outers, itertools.tee(inner, len(outers))):
+        inner = _inner_coords(ev, bracket, lw, rights)
+        for o, pairs in enumerate(itertools.tee(inner, m)):
             base = (pc * m + o) * scale
             for sc, lc in pairs:
-                yield base + sc, k, lc, rc
+                yield base + sc, k, lc, o
 
 
-def _inner_coords(ev: PsiEvaluator, lw, rights):
+def _inner_coords(ev: PsiEvaluator, bracket, lw, rights):
     """Yield ``(code of S, π([R(S), L(P)]))`` for L(P) = lw over the right
     words R(S) of ``rights``, skipping zeros; π's nonzero coordinates are
     listed as (offset of their row in the flat tensor, value)."""
-    L = ev.L
     rd = ev.right_map.dim
     for sc, rw in rights:
-        w = lw if rw is None else rw if lw is None else L.bracket_sparse(rw, lw)
+        w = lw if rw is None else rw if lw is None else bracket(rw, lw)
         if w:
             lc = [(a * rd, x) for a, x in enumerate(ev.left_map.coords(w)) if x]
             if lc:
                 yield sc, lc
 
 
-def _span_over_tuples(ev: PsiEvaluator, candidates, field) -> tuple[int, int, bool]:
-    """(rank, tuples examined, saturated) of the span of ψ over
-    candidate^(i+1), visiting only tuples on which some term can be nonzero.
+def _budgeted_bracket(L: LieAlgebra, i: int):
+    """``L.bracket_sparse`` charged |x|·|y|, its loop count, per call; past
+    ``PSI_BRACKET_BUDGET`` in total it raises ``TupleSpaceTooLarge``."""
+    spent = 0
+
+    def bracket(x: dict, y: dict) -> dict:
+        nonlocal spent
+        spent += len(x) * len(y)
+        if spent > PSI_BRACKET_BUDGET:
+            raise TupleSpaceTooLarge(f"psi enumeration at degree {i} exceeds the "
+                                     f"budget of {PSI_BRACKET_BUDGET} bracket steps")
+        return L.bracket_sparse(x, y)
+
+    return bracket
+
+
+def _span_over_tuples(ev: PsiEvaluator, free: list[int]) -> tuple[int, int]:
+    """(rank, tuples examined) of the span of ψ over cand^(i+1), for cand the
+    unit vectors at the ``free`` columns of γ₂, visiting only tuples on
+    which some term can be nonzero.
 
     Term k evaluates on P + (o,) + S with |P| = i+1-k and |S| = k-1, and is
-    nonzero only if L(P) ≠ 0, R(S) ≠ 0, π([R(S), L(P)]) ≠ 0 and x̄_o ≠ 0.
-    On every other tuple all i+1 terms vanish, so ψ = 0 there and skipping
-    it cannot change the span.  Each term's support streams in increasing
+    nonzero only if L(P) ≠ 0, R(S) ≠ 0 and π([R(S), L(P)]) ≠ 0.  On every
+    other tuple all i+1 terms vanish, so ψ = 0 there and skipping it cannot
+    change the span.  Each term's support streams in increasing
     tuple code (the tuple's lexicographic index); merging the i+1 streams and
     summing the terms of equal codes evaluates ψ on their union in
     lexicographic order, without building the product.  ``tuples examined``
@@ -286,24 +312,19 @@ def _span_over_tuples(ev: PsiEvaluator, candidates, field) -> tuple[int, int, bo
     walk of the prefix tree, and right words of all i candidates (read only
     by the term with an empty left word) by first candidate.  Right words of
     fewer candidates are listed in full, since every nonzero P pairs with
-    each of them.
+    each of them.  Every bracket goes through ``_budgeted_bracket``.
     """
-    i, m = ev.i, len(candidates)
-    L = ev.L
-    cand = [{j: x for j, x in enumerate(c) if x} for c in candidates]
+    i, m, field = ev.i, len(free), ev.L.field
+    bracket = _budgeted_bracket(ev.L, i)
+    cand = [{j: field.one} for j in free]
     rights = [[(0, None)], list(enumerate(cand))]
     for length in range(2, i):
-        rights.append(list(_right_words(L, cand, rights[-1], length)))
-    outers = []
-    for o, c in enumerate(candidates):
-        rc = [(b, x) for b, x in enumerate(ev.right_map.coords(list(c))) if x]
-        if rc:
-            outers.append((o, rc))
+        rights.append(list(_right_words(bracket, cand, rights[-1], length)))
     memo: dict = {}
     streams = [
-        _term_support(ev, k, _left_words(L, cand, i + 1 - k, memo),
-                      rights[k - 1] if k <= i else _right_words(L, cand, rights[i - 1], i),
-                      outers, m)
+        _term_support(ev, bracket, k, _left_words(bracket, cand, i + 1 - k, memo),
+                      rights[k - 1] if k <= i else _right_words(bracket, cand, rights[i - 1], i),
+                      m)
         for k in range(1, i + 2)
     ]
     codim = ev.codomain_dim
@@ -311,76 +332,48 @@ def _span_over_tuples(ev: PsiEvaluator, candidates, field) -> tuple[int, int, bo
     span = RowSpan(field, codim)
     for code, terms in itertools.groupby(heapq.merge(*streams), key=itemgetter(0)):
         coords = [zero] * codim
-        for _, _, lc, rc in terms:
+        for _, _, lc, o in terms:
             for off, la in lc:
-                for b, rb in rc:
-                    coords[off + b] += la * rb
+                coords[off + o] += la
         if any(coords):
             span.add(coords)
             if span.dim == codim:
-                return span.dim, code + 1, True
-    return span.dim, m ** (i + 1), False
+                return span.dim, code + 1
+    return span.dim, m ** (i + 1)
 
 
 def psi_image_dim(L: LieAlgebra, i: int, mode: str = "exact") -> PsiImage:
-    """Dimension of the image span of the degree-i tensor map.
+    """Exact dimension of the image span of the degree-i tensor map.
 
-    exact mode enumerates basis-vector tuples (by multilinearity this spans
-    the image).  Tuples containing a basis vector inside γ₂ are skipped: any
-    γ₂ entry either lands in the killed right factor or pushes the inner
-    word into γᵢ₊₁, so those tuples contribute zero.  Enumeration beyond the
-    cap raises; callers that can live with a certified lower bound should use
-    ``psi_image_dims``.
-
-    generators mode enumerates tuples from the maximal-class generator pair
-    only, returning a lower bound unless the span saturates the codomain.
+    ψ vanishes on tuples with an argument in γ₂, so ψ over the tuples of the
+    unit vectors at γ₂'s free columns spans the image.  They are taken in
+    ``L._adapted`` when construction rewrote L in its generator-chain basis,
+    as ``multiplier_dim`` does, and in L otherwise; the dimension does not
+    depend on the basis.  ``mode`` accepts only "exact".  Past
+    ``PSI_BRACKET_BUDGET`` the enumeration raises ``TupleSpaceTooLarge``.
     """
+    if mode != "exact":
+        raise IndexOutOfRange(f"mode must be 'exact', got {mode!r}")
+    L = L._adapted or L
     series = L.lower_central_series()
     if not series.nilpotent:
         raise NonNilpotent("image enumeration requires a nilpotent algebra")
-    c = series.nilpotency_class
     if i < 2:
         raise IndexOutOfRange(f"degree i={i} must be at least 2")
-    if i > c:
+    if i > series.nilpotency_class:
         # Degenerate codomain: gamma_i is 0 past the class.
         return PsiImage(i, 0, True, mode, 0)
-    ev = PsiEvaluator(L, i)
-    if ev.codomain_dim == 0:
-        return PsiImage(i, 0, True, mode, 0)
-    if mode == "exact":
-        gamma2 = series.gamma(2)
-        candidates = [
-            L.basis_vector(j)
-            for j in range(L.n)
-            if not gamma2.contains_vector(L.basis_vector(j))
-        ]
-        if len(candidates) ** (i + 1) > TUPLE_ENUMERATION_CAP:
-            raise TupleSpaceTooLarge(
-                f"{len(candidates)}^{i + 1} tuples exceed the exact-mode cap "
-                f"({TUPLE_ENUMERATION_CAP}); use the generator-restricted mode"
-            )
-        dim, count, _ = _span_over_tuples(ev, candidates, L.field)
-        return PsiImage(i, dim, True, "exact", count)
-    if mode == "generators":
-        chain = generator_chain(L)
-        dim, count, saturated = _span_over_tuples(ev, (chain.s, chain.s1), L.field)
-        return PsiImage(i, dim, saturated, "generators", count)
-    raise IndexOutOfRange(f"mode must be 'exact' or 'generators', got {mode!r}")
+    pivots = series.gamma(2)._rows
+    dim, count = _span_over_tuples(PsiEvaluator(L, i), [j for j in range(L.n) if j not in pivots])
+    return PsiImage(i, dim, True, mode, count)
 
 
 def psi_image_dims(L: LieAlgebra) -> list[PsiImage]:
-    """Image dimensions for every degree 2..c, preferring exact mode and
-    falling back to the generator-restricted lower bound past the cap."""
+    """Exact image dimensions for every degree 2..c."""
     series = L.lower_central_series()
     if not series.nilpotent:
         raise NonNilpotent("image enumeration requires a nilpotent algebra")
-    out = []
-    for i in range(2, (series.nilpotency_class or 1) + 1):
-        try:
-            out.append(psi_image_dim(L, i, "exact"))
-        except TupleSpaceTooLarge:
-            out.append(psi_image_dim(L, i, "generators"))
-    return out
+    return [psi_image_dim(L, i) for i in range(2, series.nilpotency_class + 1)]
 
 
 @dataclass(frozen=True)

@@ -164,11 +164,6 @@ def test_psi_command(capsys):
     assert "= 1" in out
 
 
-def test_psi_generators_mode(capsys):
-    code, out, _ = run(capsys, ["psi", "--name", "filiform-6", "--i", "5", "--mode", "generators"])
-    assert code == EXIT_OK
-
-
 def test_lemma_test_command(capsys):
     code, out, _ = run(capsys, ["lemma-test", "--name", "L(7,5,1,7)", "--tuples", "25"])
     assert code == EXIT_OK
@@ -245,6 +240,17 @@ def test_verify_bound_tables_are_pinned(capsys):
     assert (code, out) == (EXIT_OK, VERIFY_BOUND_6_HUMAN)
     code, out, _ = run(capsys, ["verify-bound", "--name", "L(3,4,1,4)"])
     assert (code, out) == (EXIT_OK, VERIFY_BOUND_L3414_HUMAN)
+
+
+def test_verify_bound_pinching_is_exact_past_n20(capsys):
+    code, out, _ = run(capsys, ["verify-bound", "--family", "filiform", "--min-dim", "21",
+                                "--max-dim", "22", "--format", "machine"])
+    assert code == EXIT_OK
+    reports = json.loads(out)["reports"]
+    assert [r["n"] for r in reports] == [21, 22]
+    for r in reports:
+        assert r["pinching"]["all_exact"] is True
+        assert all(p["exact"] and p["mode"] == "exact" for p in r["pinching"]["per_degree"])
 
 
 def test_psi_machine_document_for_q6(tmp_path, capsys):

@@ -229,16 +229,16 @@ def test_psi_image_dims_n4_match_exhaustive_enumeration():
 GFP = PrimeField(2147483647)
 
 
-def _alternating(n, mode="exact", m=2):
+def _alternating(n):
     """(i, dim, exact, mode, tuples_examined) of every degree for a
     maximal-class algebra whose images alternate 0, 1 without saturating the
-    2-dimensional codomain, so all m^(i+1) tuples count as examined."""
-    return [(i, i % 2, mode == "exact", mode, m ** (i + 1)) for i in range(2, n)]
+    2-dimensional codomain, so all 2^(i+1) tuples of the two free-column
+    candidates count as examined."""
+    return [(i, i % 2, True, "exact", 2 ** (i + 1)) for i in range(2, n)]
 
 
-def _images(L, mode="exact"):
-    return [(p.i, p.dim, p.exact, p.mode, p.tuples_examined)
-            for p in (psi_image_dim(L, i, mode) for i in range(2, L.nilpotency_class() + 1))]
+def _images(L):
+    return [(p.i, p.dim, p.exact, p.mode, p.tuples_examined) for p in psi_image_dims(L)]
 
 
 def _basis_changed(L, seed):
@@ -254,10 +254,11 @@ PSI_PINS = (
     + [(f"m2-{n}", lambda n=n: filiform_m2(n), _alternating(n)) for n in range(5, 9)]
     + [("Q6", lambda: filiform_q(6), _alternating(5) + [(5, 2, True, "exact", 22)]),
        ("Q8", lambda: filiform_q(8), _alternating(7) + [(7, 2, True, "exact", 70)]),
-       # Every basis vector lies outside gamma_2 here, and the support of
-       # the terms is the whole product.
+       # Every basis vector lies outside gamma_2 here, but construction
+       # rewrites L in its generator-chain basis, where gamma_2 has two free
+       # columns, s and s1.
        ("basis-changed-filiform-5", lambda: _basis_changed(standard_filiform(5, field=GFP), 5),
-        _alternating(5, m=5))]
+        _alternating(5))]
 )
 
 
@@ -272,17 +273,59 @@ def test_psi_image_dim_matches_full_enumeration(build_algebra, expected):
             assert brute_psi_image_dim(L, i) == dim
 
 
-@pytest.mark.parametrize("seed", [None, 6], ids=["plain", "basis-changed"])
-def test_psi_generator_mode_matches_full_enumeration(seed):
-    L = standard_filiform(6)
-    if seed is not None:
-        L = _basis_changed(L, seed)
-    assert _images(L, "generators") == _alternating(6, "generators")
-
-
 def test_psi_exact_mode_through_n18():
-    dims = psi_image_dims(standard_filiform(18, field=GFP))
-    assert [(p.i, p.dim, p.exact, p.mode, p.tuples_examined) for p in dims] == _alternating(18)
+    assert _images(standard_filiform(18, field=GFP)) == _alternating(18)
+
+
+@pytest.mark.parametrize("n", [24, 64])
+def test_psi_is_exact_at_every_degree_of_large_filiform(n):
+    assert _images(standard_filiform(n, field=GFP)) == _alternating(n)
+
+
+SEEDED_CASES = [(standard_filiform, 5), (standard_filiform, 12), (filiform_m2, 5),
+                (filiform_m2, 10), (filiform_q, 6), (filiform_q, 10)]
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7), GFP], ids=["Q", "GF7", "GFp"])
+@pytest.mark.parametrize("family,n", SEEDED_CASES,
+                         ids=[f"{f.__name__}-{n}" for f, n in SEEDED_CASES])
+def test_psi_of_basis_changed_input_matches_catalog_basis(field, family, n):
+    base = family(n, field=field)
+    L = _basis_changed(base, n)
+    dims = [(p.i, p.dim, p.exact) for p in psi_image_dims(L)]
+    assert dims == [(p.i, p.dim, p.exact) for p in psi_image_dims(base)]
+    for i, dim, _ in dims:
+        if L.n ** (i + 1) <= 625:
+            assert brute_psi_image_dim(L, i) == dim
+
+
+def _filiform5_plus_line(basis=None):
+    """filiform-5 ⊕ line (x6 central) over GF(2^31 - 1), where the oracle is
+    fastest: not of maximal class, so it keeps its basis; d = dim L/γ₂ = 3
+    and the class is 4.  ``basis`` rows give the basis f_i = sum_j
+    basis[i][j] x_j."""
+    L = build(6, [(1, 2, 3, 1), (1, 3, 4, 1), (1, 4, 5, 1)], field=GFP)
+    return L if basis is None else L.change_basis(Matrix(GFP, basis))
+
+
+# f1 = x1, f2 = x1 + x3, f3 = x2, f4..f6 = x4..x6: the first two basis vectors
+# outside γ₂ are dependent modulo γ₂, so they are no complement of it.
+DEPENDENT_PAIR = [[1, 0, 0, 0, 0, 0], [1, 0, 1, 0, 0, 0], [0, 1, 0, 0, 0, 0],
+                  [0, 0, 0, 1, 0, 0], [0, 0, 0, 0, 1, 0], [0, 0, 0, 0, 0, 1]]
+
+
+@pytest.mark.parametrize("basis", [None, DEPENDENT_PAIR], ids=["catalog", "dependent-pair"])
+def test_psi_of_non_maximal_class_input_with_three_generators(basis):
+    L = _filiform5_plus_line(basis)
+    assert L._adapted is None and L.nilpotency_class() == 4
+    gamma2 = L.derived_subalgebra()
+    assert L.n - gamma2.dim == 3
+    if basis is not None:
+        f1, f2 = L.basis_vector(0), L.basis_vector(1)
+        assert not gamma2.contains_vector(f1) and not gamma2.contains_vector(f2)
+        assert gamma2.contains_vector([b - a for a, b in zip(f1, f2)])
+    dims = [p.dim for p in psi_image_dims(L)]
+    assert dims == [brute_psi_image_dim(L, i) for i in (2, 3, 4)] == [1, 2, 1]
 
 
 def test_psi_image_dim_abelian_is_zero_any_degree():
@@ -292,36 +335,25 @@ def test_psi_image_dim_abelian_is_zero_any_degree():
         assert img.dim == 0 and img.exact
 
 
-def test_psi_image_generator_mode_matches_exact_for_maximal_class():
-    for n in (4, 5, 6):
-        L = standard_filiform(n)
-        for i in range(2, L.nilpotency_class() + 1):
-            exact = psi_image_dim(L, i, "exact")
-            gen = psi_image_dim(L, i, "generators")
-            assert gen.dim == exact.dim
+def test_psi_image_dim_rejects_unknown_mode():
+    # Checked before the early return past the class (abelian(3) has class 1).
+    for L, i in ((standard_filiform(6), 99), (abelian(3), 2), (standard_filiform(6), 3)):
+        with pytest.raises(IndexOutOfRange):
+            psi_image_dim(L, i, "bogus")
 
 
-def test_psi_image_generator_mode_needs_maximal_class():
-    # Heisenberg plus a central line: nilpotent of class 2, not maximal class,
-    # and i=2 is inside [2, c] so the degenerate-codomain path does not fire.
-    L = build(4, [(1, 2, 3, 1)])
-    with pytest.raises(NotMaximalClass):
-        psi_image_dim(L, 2, "generators")
-    # Degenerate degrees past the class return 0 without needing generators.
-    assert psi_image_dim(abelian(4), 2, "generators").dim == 0
-
-
-def test_psi_image_cap_guard(monkeypatch):
+def test_psi_image_cap_guard(monkeypatch, capsys):
     import liemult.words as words
+    from liemult.cli import EXIT_RESOURCE, main
 
-    monkeypatch.setattr(words, "TUPLE_ENUMERATION_CAP", 10)
+    monkeypatch.setattr(words, "PSI_BRACKET_BUDGET", 10)
     with pytest.raises(TupleSpaceTooLarge):
-        psi_image_dim(standard_filiform(5), 3, "exact")
-    # The batch helper falls back to the generator-restricted route where the
-    # cap bites (2^(i+1) candidate tuples exceed 10 from i=3 on).
-    dims = psi_image_dims(standard_filiform(5))
-    assert [p.dim for p in dims] == [0, 1, 0]
-    assert [p.mode for p in dims] == ["exact", "generators", "generators"]
+        psi_image_dim(standard_filiform(5), 3)
+    # No fallback: the batch helper refuses too.
+    with pytest.raises(TupleSpaceTooLarge):
+        psi_image_dims(standard_filiform(5))
+    assert main(["psi", "--name", "filiform-5", "--i", "3"]) == EXIT_RESOURCE
+    assert capsys.readouterr().err.startswith("resource guard:")
 
 
 def test_pinching_inequality_small_filiform():
