@@ -18,14 +18,19 @@ Construction also searches the ad table once for a generator chain
 (s, s₁, s₂, …, s_c), sₖ₊₁ = [sₖ, s] (``_chain_rewrite``).  When one is found
 in a basis that is not already adapted to the lower central series, the
 algebra keeps A, itself rewritten in the chain basis P, whose table is
-nearly a shift.  The Jacobi identity is validated eagerly at construction,
-so everything downstream may assume it: on A when there is a rewrite (it
-holds on A exactly when it holds on L) and on L's own table otherwise, and
-a violation is always reported from L's own table.  The lower central series
-is A's series mapped back through P when there is a rewrite, and is computed
-on L's table otherwise.  Instances are immutable after construction
-(internal caches only memoize pure results) and safe to share between
-workers.
+nearly a shift.  The search reads γ₂ as the span of the table rows taken
+only until it reaches dim n - 2; the other rows stay pending.  They are
+never added when A has class n - 1 with coordinate series terms, which
+proves dim γ₂ = n - 2; otherwise construction adds them
+(``_finish_derived``) and drops a rewrite made on a γ₂ that turns out
+larger.  Every reader of the full γ₂ adds them first.  The Jacobi identity
+is validated eagerly at construction, so everything downstream may assume
+it: on A when there is a rewrite (it holds on A exactly when it holds on L)
+and on L's own table otherwise, and a violation is always reported from L's
+own table.  The lower central series is A's series mapped back through P
+when there is a rewrite, and is computed on L's table otherwise.  Instances
+are immutable after construction (internal caches, the pending γ₂ rows
+among them, only memoize pure results) and safe to share between workers.
 """
 
 from __future__ import annotations
@@ -195,14 +200,20 @@ class LieAlgebra:
     def __init__(self, n: int, table, field=QQ, labels=None, validate: bool = True):
         self._setup(n, table, field, labels)
         self._rewrite = self._chain_rewrite()
-        if validate:
-            self._validate()
         if self._rewrite is not None:
             series = self._rewrite[1].lower_central_series()
             if series.nilpotency_class == n - 1 and all(
                 len(row) == 1 for term in series.terms for row in term._rows.values()
             ):
+                # dim γ₂(A) = n - 2, and γ₂(A) is the image of γ₂(L) under P
+                # (Jacobi or not), so the partial span is already all of γ₂.
                 self._adapted = self._rewrite[1]
+        if self._adapted is None:
+            self._finish_derived()
+            if self._derived.dim > n - 2:
+                self._rewrite = None
+        if validate:
+            self._validate()
 
     def _setup(self, n: int, table, field, labels):
         if n < 0:
@@ -224,10 +235,16 @@ class LieAlgebra:
                 clean[(i, j)] = entry
         self._table = clean
         self._ad, self._scale = self._integer_ad_table()
-        # γ₂ = [L, L] is the span of the table rows, one row per key.
+        # γ₂ = [L, L] is the span of the table rows, one row per key.  Rows
+        # are added only until the span reaches dim n - 2, the most that the
+        # chain search asks of it; the rest wait in ``_pending``.
         self._derived = RowSpan(field, n)
-        for (i, j) in clean:
+        keys, taken = list(clean), 0
+        while taken < len(keys) and self._derived.dim < n - 2:
+            i, j = keys[taken]
             self._derived.add_integers(self._ad[i][j])
+            taken += 1
+        self._pending = keys[taken:]
         if labels is None:
             labels = tuple(f"x{i + 1}" for i in range(n))
         else:
@@ -437,10 +454,18 @@ class LieAlgebra:
             self._series = self._series_via_chain() if self._rewrite else self._own_series()
         return self._series
 
+    def _finish_derived(self):
+        """Add the table rows that ``_setup`` left pending, so that
+        ``_derived`` spans all of γ₂."""
+        for i, j in self._pending:
+            self._derived.add_integers(self._ad[i][j])
+        self._pending = []
+
     def _own_series(self) -> SeriesChain:
         # γ₂ is the span of the table rows; each later term brackets γᵢ
         # against every basis vector (brackets against representatives of
         # L/γ₂ alone would only suffice once L is known to be nilpotent).
+        self._finish_derived()
         full = Subspace.full_space(self.field, self.n)
         terms = [full]
         nilpotent = True
@@ -644,8 +669,18 @@ class LieAlgebra:
         """(P, A): the rows of P are a generator chain (s, s₁, s₂, …, s_c) of
         L as integer rows, and A is L in that basis; None without a rewrite.
 
-        The search needs dim γ₂ = n - 2.  With a < b the two free (non-pivot)
-        columns of γ₂, e_a and e_b are independent modulo γ₂, and s runs over
+        The search needs dim γ₂ = n - 2.  It reads ``_derived`` as ``_setup``
+        left it, the span of the first table rows stopped at dim n - 2.
+        Whenever dim γ₂ = n - 2 that partial span is all of γ₂, so a, b, the
+        chain and A are those of the full span, and the remaining rows are
+        never needed when A turns out to have class n - 1 in coordinate form
+        (dim γ₂(A) = dim γ₂(L), since γ₂(A) is the image of γ₂(L) under P).
+        When dim γ₂ > n - 2 the partial span can still reach n - 2 and a
+        rewrite be made here; ``__init__`` then finishes the span and drops
+        it.
+
+        With a < b the two free (non-pivot) columns of γ₂, e_a and e_b are
+        independent modulo γ₂, and s runs over
         e_a (s₁ = e_b), e_b (s₁ = e_a), then e_a + t e_b (s₁ = e_b) for
         t = 1, …, n - 2 (and t < p over GF(p)): n = c + 1 distinct
         directions of L/γ₂.  The first s whose n - 2 tail vectors sₖ₊₁ =

@@ -324,8 +324,7 @@ def _bound_row(doc: dict) -> list:
 
 
 def _bound_report_for(spec) -> dict:
-    family, n, field_spec, allow2, with_ideals = spec
-    field = parse_field_spec(field_spec, allow_char_two=allow2)
+    family, n, field, with_ideals = spec
     L = _family_algebra(family, n, field)
     doc = bounds.bound_report(L, algebra_id=f"{family}-{n}").to_dict()
     if with_ideals:
@@ -337,9 +336,9 @@ def _bound_report_for(spec) -> dict:
 
 
 def _sweep_reports(args, field, with_ideals: bool = False) -> list[dict]:
-    specs = [
-        (args.family, n, str(field), args.unsafe_char_2, with_ideals) for n in _family_dims(args)
-    ]
+    # The field object itself goes to each task (it pickles), so its
+    # modulus is checked once per sweep, not once per dimension.
+    specs = [(args.family, n, field, with_ideals) for n in _family_dims(args)]
     workers = min(args.jobs, len(specs), os.cpu_count() or 1)
     if workers > 1:
         # Imported here: the process pool costs every other command memory.

@@ -6,6 +6,10 @@ holding a residue in [0, p).  Both kinds support +, -, *, /, unary - and
 truthiness, so all linear algebra and bracket code downstream is field
 agnostic.
 
+``PrimeField`` proves its modulus prime with the strong (Miller-Rabin) test
+to the first 13 primes, which is exact below ψ₁₃ (``_is_prime``); an
+undecided modulus past that bound raises ``ResourceLimit``.
+
 Characteristic 2 is deliberately locked: ``PrimeField(2)`` requires the
 ``allow_char_two`` override, and the theorem-verification entry points reject
 such fields outright.
@@ -16,23 +20,49 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .errors import BadScalarLiteral, FieldMismatch, FieldSpecError
+from .errors import BadScalarLiteral, FieldMismatch, FieldSpecError, ResourceLimit
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
 _INTEGER_RE = re.compile(r"^[+-]?\d+$")
 _FIELD_SPEC_RE = re.compile(r"^GF\((\d+)\)$")
 
 
+# The first 13 primes, and ψ₁₃: the least odd composite that is a strong
+# pseudoprime to all of them (Sorenson and Webster, "Strong pseudoprimes to
+# twelve prime bases", Math. Comp. 86 (2017)).  A base that fails the strong
+# test proves p composite at any size; all 13 passing proves p prime only for
+# p < ψ₁₃.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def _is_prime(p: int) -> bool:
+    """Exact primality: division by each base, then the strong test
+    (Miller-Rabin) to every base.  A p >= ``_MR_BOUND`` that passes every base
+    is undecided and refused with ``ResourceLimit``."""
     if p < 2:
         return False
-    if p % 2 == 0:
-        return p == 2
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
+    for q in _MR_BASES:
+        if p % q == 0:
+            return p == q
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 2
+    if p >= _MR_BOUND:
+        raise ResourceLimit(
+            f"primality of modulus {p} is not decided: the strong test to the "
+            f"first 13 prime bases proves primality only below {_MR_BOUND}"
+        )
     return True
 
 

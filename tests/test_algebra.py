@@ -1,4 +1,5 @@
 import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from helpers import (
     random_unimodular,
     series_oracle,
 )
+from liemult import algfile, cli
 from liemult.algebra import LieAlgebra, QuotientMap, Subspace, build
 from liemult.catalog import abelian, filiform_m2, filiform_q, heisenberg, standard_filiform
 from liemult.errors import (
@@ -787,3 +789,67 @@ def test_change_basis_singular_over_gf7_only_matches_its_pin(family):
     gf7 = PrimeField(7)
     with pytest.raises(SingularMatrix):
         build_(10, field=gf7).change_basis(_det7_matrix(gf7, 10))
+
+
+# -- the γ₂ span that construction stops at n - 2 ------------------------------
+
+
+def _cyclic_shift_algebra(field, n=6, seed=1) -> LieAlgebra:
+    """e1 acting on the abelian ideal span(e2, …, en) by the cyclic shift
+    e2 -> e3 -> … -> en -> e2, after a seeded basis change.  The shift is
+    invertible, so γ₂ is that ideal, of dim n - 1, and L is not nilpotent."""
+    cyclic = build(n, [(1, j, j + 1, 1) for j in range(2, n)] + [(1, n, 2, 1)], field=field)
+    return cyclic.change_basis(random_unimodular(random.Random(seed), n, field))
+
+
+CYCLIC_SHIFT_OUTPUT = {
+    "check": "ok: {path}: dim 6 over {field}, not nilpotent\n",
+    "series": "6 5  (stabilized: not nilpotent)\n",
+}
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2147483647)], ids=["Q", "GFp"])
+def test_rewrite_made_on_the_partial_span_is_dropped(field, tmp_path, capsys):
+    L = _cyclic_shift_algebra(field)
+    n = L.n
+    # The first n - 2 table rows are independent, so the span stops there,
+    # and the chain search on that partial span finds a rewrite ...
+    probe = LieAlgebra.__new__(LieAlgebra)
+    probe._setup(n, L._table, field, None)
+    assert probe._derived.dim == n - 2
+    assert len(probe._pending) == len(L._table) - (n - 2)
+    assert probe._chain_rewrite() is not None
+    # ... which construction drops once the later rows lift dim γ₂ to n - 1.
+    assert L._rewrite is None and L._adapted is None and not L._pending
+    oracle, nilpotent = series_oracle(L)
+    assert not nilpotent
+    # The series finishes a partial span before it reads γ₂.
+    for algebra in (L, probe):
+        series = algebra.lower_central_series()
+        assert not series.nilpotent
+        assert [t.basis.rows() for t in series.terms] == oracle
+    path = tmp_path / "cyclic.alg"
+    path.write_text(algfile.serialize_algebra(L))
+    for command, expected in CYCLIC_SHIFT_OUTPUT.items():
+        assert cli.main([command, "--file", str(path)]) == 0
+        assert capsys.readouterr().out == expected.format(path=path, field=field)
+        assert cli.main([command, "--file", str(path), "--format", "machine"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc["nilpotent"], doc["class"]) == (False, None)
+        assert doc["series_dims" if command == "check" else "dims"] == [6, 5]
+        if command == "check":
+            assert doc["brackets"] == 90
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2147483647)], ids=["Q", "GFp"])
+def test_dense_filiform_13_leaves_gamma2_rows_pending(field):
+    L = standard_filiform(13, field=field).change_basis(
+        random_unimodular(random.Random(13), 13, field))
+    # Construction proved dim γ₂ = 11 from the rewrite and never added the
+    # remaining table rows.
+    assert L._adapted is not None
+    assert L._derived.dim == 11 and L._pending
+    oracle, nilpotent = series_oracle(L)
+    series = L.lower_central_series()
+    assert nilpotent and series.nilpotent
+    assert [t.basis.rows() for t in series.terms] == oracle

@@ -290,6 +290,29 @@ def test_resource_guard_exits_3(tmp_path, capsys):
     assert "guard" in err
 
 
+def test_large_prime_field_answers_at_once(capsys):
+    # p = 2^61 - 1 is proven prime without dividing up to its square root.
+    code, out, _ = run(capsys, ["multiplier", "--name", "filiform-7",
+                                "--field", "GF(2305843009213693951)"])
+    assert code == EXIT_OK
+    assert out.strip() == "4"
+
+
+@pytest.mark.parametrize("spec", ["--field", "--file"])
+def test_modulus_past_the_proven_primality_bound_exits_3(tmp_path, capsys, spec):
+    # ψ₁₃ passes the strong test to all 13 bases, yet is composite.
+    field = "GF(3317044064679887385961981)"
+    if spec == "--field":
+        argv = ["multiplier", "--name", "filiform-7", "--field", field]
+    else:
+        path = tmp_path / "psi13.alg"
+        path.write_text(f"lie-algebra v1\nfield {field}\ndim 3\nbracket 1 2 3 1\n")
+        argv = ["check", "--file", str(path)]
+    code, out, err = run(capsys, argv)
+    assert code == EXIT_RESOURCE
+    assert out == "" and err.startswith("resource guard:")
+
+
 def test_fabricated_violation_drives_exit_2():
     # The exit-code contract is tested against a forged report: a fake
     # multiplier dimension larger than the quadratic bound.
@@ -321,6 +344,19 @@ def test_family_sweep_with_jobs(capsys):
                                 "--max-dim", "6", "--jobs", "2"])
     assert code == EXIT_OK
     assert "filiform-6" in out
+
+
+def test_report_over_gf7_is_the_same_with_one_or_two_jobs(monkeypatch, capsys):
+    # Two CPUs as seen by the sweep, so --jobs 2 sends the field to workers.
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    outputs = []
+    for jobs in ("1", "2"):
+        code, out, _ = run(capsys, ["report", "--field", "GF(7)", "--max-dim", "7",
+                                    "--format", "machine", "--jobs", jobs])
+        assert code == EXIT_OK
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0])["field"] == "GF(7)"
 
 
 @pytest.mark.parametrize("jobs,max_dim,cpus,workers", [

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from liemult.errors import BadScalarLiteral, FieldMismatch, FieldSpecError
-from liemult.fields import QQ, PrimeField, PrimeFieldElement, parse_field_spec
+from liemult.errors import BadScalarLiteral, FieldMismatch, FieldSpecError, ResourceLimit
+from liemult.fields import QQ, PrimeField, PrimeFieldElement, _is_prime, parse_field_spec
 
 
 def test_rational_parse_lowest_terms():
@@ -113,3 +113,37 @@ def test_field_equality():
     assert PrimeField(7) == PrimeField(7)
     assert PrimeField(7) != PrimeField(11)
     assert QQ != PrimeField(7)
+
+
+# ψ₁₂ and ψ₁₃: the least strong pseudoprimes to the first 12 and 13 primes.
+PSI_12 = 318665857834031151167461
+PSI_13 = 3317044064679887385961981
+
+
+def test_is_prime_matches_a_sieve_below_2e5():
+    limit = 200_000
+    sieve = bytearray([1]) * limit
+    sieve[0] = sieve[1] = 0
+    for d in range(2, int(limit**0.5) + 1):
+        if sieve[d]:
+            sieve[d * d::d] = bytes(len(range(d * d, limit, d)))
+    assert [n for n in range(limit) if _is_prime(n)] == [n for n in range(limit) if sieve[n]]
+
+
+@pytest.mark.parametrize("n", [561, 41041, 3215031751, 3825123056546413051, PSI_12])
+def test_carmichael_numbers_and_strong_pseudoprimes_are_rejected(n):
+    assert not _is_prime(n)
+    with pytest.raises(FieldSpecError):
+        PrimeField(n)
+
+
+def test_mersenne_61_is_accepted():
+    assert PrimeField(2**61 - 1).characteristic == 2**61 - 1
+
+
+def test_modulus_past_the_proven_bound_is_a_resource_limit():
+    with pytest.raises(ResourceLimit):
+        parse_field_spec(f"GF({PSI_13})")
+    # A base that fails still proves a large modulus composite.
+    with pytest.raises(FieldSpecError):
+        PrimeField(PSI_13 * 43)
