@@ -6,13 +6,14 @@ sits a private integer ad table, tab[a][j] = [e_a, e_j] as sparse ``{k: int}``
 rows for every a != j: residues over GF(p), and over Q the structure constants
 times the lcm D of their denominators.  Scaling by D changes no span and no
 zero test, so the lower central series, ``product_subspace``, the Jacobi
-check and the ideal check of ``quotient`` run on raw ints and feed
-``RowSpan`` directly, and ``change_basis`` and the chain rewrite share one
-integer basis-change kernel (``_table_in_basis``) with the integer inverse
-``inverse_rows``.  A ``Subspace`` is the canonical integer rows of a
+check, the ideal check of ``quotient`` and ψ's words run on raw ints and
+feed ``RowSpan`` directly, and ``change_basis`` and the chain rewrite share
+one integer basis-change kernel (``_table_in_basis``) with the integer
+inverse ``inverse_rows``.  A ``Subspace`` is the canonical integer rows of a
 ``RowSpan``; membership, sums, equality, ``Subspace.reduce`` (the one exact
-reduction, behind ``quotient`` and ``QuotientMap``) run on those rows, and
-the dense basis is built only when asked for.
+reduction, behind ``quotient``, ``QuotientMap`` and, by its integer core,
+ψ's projection) run on those rows, and the dense basis is built only when
+asked for.
 
 Construction also searches the ad table once for a generator chain
 (s, s₁, s₂, …, s_c), sₖ₊₁ = [sₖ, s] (``_chain_rewrite``).  When one is found
@@ -111,16 +112,25 @@ class Subspace:
         the other pivots."""
         iv, scale = integer_row(self.field, v, self.ambient)
         rows, p = self._rows, self.field.characteristic
-        hits = [c for c in iv if c in rows]
-        d = lcm(*(rows[c][c] for c in hits))  # 1 over GF(p), where every lead is 1
-        w = {j: d * x for j, x in iv.items()} if d > 1 else dict(iv)
-        for c in hits:
-            b = iv[c] * (d // rows[c][c])
-            for j, x in rows[c].items():
-                w[j] = w.get(j, 0) - b * x
+        d = lcm(*(rows[c][c] for c in iv if c in rows))  # 1 over GF(p), where every lead is 1
+        w = self._reduce_integers(iv, d)
         element = self.field.element
         unit = self.field.one / element(scale * d)
         return {j: element(x) * unit for j, x in w.items() if (x % p if p else x)}
+
+    def _reduce_integers(self, v: dict[int, int], d: int) -> dict[int, int]:
+        """d·v modulo the subspace, for an integer row v and d a multiple of
+        the lead of every row at a pivot of v: d·v minus (d·v_c / lead_c)
+        row_c over those pivots c.  Entries are not reduced mod p."""
+        rows = self._rows
+        w = {j: d * x for j, x in v.items()} if d > 1 else dict(v)
+        for c, x in v.items():
+            row = rows.get(c)
+            if row is not None:
+                b = x * (d // row[c])
+                for j, y in row.items():
+                    w[j] = w.get(j, 0) - b * y
+        return w
 
     def contains_vector(self, v) -> bool:
         return self._span.contains_integers(integer_row(self.field, v, self.ambient)[0])
@@ -297,26 +307,6 @@ class LieAlgebra:
                 for k, c in comps.items():
                     out[k] = out[k] + coeff * c
         return out
-
-    def bracket_sparse(self, x: dict[int, object], y: dict[int, object]) -> dict[int, object]:
-        """Bracket on sparse {index: coeff} vectors; cheap for short words."""
-        out: dict[int, object] = {}
-        for a, ca in x.items():
-            for b, cb in y.items():
-                if a < b:
-                    comps = self._table.get((a, b))
-                    sign = ca * cb
-                elif a > b:
-                    comps = self._table.get((b, a))
-                    sign = -(ca * cb)
-                else:
-                    continue
-                if comps:
-                    for k, c in comps.items():
-                        v = out.get(k)
-                        term = sign * c
-                        out[k] = term if v is None else v + term
-        return {k: v for k, v in out.items() if v}
 
     def jacobi_defect(self, x, y, z) -> list:
         a = self.bracket(self.bracket(x, y), z)

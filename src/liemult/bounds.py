@@ -123,7 +123,7 @@ class BoundReport:
         return doc
 
 
-def bound_report(L: LieAlgebra, algebra_id: str = "", with_pinching: bool = True) -> BoundReport:
+def bound_report(L: LieAlgebra, algebra_id: str = "") -> BoundReport:
     """Evaluate every applicable bound; never raises on characteristic 2
     (the parity verdict degrades to out-of-scope there)."""
     series = L.lower_central_series()
@@ -157,7 +157,7 @@ def bound_report(L: LieAlgebra, algebra_id: str = "", with_pinching: bool = True
         bounds["main_theorem"] = (None, NOT_APPLICABLE)
 
     pinching = None
-    if with_pinching and max_class and not char2:
+    if max_class and not char2:
         per = tuple(psi_image_dims(L))
         total = sum(p.dim for p in per)
         budget = (n - 1) - dim_m
@@ -191,7 +191,7 @@ def verify_main_theorem(L: LieAlgebra, algebra_id: str = "") -> BoundReport:
     """
     if L.field.characteristic == 2:
         raise CharTwoField("the parity bound excludes characteristic 2")
-    return bound_report(L, algebra_id=algebra_id, with_pinching=True)
+    return bound_report(L, algebra_id=algebra_id)
 
 
 @dataclass(frozen=True)

@@ -22,18 +22,20 @@ is: in the outer slot x̄ = 0 in L/γ₂, and in an inner slot the inner word
 has weight at least i+1, so it lies in γᵢ₊₁ and ū = 0.  ψ is multilinear,
 so ψ on the tuples of any complement T of γ₂ spans its image.  T is the d =
 dim L/γ₂ unit vectors at the free (non-pivot) columns of γ₂'s canonical
-rows, and the image dimension is exact.  The d^(i+1) tuples are never
-walked one by one.  A zero word stays zero however it is extended (a left
-word at the end, a right word at the front), so the nonzero words of each
-length grow from the nonzero words one shorter, as trees keyed by integer
-codes.  Term k is nonzero only on tuples P + (o,) + S whose left word
-L(P), right word R(S) and projected inner word π([R(S), L(P)]) are all
-nonzero (x̄_o never is zero); on any other tuple every term vanishes, so ψ
-is 0 there and the tuple cannot change the span.  The enumeration merges these per-term
-supports in lexicographic order, so its cost follows the number of nonzero
-words rather than d^(i+1), and the count of tuples examined (up to
-saturation) is what a full walk would report.  Each bracket it evaluates
-is charged the product of its operands' support sizes, and past
+rows, and the image dimension is exact.  A zero word stays zero however it
+is extended (a left word at the end, a right word at the front), so the
+nonzero words of each length grow from those one shorter, as trees keyed
+by integer codes.  Term k is nonzero only on tuples P + (o,) + S whose left
+word L(P), right word R(S) and projected inner word π([R(S), L(P)]) are
+all nonzero (x̄_o never is zero), and ψ is 0 on any other tuple.  The
+enumeration merges these per-term supports in lexicographic order, so its
+cost follows the number of nonzero words rather than d^(i+1), and the count
+of tuples examined (up to saturation) is what a full walk would report.
+The words are sparse integer rows on the ad table the lower central series
+runs on, projected by reducing them with γᵢ₊₁'s canonical integer rows, so
+the enumeration does no field arithmetic; ``PsiEvaluator.value`` evaluates
+one tuple in field scalars and stays the independent reference.  Each
+bracket is charged the product of its operands' support sizes, and past
 ``PSI_BRACKET_BUDGET`` the enumeration raises ``TupleSpaceTooLarge``.
 """
 
@@ -42,9 +44,10 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass
+from math import lcm
 from operator import itemgetter
 
-from .algebra import LieAlgebra, QuotientMap, Subspace
+from .algebra import LieAlgebra, QuotientMap, Subspace, _combine
 from .errors import (
     CharTwoField,
     DimensionMismatch,
@@ -145,8 +148,8 @@ class TensorElement:
 
 
 class PsiEvaluator:
-    """Evaluates the degree-i tensor map; builds the quotient coordinate
-    maps once so tuple enumeration is cheap."""
+    """Evaluates the degree-i tensor map on single tuples, in field scalars;
+    builds the quotient coordinate maps once."""
 
     def __init__(self, L: LieAlgebra, i: int):
         series = L.lower_central_series()
@@ -206,140 +209,147 @@ class PsiImage:
     tuples_examined: int
 
 
-def _left_words(bracket, cand: list[dict], length: int, memo: dict):
+class _Words:
+    """ψ's words of degree i as integer rows.  Candidate a is the unit row at
+    the a-th free column f of γ₂; ``L._ad[f]`` is ad(e_f), ``_combine``
+    applies it and ``L._nonzero`` reduces mod p.  Over Q a bracket scales by
+    D, and ``inner_coords`` reduces at d, the lcm of the leads of γᵢ₊₁'s
+    canonical rows, so every term of the degree carries D^(i-1)·d (1 over
+    GF(p)): one nonzero factor, which changes no rank and no zero test."""
+
+    def __init__(self, L: LieAlgebra, series, i: int):
+        free = [j for j in range(L.n) if j not in series.gamma(2)._rows]
+        self.L, self.i, self.m, self.spent = L, i, len(free), 0
+        self.cand = [{f: 1} for f in free]
+        self.ad = [L._ad[f] for f in free]
+        self.lower = series.gamma(i + 1)
+        rows = self.lower._rows
+        self.scale = lcm(*(r[c] for c, r in rows.items()))
+        # (offset in the flat tensor, pivot) of each basis vector of γᵢ/γᵢ₊₁.
+        self.out = [(a * self.m, c)
+                    for a, c in enumerate(c for c in series.gamma(i)._rows if c not in rows)]
+
+    def _charge(self, steps: int):
+        self.spent += steps
+        if self.spent > PSI_BRACKET_BUDGET:
+            raise TupleSpaceTooLarge(f"psi enumeration at degree {self.i} exceeds the "
+                                     f"budget of {PSI_BRACKET_BUDGET} bracket steps")
+
+    def act(self, a: int, v: dict[int, int]) -> dict[int, int]:
+        """[c_a, v], charged |v|."""
+        self._charge(len(v))
+        return self.L._nonzero(_combine(self.ad[a], v))
+
+    def inner_coords(self, lw, rights):
+        """Yield ``(code of S, π([R(S), L(P)]))`` for L(P) = lw over the right
+        words R(S) of ``rights``, skipping zeros; π's nonzero coordinates are
+        listed as (offset of their row in the flat tensor, value).  One
+        ``_ad_rows`` of -lw serves every right word: [R, L] = [-L, R]."""
+        ad_lw = None
+        for sc, rw in rights:
+            if rw is None or lw is None:
+                w = lw if rw is None else rw
+            else:
+                self._charge(len(rw) * len(lw))
+                if ad_lw is None:
+                    ad_lw = self.L._ad_rows({j: -x for j, x in lw.items()})
+                w = self.L._nonzero(_combine(ad_lw, rw))
+            if w:
+                r = self.lower._reduce_integers(w, self.scale)
+                lc = self.L._nonzero({off: r[c] for off, c in self.out if c in r})
+                if lc:
+                    yield sc, list(lc.items())
+
+
+def _left_words(words: _Words, length: int, memo: dict):
     """Yield the nonzero left-normed words of ``length`` candidates as
     ``(code, value)`` in increasing code; the empty word is ``(0, None)``.
-
     A word's code is its index sequence read as a base-m number, so codes of
-    one length sort lexicographically.  A left word grows at the end,
-    L(P·a) = [L(P), c_a], and a zero word stays zero under extension, so only
-    nonzero prefixes are extended: a depth-first walk of the prefix tree,
-    done as far as the caller reads.  ``memo`` keeps each prefix's extensions
-    for the other lengths that walk the same tree.
-    """
+    one length sort lexicographically.  A word grows at the end, L(P·a) =
+    [c_a, -L(P)], and only nonzero prefixes are extended: a depth-first walk
+    of the prefix tree, done as far as the caller reads.  ``memo`` keeps each
+    prefix's extensions for the other lengths that walk the same tree."""
     if length < 2:
-        yield from [(0, None)] if length == 0 else enumerate(cand)
+        yield from [(0, None)] if length == 0 else enumerate(words.cand)
         return
-    m = len(cand)
-    for code, v in _left_words(bracket, cand, length - 1, memo):
+    m = words.m
+    for code, v in _left_words(words, length - 1, memo):
         ext = memo.get((length, code))
         if ext is None:
+            neg = {j: -x for j, x in v.items()}
             ext = memo[length, code] = [
-                (code * m + a, w) for a, c in enumerate(cand) if (w := bracket(v, c))
+                (code * m + a, w) for a in range(m) if (w := words.act(a, neg))
             ]
         yield from ext
 
 
-def _right_words(bracket, cand: list[dict], shorter: list, length: int):
+def _right_words(words: _Words, shorter: list, length: int):
     """Yield the nonzero right-normed words of ``length`` candidates as
     ``(code, value)`` in increasing code, from ``shorter``, the complete list
     of those one candidate shorter.  A right word grows at the front,
     R(a·S) = [c_a, R(S)], so a zero R(S) is never extended."""
-    step = len(cand) ** (length - 1)
-    for a, c in enumerate(cand):
+    step = words.m ** (length - 1)
+    for a in range(words.m):
         for code, v in shorter:
-            w = bracket(c, v)
+            w = words.act(a, v)
             if w:
                 yield a * step + code, w
 
 
-def _term_support(ev: PsiEvaluator, bracket, k: int, lefts, rights: list, m: int):
+def _term_support(words: _Words, k: int, lefts, rights: list):
     """The tuples P + (o,) + S on which schedule term k is nonzero, in
     increasing tuple code, as ``(code, k, inner coords, o)``; k breaks ties
-    between streams, so the coordinates are never compared.
-
-    ``lefts`` and ``rights`` yield the nonzero left words of |P| and right
-    words of |S| candidates.  The term is the tensor of π([R(S), L(P)]) (an
-    empty word leaves the other factor alone) with x̄_o, which is the o-th
-    basis vector of L/γ₂ for the o-th free-column candidate, so it is
-    nonzero exactly when π([R(S), L(P)]) is.  The inner coordinates for one
-    P are computed as the stream reads them, once for all o.
-    """
+    between streams, so the coordinates are never compared.  ``lefts`` and
+    ``rights`` yield the nonzero left words of |P| and right words of |S|
+    candidates.  The term is π([R(S), L(P)]) ⊗ x̄_o, and x̄_o is the o-th
+    basis vector of L/γ₂, so it is nonzero exactly when π([R(S), L(P)]) is.
+    The inner coordinates for one P are computed as the stream reads them,
+    once for all o."""
+    m = words.m
     scale = m ** (k - 1)
     for pc, lw in lefts:
-        inner = _inner_coords(ev, bracket, lw, rights)
-        for o, pairs in enumerate(itertools.tee(inner, m)):
+        for o, pairs in enumerate(itertools.tee(words.inner_coords(lw, rights), m)):
             base = (pc * m + o) * scale
             for sc, lc in pairs:
                 yield base + sc, k, lc, o
 
 
-def _inner_coords(ev: PsiEvaluator, bracket, lw, rights):
-    """Yield ``(code of S, π([R(S), L(P)]))`` for L(P) = lw over the right
-    words R(S) of ``rights``, skipping zeros; π's nonzero coordinates are
-    listed as (offset of their row in the flat tensor, value)."""
-    rd = ev.right_map.dim
-    for sc, rw in rights:
-        w = lw if rw is None else rw if lw is None else bracket(rw, lw)
-        if w:
-            lc = [(a * rd, x) for a, x in enumerate(ev.left_map.coords(w)) if x]
-            if lc:
-                yield sc, lc
-
-
-def _budgeted_bracket(L: LieAlgebra, i: int):
-    """``L.bracket_sparse`` charged |x|·|y|, its loop count, per call; past
-    ``PSI_BRACKET_BUDGET`` in total it raises ``TupleSpaceTooLarge``."""
-    spent = 0
-
-    def bracket(x: dict, y: dict) -> dict:
-        nonlocal spent
-        spent += len(x) * len(y)
-        if spent > PSI_BRACKET_BUDGET:
-            raise TupleSpaceTooLarge(f"psi enumeration at degree {i} exceeds the "
-                                     f"budget of {PSI_BRACKET_BUDGET} bracket steps")
-        return L.bracket_sparse(x, y)
-
-    return bracket
-
-
-def _span_over_tuples(ev: PsiEvaluator, free: list[int]) -> tuple[int, int]:
+def _span_over_tuples(L: LieAlgebra, series, i: int) -> tuple[int, int]:
     """(rank, tuples examined) of the span of ψ over cand^(i+1), for cand the
-    unit vectors at the ``free`` columns of γ₂, visiting only tuples on
-    which some term can be nonzero.
+    unit vectors at the free columns of γ₂.
 
     Term k evaluates on P + (o,) + S with |P| = i+1-k and |S| = k-1, and is
-    nonzero only if L(P) ≠ 0, R(S) ≠ 0 and π([R(S), L(P)]) ≠ 0.  On every
-    other tuple all i+1 terms vanish, so ψ = 0 there and skipping it cannot
-    change the span.  Each term's support streams in increasing
-    tuple code (the tuple's lexicographic index); merging the i+1 streams and
-    summing the terms of equal codes evaluates ψ on their union in
-    lexicographic order, without building the product.  ``tuples examined``
-    is the index of the saturating tuple plus 1, or m^(i+1) without
-    saturation, exactly as a walk over the whole product would count.
-
-    Words are built only as far as the merge reads: left words by a lazy
-    walk of the prefix tree, and right words of all i candidates (read only
-    by the term with an empty left word) by first candidate.  Right words of
-    fewer candidates are listed in full, since every nonzero P pairs with
-    each of them.  Every bracket goes through ``_budgeted_bracket``.
+    nonzero only if L(P), R(S) and π([R(S), L(P)]) are; elsewhere ψ = 0.
+    Each term's support streams in increasing tuple code (the tuple's
+    lexicographic index); merging the i+1 streams and summing the terms of
+    equal codes evaluates ψ on their union in lexicographic order.  ``tuples
+    examined`` is the index of the saturating tuple plus 1, or m^(i+1)
+    without saturation, exactly as a walk over the whole product would
+    count.  Left words are built as far as the merge reads, and so are the
+    right words of all i candidates (read only by the term with an empty
+    left word), by first candidate; shorter right words are listed in full,
+    since every nonzero P pairs with each of them.
     """
-    i, m, field = ev.i, len(free), ev.L.field
-    bracket = _budgeted_bracket(ev.L, i)
-    cand = [{j: field.one} for j in free]
-    rights = [[(0, None)], list(enumerate(cand))]
+    words = _Words(L, series, i)
+    rights = [[(0, None)], list(enumerate(words.cand))]
     for length in range(2, i):
-        rights.append(list(_right_words(bracket, cand, rights[-1], length)))
+        rights.append(list(_right_words(words, rights[-1], length)))
     memo: dict = {}
     streams = [
-        _term_support(ev, bracket, k, _left_words(bracket, cand, i + 1 - k, memo),
-                      rights[k - 1] if k <= i else _right_words(bracket, cand, rights[i - 1], i),
-                      m)
+        _term_support(words, k, _left_words(words, i + 1 - k, memo),
+                      rights[k - 1] if k <= i else _right_words(words, rights[i - 1], i))
         for k in range(1, i + 2)
     ]
-    codim = ev.codomain_dim
-    zero = field.zero
-    span = RowSpan(field, codim)
+    codim = len(words.out) * words.m
+    span = RowSpan(L.field, codim)
     for code, terms in itertools.groupby(heapq.merge(*streams), key=itemgetter(0)):
-        coords = [zero] * codim
+        row: dict[int, int] = {}
         for _, _, lc, o in terms:
-            for off, la in lc:
-                coords[off + o] += la
-        if any(coords):
-            span.add(coords)
-            if span.dim == codim:
-                return span.dim, code + 1
-    return span.dim, m ** (i + 1)
+            for off, x in lc:
+                row[off + o] = row.get(off + o, 0) + x
+        if span.add_integers(L._nonzero(row)) and span.dim == codim:
+            return span.dim, code + 1
+    return span.dim, words.m ** (i + 1)
 
 
 def psi_image_dim(L: LieAlgebra, i: int, mode: str = "exact") -> PsiImage:
@@ -363,8 +373,7 @@ def psi_image_dim(L: LieAlgebra, i: int, mode: str = "exact") -> PsiImage:
     if i > series.nilpotency_class:
         # Degenerate codomain: gamma_i is 0 past the class.
         return PsiImage(i, 0, True, mode, 0)
-    pivots = series.gamma(2)._rows
-    dim, count = _span_over_tuples(PsiEvaluator(L, i), [j for j in range(L.n) if j not in pivots])
+    dim, count = _span_over_tuples(L, series, i)
     return PsiImage(i, dim, True, mode, count)
 
 

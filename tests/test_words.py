@@ -299,13 +299,23 @@ def test_psi_of_basis_changed_input_matches_catalog_basis(field, family, n):
             assert brute_psi_image_dim(L, i) == dim
 
 
-def _filiform5_plus_line(basis=None):
-    """filiform-5 ⊕ line (x6 central) over GF(2^31 - 1), where the oracle is
-    fastest: not of maximal class, so it keeps its basis; d = dim L/γ₂ = 3
-    and the class is 4.  ``basis`` rows give the basis f_i = sum_j
-    basis[i][j] x_j."""
-    L = build(6, [(1, 2, 3, 1), (1, 3, 4, 1), (1, 4, 5, 1)], field=GFP)
-    return L if basis is None else L.change_basis(Matrix(GFP, basis))
+def _filiform5_plus_line(basis=None, field=GFP):
+    """filiform-5 ⊕ line (x6 central), by default over GF(2^31 - 1), where
+    the oracle is fastest: not of maximal class, so it keeps its basis; d =
+    dim L/γ₂ = 3 and the class is 4.  ``basis`` rows give the basis f_i =
+    sum_j basis[i][j] x_j."""
+    L = build(6, [(1, 2, 3, 1), (1, 3, 4, 1), (1, 4, 5, 1)], field=field)
+    return L if basis is None else L.change_basis(Matrix(field, basis))
+
+
+def _rationally_scaled(L, seed):
+    """L over Q in the basis diag(1 / (1 + (7i + seed) mod 5)) times
+    ``random_unimodular(Random(seed))``, whose table has denominators, so its
+    integer ad table is scaled by D > 1."""
+    n = L.n
+    scale = Matrix(QQ, [[Fraction(1, 1 + (i * 7 + seed) % 5) if i == j else 0
+                         for j in range(n)] for i in range(n)])
+    return L.change_basis(scale @ random_unimodular(random.Random(seed), n))
 
 
 # f1 = x1, f2 = x1 + x3, f3 = x2, f4..f6 = x4..x6: the first two basis vectors
@@ -326,6 +336,50 @@ def test_psi_of_non_maximal_class_input_with_three_generators(basis):
         assert gamma2.contains_vector([b - a for a, b in zip(f1, f2)])
     dims = [p.dim for p in psi_image_dims(L)]
     assert dims == [brute_psi_image_dim(L, i) for i in (2, 3, 4)] == [1, 2, 1]
+
+
+RATIONAL_CASES = [(standard_filiform, 7), (filiform_m2, 7), (filiform_q, 8)]
+
+
+@pytest.mark.parametrize("family,n", RATIONAL_CASES,
+                         ids=[f"{f.__name__}-{n}" for f, n in RATIONAL_CASES])
+def test_psi_of_rationally_scaled_input_matches_catalog_basis(family, n):
+    # Adapted route: the chain-basis rewrite ψ runs on has table scale D > 1.
+    base = family(n)
+    for seed in (1, 2):
+        L = _rationally_scaled(base, seed)
+        assert L._adapted is not None and L._adapted._scale > 1
+        assert _images(L) == _images(base)
+        assert brute_psi_image_dim(L, 2) == 0  # n^3 <= 625
+
+
+def _filiform5_squared():
+    """filiform-5 ⊕ filiform-5 over Q, the second summand on x6..x10."""
+    f5 = standard_filiform(5).structure_constants()
+    return build(10, [(i + a, j + a, k + a, c) for a in (0, 5) for i, j, k, c in f5])
+
+
+# (input in its catalog basis, seed, table scale D after scaling, ψ dims).
+RAW_RATIONAL_CASES = {
+    "filiform-5+line": (lambda: _filiform5_plus_line(field=QQ), 3, 240, [1, 2, 1]),
+    # Here a projection that skipped γᵢ₊₁ would change the dims.
+    "filiform-5+filiform-5": (_filiform5_squared, 1, 3600, [4, 6, 4]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RAW_RATIONAL_CASES))
+def test_psi_of_rationally_scaled_non_maximal_class_input(case):
+    # Raw route: D > 1, and the canonical rows of γ₂, γ₃ and γ₄ have leads > 1.
+    build_base, seed, scale, dims = RAW_RATIONAL_CASES[case]
+    base = build_base()
+    L = _rationally_scaled(base, seed)
+    assert L._adapted is None and L._scale == scale
+    terms = L.lower_central_series().terms
+    assert all(max(r[c] for c, r in t._rows.items()) > 1 for t in terms[1:4])
+    assert _images(L) == _images(base)
+    assert [p.dim for p in psi_image_dims(L)] == dims
+    if L.n ** 3 <= 625:
+        assert brute_psi_image_dim(L, 2) == dims[0]
 
 
 def test_psi_image_dim_abelian_is_zero_any_degree():
@@ -354,6 +408,15 @@ def test_psi_image_cap_guard(monkeypatch, capsys):
         psi_image_dims(standard_filiform(5))
     assert main(["psi", "--name", "filiform-5", "--i", "3"]) == EXIT_RESOURCE
     assert capsys.readouterr().err.startswith("resource guard:")
+
+
+def test_psi_budget_refuses_catalog_m2_18_at_degree_17():
+    # The real budget, not a patched one: every bracket is charged |x|·|y|.
+    L = filiform_m2(18)
+    assert [(p.i, p.dim, p.exact, p.mode, p.tuples_examined)
+            for p in (psi_image_dim(L, i) for i in range(2, 17))] == _alternating(17)
+    with pytest.raises(TupleSpaceTooLarge, match="degree 17"):
+        psi_image_dim(L, 17)
 
 
 def test_pinching_inequality_small_filiform():
@@ -433,9 +496,7 @@ def test_generator_chain_outputs_are_pinned(fid, kind):
         algebras = []
         for family, n in ((standard_filiform, 7), (filiform_m2, 7), (filiform_q, 8)):
             for seed in (1, 2):
-                scale = Matrix(F, [[F.one / F.element(1 + (i * 7 + seed) % 5) if i == j else F.zero
-                                    for j in range(n)] for i in range(n)])
-                L = family(n).change_basis(scale @ random_unimodular(random.Random(seed), n))
+                L = _rationally_scaled(family(n), seed)
                 assert L._scale > 1
                 algebras.append(L)
     else:
