@@ -1,37 +1,47 @@
 """Lie algebras given by structure constants, with exact bracket evaluation.
 
-An algebra is stored as a sparse table c[(i, j)][k] over 0-based indices with
-i < j; antisymmetry is derived on lookup and never stored twice.  Beside it
-sits a private integer ad table, tab[a][j] = [e_a, e_j] as sparse ``{k: int}``
-rows for every a != j: residues over GF(p), and over Q the structure constants
-times the lcm D of their denominators.  Scaling by D changes no span and no
-zero test, so the lower central series, ``product_subspace``, the Jacobi
-check, the ideal check of ``quotient`` and ψ's words run on raw ints and
-feed ``RowSpan`` directly, and ``change_basis`` and the chain rewrite share
-one integer basis-change kernel (``_table_in_basis``) with the integer
-inverse ``inverse_rows``.  A ``Subspace`` is the canonical integer rows of a
-``RowSpan``; membership, sums, equality, ``Subspace.reduce`` (the one exact
-reduction, behind ``quotient``, ``QuotientMap`` and, by its integer core,
-ψ's projection) run on those rows, and the dense basis is built only when
-asked for.
+An algebra is stored as a sparse table of integer rows over 0-based keys
+(i, j) with i < j, in input order: D [e_i, e_j] as ``{k: int}``, residues over
+GF(p), where D = 1, and over Q the structure constants times the lcm D of
+their denominators.  The parser hands its rows over as they are
+(``_from_integer_rows``); ``LieAlgebra(n, table)`` converts a field-scalar
+table once, and both reach the same construction.  The rows are laid out as
+the private integer ad table, tab[a][j] = D [e_a, e_j] for every a != j;
+antisymmetry is stored there, not in the table.  The field-scalar table
+c[(i, j)][k] (``_table``, behind ``bracket``, ``bracket_basis`` and
+``structure_constants``) is built only when something reads it.  Scaling by
+D changes no span and no zero test, so the lower central series,
+``product_subspace``, the Jacobi check, the ideal check of ``quotient`` and
+ψ's words run on raw ints and feed ``RowSpan`` directly, and
+``change_basis`` and the chain rewrite share one integer basis-change kernel
+(``_table_in_basis``) with the integer inverse ``inverse_rows``.  A
+``Subspace`` is the canonical integer rows of a ``RowSpan``; membership,
+sums, equality, ``Subspace.reduce`` (the one exact reduction, behind
+``quotient``, ``QuotientMap`` and, by its integer core, ψ's projection) run
+on those rows, and the dense basis is built only when asked for.
 
 Construction also searches the ad table once for a generator chain
-(s, s₁, s₂, …, s_c), sₖ₊₁ = [sₖ, s] (``_chain_rewrite``).  When one is found
-in a basis that is not already adapted to the lower central series, the
+(s, s₁, s₂, …, s_c), sₖ₊₁ = [sₖ, s] (``_chain_rows``).  When one is found in
+a basis that is not already adapted to the lower central series, the
 algebra keeps A, itself rewritten in the chain basis P, whose table is
-nearly a shift.  The search reads γ₂ as the span of the table rows taken
-only until it reaches dim n - 2; the other rows stay pending.  They are
-never added when A has class n - 1 with coordinate series terms, which
-proves dim γ₂ = n - 2; otherwise construction adds them
-(``_finish_derived``) and drops a rewrite made on a γ₂ that turns out
-larger.  Every reader of the full γ₂ adds them first.  The Jacobi identity
-is validated eagerly at construction, so everything downstream may assume
-it: on A when there is a rewrite (it holds on A exactly when it holds on L)
-and on L's own table otherwise, and a violation is always reported from L's
-own table.  The lower central series is A's series mapped back through P
-when there is a rewrite, and is computed on L's table otherwise.  Instances
-are immutable after construction (internal caches, the pending γ₂ rows
-among them, only memoize pure results) and safe to share between workers.
+nearly a shift (``_chain_rewrite``).  The search reads γ₂ as the span of
+the table rows taken only until it reaches dim n - 2; the other rows stay
+pending.  A chain vector outside that partial span proves γ₂ larger, and
+then no rewrite is made.  One scan of A's table decides whether A is adapted
+(``_chain_basis_series``): whether its series has class n - 1 with the
+coordinate terms span(e_k, …, e_{n-1}), which it then is without being
+computed.  That proves dim γ₂ = n - 2, and the pending rows are never added;
+otherwise construction adds them (``_finish_derived``) and drops a rewrite
+made on a γ₂ that turns out larger.  Every reader of the full γ₂ adds them
+first.  The Jacobi identity is validated eagerly at construction, so
+everything downstream may assume it: on A when there is a rewrite (it holds
+on A exactly when it holds on L) and on L's own table otherwise, and a
+violation is always reported from L's own table, walking its keys in input
+order.  The lower central series is A's series mapped back through P when
+there is a rewrite, and is computed on L's table otherwise.  Instances are
+immutable after construction (internal caches, the pending γ₂ rows and the
+field-scalar table among them, only memoize pure results) and safe to share
+between workers.
 """
 
 from __future__ import annotations
@@ -39,6 +49,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from operator import mul
 
@@ -208,16 +219,29 @@ class LieAlgebra:
     """A finite-dimensional Lie algebra over an exact field."""
 
     def __init__(self, n: int, table, field=QQ, labels=None, validate: bool = True):
-        self._setup(n, table, field, labels)
+        if n < 0:
+            raise DimensionMismatch("dimension must be nonnegative")
+        table = _clean_table(n, table, field)
+        self._construct(n, *_integer_rows(table, field), field, labels, table, validate)
+
+    @classmethod
+    def _from_integer_rows(cls, n: int, rows, scale: int, field, labels=None) -> "LieAlgebra":
+        """The validated algebra of integer rows as ``_setup`` takes them,
+        with no field-scalar table built on the way (the parser's path)."""
+        algebra = cls.__new__(cls)
+        algebra._construct(n, rows, scale, field, labels, None, True)
+        return algebra
+
+    def _construct(self, n: int, rows, scale: int, field, labels, table, validate: bool):
+        self._setup(n, rows, scale, field, labels, table)
         self._rewrite = self._chain_rewrite()
         if self._rewrite is not None:
-            series = self._rewrite[1].lower_central_series()
-            if series.nilpotency_class == n - 1 and all(
-                len(row) == 1 for term in series.terms for row in term._rows.values()
-            ):
+            rewrite = self._rewrite[1]
+            rewrite._series = rewrite._chain_basis_series()
+            if rewrite._series is not None:
                 # dim γ₂(A) = n - 2, and γ₂(A) is the image of γ₂(L) under P
                 # (Jacobi or not), so the partial span is already all of γ₂.
-                self._adapted = self._rewrite[1]
+                self._adapted = rewrite
         if self._adapted is None:
             self._finish_derived()
             if self._derived.dim > n - 2:
@@ -225,34 +249,31 @@ class LieAlgebra:
         if validate:
             self._validate()
 
-    def _setup(self, n: int, table, field, labels):
-        if n < 0:
-            raise DimensionMismatch("dimension must be nonnegative")
+    def _setup(self, n: int, rows, scale: int, field, labels, table=None):
+        """Lay out the integer table: ``rows`` maps each key (i, j), i < j,
+        in input order, to the nonzero integer row D [e_i, e_j] (residues in
+        [1, p) over GF(p), where D = ``scale`` is 1).  ``table`` is the same
+        table in field scalars when the caller has it; otherwise ``_table``
+        builds it on first read."""
         self.n = n
         self.field = field
-        clean: dict[tuple[int, int], dict[int, object]] = {}
-        for (i, j), comps in table.items():
-            if not (0 <= i < j < n):
-                raise IndexOutOfRange(f"bracket key ({i + 1}, {j + 1}) out of range for n={n}")
-            entry = {}
-            for k, c in comps.items():
-                if not 0 <= k < n:
-                    raise IndexOutOfRange(f"component index {k + 1} out of range for n={n}")
-                c = field.element(c)
-                if c:
-                    entry[k] = c
-            if entry:
-                clean[(i, j)] = entry
-        self._table = clean
-        self._ad, self._scale = self._integer_ad_table()
+        self._integer_table = rows
+        self._scale = scale
+        if table is not None:
+            self._table = table
+        p = field.characteristic
+        tab: list[dict[int, dict[int, int]]] = [{} for _ in range(n)]
+        for (i, j), row in rows.items():
+            tab[i][j] = row
+            tab[j][i] = {k: p - x for k, x in row.items()} if p else {k: -x for k, x in row.items()}
+        self._ad = tab
         # γ₂ = [L, L] is the span of the table rows, one row per key.  Rows
         # are added only until the span reaches dim n - 2, the most that the
         # chain search asks of it; the rest wait in ``_pending``.
         self._derived = RowSpan(field, n)
-        keys, taken = list(clean), 0
+        keys, taken = list(rows), 0
         while taken < len(keys) and self._derived.dim < n - 2:
-            i, j = keys[taken]
-            self._derived.add_integers(self._ad[i][j])
+            self._derived.add_integers(rows[keys[taken]])
             taken += 1
         self._pending = keys[taken:]
         if labels is None:
@@ -269,6 +290,18 @@ class LieAlgebra:
         # and that algebra again when its basis is adapted to its series.
         self._rewrite: tuple[list[dict[int, int]], LieAlgebra] | None = None
         self._adapted: LieAlgebra | None = None
+
+    @cached_property
+    def _table(self) -> dict[tuple[int, int], dict[int, object]]:
+        """The sparse table c[(i, j)][k] in field scalars, keys in input
+        order; built from the integer rows on first read when the algebra
+        was constructed from them."""
+        d = self._scale
+        element = self.field.element if self.field.characteristic else lambda x: Fraction(x, d)
+        return {
+            key: {k: element(x) for k, x in row.items()}
+            for key, row in self._integer_table.items()
+        }
 
     # -- bracket evaluation -------------------------------------------------
 
@@ -314,25 +347,6 @@ class LieAlgebra:
         c = self.bracket(self.bracket(z, x), y)
         return [p + q + r for p, q, r in zip(a, b, c)]
 
-    def _integer_ad_table(self) -> tuple[list[dict[int, dict[int, int]]], int]:
-        """(tab, D): tab[a][j] = D * [e_a, e_j] as a sparse integer row, for
-        every a != j with a nonzero bracket.  D is 1 over GF(p), where the
-        entries are residues, and the lcm of the denominators over Q."""
-        p = self.field.characteristic
-        scale = 1 if p else lcm(
-            *(c.denominator for comps in self._table.values() for c in comps.values())
-        )
-        tab: list[dict[int, dict[int, int]]] = [{} for _ in range(self.n)]
-        for (i, j), comps in self._table.items():
-            if p:
-                row = {k: c.v for k, c in comps.items()}
-                tab[j][i] = {k: p - x for k, x in row.items()}
-            else:
-                row = {k: c.numerator * (scale // c.denominator) for k, c in comps.items()}
-                tab[j][i] = {k: -x for k, x in row.items()}
-            tab[i][j] = row
-        return tab, scale
-
     def _validate(self):
         """Validate Jacobi, on the rewrite when there is one.  The Jacobiator
         is trilinear and P is invertible, so it vanishes on L exactly when it
@@ -358,7 +372,7 @@ class LieAlgebra:
         # field defect over Q and is reduced mod p over GF(p).
         tab, p, n = self._ad, self.field.characteristic, self.n
         seen = set()
-        for (i, j) in self._table:  # i < j
+        for (i, j) in self._integer_table:  # i < j
             for k in range(n):
                 if k == i or k == j:
                     continue
@@ -395,7 +409,7 @@ class LieAlgebra:
         return tuple(sorted(items, key=lambda t: t[:3]))
 
     def is_abelian(self) -> bool:
-        return not self._table
+        return not self._integer_table
 
     # -- series, center, predicates ------------------------------------------
 
@@ -657,17 +671,43 @@ class LieAlgebra:
 
     def _chain_rewrite(self):
         """(P, A): the rows of P are a generator chain (s, s₁, s₂, …, s_c) of
-        L as integer rows, and A is L in that basis; None without a rewrite.
+        L as integer rows (``_chain_rows``), and A is L in that basis; None
+        without a rewrite.
+
+        No rewrite is made when the tail s₂, …, s_c holds unit vectors only:
+        then every γᵢ is already a coordinate subspace, as in the catalog
+        bases and their quotients (s itself may be e_a + t e_b there, as for
+        Qₙ).  The tail lies in γ₂, so when s_c lies outside the partial span
+        of ``_derived``, dim γ₂ > n - 2 and construction would drop a
+        rewrite: none is made.  (When s_c happens to lie inside, the rewrite
+        is made and ``_construct`` drops it once the span is finished.)
+        Input that is not a Lie algebra of maximal class may give a singular
+        P, and then there is no rewrite either."""
+        rows = self._chain_rows()
+        if rows is None or all(len(v) == 1 for v in rows[2:]):
+            return None
+        if not self._derived.contains_integers(rows[-1]):
+            return None
+        try:
+            table = self._table_in_basis([(r, 1) for r in rows])
+        except SingularMatrix:
+            return None
+        rewrite = LieAlgebra.__new__(LieAlgebra)
+        rewrite._setup(self.n, *_integer_rows(table, self.field), self.field, None, table)
+        return rows, rewrite
+
+    def _chain_rows(self) -> list[dict[int, int]] | None:
+        """A generator chain (s, s₁, s₂, …, s_c), sₖ₊₁ = [sₖ, s], as integer
+        rows on the ad table, or None when the search finds none.
 
         The search needs dim γ₂ = n - 2.  It reads ``_derived`` as ``_setup``
         left it, the span of the first table rows stopped at dim n - 2.
-        Whenever dim γ₂ = n - 2 that partial span is all of γ₂, so a, b, the
-        chain and A are those of the full span, and the remaining rows are
-        never needed when A turns out to have class n - 1 in coordinate form
-        (dim γ₂(A) = dim γ₂(L), since γ₂(A) is the image of γ₂(L) under P).
-        When dim γ₂ > n - 2 the partial span can still reach n - 2 and a
-        rewrite be made here; ``__init__`` then finishes the span and drops
-        it.
+        Whenever dim γ₂ = n - 2 that partial span is all of γ₂, so a, b and
+        the chain are those of the full span, and the remaining rows are
+        never needed when the rewrite turns out to have class n - 1 in
+        coordinate form (dim γ₂(A) = dim γ₂(L), since γ₂(A) is the image of
+        γ₂(L) under P).  When dim γ₂ > n - 2 the partial span can still reach
+        n - 2 and a chain be found here.
 
         With a < b the two free (non-pivot) columns of γ₂, e_a and e_b are
         independent modulo γ₂, and s runs over
@@ -685,13 +725,7 @@ class LieAlgebra:
         tail is not all nonzero; a tail that is all nonzero is a basis of γ₂
         adapted to the series.  At most c - 1 lines fail, and the c + 1
         directions tried are distinct lines.  Over GF(2) every line of L/γ₂
-        may fail (``NO_CHAIN_GF2`` in the tests), and L keeps its basis.
-
-        No rewrite is made when the tail s₂, …, s_c holds unit vectors only:
-        then every γᵢ is already a coordinate subspace, as in the catalog
-        bases and their quotients (s itself may be e_a + t e_b there, as for
-        Qₙ).  Input that is not a Lie algebra of maximal class may give a
-        singular P, and then there is no rewrite either."""
+        may fail (``NO_CHAIN_GF2`` in the tests), and L keeps its basis."""
         n, derived = self.n, self._derived
         if n < 3 or derived.dim != n - 2:
             return None
@@ -702,26 +736,41 @@ class LieAlgebra:
         for s, s1 in tries:
             tail = self._chain_tail(s, s1, n - 2)
             if tail is not None:
-                break
-        else:
+                return [s, s1, *tail]
+        return None
+
+    def _chain_basis_series(self) -> SeriesChain | None:
+        """The lower central series of a table in a generator-chain basis,
+        e_{k+1} a nonzero multiple of [e_k, e_0] for 1 <= k < n - 1, read off
+        one scan of the table; None when the scan fails.
+
+        With weights w₀ = w₁ = 1 and w_k = k, and F_j = span(e_j, …, e_{n-1}),
+        the scan asks that every [e_a, e_b] lie in F_{max(w_a, w_b) + 1}, that
+        is, for a < b, that [e_a, e_b] have no entry at an index <= b.  The chain
+        gives F_{k+1} ⊆ [F_k, L], so F_k ⊆ γ_k; a passing scan gives
+        [F_k, L] ⊆ F_{k+1}, so γ_k ⊆ F_k.  Then γ_k = F_k for k >= 2, and the
+        class is n - 1.  Conversely, class n - 1 forces dim γ_k = n - k for
+        k >= 2, so γ_k = F_k and the scan passes: it decides exactly whether
+        the series has class n - 1 with coordinate terms.  Neither direction
+        uses the Jacobi identity."""
+        if any(min(row) <= j for (_, j), row in self._integer_table.items()):
             return None
-        if all(len(v) == 1 for v in tail):
-            return None
-        rows = [s, s1, *tail]
-        try:
-            table = self._table_in_basis([(r, 1) for r in rows])
-        except SingularMatrix:
-            return None
-        rewrite = LieAlgebra.__new__(LieAlgebra)
-        rewrite._setup(n, table, self.field, None)
-        return rows, rewrite
+        n = self.n
+        span = RowSpan(self.field, n)
+        terms = [Subspace(n, span.copy())]
+        for j in range(n - 1, -1, -1):
+            span.add_integers({j: 1})
+            if j != 1:
+                terms.append(Subspace(n, span.copy()))
+        return SeriesChain(tuple(reversed(terms)), True)
 
     def __eq__(self, other):
         return (
             isinstance(other, LieAlgebra)
             and self.n == other.n
             and self.field == other.field
-            and self._table == other._table
+            and self._scale == other._scale
+            and self._integer_table == other._integer_table
         )
 
     def __hash__(self):
@@ -729,6 +778,39 @@ class LieAlgebra:
 
     def __repr__(self):
         return f"LieAlgebra(n={self.n}, field={self.field})"
+
+
+def _clean_table(n: int, table, field) -> dict[tuple[int, int], dict[int, object]]:
+    """The table c[(i, j)][k] with every key and index range-checked, every
+    constant made a field scalar, and the zero ones and empty keys dropped."""
+    clean: dict[tuple[int, int], dict[int, object]] = {}
+    for (i, j), comps in table.items():
+        if not (0 <= i < j < n):
+            raise IndexOutOfRange(f"bracket key ({i + 1}, {j + 1}) out of range for n={n}")
+        entry = {}
+        for k, c in comps.items():
+            if not 0 <= k < n:
+                raise IndexOutOfRange(f"component index {k + 1} out of range for n={n}")
+            c = field.element(c)
+            if c:
+                entry[k] = c
+        if entry:
+            clean[(i, j)] = entry
+    return clean
+
+
+def _integer_rows(table, field) -> tuple[dict[tuple[int, int], dict[int, int]], int]:
+    """(rows, D) for a clean field-scalar table: rows[(i, j)] = D c[(i, j)] as
+    integers, with D 1 over GF(p), where the entries are residues, and the lcm
+    of the denominators over Q."""
+    if field.characteristic:
+        return {key: {k: c.v for k, c in comps.items()} for key, comps in table.items()}, 1
+    scale = lcm(*(c.denominator for comps in table.values() for c in comps.values()))
+    rows = {
+        key: {k: c.numerator * (scale // c.denominator) for k, c in comps.items()}
+        for key, comps in table.items()
+    }
+    return rows, scale
 
 
 def _combine(rows: dict[int, dict[int, int]], v: dict[int, int]) -> dict[int, int]:

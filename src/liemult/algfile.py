@@ -16,11 +16,17 @@ serializer emits brackets sorted by (I, J, K), so output is byte-stable and
 ``parse(serialize(L))`` reproduces the same sparse table.
 
 A file is validated in one pass: every check above runs as its line is read
-and reports the line number, and the parser builds the 0-based table and
-constructs ``LieAlgebra`` from it directly, which then checks Jacobi.
+and reports the line number.  Each literal goes straight to integers, a
+residue over GF(p) and a numerator and denominator in lowest terms over Q
+(``parse_integers``), with no field scalar made per constant.  The parser
+builds the 0-based table as integer rows over the common scale D, the lcm of
+the denominators, keys in file order, and constructs ``LieAlgebra`` from
+those rows directly, which then checks Jacobi.
 """
 
 from __future__ import annotations
+
+from math import lcm
 
 from .algebra import LieAlgebra
 from .errors import AlgebraFileError, BadScalarLiteral, DuplicateBracket, FieldSpecError
@@ -34,7 +40,11 @@ def parse_algebra(text: str, allow_char_two: bool = False) -> LieAlgebra:
     field = None
     dim = None
     labels: dict[int, str] = {}
-    table: dict[tuple[int, int], dict[int, object]] = {}
+    # rows[(i, j)][k] = the constant's numerator, or its residue over GF(p),
+    # and the (row, k, denominator) of every constant whose denominator is
+    # not 1, so the rows can be brought to the common scale D at the end.
+    rows: dict[tuple[int, int], dict[int, int]] = {}
+    fractions: list[tuple[dict[int, int], int, int]] = []
     seen_keys: dict[tuple[int, int, int], int] = {}
     header_seen = False
 
@@ -53,7 +63,37 @@ def parse_algebra(text: str, allow_char_two: bool = False) -> LieAlgebra:
             continue
         tokens = line.split()
         directive = tokens[0]
-        if directive == "field":
+        if directive == "bracket":
+            if field is None or dim is None:
+                raise AlgebraFileError("bracket before field/dim directives", lineno)
+            if len(tokens) != 5:
+                raise AlgebraFileError("bracket directive is: bracket I J K COEFF", lineno)
+            try:
+                i, j, k = int(tokens[1]), int(tokens[2]), int(tokens[3])
+            except ValueError:
+                raise AlgebraFileError("bracket indices must be integers", lineno) from None
+            if not 1 <= i < j <= dim:
+                raise AlgebraFileError(
+                    f"bracket indices ({i}, {j}) must satisfy 1 <= i < j <= {dim}", lineno
+                )
+            if not 1 <= k <= dim:
+                raise AlgebraFileError(f"component index {k} out of range [1, {dim}]", lineno)
+            first = seen_keys.setdefault((i, j, k), lineno)
+            if first != lineno:
+                raise DuplicateBracket(
+                    f"line {lineno}: duplicate bracket key ({i}, {j}, {k}) "
+                    f"(first seen on line {first})"
+                )
+            try:
+                num, den = field.parse_integers(tokens[4])
+            except BadScalarLiteral as exc:
+                raise AlgebraFileError(str(exc), lineno) from exc
+            if num:
+                row = rows.setdefault((i - 1, j - 1), {})
+                row[k - 1] = num
+                if den != 1:
+                    fractions.append((row, k - 1, den))
+        elif directive == "field":
             if field is not None:
                 raise AlgebraFileError("duplicate field directive", lineno)
             if len(tokens) != 2:
@@ -78,33 +118,6 @@ def parse_algebra(text: str, allow_char_two: bool = False) -> LieAlgebra:
             if not 1 <= idx <= dim:
                 raise AlgebraFileError(f"label index {idx} out of range [1, {dim}]", lineno)
             labels[idx] = tokens[2]
-        elif directive == "bracket":
-            if field is None or dim is None:
-                raise AlgebraFileError("bracket before field/dim directives", lineno)
-            if len(tokens) != 5:
-                raise AlgebraFileError("bracket directive is: bracket I J K COEFF", lineno)
-            try:
-                i, j, k = int(tokens[1]), int(tokens[2]), int(tokens[3])
-            except ValueError:
-                raise AlgebraFileError("bracket indices must be integers", lineno) from None
-            if not 1 <= i < j <= dim:
-                raise AlgebraFileError(
-                    f"bracket indices ({i}, {j}) must satisfy 1 <= i < j <= {dim}", lineno
-                )
-            if not 1 <= k <= dim:
-                raise AlgebraFileError(f"component index {k} out of range [1, {dim}]", lineno)
-            if (i, j, k) in seen_keys:
-                raise DuplicateBracket(
-                    f"line {lineno}: duplicate bracket key ({i}, {j}, {k}) "
-                    f"(first seen on line {seen_keys[(i, j, k)]})"
-                )
-            seen_keys[(i, j, k)] = lineno
-            try:
-                coeff = field.parse(tokens[4])
-            except BadScalarLiteral as exc:
-                raise AlgebraFileError(str(exc), lineno) from exc
-            if coeff:
-                table.setdefault((i - 1, j - 1), {})[k - 1] = coeff
         else:
             raise AlgebraFileError(f"unknown directive {directive!r}", lineno)
 
@@ -115,10 +128,19 @@ def parse_algebra(text: str, allow_char_two: bool = False) -> LieAlgebra:
     if dim is None:
         raise AlgebraFileError("missing dim directive")
 
+    # The common scale D is the lcm of the reduced denominators (1 over
+    # GF(p)); each constant num/den becomes num * D / den.
+    scale = lcm(*(den for _, _, den in fractions))
+    if scale > 1:
+        for row in rows.values():
+            for k in row:
+                row[k] *= scale
+        for row, k, den in fractions:
+            row[k] //= den
     label_list = None
     if labels:
         label_list = [labels.get(i + 1, f"x{i + 1}") for i in range(dim)]
-    return LieAlgebra(dim, table, field=field, labels=label_list)
+    return LieAlgebra._from_integer_rows(dim, rows, scale, field, labels=label_list)
 
 
 def serialize_algebra(L: LieAlgebra) -> str:

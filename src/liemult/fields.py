@@ -4,7 +4,9 @@ Rational scalars are plain ``fractions.Fraction`` values (always lowest terms,
 positive denominator).  Prime-field scalars are ``PrimeFieldElement`` wrappers
 holding a residue in [0, p).  Both kinds support +, -, *, /, unary - and
 truthiness, so all linear algebra and bracket code downstream is field
-agnostic.
+agnostic.  ``parse_integers`` reads a literal as integers instead, a reduced
+numerator and denominator over Q and a residue over GF(p), for the parser,
+which builds integer rows; ``parse`` is built on it.
 
 ``PrimeField`` proves its modulus prime with the strong (Miller-Rabin) test
 to the first 13 primes, which is exact below ψ₁₃ (``_is_prime``); an
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd
 
 from .errors import BadScalarLiteral, FieldMismatch, FieldSpecError, ResourceLimit
 
@@ -90,16 +93,23 @@ class RationalField:
         raise FieldMismatch(f"cannot coerce {value!r} into Q")
 
     def parse(self, text: str) -> Fraction:
+        return Fraction(*self.parse_integers(text))
+
+    def parse_integers(self, text: str) -> tuple[int, int]:
+        """(numerator, denominator) of a literal in lowest terms, with a
+        positive denominator."""
         text = text.strip()
         if not _RATIONAL_RE.match(text):
             raise BadScalarLiteral(f"{text!r} is not a rational literal (use p/q or an integer)")
         # The literal is validated, so int() converts its parts directly.
         num, _, den = text.partition("/")
         if not den:
-            return Fraction(int(num))
-        if int(den) == 0:
+            return int(num), 1
+        num, den = int(num), int(den)
+        if den == 0:
             raise BadScalarLiteral(f"{text!r} has a zero denominator")
-        return Fraction(int(num), int(den))
+        g = gcd(num, den)
+        return num // g, den // g
 
     def __repr__(self):
         return "Q"
@@ -235,6 +245,10 @@ class PrimeField:
         raise FieldMismatch(f"cannot coerce {value!r} into GF({self.p})")
 
     def parse(self, text: str) -> PrimeFieldElement:
+        return PrimeFieldElement(self.p, self.parse_integers(text)[0])
+
+    def parse_integers(self, text: str) -> tuple[int, int]:
+        """(residue in [0, p), 1) for an integer literal."""
         text = text.strip()
         if not _INTEGER_RE.match(text):
             if _RATIONAL_RE.match(text):
@@ -242,7 +256,7 @@ class PrimeField:
                     f"rational literal {text!r} is not allowed over GF({self.p})"
                 )
             raise BadScalarLiteral(f"{text!r} is not an integer literal")
-        return PrimeFieldElement(self.p, int(text))
+        return int(text) % self.p, 1
 
     def __repr__(self):
         return self.tag

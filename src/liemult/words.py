@@ -62,7 +62,7 @@ from .errors import (
 from .linalg import RowSpan, integer_row
 
 # Bracket steps (|x|·|y| per evaluated bracket) one ψ degree may spend.
-PSI_BRACKET_BUDGET = 2 * 10**5
+PSI_BRACKET_BUDGET = 2 * 10**6
 
 
 def normed_bracket(L: LieAlgebra, xs, orientation: str = "left") -> list:

@@ -11,11 +11,20 @@ import itertools
 import random
 from fractions import Fraction
 
-from liemult.algebra import LieAlgebra, Subspace
+from liemult.algebra import LieAlgebra, SeriesChain, Subspace
 from liemult.errors import NotInSubspace
 from liemult.fields import QQ
 from liemult.linalg import Matrix
 from liemult.words import PsiEvaluator
+
+
+# Maximal class over GF(2) in a graded basis x1, x2, x3, ..., x8 with x_k of
+# degree k - 1.  The elements s of L/γ₂ with [x_k, s] = 0 form the lines
+# <x2> (k = 3, 4, 6), <x1> (k = 5) and <x1 + x2> (k = 7): every s ∉ γ₂
+# kills some layer, so no generator chain exists.
+NO_CHAIN_GF2 = [(1, 2, 3, 1), (1, 3, 4, -1), (1, 4, 5, -1), (2, 5, 6, -1), (3, 4, 6, 1),
+                (1, 6, 7, -1), (3, 5, 7, 1), (1, 7, 8, -1), (2, 7, 8, -1), (3, 6, 8, 1),
+                (4, 5, 8, 1)]
 
 
 def naive_rref(rows, field=QQ) -> list[list]:
@@ -72,6 +81,16 @@ def change_basis_oracle(L: LieAlgebra, p: Matrix) -> tuple:
         solved = naive_rref([[rows[k][m] for k in range(n)] + [w[m]] for m in range(n)], L.field)
         out.extend((i + 1, j + 1, k + 1, solved[k][n]) for k in range(n) if solved[k][n])
     return tuple(out)
+
+
+def chain_basis_series_oracle(A: LieAlgebra) -> SeriesChain | None:
+    """The lower central series of A computed term by term (``_own_series``)
+    when it has class n - 1 and only unit-vector rows, else None: the rule
+    that once decided whether a generator-chain rewrite is adapted to its
+    series, kept as the reference for the one-scan decision."""
+    series = A._own_series()
+    unit_rows = all(len(row) == 1 for term in series.terms for row in term._rows.values())
+    return series if series.nilpotency_class == A.n - 1 and unit_rows else None
 
 
 def naive_rank(rows) -> int:

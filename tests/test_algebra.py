@@ -1,12 +1,17 @@
+import functools
 import hashlib
 import json
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from helpers import (
+    NO_CHAIN_GF2,
     bracket_span_oracle,
+    chain_basis_series_oracle,
     change_basis_oracle,
     naive_rref,
     quotient_coords_oracle,
@@ -809,17 +814,27 @@ CYCLIC_SHIFT_OUTPUT = {
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(2147483647)], ids=["Q", "GFp"])
-def test_rewrite_made_on_the_partial_span_is_dropped(field, tmp_path, capsys):
+def test_rewrite_made_on_the_partial_span_is_dropped(field, tmp_path, capsys, monkeypatch):
     L = _cyclic_shift_algebra(field)
     n = L.n
+    calls = []
+    table_in_basis = LieAlgebra._table_in_basis
+    monkeypatch.setattr(LieAlgebra, "_table_in_basis",
+                        lambda self, rows: calls.append(rows) or table_in_basis(self, rows))
     # The first n - 2 table rows are independent, so the span stops there,
-    # and the chain search on that partial span finds a rewrite ...
+    # and the chain search on that partial span finds a chain ...
     probe = LieAlgebra.__new__(LieAlgebra)
-    probe._setup(n, L._table, field, None)
+    probe._setup(n, L._integer_table, L._scale, field, None)
     assert probe._derived.dim == n - 2
-    assert len(probe._pending) == len(L._table) - (n - 2)
-    assert probe._chain_rewrite() is not None
-    # ... which construction drops once the later rows lift dim γ₂ to n - 1.
+    assert len(probe._pending) == len(L._integer_table) - (n - 2)
+    rows = probe._chain_rows()
+    assert rows is not None and any(len(v) > 1 for v in rows[2:])
+    # ... whose tail leaves the partial span, so γ₂ is larger and no basis
+    # change is made for a rewrite that construction would drop.
+    assert not probe._derived.contains_integers(rows[-1])
+    assert probe._chain_rewrite() is None
+    rebuilt = LieAlgebra(n, L._table, field=field)
+    assert rebuilt == L and rebuilt._rewrite is None and rebuilt._adapted is None
     assert L._rewrite is None and L._adapted is None and not L._pending
     oracle, nilpotent = series_oracle(L)
     assert not nilpotent
@@ -839,6 +854,7 @@ def test_rewrite_made_on_the_partial_span_is_dropped(field, tmp_path, capsys):
         assert doc["series_dims" if command == "check" else "dims"] == [6, 5]
         if command == "check":
             assert doc["brackets"] == 90
+    assert calls == []
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(2147483647)], ids=["Q", "GFp"])
@@ -853,3 +869,99 @@ def test_dense_filiform_13_leaves_gamma2_rows_pending(field):
     series = L.lower_central_series()
     assert nilpotent and series.nilpotent
     assert [t.basis.rows() for t in series.terms] == oracle
+
+
+# -- the one-scan decision that a chain-basis rewrite is adapted ----------------
+
+
+def _chain_basis_algebra(L):
+    """L rewritten, without validation, in the generator chain that the
+    construction-time search finds on L's partial γ₂ span, whether or not
+    construction keeps that rewrite; None when the search finds no chain."""
+    probe = LieAlgebra.__new__(LieAlgebra)
+    probe._setup(L.n, L._integer_table, L._scale, L.field, None)
+    rows = probe._chain_rows()
+    if rows is None:
+        return None
+    return LieAlgebra(L.n, L._table_in_basis([(r, 1) for r in rows]), field=L.field,
+                      validate=False)
+
+
+def _scan_matches_oracle(A) -> bool:
+    """Assert that the scan decides as the series rule does and that a
+    passing scan gives the rule's terms; return the decision."""
+    scanned, oracle = A._chain_basis_series(), chain_basis_series_oracle(A)
+    assert (scanned is None) == (oracle is None)
+    assert scanned == oracle
+    return scanned is not None
+
+
+SCAN_CASES = ([(standard_filiform, n) for n in range(3, 13)]
+              + [(filiform_m2, n) for n in range(5, 13)]
+              + [(filiform_q, n) for n in range(6, 13, 2)])
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_adaptedness_scan_matches_the_series_rule_on_basis_changes(field):
+    adapted = 0
+    for family, n in SCAN_CASES:
+        base = family(n, field=field)
+        _scan_matches_oracle(_chain_basis_algebra(base))
+        for seed in (1, 2):
+            L = base.change_basis(random_unimodular(random.Random(100 * n + seed), n, field))
+            if L._rewrite is None:
+                continue
+            A = L._rewrite[1]
+            oracle = chain_basis_series_oracle(A)
+            # Construction keeps A as the adapted basis exactly when the rule
+            # holds, and then A's series is the rule's, set by the scan.
+            assert (L._adapted is A) == (oracle is not None)
+            assert A.lower_central_series() == oracle
+            adapted += _scan_matches_oracle(A)
+    assert adapted == 2 * len(SCAN_CASES)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_adaptedness_scan_on_tables_that_are_not_lie_or_not_nilpotent(field):
+    # The one-constant Jacobi-breaking dense filiform-12 of the CI check and
+    # the catalog perturbations: a rewrite is made on each.
+    for perturbation, n, seed in [((2, 3, 5, 1), 12, 12)] + [(p, 9, 9) for p in PERTURBATIONS]:
+        L = LieAlgebra(n, _perturbed_dense_table(field, perturbation, n, seed), field=field,
+                       validate=False)
+        assert L._rewrite is not None
+        assert (L._adapted is not None) == _scan_matches_oracle(L._rewrite[1])
+    # The cyclic shift: construction makes no rewrite, and the rewrite it
+    # skipped fails the scan and the rule alike.
+    assert not _scan_matches_oracle(_chain_basis_algebra(_cyclic_shift_algebra(field)))
+
+
+def test_adaptedness_scan_has_nothing_to_decide_without_a_chain():
+    F = PrimeField(2, allow_char_two=True)
+    graded = build(8, NO_CHAIN_GF2, field=F)
+    dense = graded.change_basis(random_unimodular(random.Random(8), 8, F))
+    for L in (graded, dense):
+        assert _chain_basis_algebra(L) is None
+        assert L._rewrite is None and L._adapted is None
+
+
+@functools.cache
+def _chain_basis_table(family, n, field):
+    dense = family(n, field=field).change_basis(random_unimodular(random.Random(n), n, field))
+    return _chain_basis_algebra(dense)._table
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_adaptedness_scan_matches_the_series_rule_after_one_changed_constant(data):
+    field = data.draw(st.sampled_from(FIELDS), label="field")
+    family, n = data.draw(st.sampled_from(SCAN_CASES), label="algebra")
+    a = data.draw(st.integers(0, n - 2), label="a")
+    b = data.draw(st.integers(a + 1, n - 1), label="b")
+    # The rows [e_1, e_0], …, [e_{n-2}, e_0] carry the chain; any other
+    # constant may change.
+    assume(not (a == 0 and b <= n - 2))
+    k = data.draw(st.integers(0, n - 1), label="k")
+    c = data.draw(st.integers(-3, 3), label="c")
+    table = {key: dict(comps) for key, comps in _chain_basis_table(family, n, field).items()}
+    table.setdefault((a, b), {})[k] = field.element(c)
+    _scan_matches_oracle(LieAlgebra(n, table, field=field, validate=False))

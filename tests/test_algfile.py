@@ -1,7 +1,9 @@
+import itertools
 from fractions import Fraction
 
 import pytest
 
+from liemult.algebra import build
 from liemult.algfile import parse_algebra, serialize_algebra
 from liemult.catalog import entries, standard_filiform
 from liemult.errors import (
@@ -11,7 +13,7 @@ from liemult.errors import (
     JacobiViolation,
     LieError,
 )
-from liemult.fields import PrimeField
+from liemult.fields import PrimeField, parse_field_spec
 
 EXAMPLE_N4 = """\
 lie-algebra v1
@@ -142,6 +144,9 @@ def test_zero_coefficients_normalized_away():
 
 
 H = "lie-algebra v1\n"
+# Bracket lines out of key order.  The Jacobi check walks the keys in file
+# order, so this file names (2, 3, 4), where its sorted form names (1, 2, 3).
+UNSORTED_JACOBI = H + "field Q\ndim 4\nbracket 3 4 2 2\nbracket 1 3 4 2\nbracket 2 4 1 2\n"
 # (text, exception type, full message, its ``line`` attribute) for every
 # malformed-file case: parse errors must keep their wording and line numbers.
 MALFORMED = {
@@ -238,6 +243,9 @@ MALFORMED = {
         H + "field Q\ndim 3\nbracket 1 2 3 1\nbracket 1 3 3 1\nbracket 2 3 1 1\n",
         JacobiViolation,
         "Jacobi identity fails on basis triple (1, 2, 3); defect vector [1, 0, 0]", None),
+    "jacobi-unsorted": (
+        UNSORTED_JACOBI, JacobiViolation,
+        "Jacobi identity fails on basis triple (2, 3, 4); defect vector [0, 0, 0, -4]", None),
 }
 
 
@@ -255,3 +263,35 @@ def test_rational_literals_keep_their_value():
     text = H + "field Q\ndim 3\nbracket 1 2 3 -6/4\nbracket 1 3 3 +7\n"
     consts = parse_algebra(text).structure_constants()
     assert [c for *_, c in consts] == [Fraction(-3, 2), Fraction(7)]
+
+
+def test_jacobi_report_of_sorted_lines_names_another_triple():
+    head, body = UNSORTED_JACOBI.splitlines()[:3], UNSORTED_JACOBI.splitlines()[3:]
+    with pytest.raises(JacobiViolation) as exc:
+        parse_algebra("\n".join(head + sorted(body)) + "\n")
+    assert str(exc.value) == (
+        "Jacobi identity fails on basis triple (1, 2, 3); defect vector [4, 0, 0, 0]")
+
+
+# (field, literals, the constants build is given for them, the scale D).
+LITERAL_CASES = [
+    ("Q", ["+5", "007", "-0", "0/5", "2/4", "-6/3", "1/3", "-5/10", "12"],
+     [5, 7, 0, 0, Fraction(1, 2), -2, Fraction(1, 3), Fraction(-1, 2), 12], 6),
+    ("Q", ["3", "-0/4", "+8/2", "007"], [3, 0, 4, 7], 1),
+    ("GF(7)", ["+5", "007", "-0", "9", "-3", "14", "-15", "123456789"],
+     [5, 7, 0, 9, -3, 14, -15, 123456789], 1),
+]
+
+
+@pytest.mark.parametrize("spec,literals,values,scale", LITERAL_CASES)
+def test_literals_parse_to_the_constants_build_gives(spec, literals, values, scale):
+    # x1, …, x4 bracket into the center <x5, x6>, so any constants satisfy Jacobi.
+    field = parse_field_spec(spec)
+    slots = [(i, j, k) for i, j in itertools.combinations(range(1, 5), 2) for k in (5, 6)]
+    lines = "".join(f"bracket {i} {j} {k} {c}\n" for (i, j, k), c in zip(slots, literals))
+    parsed = parse_algebra(H + f"field {spec}\ndim 6\n" + lines)
+    built = build(6, [(i, j, k, v) for (i, j, k), v in zip(slots, values)], field=field)
+    assert parsed.structure_constants() == built.structure_constants()
+    assert parsed._scale == built._scale == scale
+    assert serialize_algebra(parsed) == serialize_algebra(built)
+    assert parsed == built and list(parsed._integer_table) == list(built._integer_table)

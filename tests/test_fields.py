@@ -147,3 +147,11 @@ def test_modulus_past_the_proven_bound_is_a_resource_limit():
     # A base that fails still proves a large modulus composite.
     with pytest.raises(FieldSpecError):
         PrimeField(PSI_13 * 43)
+
+
+def test_parse_integers_gives_lowest_terms_and_residues():
+    assert [QQ.parse_integers(t) for t in ("+5", "007", "-0", "0/5", "2/4", "-6/3", "-5/10")] == [
+        (5, 1), (7, 1), (0, 1), (0, 1), (1, 2), (-2, 1), (-1, 2)]
+    F = PrimeField(7)
+    assert [F.parse_integers(t) for t in ("9", "-3", "-0", "14", "+6")] == [
+        (2, 1), (4, 1), (0, 1), (0, 1), (6, 1)]

@@ -3,7 +3,7 @@ from math import comb
 
 import pytest
 
-from helpers import random_unimodular, series_oracle
+from helpers import NO_CHAIN_GF2, random_unimodular, series_oracle
 from liemult.algebra import build
 from liemult.catalog import (
     abelian,
@@ -139,15 +139,6 @@ def test_boundary_shapes():
 
 FIELDS = [QQ, PrimeField(7), PrimeField(2147483647)]
 FIELD_IDS = ["Q", "GF7", "GFp"]
-
-# Maximal class over GF(2) in a graded basis x1, x2, x3, ..., x8 with x_k of
-# degree k - 1.  The elements s of L/γ₂ with [x_k, s] = 0 form the lines
-# <x2> (k = 3, 4, 6), <x1> (k = 5) and <x1 + x2> (k = 7): every s ∉ γ₂
-# kills some layer, so no generator chain exists.
-NO_CHAIN_GF2 = [(1, 2, 3, 1), (1, 3, 4, -1), (1, 4, 5, -1), (2, 5, 6, -1), (3, 4, 6, 1),
-                (1, 6, 7, -1), (3, 5, 7, 1), (1, 7, 8, -1), (2, 7, 8, -1), (3, 6, 8, 1),
-                (4, 5, 8, 1)]
-
 
 def _raw_multiplier_dim(L):
     """dim M from the complex of L in L's own basis."""

@@ -410,13 +410,17 @@ def test_psi_image_cap_guard(monkeypatch, capsys):
     assert capsys.readouterr().err.startswith("resource guard:")
 
 
-def test_psi_budget_refuses_catalog_m2_18_at_degree_17():
-    # The real budget, not a patched one: every bracket is charged |x|·|y|.
-    L = filiform_m2(18)
-    assert [(p.i, p.dim, p.exact, p.mode, p.tuples_examined)
-            for p in (psi_image_dim(L, i) for i in range(2, 17))] == _alternating(17)
-    with pytest.raises(TupleSpaceTooLarge, match="degree 17"):
-        psi_image_dim(L, 17)
+def test_psi_budget_answers_catalog_m2_18_at_every_degree():
+    # The real budget, not a patched one: every bracket is charged |x|·|y|,
+    # and degree 17 takes 275,584 steps.
+    assert _images(filiform_m2(18)) == _alternating(18)
+
+
+def test_psi_budget_refuses_dense_m2_16_at_degree_14():
+    # Degree 14 of this basis would take 2,430,560 bracket steps.
+    L = _basis_changed(filiform_m2(16), 5)
+    with pytest.raises(TupleSpaceTooLarge, match="degree 14 exceeds the budget of 2000000"):
+        psi_image_dim(L, 14)
 
 
 def test_pinching_inequality_small_filiform():
