@@ -27,21 +27,26 @@ algebra keeps A, itself rewritten in the chain basis P, whose table is
 nearly a shift (``_chain_rewrite``).  The search reads γ₂ as the span of
 the table rows taken only until it reaches dim n - 2; the other rows stay
 pending.  A chain vector outside that partial span proves γ₂ larger, and
-then no rewrite is made.  One scan of A's table decides whether A is adapted
-(``_chain_basis_series``): whether its series has class n - 1 with the
-coordinate terms span(e_k, …, e_{n-1}), which it then is without being
-computed.  That proves dim γ₂ = n - 2, and the pending rows are never added;
-otherwise construction adds them (``_finish_derived``) and drops a rewrite
-made on a γ₂ that turns out larger.  Every reader of the full γ₂ adds them
-first.  The Jacobi identity is validated eagerly at construction, so
-everything downstream may assume it: on A when there is a rewrite (it holds
-on A exactly when it holds on L) and on L's own table otherwise, and a
-violation is always reported from L's own table, walking its keys in input
-order.  The lower central series is A's series mapped back through P when
-there is a rewrite, and is computed on L's table otherwise.  Instances are
-immutable after construction (internal caches, the pending γ₂ rows and the
-field-scalar table among them, only memoize pure results) and safe to share
-between workers.
+then no rewrite is made.  One scan of a table decides whether it is in a
+chain basis (``_chain_basis_series``): whether every [e_a, e_b], a < b, lies
+in span(e_{b+1}, …) and every [e_0, e_k], 1 <= k <= n - 2, has a nonzero
+e_{k+1} entry.  A table with n >= 3 that passes has class n - 1 and
+γ_k = span(e_k, …, e_{n-1}) for k >= 2, and its series is then set without
+being computed.  On A the scan decides adaptedness exactly, and passing
+proves dim γ₂ = n - 2, so the pending rows are never added; otherwise
+construction adds them (``_finish_derived``) and drops a rewrite made on a
+γ₂ that turns out larger.  Every reader of the full γ₂ adds them first.  The
+Jacobi identity is validated eagerly at construction, so everything
+downstream may assume it: on A when there is a rewrite (it holds on A exactly
+when it holds on L) and on L's own table otherwise, and a violation is always
+reported from L's own table, walking its keys in input order.  The lower
+central series is read off L's own table when the scan passes (the catalog
+filiform and m₂ bases and their central quotients), is A's series mapped
+back through P when there is a rewrite, and is computed on L's table
+otherwise.  At class n - 1 the center is γₙ₋₁, with no kernel to compute.
+Instances are immutable after construction (internal caches, the pending γ₂
+rows and the field-scalar table among them, only memoize pure results) and
+safe to share between workers.
 """
 
 from __future__ import annotations
@@ -452,10 +457,15 @@ class LieAlgebra:
         return span
 
     def lower_central_series(self) -> SeriesChain:
-        """γ₁ = L and γᵢ₊₁ = [γᵢ, L].  With a rewrite, the series of the
-        sparse rewrite mapped back through P; otherwise computed here."""
+        """γ₁ = L and γᵢ₊₁ = [γᵢ, L].  Read off the table when one scan shows
+        a chain basis (``_chain_basis_series``); otherwise, with a rewrite,
+        the series of the sparse rewrite mapped back through P, and without
+        one computed here."""
         if self._series is None:
-            self._series = self._series_via_chain() if self._rewrite else self._own_series()
+            series = self._chain_basis_series()
+            if series is None:
+                series = self._series_via_chain() if self._rewrite else self._own_series()
+            self._series = series
         return self._series
 
     def _finish_derived(self):
@@ -513,19 +523,38 @@ class LieAlgebra:
         return self.lower_central_series().gamma(2)
 
     def center(self) -> Subspace:
-        """Exact kernel of the stacked adjoint-action matrix."""
+        """Z(L) = {z : [z, L] = 0}: γₙ₋₁ when the series has class n - 1,
+        otherwise the kernel of the stacked adjoint action (``_center_kernel``).
+
+        At class n - 1, γₙ₋₁ is central, since [γₙ₋₁, L] = γₙ = 0.  The n - 1
+        drops dim γₖ - dim γₖ₊₁ are positive and sum to n, and the first is
+        at least 2 (L = <y> + γ₂ would give γ₂ = [L, L] ⊆ [y, γ₂] + [γ₂, L] ⊆
+        γ₃), so dim L/γ₂ = 2 and every later drop is 1.  Suppose z is central,
+        in γₖ but not in γₖ₊₁, with k <= n - 2.  If k >= 2, then γₖ = <z> +
+        γₖ₊₁, so γₖ₊₁ = [γₖ, L] = [γₖ₊₁, L] = γₖ₊₂, which class n - 1 rules
+        out.  If k = 1, then L = <z, y> + γ₂, so γ₂ = [L, L] ⊆ [y, γ₂] +
+        [γ₂, L] ⊆ γ₃, ruled out as well.  So Z(L) = γₙ₋₁.  The proof uses
+        only bilinearity and [x, x] = 0, not the Jacobi identity."""
         if self._center is None:
-            zero = self.field.zero
-            rows = []
-            for j in range(self.n):
-                block = [[zero] * self.n for _ in range(self.n)]
-                for i in range(self.n):
-                    for k, c in self.bracket_basis(i, j).items():
-                        block[k][i] = c
-                rows.extend(block)
-            stacked = Matrix(self.field, rows, ncols=self.n)
-            self._center = Subspace(self.n, stacked.kernel_basis())
+            series = self.lower_central_series()
+            if series.nilpotency_class == self.n - 1:
+                self._center = series.gamma(self.n - 1)
+            else:
+                self._center = self._center_kernel()
         return self._center
+
+    def _center_kernel(self) -> Subspace:
+        """Exact kernel of the stacked adjoint-action matrix."""
+        zero = self.field.zero
+        rows = []
+        for j in range(self.n):
+            block = [[zero] * self.n for _ in range(self.n)]
+            for i in range(self.n):
+                for k, c in self.bracket_basis(i, j).items():
+                    block[k][i] = c
+            rows.extend(block)
+        stacked = Matrix(self.field, rows, ncols=self.n)
+        return Subspace(self.n, stacked.kernel_basis())
 
     def is_maximal_class(self) -> tuple[bool, tuple[int, ...]]:
         """True iff the nilpotency class equals n - 1.  Needs n >= 3."""
@@ -740,22 +769,32 @@ class LieAlgebra:
         return None
 
     def _chain_basis_series(self) -> SeriesChain | None:
-        """The lower central series of a table in a generator-chain basis,
-        e_{k+1} a nonzero multiple of [e_k, e_0] for 1 <= k < n - 1, read off
-        one scan of the table; None when the scan fails.
+        """The lower central series of a table in a chain basis, read off one
+        scan of the table; None when the scan fails and for n < 3.
 
         With weights w₀ = w₁ = 1 and w_k = k, and F_j = span(e_j, …, e_{n-1}),
-        the scan asks that every [e_a, e_b] lie in F_{max(w_a, w_b) + 1}, that
-        is, for a < b, that [e_a, e_b] have no entry at an index <= b.  The chain
-        gives F_{k+1} ⊆ [F_k, L], so F_k ⊆ γ_k; a passing scan gives
-        [F_k, L] ⊆ F_{k+1}, so γ_k ⊆ F_k.  Then γ_k = F_k for k >= 2, and the
-        class is n - 1.  Conversely, class n - 1 forces dim γ_k = n - k for
-        k >= 2, so γ_k = F_k and the scan passes: it decides exactly whether
-        the series has class n - 1 with coordinate terms.  Neither direction
-        uses the Jacobi identity."""
-        if any(min(row) <= j for (_, j), row in self._integer_table.items()):
+        the scan asks two things.  The index test: every [e_a, e_b] lies in
+        F_{max(w_a, w_b) + 1}, that is, for a < b, [e_a, e_b] has no entry at
+        an index <= b.  The link test: for 1 <= k <= n - 2, [e_0, e_k] has a
+        nonzero e_{k+1} entry.  The index test gives [F_k, L] ⊆ F_{k+1} for
+        k >= 1 and γ₂ ⊆ F₂, so γ_k ⊆ F_k for k >= 2.  The link gives, by
+        induction on k from e_1 ∈ γ_1, e_{k+1} ∈ <[e_0, e_k]> + F_{k+2} ⊆
+        γ_{k+1} + F_{k+2}, so F_k ⊆ γ_k.  Then γ_k = F_k for k >= 2, and the
+        class is n - 1.  Neither direction uses the Jacobi identity, so a
+        table that is not validated gets its definitional series.
+
+        A generator-chain rewrite passes the link test by construction, since
+        its e_{k+1} is a nonzero multiple of [e_k, e_0]; for such a table the
+        converse holds as well (class n - 1 forces dim γ_k = n - k, so γ_k =
+        F_k and the index test passes), and the scan decides exactly whether
+        its series has class n - 1 with coordinate terms.  The catalog
+        filiform and m₂ bases and their central quotients pass both tests;
+        Qₙ fails the link ([x₁, xₙ₋₁] = 0) and takes another route."""
+        n, ad = self.n, self._ad
+        if n < 3 or any(min(row) <= j for (_, j), row in self._integer_table.items()):
             return None
-        n = self.n
+        if not all(ad[0].get(k, {}).get(k + 1) for k in range(1, n - 1)):
+            return None
         span = RowSpan(self.field, n)
         terms = [Subspace(n, span.copy())]
         for j in range(n - 1, -1, -1):

@@ -69,6 +69,26 @@ def series_oracle(L: LieAlgebra) -> tuple[list[list[list]], bool]:
     return terms, True
 
 
+def center_oracle(L: LieAlgebra) -> list[list]:
+    """Canonical basis of the center: the kernel of the dense linear map
+    x -> ([x, e_j])_j, read off the naive_rref of its n^2 x n matrix, whose
+    row (j, k) holds [e_i, e_j]_k at column i."""
+    n, zero, one = L.n, L.field.zero, L.field.one
+    brackets = [[L.bracket(L.basis_vector(i), L.basis_vector(j)) for i in range(n)]
+                for j in range(n)]
+    rref = naive_rref([[brackets[j][i][k] for i in range(n)] for j in range(n) for k in range(n)],
+                      L.field)
+    pivots = [next(c for c in range(n) if row[c]) for row in rref]
+    kernel = []
+    for f in (c for c in range(n) if c not in pivots):
+        v = [zero] * n
+        v[f] = one
+        for row, c in zip(rref, pivots):
+            v[c] = -row[f]
+        kernel.append(v)
+    return naive_rref(kernel, L.field)
+
+
 def change_basis_oracle(L: LieAlgebra, p: Matrix) -> tuple:
     """The structure constants of L in the basis f_i = sum_j p[i][j] e_j, in
     the form ``structure_constants()`` gives them: [f_i, f_j] is the dense

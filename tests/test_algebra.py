@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from helpers import (
     NO_CHAIN_GF2,
     bracket_span_oracle,
+    center_oracle,
     chain_basis_series_oracle,
     change_basis_oracle,
     naive_rref,
@@ -965,3 +966,137 @@ def test_adaptedness_scan_matches_the_series_rule_after_one_changed_constant(dat
     table = {key: dict(comps) for key, comps in _chain_basis_table(family, n, field).items()}
     table.setdefault((a, b), {})[k] = field.element(c)
     _scan_matches_oracle(LieAlgebra(n, table, field=field, validate=False))
+
+
+# -- series and center read off the table --------------------------------------
+
+
+def _direct_sum(L, M):
+    """L ⊕ M, M's basis following L's."""
+    n = L.n
+    shifted = [(i + n, j + n, k + n, c) for i, j, k, c in M.structure_constants()]
+    return build(n + M.n, [*L.structure_constants(), *shifted], field=L.field)
+
+
+def _assert_series_and_center_match_oracles(L):
+    oracle, nilpotent = series_oracle(L)
+    series = L.lower_central_series()
+    assert series.nilpotent == nilpotent
+    assert [t.basis.rows() for t in series.terms] == oracle
+    assert L.center().basis.rows() == center_oracle(L)
+
+
+# Dense basis changes stop at dimension 10: the oracles evaluate every dense
+# bracket on the full table, which costs seconds per algebra over Q past it.
+# They are made of the catalog algebras only: the central quotient of
+# filiform-n or Qₙ is filiform-(n - 1), and that of m₂-n is m₂-(n - 1).
+ROUTE_FAMILIES = ([(standard_filiform, n) for n in range(3, 17)]
+                  + [(filiform_m2, n) for n in range(5, 15)]
+                  + [(filiform_q, n) for n in range(6, 15, 2)])
+DENSE_ROUTE_MAX_DIM = 10
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_series_and_center_match_the_oracles_on_maximal_class_input(field):
+    for family, n in ROUTE_FAMILIES:
+        L = family(n, field=field)
+        Z = L.quotient(L.center()).quotient
+        # The catalog filiform and m₂ bases and every central quotient pass
+        # the scan (Qₙ/Z is filiform); Qₙ fails its link.
+        assert (L._chain_basis_series() is not None) == (family is not filiform_q)
+        assert Z.n < 3 or Z._chain_basis_series() is not None
+        for M in (L, Z):
+            assert M.nilpotency_class() == M.n - 1
+            _assert_series_and_center_match_oracles(M)
+        if n > DENSE_ROUTE_MAX_DIM:
+            continue
+        for seed in (1, 2):
+            dense = L.change_basis(random_unimodular(random.Random(100 * n + seed), n, field))
+            assert n <= 4 or dense._rewrite is not None
+            _assert_series_and_center_match_oracles(dense)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_series_and_center_match_the_oracles_below_maximal_class(field):
+    cases = [abelian(4, field=field),
+             _direct_sum(heisenberg(field=field), abelian(2, field=field))]
+    cases += [_direct_sum(standard_filiform(k, field=field), standard_filiform(k, field=field))
+              for k in (4, 5)]
+    for L in cases:
+        assert L._chain_basis_series() is None
+        variants = [L] + [L.change_basis(random_unimodular(random.Random(seed), L.n, field))
+                          for seed in (1, 2)]
+        for M in variants:
+            _assert_series_and_center_match_oracles(M)
+            if not M.is_abelian():
+                _assert_series_and_center_match_oracles(M.quotient(M.center()).quotient)
+
+
+def _count_calls(monkeypatch, name):
+    """Record the algebra of every call of the LieAlgebra method ``name``."""
+    seen = []
+    method = getattr(LieAlgebra, name)
+
+    def counted(self):
+        seen.append(self)
+        return method(self)
+
+    monkeypatch.setattr(LieAlgebra, name, counted)
+    return seen
+
+
+def test_filiform_report_reads_every_series_and_center_off_the_table(monkeypatch, capsys):
+    own = _count_calls(monkeypatch, "_own_series")
+    kernels = _count_calls(monkeypatch, "_center_kernel")
+    assert cli.main(["report", "--family", "filiform", "--max-dim", "14",
+                     "--format", "machine"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["reports"]) == 12
+    # The scan needs n >= 3, so the one algebra left to compute its own
+    # series is the abelian L/Z of filiform-3.
+    assert [(A.n, A.is_abelian()) for A in own] == [(2, True)]
+    assert kernels == []
+
+
+def _filiform_7_table(field, changes=()):
+    """Catalog filiform-7 as a field-scalar table with each 0-based
+    ((i, j), row) in ``changes`` set, an empty row deleting the key."""
+    table = {key: dict(row) for key, row in standard_filiform(7, field=field)._table.items()}
+    for key, row in changes:
+        if row:
+            table[key] = {k: field.element(c) for k, c in row.items()}
+        else:
+            del table[key]
+    return table
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_tables_that_fail_the_scan_compute_their_own_series(field, monkeypatch):
+    own = _count_calls(monkeypatch, "_own_series")
+    cases = [
+        # [x1, x4] = x5 deleted: still a Lie algebra, of class 3, whose table
+        # passes the index test but not the link.
+        LieAlgebra(7, _filiform_7_table(field, [((0, 3), {})]), field=field),
+        abelian(5, field=field),
+        abelian(1, field=field),
+        abelian(2, field=field),
+        build(2, [(1, 2, 2, 1)], field=field),  # not nilpotent
+    ]
+    for L in cases:
+        assert L._chain_basis_series() is None and L._rewrite is None
+        _assert_series_and_center_match_oracles(L)
+    assert own == cases
+    assert cases[0].nilpotency_class() == 3
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_scan_gives_the_definitional_series_of_a_table_that_breaks_jacobi(field, monkeypatch):
+    # filiform-7 with [x2, x3] = x6: the Jacobiator of (x1, x2, x3) is x7.
+    L = LieAlgebra(7, _filiform_7_table(field, [((1, 2), {5: 1})]), field=field,
+                   validate=False)
+    with pytest.raises(JacobiViolation):
+        L._validate_jacobi()
+    own = _count_calls(monkeypatch, "_own_series")
+    kernels = _count_calls(monkeypatch, "_center_kernel")
+    assert L._chain_basis_series() is not None
+    _assert_series_and_center_match_oracles(L)
+    assert own == [] and kernels == []
