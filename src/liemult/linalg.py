@@ -22,7 +22,7 @@ every basis produced by this module byte-deterministic.
 from __future__ import annotations
 
 from math import gcd, lcm
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, FieldMismatch, SingularMatrix
 
@@ -31,22 +31,30 @@ class Matrix:
     """Immutable dense matrix over one exact field.
 
     Rows are stored as lists of field scalars; nothing mutates a constructed
-    instance, so sharing across threads is safe.
+    instance, so sharing across threads is safe.  ``rows`` may be any
+    iterable of iterables, a generator included: it is consumed once, one row
+    at a time, and each row is copied into the stored list as it arrives, so
+    a caller that generates its rows never holds them beside the matrix.
     """
 
-    def __init__(self, field, rows: Sequence[Sequence], ncols: int | None = None):
-        rows = [list(map(field.element, r)) for r in rows]
-        if rows:
-            width = len(rows[0])
-            if any(len(r) != width for r in rows):
+    def __init__(self, field, rows: Iterable[Iterable], ncols: int | None = None):
+        element = field.element
+        stored = []
+        width = None
+        for r in rows:
+            row = list(map(element, r))
+            if width is None:
+                width = len(row)
+            elif len(row) != width:
                 raise DimensionMismatch("ragged rows")
-            if ncols is not None and ncols != width:
-                raise DimensionMismatch(f"expected {ncols} columns, rows have {width}")
-        else:
+            stored.append(row)
+        if width is None:
             width = 0 if ncols is None else ncols
+        elif ncols is not None and ncols != width:
+            raise DimensionMismatch(f"expected {ncols} columns, rows have {width}")
         self.field = field
-        self._rows = rows
-        self.nrows = len(rows)
+        self._rows = stored
+        self.nrows = len(stored)
         self.ncols = width
         self._span: RowSpan | None = None
         self._rref: tuple[Matrix, tuple[int, ...]] | None = None

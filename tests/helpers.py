@@ -11,7 +11,7 @@ import itertools
 import random
 from fractions import Fraction
 
-from liemult.algebra import LieAlgebra, SeriesChain, Subspace
+from liemult.algebra import LieAlgebra, SeriesChain, Subspace, build
 from liemult.errors import NotInSubspace
 from liemult.fields import QQ
 from liemult.linalg import Matrix
@@ -113,8 +113,32 @@ def chain_basis_series_oracle(A: LieAlgebra) -> SeriesChain | None:
     return series if series.nilpotency_class == A.n - 1 and unit_rows else None
 
 
-def naive_rank(rows) -> int:
-    return len(naive_rref(rows))
+def naive_rank(rows, field=QQ) -> int:
+    return len(naive_rref(rows, field))
+
+
+def multiplier_oracle(L: LieAlgebra) -> int:
+    """dim M(L) = C(n,2) - rank d2 - rank d3 from the dense exterior complex,
+    each boundary row written out from ``L.bracket`` of basis vectors and
+    ranked by naive_rank, in L's own basis.  The wedge e_a ∧ e_b (a < b) is
+    the column of (a, b) among the pairs in lexicographic order."""
+    n, zero = L.n, L.field.zero
+    pairs = list(itertools.combinations(range(n), 2))
+    column = {pair: pos for pos, pair in enumerate(pairs)}
+    e = [L.basis_vector(i) for i in range(n)]
+    d2 = [L.bracket(e[i], e[j]) for i, j in pairs]
+    d3 = []
+    for i, j, k in itertools.combinations(range(n), 3):
+        row = [zero] * len(pairs)
+        # d3(e_i ∧ e_j ∧ e_k) = [e_i,e_j] ∧ e_k - [e_i,e_k] ∧ e_j + [e_j,e_k] ∧ e_i
+        for (a, b), partner, sign in (((i, j), k, 1), ((i, k), j, -1), ((j, k), i, 1)):
+            for m, c in enumerate(d2[column[(a, b)]]):
+                if c and m != partner:
+                    # e_m ∧ e_partner = -(e_partner ∧ e_m)
+                    flip = 1 if m < partner else -1
+                    row[column[(min(m, partner), max(m, partner))]] += sign * flip * c
+        d3.append(row)
+    return len(pairs) - naive_rank(d2, L.field) - naive_rank(d3, L.field)
 
 
 def random_rational_matrix(rng: random.Random, nrows: int, ncols: int) -> list[list[Fraction]]:
@@ -172,3 +196,13 @@ def quotient_coords_oracle(sup: Subspace, sub: Subspace, v) -> list:
     if len(solved) > k:
         raise NotInSubspace("vector lies outside the larger subspace")
     return [solved[i][k] for i in range(sub.dim, k)]
+
+
+def truncated_witt(n: int, field=QQ) -> LieAlgebra:
+    """The truncated Witt algebra Wₙ: basis e_1, …, e_n with
+    [e_i, e_j] = (j - i) e_{i+j} for i + j ≤ n and 0 otherwise.  Its
+    constants vanish where p divides j - i, so over GF(p) it can lose the
+    maximal class that it has over Q."""
+    brackets = [(i, j, i + j, j - i)
+                for i in range(1, n + 1) for j in range(i + 1, n + 1 - i)]
+    return build(n, brackets, field=field)

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from helpers import truncated_witt
 from liemult import algfile, cli
 from liemult.algebra import build
 from liemult.bounds import BoundReport, VIOLATED
@@ -23,7 +24,7 @@ from liemult.cli import (
     main,
 )
 from liemult.errors import LieError
-from liemult.fields import PrimeField
+from liemult.fields import QQ, PrimeField
 
 BAD_JACOBI = (
     "lie-algebra v1\nfield Q\ndim 3\n"
@@ -288,6 +289,31 @@ def test_resource_guard_exits_3(tmp_path, capsys):
     code, _, err = run(capsys, ["multiplier", "--file", str(path)])
     assert code == EXIT_RESOURCE
     assert "guard" in err
+
+
+def test_resource_guard_answers_before_the_nilpotency_test(tmp_path, capsys):
+    # [x1, x2] = x2 makes the algebra non-nilpotent; the guard still decides.
+    path = tmp_path / "huge.alg"
+    path.write_text("lie-algebra v1\nfield Q\ndim 65\nbracket 1 2 2 1\n")
+    code, out, err = run(capsys, ["multiplier", "--file", str(path)])
+    assert code == EXIT_RESOURCE and out == ""
+    assert err == "resource guard: dimension 65 exceeds the homology guard (64)\n"
+
+
+@pytest.mark.parametrize("field,row", [
+    (QQ, ["7", "3", "4", "(holds)", "5", "(holds)"]),
+    (PrimeField(7), ["7", "4", "4", "(attained)", "5", "(holds)"]),
+    (PrimeField(5), ["7", "3", "not-applicable", "not-applicable", "6", "(holds)"]),
+], ids=["Q", "GF7", "GF5"])
+def test_witt_bound_table(tmp_path, capsys, field, row):
+    # W7 is of maximal class over Q and GF(7), but its multiplier grows by one
+    # over GF(7), where it attains the main bound; over GF(5) it is not of
+    # maximal class, so neither maximal-class bound applies.
+    path = tmp_path / "witt-7.alg"
+    path.write_text(algfile.serialize_algebra(truncated_witt(7, field)))
+    code, out, _ = run(capsys, ["verify-bound", "--file", str(path)])
+    assert code == EXIT_OK
+    assert out.splitlines()[2].split()[1:7] == row
 
 
 def test_large_prime_field_answers_at_once(capsys):

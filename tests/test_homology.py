@@ -1,9 +1,16 @@
 import random
+import tracemalloc
 from math import comb
 
 import pytest
 
-from helpers import NO_CHAIN_GF2, random_unimodular, series_oracle
+from helpers import (
+    NO_CHAIN_GF2,
+    multiplier_oracle,
+    random_unimodular,
+    series_oracle,
+    truncated_witt,
+)
 from liemult.algebra import build
 from liemult.catalog import (
     abelian,
@@ -13,7 +20,13 @@ from liemult.catalog import (
     heisenberg,
     standard_filiform,
 )
-from liemult.errors import GeneratorSearchFailed, IndexOutOfRange, NonNilpotent, ResourceLimit
+from liemult.errors import (
+    GeneratorSearchFailed,
+    IndexOutOfRange,
+    NonNilpotent,
+    NotMaximalClass,
+    ResourceLimit,
+)
 from liemult.fields import QQ, PrimeField
 from liemult.homology import ExteriorBasis, boundary_matrices, multiplier_dim
 from liemult.linalg import Matrix, row_space_union
@@ -115,9 +128,16 @@ def test_multiplier_rejects_non_nilpotent():
         multiplier_dim(L)
 
 
+GUARD_MESSAGE = "dimension 65 exceeds the homology guard (64)"
+
+
 def test_dimension_guard():
-    with pytest.raises(ResourceLimit):
+    with pytest.raises(ResourceLimit) as raised:
         multiplier_dim(abelian(65))
+    assert str(raised.value) == GUARD_MESSAGE
+    with pytest.raises(ResourceLimit) as raised:
+        boundary_matrices(abelian(65))
+    assert str(raised.value) == GUARD_MESSAGE
 
 
 def test_multiplier_over_prime_field():
@@ -258,3 +278,66 @@ def test_catalog_bases_and_their_central_quotients_store_no_rewrite(field):
         ideals = L.central_ideals() if L.n <= 8 else [L.center()]
         for A in [L] + [L.quotient(K).quotient for K in ideals]:
             assert A._rewrite is None and A._adapted is None
+
+
+# -- memory of the complex -------------------------------------------------------
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2147483647)], ids=["Q", "GFp"])
+def test_boundary_matrices_hold_the_complex_once(field):
+    # The rows are generated into the matrices, so the traced peak stays near
+    # the pointer bytes of d3 alone; a list of raw rows built beside the
+    # matrix, then copied, peaks at about 2.3 times that.
+    n = 20
+    L = standard_filiform(n, field=field)
+    L._table  # built on first use; not part of the complex
+    tracemalloc.start()
+    try:
+        pair = boundary_matrices(L)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert pair.d3.shape == (comb(n, 3), comb(n, 2))
+    assert peak < 1.5 * comb(n, 3) * comb(n, 2) * 8
+
+
+# -- the truncated Witt algebra, whose answer depends on the characteristic -------
+
+WITT_FIELDS = [QQ, PrimeField(5), PrimeField(7), PrimeField(2147483647)]
+WITT_FIELD_IDS = ["Q", "GF5", "GF7", "GFp"]
+
+
+@pytest.mark.parametrize("field", WITT_FIELDS, ids=WITT_FIELD_IDS)
+def test_witt_multiplier_matches_the_dense_complex_oracle(field):
+    for n in range(2, 15):
+        L = truncated_witt(n, field)
+        assert multiplier_dim(L) == multiplier_oracle(L), n
+
+
+@pytest.mark.parametrize("field", WITT_FIELDS, ids=WITT_FIELD_IDS)
+@pytest.mark.parametrize("n", [7, 9])
+def test_witt_multiplier_in_a_dense_basis_matches_the_oracle(field, n):
+    L = _changed(truncated_witt(n, field), n)
+    assert multiplier_dim(L) == multiplier_oracle(L) == multiplier_dim(truncated_witt(n, field))
+
+
+def test_witt_over_q_has_maximal_class():
+    for n in range(4, 15):
+        L = truncated_witt(n)
+        assert L.is_maximal_class()[0], n
+        assert multiplier_dim(L) == (2 if n == 4 else 3), n
+
+
+def test_witt_over_gf7_loses_maximal_class_at_9():
+    F = PrimeField(7)
+    assert [truncated_witt(n, F).is_maximal_class()[0] for n in range(4, 10)] == [True] * 5 + [False]
+    assert multiplier_dim(truncated_witt(7, F)) == 4
+    assert multiplier_dim(truncated_witt(7)) == 3
+
+
+def test_witt_over_gf5_loses_maximal_class_at_7():
+    F = PrimeField(5)
+    assert [truncated_witt(n, F).is_maximal_class()[0] for n in range(4, 8)] == [True] * 3 + [False]
+    assert multiplier_dim(truncated_witt(7, F)) == 3
+    with pytest.raises(NotMaximalClass):
+        generator_chain(truncated_witt(7, F))

@@ -102,6 +102,27 @@ def test_row_space_union_self_is_echelon():
     assert row_space_union(b, b) == b.rref()
 
 
+def test_matrix_takes_rows_from_a_generator():
+    consumed = []
+
+    def rows():
+        for i in range(3):
+            consumed.append(i)
+            yield (i, i + 1)
+
+    m = Matrix(QQ, rows(), ncols=2)
+    assert consumed == [0, 1, 2]
+    assert m.rows() == [[0, 1], [1, 2], [2, 3]]
+    assert Matrix(QQ, iter([]), ncols=4).shape == (0, 4)
+
+
+def test_matrix_rejects_ragged_rows_and_a_wrong_width():
+    with pytest.raises(DimensionMismatch, match="ragged rows"):
+        Matrix(QQ, iter([[1, 0], [1, 0], [1]]))
+    with pytest.raises(DimensionMismatch, match="expected 3 columns, rows have 2"):
+        Matrix(QQ, [[1, 0]], ncols=3)
+
+
 def test_row_space_union_shape_mismatch():
     with pytest.raises(DimensionMismatch):
         row_space_union(Matrix(QQ, [[1, 0]]), Matrix(QQ, [[1, 0, 0]]))
