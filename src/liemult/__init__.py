@@ -28,7 +28,7 @@ from .catalog import CatalogEntry, abelian, entries, get, heisenberg, names, sta
 from .errors import LieError
 from .fields import QQ, PrimeField, parse_field_spec
 from .homology import BoundaryPair, ExteriorBasis, boundary_matrices, multiplier_dim
-from .linalg import Matrix, RowSpan, row_space_union
+from .linalg import Matrix, RowSpan
 from .words import (
     GeneratorChain,
     OddWitness,
@@ -77,7 +77,6 @@ __all__ = [
     "multiplier_dim",
     "Matrix",
     "RowSpan",
-    "row_space_union",
     "GeneratorChain",
     "OddWitness",
     "PsiImage",

@@ -14,7 +14,14 @@ D changes no span and no zero test, so the lower central series,
 ``product_subspace``, the Jacobi check, the ideal check of ``quotient`` and
 ψ's words run on raw ints and feed ``RowSpan`` directly, and
 ``change_basis`` and the chain rewrite share one integer basis-change kernel
-(``_table_in_basis``) with the integer inverse ``inverse_rows``.  A
+(``_table_in_basis``) with the integer inverse R of P (``inverse_rows``).
+That kernel packs each integer row into one int of B-bit signed digits,
+sum over m of c_m 2^(Bm), so that a linear combination of packed rows is
+one big-int sum: it packs T[a][b] R once per call, for T[a][b] = D [e_a,
+e_b], and makes one packed sum per basis vector and one per bracket, whose
+digits are the coordinates.  Every digit is a sum of at most n³ terms
+u_i[a] u_j[b] T[a][b][k] R[k][m], and B is the least width with
+n³·max|u|²·max|T|·max|R| < 2^(B-1), so the digits decode exactly.  A
 ``Subspace`` is the canonical integer rows of a ``RowSpan``; membership,
 sums, equality, ``Subspace.reduce`` (the one exact reduction, behind
 ``quotient``, ``QuotientMap`` and, by its integer core, ψ's projection) run
@@ -637,44 +644,47 @@ class LieAlgebra:
         integer pairs (u_i, s_i) that ``integer_row`` makes; the one
         basis-change kernel, behind ``change_basis`` and ``_chain_rewrite``.
 
-        The integer ad table is laid out once as dense columns: ad[k][b] is
-        D [e_a, e_b]_k over a, or None where that is all zero.  Then three
-        stages of integer dot products, each over the support of a sparse
-        row (``_dot_with``) and reduced mod p over GF(p):
-        ad_i[k][b] = D [u_i, e_b]_k is u_i against the columns;
-        w = D [u_i, u_j] is u_j against the rows ad_i[k];
-        and w against the columns of the integer inverse R / den of P
-        (``inverse_rows``) gives [f_i, f_j] = w R / (D s_i s_j den)."""
+        Let R / den be the integer inverse of P (``inverse_rows``), T[a][b]
+        = D [e_a, e_b] the integer table row for a < b, and T[b][a] =
+        -T[a][b] (over GF(p) that is the stored residue up to a multiple of
+        p).  Then [f_i, f_j] = c / (D s_i s_j den) for the integer row
+        c_m = sum over a, b, k of u_i[a] u_j[b] T[a][b][k] R[k][m].  Rows
+        are handled packed (``_pack``): TR[a][b] = T[a][b] R once per call,
+        Y_i[b] = sum over a of u_i[a] TR[a][b] once per i, and one packed
+        sum y = sum over b of u_j[b] Y_i[b] per pair i < j.  y is c packed,
+        and ``_unpack`` decodes it; over GF(p) the digits are then reduced
+        mod p, once.
+
+        Why the decoding is exact: packing is Z-linear, so y is c packed
+        whatever the intermediate digits were.  c_m is a sum of at most n³
+        terms (a, b and k each range over n indices), each at most
+        max|u|²·max|T|·max|R| in absolute value.  So |c_m| <= bound =
+        n³·max|u|²·max|T|·max|R| < 2^(B-1) for B = ``_digit_width(bound)``,
+        and ``_unpack`` recovers every digit in that range."""
         field, n, p = self.field, self.n, self.field.characteristic
         inv, den = inverse_rows(field, rows)
-        ad = [[[0] * n for _ in range(n)] for _ in range(n)]
-        for a, tab_a in enumerate(self._ad):
-            for b, row in tab_a.items():
-                for k, c in row.items():
-                    ad[k][b][a] = c
-        ad = [[col if any(col) else None for col in ad_k] for ad_k in ad]
-        inv_cols = [[r.get(m, 0) for r in inv] for m in range(n)]
-        dots = [_dot_with(u, n) for u, _ in rows]
+        us = [[u.get(a, 0) for a in range(n)] for u, _ in rows]
+        t_max = _max_abs(row.values() for row in self._integer_table.values())
+        u_max, r_max = _max_abs(us), _max_abs(r.values() for r in inv)
+        width = _digit_width(n ** 3 * u_max ** 2 * t_max * r_max)
+        packed_inv = [_pack(r, width) for r in inv]
+        tr = [[0] * n for _ in range(n)]  # tr[b][a] = TR[a][b]
+        for (a, b), row in self._integer_table.items():
+            x = sum(map(mul, row.values(), map(packed_inv.__getitem__, row)))
+            tr[b][a], tr[a][b] = x, -x
         element = field.element
         table: dict[tuple[int, int], dict[int, object]] = {}
         for i in range(n - 1):
-            dot_i = dots[i]
-            ad_i = [[dot_i(col) if col else 0 for col in ad_k] for ad_k in ad]
-            if p:
-                ad_i = [[x % p for x in r] for r in ad_i]
-            ad_i = [r if any(r) else None for r in ad_i]
+            y_i = [sum(map(mul, us[i], col)) for col in tr]
+            if not any(y_i):
+                continue
             si = rows[i][1]
             for j in range(i + 1, n):
-                dot_j = dots[j]
-                w = [dot_j(r) if r else 0 for r in ad_i]
-                if p:
-                    w = [x % p for x in w]
-                if not any(w):
-                    continue
-                dot_w = _dot_with({k: x for k, x in enumerate(w) if x}, n)
-                coords = [dot_w(col) for col in inv_cols]
+                coords = _unpack(sum(map(mul, us[j], y_i)), n, width)
                 if p:
                     coords = [x % p for x in coords]
+                if not any(coords):
+                    continue
                 d = self._scale * si * rows[j][1] * den  # always 1 over GF(p)
                 scalar = element if d == 1 else lambda x: Fraction(x, d)
                 table[(i, j)] = {m: scalar(x) for m, x in enumerate(coords) if x}
@@ -863,15 +873,30 @@ def _combine(rows: dict[int, dict[int, int]], v: dict[int, int]) -> dict[int, in
     return w
 
 
-def _dot_with(u: dict[int, int], n: int):
-    """The dot product with the integer row u as a function of a dense
-    column: over u's support when u is sparse, with ``sum(map(mul, …))``
-    over a dense copy of u otherwise."""
-    if 2 * len(u) > n:
-        dense = [u.get(a, 0) for a in range(n)]
-        return lambda col: sum(map(mul, dense, col))
-    items = list(u.items())
-    return lambda col: sum([x * col[a] for a, x in items])
+def _max_abs(rows) -> int:
+    """The largest absolute value in ``rows``, iterables of ints (a dict
+    row passes its ``values()``), or 0 if there is none."""
+    return max((max(map(abs, r)) for r in rows if r), default=0)
+
+
+def _digit_width(bound: int) -> int:
+    """The least B with bound < 2^(B-1): digits of absolute value at most
+    bound are B-bit signed digits."""
+    return bound.bit_length() + 1
+
+
+def _pack(row: dict[int, int], width: int) -> int:
+    """The integer row as one int, sum over m of row[m] 2^(width m)."""
+    return sum(x << (width * m) for m, x in row.items())
+
+
+def _unpack(y: int, n: int, width: int) -> list[int]:
+    """The n digits c_m of y = sum over m of c_m 2^(width m), exact when
+    every |c_m| < 2^(width-1): adding 2^(width-1) to each digit makes them
+    the base-2^width digits of y + offset."""
+    half, mask = 1 << (width - 1), (1 << width) - 1
+    z = y + half * (((1 << (width * n)) - 1) // mask)
+    return [((z >> (width * m)) & mask) - half for m in range(n)]
 
 
 def build(n: int, brackets, field=QQ, labels=None) -> LieAlgebra:

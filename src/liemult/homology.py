@@ -78,9 +78,8 @@ class BoundaryPair:
     """The two boundary matrices; rows are images of basis wedges."""
 
     d2: Matrix  # C(n,2) rows -> n cols
-    d3: Matrix  # C(n,3) rows -> C(n,2) cols
+    d3: Matrix  # C(n,3) rows -> C(n,2) cols, rows in the order of combinations(range(n), 3)
     ext2: ExteriorBasis
-    ext3: ExteriorBasis
 
 
 def _wedge_into(row, ext2, vec: dict[int, object], partner: int, sign: int):
@@ -133,12 +132,10 @@ def boundary_matrices(L: LieAlgebra) -> BoundaryPair:
     """
     _check_dimension(L.n)
     ext2 = ExteriorBasis(L.n, 2)
-    ext3 = ExteriorBasis(L.n, 3)
     return BoundaryPair(
         d2=Matrix(L.field, _d2_rows(L), ncols=L.n),
         d3=Matrix(L.field, _d3_rows(L, ext2), ncols=ext2.size),
         ext2=ext2,
-        ext3=ext3,
     )
 
 

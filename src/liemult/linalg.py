@@ -12,9 +12,9 @@ back-substitution to the canonical reduced basis (``canonical_rows``, the
 integer rows a ``Subspace`` keeps; ``matrix`` makes them dense) both use it.
 
 ``Matrix`` is a dense immutable matrix over one field.  Its rank, echelon
-form, kernel basis and inverse all feed its rows into a ``RowSpan``; the
-inverse is ``inverse_rows``, the one inverse routine, which works on integer
-rows.  Echelon form here always means the canonical reduced form: leading
+form and kernel basis all feed its rows into a ``RowSpan``; so does
+``inverse_rows``, the one inverse routine, which works on integer rows.
+Echelon form here always means the canonical reduced form: leading
 entries 1, zeros above and below every pivot, zero rows dropped.  That makes
 every basis produced by this module byte-deterministic.
 """
@@ -105,25 +105,6 @@ class Matrix:
             out.append([sum((a * b for a, b in zip(r, col) if a and b), zero) for col in bt])
         return Matrix(self.field, out, ncols=other.ncols)
 
-    def mul_column(self, v: Sequence) -> list:
-        """Matrix times column vector (skips zero vector entries)."""
-        if len(v) != self.ncols:
-            raise DimensionMismatch(f"vector of length {len(v)} vs {self.ncols} columns")
-        zero = self.field.zero
-        nz = [(j, x) for j, x in enumerate(v) if x]
-        return [sum((r[j] * x for j, x in nz), zero) for r in self._rows]
-
-    def mul_row(self, v: Sequence) -> list:
-        """Row vector times matrix."""
-        if len(v) != self.nrows:
-            raise DimensionMismatch(f"vector of length {len(v)} vs {self.nrows} rows")
-        zero = self.field.zero
-        out = [zero] * self.ncols
-        for x, r in zip(v, self._rows):
-            if x:
-                out = [acc + x * e for acc, e in zip(out, r)]
-        return out
-
     def is_zero(self) -> bool:
         return all(not e for r in self._rows for e in r)
 
@@ -185,22 +166,6 @@ class Matrix:
 
     def __repr__(self):
         return f"Matrix({self.field}, {self.nrows}x{self.ncols})"
-
-
-def row_space_union(a: Matrix, b: Matrix) -> Matrix:
-    """Canonical basis of the sum of two row spaces."""
-    a._check_compatible(b)
-    return a.stack(b).rref()
-
-
-def inverse(m: Matrix) -> Matrix:
-    """Inverse of a square matrix, from ``inverse_rows`` of its integer rows."""
-    if m.nrows != m.ncols:
-        raise DimensionMismatch("only square matrices can be inverted")
-    n, field = m.nrows, m.field
-    rows, den = inverse_rows(field, [integer_row(field, r, n) for r in m._rows])
-    element, d = field.element, field.element(den)
-    return Matrix(field, [[element(r.get(j, 0)) / d for j in range(n)] for r in rows], ncols=n)
 
 
 def inverse_rows(

@@ -20,6 +20,7 @@ from helpers import (
     random_unimodular,
     series_oracle,
 )
+from liemult import algebra as algebra_module
 from liemult import algfile, cli
 from liemult.algebra import LieAlgebra, QuotientMap, Subspace, build
 from liemult.catalog import abelian, filiform_m2, filiform_q, heisenberg, standard_filiform
@@ -384,8 +385,7 @@ def test_quotient_projection_section_identity():
     pres = L.quotient(ideal)
     q = pres.quotient.n
     assert pres.section @ pres.projection == Matrix.identity(QQ, q)
-    for u in ideal.basis.rows():
-        assert not any(pres.projection.mul_row(u))
+    assert (ideal.basis @ pres.projection).is_zero()
     assert pres.projection.rank() == q
 
 
@@ -795,6 +795,89 @@ def test_change_basis_singular_over_gf7_only_matches_its_pin(family):
     gf7 = PrimeField(7)
     with pytest.raises(SingularMatrix):
         build_(10, field=gf7).change_basis(_det7_matrix(gf7, 10))
+
+
+# -- the packed basis-change kernel ---------------------------------------------
+
+
+def _table_constants(table) -> tuple:
+    """A table as ``_table_in_basis`` returns it, listed the way
+    ``structure_constants()`` lists constants: 1-based, sorted by (i, j, k)."""
+    return tuple(sorted((i + 1, j + 1, k + 1, c)
+                        for (i, j), row in table.items() for k, c in row.items()))
+
+
+@pytest.mark.parametrize("p", [2**31 - 1, 2**61 - 1], ids=["GF(2^31-1)", "GF(2^61-1)"])
+def test_basis_change_kernel_matches_the_oracle_on_residues_above_half_p(p):
+    # Every entry of P is a residue in [p/2, p), and so is about half of the
+    # table of the first change: the packed digits run up to the full width.
+    field, rng = PrimeField(p), random.Random(p % 1009)
+
+    def high(n):
+        return Matrix(field, [[rng.randrange(p // 2, p) for _ in range(n)] for _ in range(n)])
+
+    for base in (standard_filiform(7, field=field), filiform_q(8, field=field)):
+        first = high(base.n)
+        L = base.change_basis(first)
+        assert L.structure_constants() == change_basis_oracle(base, first)
+        assert sum(2 * c.v >= p for *_, c in L.structure_constants()) > 50
+        second = high(base.n)
+        assert L.change_basis(second).structure_constants() == change_basis_oracle(L, second)
+
+
+def test_basis_change_kernel_matches_the_oracle_on_rational_rows_with_negative_entries():
+    # Rows with denominators 2 to 5 (every s_i > 1) and entries of both
+    # signs: the packed digits are negative as often as positive, and the
+    # second change runs on a table with D > 1.
+    rng = random.Random(23)
+
+    def rational(n):
+        rows = [[Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(2, 5))
+                 for _ in range(n)] for _ in range(n)]
+        assert all(integer_row(QQ, r, n)[1] > 1 for r in rows)
+        return Matrix(QQ, rows)
+
+    for base in (standard_filiform(7), filiform_m2(7), filiform_q(8)):
+        first = rational(base.n)
+        L = base.change_basis(first)
+        assert L.structure_constants() == change_basis_oracle(base, first)
+        assert L._scale > 1 and any(c < 0 for *_, c in L.structure_constants())
+        second = rational(base.n)
+        got = L.change_basis(second).structure_constants()
+        want = change_basis_oracle(L, second)
+        assert [(i, j, k, str(c)) for i, j, k, c in got] == [(i, j, k, str(c)) for i, j, k, c in want]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_basis_change_kernel_matches_the_oracle_on_unvalidated_tables(data):
+    # Tables that need not satisfy Jacobi, in dimensions 3 to 7.
+    field = data.draw(st.sampled_from([QQ, PrimeField(7)]), label="field")
+    n = data.draw(st.integers(3, 7), label="n")
+    if field == QQ:
+        scalars = st.fractions(min_value=-9, max_value=9, max_denominator=4)
+    else:
+        scalars = st.integers(0, 6)
+    keys = st.tuples(st.integers(0, n - 2), st.integers(0, n - 1)).filter(lambda t: t[0] < t[1])
+    table = data.draw(st.dictionaries(keys, st.dictionaries(st.integers(0, n - 1), scalars)),
+                      label="table")
+    rows = data.draw(st.lists(st.lists(scalars, min_size=n, max_size=n), min_size=n, max_size=n),
+                     label="P")
+    p = Matrix(field, rows)
+    assume(len(naive_rref(p.rows(), field)) == n)
+    L = LieAlgebra(n, table, field=field, validate=False)
+    got = L._table_in_basis([integer_row(field, r, n) for r in p.rows()])
+    assert _table_constants(got) == change_basis_oracle(L, p)
+
+
+@pytest.mark.parametrize("bound", [1, 2, 3, 7, 8, 9, 2**31 - 2, 2**122, 3**200])
+def test_digits_up_to_the_bound_decode_exactly(bound):
+    # The kernel proves every digit at most the bound in absolute value, so
+    # the width it takes for the bound must decode both ends of that range.
+    width = algebra_module._digit_width(bound)
+    digits = [bound, -bound, 0, bound - 1, 1 - bound, -bound, bound]
+    packed = algebra_module._pack(dict(enumerate(digits)), width)
+    assert algebra_module._unpack(packed, len(digits), width) == digits
 
 
 # -- the γ₂ span that construction stops at n - 2 ------------------------------

@@ -2,6 +2,7 @@ import concurrent.futures
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -9,11 +10,11 @@ from pathlib import Path
 
 import pytest
 
-from helpers import truncated_witt
+from helpers import random_unimodular, truncated_witt
 from liemult import algfile, cli
-from liemult.algebra import build
+from liemult.algebra import LieAlgebra, build
 from liemult.bounds import BoundReport, VIOLATED
-from liemult.catalog import filiform_q
+from liemult.catalog import filiform_q, standard_filiform
 from liemult.cli import (
     EXIT_INPUT,
     EXIT_OK,
@@ -355,6 +356,35 @@ def test_fabricated_violation_drives_exit_2():
     )
     assert forged.has_violation
     assert _dicts_to_reports_exit([forged.to_dict()]) == EXIT_VIOLATION
+
+
+def test_sweep_and_sparse_multiplier_make_no_basis_change(tmp_path, capsys, monkeypatch):
+    # The filiform sweep and the multiplier of catalog filiform-24 read every
+    # algebra in a basis adapted to its series: the basis-change kernel never
+    # runs on them.  A dense input, the control, does run it.
+    calls = []
+    table_in_basis = LieAlgebra._table_in_basis
+
+    def counted(self, rows):
+        calls.append(self.n)
+        return table_in_basis(self, rows)
+
+    monkeypatch.setattr(LieAlgebra, "_table_in_basis", counted)
+    for spec, field in (("Q", QQ), ("GF(2147483647)", PrimeField(2147483647))):
+        argv = ["report", "--family", "filiform", "--max-dim", "14", "--format", "machine",
+                "--jobs", "1", "--field", spec]
+        assert run(capsys, argv)[0] == EXIT_OK
+        path = tmp_path / f"filiform-24-{field.tag}.alg"
+        path.write_text(algfile.serialize_algebra(standard_filiform(24, field=field)))
+        code, out, _ = run(capsys, ["multiplier", "--file", str(path), "--format", "machine"])
+        assert (code, json.loads(out)["dim_multiplier"]) == (EXIT_OK, 12)
+    assert calls == []
+    dense = standard_filiform(6).change_basis(random_unimodular(random.Random(6), 6))
+    path = tmp_path / "dense-6.alg"
+    path.write_text(algfile.serialize_algebra(dense))
+    calls.clear()
+    assert run(capsys, ["multiplier", "--file", str(path)])[0] == EXIT_OK
+    assert calls == [6]
 
 
 def test_out_file_writing(tmp_path, capsys):
