@@ -652,8 +652,10 @@ class LieAlgebra:
         are handled packed (``_pack``): TR[a][b] = T[a][b] R once per call,
         Y_i[b] = sum over a of u_i[a] TR[a][b] once per i, and one packed
         sum y = sum over b of u_j[b] Y_i[b] per pair i < j.  y is c packed,
-        and ``_unpack`` decodes it; over GF(p) the digits are then reduced
-        mod p, once.
+        and the decoding is exact (below), so y = 0 exactly when c = 0: the
+        pair then has no entry, and nothing is decoded.  Otherwise
+        ``_unpack`` decodes y; over GF(p) the digits are then reduced mod p,
+        once.
 
         Why the decoding is exact: packing is Z-linear, so y is c packed
         whatever the intermediate digits were.  c_m is a sum of at most n³
@@ -680,7 +682,10 @@ class LieAlgebra:
                 continue
             si = rows[i][1]
             for j in range(i + 1, n):
-                coords = _unpack(sum(map(mul, us[j], y_i)), n, width)
+                y = sum(map(mul, us[j], y_i))
+                if not y:  # c = 0: no digit to decode
+                    continue
+                coords = _unpack(y, n, width)
                 if p:
                     coords = [x % p for x in coords]
                 if not any(coords):

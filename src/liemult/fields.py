@@ -26,8 +26,15 @@ from math import gcd
 from .errors import BadScalarLiteral, FieldMismatch, FieldSpecError, ResourceLimit
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
-_INTEGER_RE = re.compile(r"^[+-]?\d+$")
 _FIELD_SPEC_RE = re.compile(r"^GF\((\d+)\)$")
+
+
+def _is_integer_literal(text: str) -> bool:
+    """Whether a stripped literal is an optional sign and then decimal
+    digits, as the regex ^[+-]?\\d+$ decides: ``str.isdecimal`` is true
+    exactly on the Unicode category Nd that \\d matches, and int() reads
+    those digits."""
+    return (text[1:] if text[:1] in ("+", "-") else text).isdecimal()
 
 
 # The first 13 primes, and ψ₁₃: the least odd composite that is a strong
@@ -99,13 +106,12 @@ class RationalField:
         """(numerator, denominator) of a literal in lowest terms, with a
         positive denominator."""
         text = text.strip()
+        if _is_integer_literal(text):
+            return int(text), 1
         if not _RATIONAL_RE.match(text):
             raise BadScalarLiteral(f"{text!r} is not a rational literal (use p/q or an integer)")
         # The literal is validated, so int() converts its parts directly.
-        num, _, den = text.partition("/")
-        if not den:
-            return int(num), 1
-        num, den = int(num), int(den)
+        num, den = map(int, text.split("/"))
         if den == 0:
             raise BadScalarLiteral(f"{text!r} has a zero denominator")
         g = gcd(num, den)
@@ -250,7 +256,7 @@ class PrimeField:
     def parse_integers(self, text: str) -> tuple[int, int]:
         """(residue in [0, p), 1) for an integer literal."""
         text = text.strip()
-        if not _INTEGER_RE.match(text):
+        if not _is_integer_literal(text):
             if _RATIONAL_RE.match(text):
                 raise BadScalarLiteral(
                     f"rational literal {text!r} is not allowed over GF({self.p})"

@@ -9,11 +9,19 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 from fractions import Fraction
+from math import gcd, lcm
 
 from liemult.algebra import LieAlgebra, SeriesChain, Subspace, build
-from liemult.errors import NotInSubspace
-from liemult.fields import QQ
+from liemult.errors import (
+    AlgebraFileError,
+    BadScalarLiteral,
+    DuplicateBracket,
+    FieldSpecError,
+    NotInSubspace,
+)
+from liemult.fields import QQ, parse_field_spec
 from liemult.linalg import Matrix
 from liemult.words import PsiEvaluator
 
@@ -206,3 +214,135 @@ def truncated_witt(n: int, field=QQ) -> LieAlgebra:
     brackets = [(i, j, i + j, j - i)
                 for i in range(1, n + 1) for j in range(i + 1, n + 1 - i)]
     return build(n, brackets, field=field)
+
+
+_RATIONAL_LITERAL = re.compile(r"^[+-]?\d+(?:/\d+)?$")
+_INTEGER_LITERAL = re.compile(r"^[+-]?\d+$")
+
+
+def parse_literal_oracle(field, text: str) -> tuple[int, int]:
+    """``field.parse_integers`` as two regexes decide it: (numerator,
+    denominator) in lowest terms over Q, (residue, 1) over GF(p)."""
+    text = text.strip()
+    p = field.characteristic
+    if p:
+        if not _INTEGER_LITERAL.match(text):
+            if _RATIONAL_LITERAL.match(text):
+                raise BadScalarLiteral(f"rational literal {text!r} is not allowed over GF({p})")
+            raise BadScalarLiteral(f"{text!r} is not an integer literal")
+        return int(text) % p, 1
+    if not _RATIONAL_LITERAL.match(text):
+        raise BadScalarLiteral(f"{text!r} is not a rational literal (use p/q or an integer)")
+    num, _, den = text.partition("/")
+    if not den:
+        return int(num), 1
+    num, den = int(num), int(den)
+    if den == 0:
+        raise BadScalarLiteral(f"{text!r} has a zero denominator")
+    g = gcd(num, den)
+    return num // g, den // g
+
+
+def parse_algebra_oracle(text: str, allow_char_two: bool = False) -> LieAlgebra:
+    """The ``.alg`` parser written plainly: one (i, j, k) -> line dict for
+    every constant, bare int() for the bracket indices, and no size guard
+    on ``dim``.  It differs from ``algfile.parse_algebra`` only where that
+    parser reads an index token that is not decimal digits (such as "+1",
+    "-0" or "1_0") as "bracket indices must be integers" and where it
+    refuses a large ``dim``."""
+    header = "lie-algebra v1"
+    field = None
+    dim = None
+    labels: dict[int, str] = {}
+    rows: dict[tuple[int, int], dict[int, int]] = {}
+    fractions: list[tuple[dict[int, int], int, int]] = []
+    seen_keys: dict[tuple[int, int, int], int] = {}
+    header_seen = False
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if not header_seen:
+            if line != header:
+                if line.startswith("lie-algebra"):
+                    raise AlgebraFileError(
+                        f"unsupported format version {line!r} (expected {header!r})", lineno
+                    )
+                raise AlgebraFileError(f"missing header line {header!r}", lineno)
+            header_seen = True
+            continue
+        tokens = line.split()
+        directive = tokens[0]
+        if directive == "bracket":
+            if field is None or dim is None:
+                raise AlgebraFileError("bracket before field/dim directives", lineno)
+            if len(tokens) != 5:
+                raise AlgebraFileError("bracket directive is: bracket I J K COEFF", lineno)
+            try:
+                i, j, k = int(tokens[1]), int(tokens[2]), int(tokens[3])
+            except ValueError:
+                raise AlgebraFileError("bracket indices must be integers", lineno) from None
+            if not 1 <= i < j <= dim:
+                raise AlgebraFileError(
+                    f"bracket indices ({i}, {j}) must satisfy 1 <= i < j <= {dim}", lineno
+                )
+            if not 1 <= k <= dim:
+                raise AlgebraFileError(f"component index {k} out of range [1, {dim}]", lineno)
+            first = seen_keys.setdefault((i, j, k), lineno)
+            if first != lineno:
+                raise DuplicateBracket(
+                    f"line {lineno}: duplicate bracket key ({i}, {j}, {k}) "
+                    f"(first seen on line {first})"
+                )
+            try:
+                num, den = parse_literal_oracle(field, tokens[4])
+            except BadScalarLiteral as exc:
+                raise AlgebraFileError(str(exc), lineno) from exc
+            if num:
+                row = rows.setdefault((i - 1, j - 1), {})
+                row[k - 1] = num
+                if den != 1:
+                    fractions.append((row, k - 1, den))
+        elif directive == "field":
+            if field is not None:
+                raise AlgebraFileError("duplicate field directive", lineno)
+            if len(tokens) != 2:
+                raise AlgebraFileError("field directive takes exactly one argument", lineno)
+            try:
+                field = parse_field_spec(tokens[1], allow_char_two=allow_char_two)
+            except FieldSpecError as exc:
+                raise FieldSpecError(f"line {lineno}: {exc}") from exc
+        elif directive == "dim":
+            if dim is not None:
+                raise AlgebraFileError("duplicate dim directive", lineno)
+            if len(tokens) != 2 or not tokens[1].isdecimal():
+                raise AlgebraFileError("dim directive takes one nonnegative integer", lineno)
+            dim = int(tokens[1])
+        elif directive == "label":
+            if dim is None:
+                raise AlgebraFileError("label before dim directive", lineno)
+            if len(tokens) != 3 or not tokens[1].isdecimal():
+                raise AlgebraFileError("label directive is: label INDEX NAME", lineno)
+            idx = int(tokens[1])
+            if not 1 <= idx <= dim:
+                raise AlgebraFileError(f"label index {idx} out of range [1, {dim}]", lineno)
+            labels[idx] = tokens[2]
+        else:
+            raise AlgebraFileError(f"unknown directive {directive!r}", lineno)
+    if not header_seen:
+        raise AlgebraFileError(f"empty file; expected header {header!r}")
+    if field is None:
+        raise AlgebraFileError("missing field directive")
+    if dim is None:
+        raise AlgebraFileError("missing dim directive")
+    scale = lcm(*(den for _, _, den in fractions))
+    if scale > 1:
+        for row in rows.values():
+            for k in row:
+                row[k] *= scale
+        for row, k, den in fractions:
+            row[k] //= den
+    label_list = None
+    if labels:
+        label_list = [labels.get(i + 1, f"x{i + 1}") for i in range(dim)]
+    return LieAlgebra._from_integer_rows(dim, rows, scale, field, labels=label_list)

@@ -1,10 +1,14 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helpers import parse_algebra_oracle, random_unimodular
 from liemult.algebra import build
-from liemult.algfile import parse_algebra, serialize_algebra
+from liemult.algfile import MAX_FILE_DIM, parse_algebra, serialize_algebra
 from liemult.catalog import entries, standard_filiform
 from liemult.errors import (
     AlgebraFileError,
@@ -12,6 +16,7 @@ from liemult.errors import (
     FieldSpecError,
     JacobiViolation,
     LieError,
+    ResourceLimit,
 )
 from liemult.fields import PrimeField, parse_field_spec
 
@@ -209,6 +214,9 @@ MALFORMED = {
     "unordered-pair": (
         H + "field Q\ndim 3\nbracket 2 1 3 1\n", AlgebraFileError,
         "line 4: bracket indices (2, 1) must satisfy 1 <= i < j <= 3", 4),
+    "equal-pair": (
+        H + "field Q\ndim 3\nbracket 2 2 3 1\n", AlgebraFileError,
+        "line 4: bracket indices (2, 2) must satisfy 1 <= i < j <= 3", 4),
     "pair-out-of-range": (
         H + "field Q\ndim 3\nbracket 1 4 3 1\n", AlgebraFileError,
         "line 4: bracket indices (1, 4) must satisfy 1 <= i < j <= 3", 4),
@@ -239,6 +247,27 @@ MALFORMED = {
     "unknown-directive": (
         H + "field Q\ndim 2\nfrobnicate 1\n", AlgebraFileError,
         "line 4: unknown directive 'frobnicate'", 4),
+    "underscore-index": (
+        H + "field Q\ndim 20\nbracket 1_0 2_0 3 1\n", AlgebraFileError,
+        "line 4: bracket indices must be integers", 4),
+    "signed-index": (
+        H + "field Q\ndim 3\nbracket +1 2 3 1\n", AlgebraFileError,
+        "line 4: bracket indices must be integers", 4),
+    "negative-zero-component": (
+        H + "field Q\ndim 3\nbracket 1 2 -0 1\n", AlgebraFileError,
+        "line 4: bracket indices must be integers", 4),
+    "underscore-coefficient": (
+        H + "field Q\ndim 3\nbracket 1 2 3 1_0\n", AlgebraFileError,
+        "line 4: '1_0' is not a rational literal (use p/q or an integer)", 4),
+    "dim-over-guard": (
+        H + "field Q\ndim 1000000000\n", ResourceLimit,
+        "line 3: dim 1000000000 exceeds the construction guard (1024)", None),
+    "duplicate-key-after-zero": (
+        H + "field Q\ndim 3\nbracket 1 2 3 0\n# x\nbracket 1 2 3 5\n", DuplicateBracket,
+        "line 6: duplicate bracket key (1, 2, 3) (first seen on line 4)", None),
+    "duplicate-key-spelled-twice": (
+        H + "field Q\ndim 3\nbracket 1 2 3 1\nbracket 01 2 ٣ 2\n", DuplicateBracket,
+        "line 5: duplicate bracket key (1, 2, 3) (first seen on line 4)", None),
     "jacobi": (
         H + "field Q\ndim 3\nbracket 1 2 3 1\nbracket 1 3 3 1\nbracket 2 3 1 1\n",
         JacobiViolation,
@@ -295,3 +324,97 @@ def test_literals_parse_to_the_constants_build_gives(spec, literals, values, sca
     assert parsed._scale == built._scale == scale
     assert serialize_algebra(parsed) == serialize_algebra(built)
     assert parsed == built and list(parsed._integer_table) == list(built._integer_table)
+
+
+def test_decimal_index_spellings_name_the_same_basis_vectors():
+    # Any token that passes str.isdecimal is an index, as for dim and label.
+    spelled = parse_algebra(H + "field Q\ndim ٣\nlabel ٣ z\nbracket ١ 02 ٣ 1\n")
+    plain = parse_algebra(H + "field Q\ndim 3\nlabel 3 z\nbracket 1 2 3 1\n")
+    assert spelled == plain and spelled.labels == plain.labels == ("x1", "x2", "z")
+
+
+def test_dim_guard_admits_its_bound_and_reads_leading_zeros():
+    assert parse_algebra(H + f"field Q\ndim {MAX_FILE_DIM}\n").n == MAX_FILE_DIM
+    assert parse_algebra(H + "field Q\ndim 0000000000000004\n").n == 4
+    with pytest.raises(ResourceLimit, match=r"^line 3: dim 1025 exceeds"):
+        parse_algebra(H + "field Q\ndim 1025\n")
+    # More digits than int() converts by default: refused by its length.
+    with pytest.raises(ResourceLimit, match=r"exceeds the construction guard \(1024\)$"):
+        parse_algebra(H + "field Q\ndim " + "9" * 5000 + "\n")
+
+
+def _dense_file(spec: str, seed: int) -> str:
+    """Seeded dense filiform-6 as a file, with a label and a comment."""
+    field = parse_field_spec(spec)
+    L = standard_filiform(6, field=field).change_basis(random_unimodular(random.Random(seed), 6, field))
+    lines = serialize_algebra(L).splitlines()
+    return "\n".join(lines[:3] + ["label 2 y  # the second generator"] + lines[3:]) + "\n"
+
+
+PARITY_BASES = [_dense_file(spec, seed) for spec in ("Q", "GF(7)") for seed in (1, 2)]
+# Tokens a mutation writes in place of another: index and literal spellings
+# that int() and the literal grammar read differently, and plain ones.
+PARITY_TOKENS = ["1_0", "+1", "٣", "-0", "0", "007", "7", "x", "1/2", "2/0", "-3", "٢", ""]
+
+
+@st.composite
+def mutated_dense_files(draw):
+    lines = draw(st.sampled_from(PARITY_BASES)).splitlines()
+    for _ in range(draw(st.integers(0, 4))):
+        op = draw(st.sampled_from(["token", "comment", "duplicate", "zero", "tabs", "blank", "drop"]))
+        i = draw(st.integers(0, len(lines) - 1))
+        tokens = lines[i].split("#", 1)[0].split()
+        if op == "token" and tokens:
+            tokens[draw(st.integers(0, len(tokens) - 1))] = draw(st.sampled_from(PARITY_TOKENS))
+            lines[i] = " ".join(tokens)
+        elif op == "comment":
+            lines[i] += draw(st.sampled_from([" # note", "#", "\t# bracket 1 2 3 4"]))
+        elif op == "duplicate":
+            lines.insert(draw(st.integers(i + 1, len(lines))), lines[i])
+        elif op == "zero" and tokens[:1] == ["bracket"] and len(tokens) == 5:
+            zero = " ".join(tokens[:4] + [draw(st.sampled_from(["0", "-0", "0/3"]))])
+            lines.insert(draw(st.integers(0, len(lines))), zero)
+            lines.insert(draw(st.integers(0, len(lines))), zero)
+        elif op == "tabs":
+            lines[i] = "\t".join(tokens) + draw(st.sampled_from(["", " ", "\t"]))
+        elif op == "blank":
+            lines.insert(i, draw(st.sampled_from(["", "   ", "# a comment"])))
+        elif op == "drop":
+            del lines[i]
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return newline.join(lines) + newline
+
+
+def _index_rule(text: str) -> str:
+    """The file with every bracket index token that is not decimal digits
+    replaced by "x": where int() and str.isdecimal disagree on an index
+    ("+1", "-0", "1_0"), the index rule reads it as "x" is read by both."""
+    out = []
+    for raw in text.splitlines():
+        tokens = raw.split("#", 1)[0].split()
+        if len(tokens) == 5 and tokens[0] == "bracket":
+            indices = [t if t.isdecimal() else "x" for t in tokens[1:4]]
+            if indices != tokens[1:4]:
+                raw = " ".join(["bracket", *indices, tokens[4]])
+        out.append(raw)
+    return "\n".join(out)
+
+
+def _outcome(parse, text: str):
+    try:
+        L = parse(text)
+    except LieError as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+    return L.n, L.field, L._scale, L.labels, list(L._integer_table.items())
+
+
+@settings(max_examples=200, deadline=None)
+@given(mutated_dense_files())
+def test_parser_matches_the_plain_parser_on_mutated_dense_files(text):
+    assert _outcome(parse_algebra, text) == _outcome(parse_algebra_oracle, _index_rule(text))
+
+
+@pytest.mark.parametrize("text", PARITY_BASES)
+def test_parser_matches_the_plain_parser_on_the_unmutated_files(text):
+    got = _outcome(parse_algebra, text)
+    assert got == _outcome(parse_algebra_oracle, text) and got[0] == 6 and got[3][1] == "y"

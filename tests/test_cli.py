@@ -5,13 +5,14 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from helpers import random_unimodular, truncated_witt
-from liemult import algfile, cli
+from liemult import algebra, algfile, cli, linalg
 from liemult.algebra import LieAlgebra, build
 from liemult.bounds import BoundReport, VIOLATED
 from liemult.catalog import filiform_q, standard_filiform
@@ -359,32 +360,60 @@ def test_fabricated_violation_drives_exit_2():
 
 
 def test_sweep_and_sparse_multiplier_make_no_basis_change(tmp_path, capsys, monkeypatch):
-    # The filiform sweep and the multiplier of catalog filiform-24 read every
-    # algebra in a basis adapted to its series: the basis-change kernel never
-    # runs on them.  A dense input, the control, does run it.
-    calls = []
-    table_in_basis = LieAlgebra._table_in_basis
+    # The filiform sweep parses no file, and it and the multiplier of
+    # catalog filiform-24 read every algebra in a basis adapted to its
+    # series: the basis-change kernel and its inverse never run on them.
+    # A dense input, the control, does run them.
+    calls = {"parse_algebra": [], "_table_in_basis": [], "inverse_rows": []}
 
-    def counted(self, rows):
-        calls.append(self.n)
-        return table_in_basis(self, rows)
+    def counted(name, function):
+        def wrapper(*args, **kwargs):
+            calls[name].append(args[0].n if name == "_table_in_basis" else None)
+            return function(*args, **kwargs)
+        return wrapper
 
-    monkeypatch.setattr(LieAlgebra, "_table_in_basis", counted)
+    monkeypatch.setattr(algfile, "parse_algebra", counted("parse_algebra", algfile.parse_algebra))
+    monkeypatch.setattr(LieAlgebra, "_table_in_basis",
+                        counted("_table_in_basis", LieAlgebra._table_in_basis))
+    inverse = counted("inverse_rows", linalg.inverse_rows)
+    monkeypatch.setattr(linalg, "inverse_rows", inverse)
+    monkeypatch.setattr(algebra, "inverse_rows", inverse)
     for spec, field in (("Q", QQ), ("GF(2147483647)", PrimeField(2147483647))):
         argv = ["report", "--family", "filiform", "--max-dim", "14", "--format", "machine",
                 "--jobs", "1", "--field", spec]
         assert run(capsys, argv)[0] == EXIT_OK
+        assert calls == {"parse_algebra": [], "_table_in_basis": [], "inverse_rows": []}
         path = tmp_path / f"filiform-24-{field.tag}.alg"
         path.write_text(algfile.serialize_algebra(standard_filiform(24, field=field)))
         code, out, _ = run(capsys, ["multiplier", "--file", str(path), "--format", "machine"])
         assert (code, json.loads(out)["dim_multiplier"]) == (EXIT_OK, 12)
-    assert calls == []
+        assert len(calls["parse_algebra"]) == 1
+        assert calls["_table_in_basis"] == calls["inverse_rows"] == []
+        calls["parse_algebra"].clear()
     dense = standard_filiform(6).change_basis(random_unimodular(random.Random(6), 6))
     path = tmp_path / "dense-6.alg"
     path.write_text(algfile.serialize_algebra(dense))
-    calls.clear()
+    for seen in calls.values():
+        seen.clear()
     assert run(capsys, ["multiplier", "--file", str(path)])[0] == EXIT_OK
-    assert calls == [6]
+    assert calls["parse_algebra"] == [None] and calls["_table_in_basis"] == [6]
+    assert calls["inverse_rows"]
+
+
+@pytest.mark.parametrize("command", ["check", "multiplier"])
+def test_declared_dim_is_refused_before_anything_is_sized_by_it(command, tmp_path, capsys):
+    path = tmp_path / "huge.alg"
+    path.write_text("lie-algebra v1\nfield Q\ndim 1000000000\n")
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, [command, "--file", str(path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (EXIT_RESOURCE, "")
+    assert err == ("resource guard: line 3: dim 1000000000 exceeds the construction guard "
+                   "(1024)\n")
+    assert peak < 1 << 20, peak
 
 
 def test_out_file_writing(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -217,6 +218,46 @@ def test_inverse_rows_matches_the_naive_inverse(field):
         _, den = inverse_rows(field, [integer_row(field, r, n) for r in m.rows()])
         assert den == 1 or not field.characteristic
         checked += 1
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7), PrimeField(2147483647)],
+                         ids=["Q", "GF7", "GFp"])
+def test_inverse_past_a_unimodular_head_matches_the_naive_inverse(field):
+    # The first two rows lie on columns a < b with a 2 x 2 block of
+    # determinant ±1 there, as the generator-chain rows do (e_a, e_b; e_b,
+    # e_a; e_a + t e_b, e_b), so only the other rows are reduced.  (R, den)
+    # must be exact: R / den = P^-1 with den the least common denominator.
+    rng = random.Random(11)
+    heads = [lambda a, b, t: ({a: 1}, {b: 1}), lambda a, b, t: ({b: 1}, {a: 1}),
+             lambda a, b, t: ({a: 1, b: t}, {b: 1}), lambda a, b, t: ({a: t, b: 1}, {a: 1})]
+    singular = checked = 0
+    for case in range(60):
+        n = rng.randint(3, 7)
+        a, b = sorted(rng.sample(range(n), 2))
+        t = rng.randint(1, 5)
+        rows = list(heads[case % 4](a, b, t))
+        for _ in range(n - 2):
+            row = {c: rng.randint(-4, 4) for c in range(n) if rng.random() < 0.8}
+            rows.append({c: x % field.characteristic if field.characteristic else x
+                         for c, x in row.items() if x})
+        dense = [[field.element(r.get(c, 0)) for c in range(n)] for r in rows]
+        reduced = naive_rref([r + [field.one if i == j else field.zero for j in range(n)]
+                              for i, r in enumerate(dense)], field)
+        if [r[:n] for r in reduced] != Matrix.identity(field, n).rows():
+            with pytest.raises(SingularMatrix):
+                inverse_rows(field, [(r, 1) for r in rows])
+            singular += 1
+            continue
+        inv, den = inverse_rows(field, [(r, 1) for r in rows])
+        want = [r[n:] for r in reduced]
+        if field.characteristic:
+            assert den == 1
+            assert inv == [{c: x.v for c, x in enumerate(r) if x} for r in want]
+        else:
+            assert den == lcm(*(x.denominator for r in want for x in r))
+            assert inv == [{c: int(x * den) for c, x in enumerate(r) if x} for r in want]
+        checked += 1
+    assert checked >= 40 and singular >= 1
 
 
 @settings(max_examples=50)
