@@ -28,9 +28,10 @@ sums, equality, ``Subspace.reduce`` (the one exact reduction, behind
 on those rows, and the dense basis is built only when asked for.
 
 Construction also searches the ad table once for a generator chain
-(s, s₁, s₂, …, s_c), sₖ₊₁ = [sₖ, s] (``_chain_rows``).  When one is found in
-a basis that is not already adapted to the lower central series, the
-algebra keeps A, itself rewritten in the chain basis P, whose table is
+(s, s₁, s₂, …, s_c), sₖ₊₁ = [sₖ, s] (``_chain_rows``, the package's only
+chain search; ``words.generator_chain`` reads the same one).  When one is
+found in a basis that is not already adapted to the lower central series,
+the algebra keeps A, itself rewritten in the chain basis P, whose table is
 nearly a shift (``_chain_rewrite``).  The search reads γ₂ as the span of
 the table rows taken only until it reaches dim n - 2; the other rows stay
 pending.  A chain vector outside that partial span proves γ₂ larger, and
@@ -697,22 +698,6 @@ class LieAlgebra:
 
     # -- the generator-chain basis -------------------------------------------
 
-    def _chain_tail(self, s: dict[int, int], s1: dict[int, int], length: int):
-        """The ``length`` vectors s₂, s₃, … with sₖ₊₁ = [sₖ, s], for integer
-        rows s and s₁, built on the integer ad table; None as soon as one is
-        0.  Each step multiplies by D, so sₖ comes out as D^(k-1) times the
-        bracket of the rows (reduced mod p over GF(p))."""
-        ad_s = self._ad_rows(s)
-        p = self.field.characteristic
-        tail, cur = [], s1
-        for _ in range(length):
-            # [cur, s] = -[s, cur]; p - x negates a residue, and is -x over Q.
-            cur = {k: p - x for k, x in self._nonzero(_combine(ad_s, cur)).items()}
-            if not cur:
-                return None
-            tail.append(cur)
-        return tail
-
     def _chain_rewrite(self):
         """(P, A): the rows of P are a generator chain (s, s₁, s₂, …, s_c) of
         L as integer rows (``_chain_rows``), and A is L in that basis; None
@@ -742,34 +727,36 @@ class LieAlgebra:
 
     def _chain_rows(self) -> list[dict[int, int]] | None:
         """A generator chain (s, s₁, s₂, …, s_c), sₖ₊₁ = [sₖ, s], as integer
-        rows on the ad table, or None when the search finds none.
+        rows on the ad table, or None when there is none; the rewrite and
+        ``words.generator_chain`` both read it.  Each step multiplies by D,
+        so the row of sₖ (k >= 2) is D^(k-1) sₖ (mod p over GF(p)).
 
-        The search needs dim γ₂ = n - 2.  It reads ``_derived`` as ``_setup``
-        left it, the span of the first table rows stopped at dim n - 2.
+        The search needs dim γ₂ = n - 2.  It reads ``_derived``, which at
+        construction is the span of the first table rows stopped at dim n - 2.
         Whenever dim γ₂ = n - 2 that partial span is all of γ₂, so a, b and
-        the chain are those of the full span, and the remaining rows are
-        never needed when the rewrite turns out to have class n - 1 in
-        coordinate form (dim γ₂(A) = dim γ₂(L), since γ₂(A) is the image of
-        γ₂(L) under P).  When dim γ₂ > n - 2 the partial span can still reach
-        n - 2 and a chain be found here.
+        the chain are those of the full span, before and after
+        ``_finish_derived``, and the remaining rows are never needed when the
+        rewrite turns out to have class n - 1 in coordinate form (dim γ₂(A) =
+        dim γ₂(L), since γ₂(A) is the image of γ₂(L) under P).  When dim γ₂ >
+        n - 2 the partial span can still reach n - 2 and a chain be found here.
 
         With a < b the two free (non-pivot) columns of γ₂, e_a and e_b are
-        independent modulo γ₂, and s runs over
-        e_a (s₁ = e_b), e_b (s₁ = e_a), then e_a + t e_b (s₁ = e_b) for
-        t = 1, …, n - 2 (and t < p over GF(p)): n = c + 1 distinct
-        directions of L/γ₂.  The first s whose n - 2 tail vectors sₖ₊₁ =
-        [sₖ, s] are all nonzero is kept.
+        independent modulo γ₂, and s runs over e_a (s₁ = e_b), e_b (s₁ =
+        e_a), then e_a + t e_b (s₁ = e_b) for t = 1, …, n - 2 (and t < p over
+        GF(p)): n = c + 1 distinct directions of L/γ₂.  The first s whose
+        n - 2 tail vectors sₖ₊₁ = [sₖ, s] are all nonzero is kept.
 
-        Why this succeeds for maximal class over Q or a large GF(p): if sₖ
-        lies in γₖ but not in γₖ₊₁, then [sₖ, s] mod γₖ₊₂ is linear in s,
-        vanishes on γ₂ and not on L, so the s that fail at step k form at
-        most one line of L/γ₂ (a two-step centralizer; step 1 only needs s
-        and s₁ independent, which every pair tried is).  A failure at one
-        step leaves every later vector one term too deep, so s_c = 0 and the
-        tail is not all nonzero; a tail that is all nonzero is a basis of γ₂
-        adapted to the series.  At most c - 1 lines fail, and the c + 1
-        directions tried are distinct lines.  Over GF(2) every line of L/γ₂
-        may fail (``NO_CHAIN_GF2`` in the tests), and L keeps its basis."""
+        Why this finds a chain whenever one exists: if sₖ lies in γₖ but not
+        in γₖ₊₁, then [sₖ, s] mod γₖ₊₂ is linear in s, vanishes on γ₂ and not
+        on L, so the s that fail at step k form at most one line of L/γ₂ (a
+        two-step centralizer; step 1 only needs s and s₁ independent, which
+        every pair tried is), and whether s has a chain depends only on its
+        line.  A failure at one step leaves every later vector one term too
+        deep, so s_c = 0; a tail that is all nonzero is a basis of γ₂
+        adapted to the series.  At most c - 1 lines fail, and over Q or
+        GF(p) with p > n - 1 the c + 1 directions tried are distinct lines;
+        for smaller p they are all p + 1 lines.  Over GF(2) every line may
+        fail (``NO_CHAIN_GF2`` in the tests), and L keeps its basis."""
         n, derived = self.n, self._derived
         if n < 3 or derived.dim != n - 2:
             return None
@@ -778,9 +765,15 @@ class LieAlgebra:
         tries = [({a: 1}, {b: 1}), ({b: 1}, {a: 1})]
         tries += [({a: 1, b: t}, {b: 1}) for t in range(1, n - 1) if not p or t < p]
         for s, s1 in tries:
-            tail = self._chain_tail(s, s1, n - 2)
-            if tail is not None:
-                return [s, s1, *tail]
+            ad_s, chain = self._ad_rows(s), [s, s1]
+            while len(chain) < n:
+                # [sₖ, s] = -[s, sₖ]; p - x negates a residue, and is -x over Q.
+                cur = self._nonzero(_combine(ad_s, chain[-1]))
+                if not cur:
+                    break
+                chain.append({k: p - x for k, x in cur.items()})
+            else:
+                return chain
         return None
 
     def _chain_basis_series(self) -> SeriesChain | None:

@@ -26,7 +26,9 @@ Each line is split once, and a comment is cut only when the line has a
 error for it or accepts another decimal spelling.  Each literal goes
 straight to integers, a residue over GF(p) and a numerator and denominator
 in lowest terms over Q (``parse_integers``), with no field scalar made per
-constant.  A duplicate key is found in the rows themselves, or, for a zero
+constant.  A literal or modulus longer than int() converts raises
+``ResourceLimit`` at its line, and a ``label`` index that long is out of
+range.  A duplicate key is found in the rows themselves, or, for a zero
 constant, in a set of zero keys; the line of its first occurrence is looked
 up again only to report the error.  The parser builds the 0-based table as
 integer rows over the common scale D, the lcm of the denominators, keys in
@@ -101,6 +103,8 @@ def parse_algebra(text: str, allow_char_two: bool = False) -> LieAlgebra:
                 num, den = field.parse_integers(literal)
             except BadScalarLiteral as exc:
                 raise AlgebraFileError(str(exc), lineno) from exc
+            except ResourceLimit as exc:
+                raise ResourceLimit(f"line {lineno}: {exc}") from None
             if not num:
                 zeros.add((i, j, k))
                 continue
@@ -118,6 +122,8 @@ def parse_algebra(text: str, allow_char_two: bool = False) -> LieAlgebra:
                 field = parse_field_spec(tokens[1], allow_char_two=allow_char_two)
             except FieldSpecError as exc:
                 raise FieldSpecError(f"line {lineno}: {exc}") from exc
+            except ResourceLimit as exc:
+                raise ResourceLimit(f"line {lineno}: {exc}") from None
         elif directive == "dim":
             if dim is not None:
                 raise AlgebraFileError("duplicate dim directive", lineno)
@@ -131,7 +137,11 @@ def parse_algebra(text: str, allow_char_two: bool = False) -> LieAlgebra:
                 raise AlgebraFileError("label before dim directive", lineno)
             if len(tokens) != 3 or not tokens[1].isdecimal():
                 raise AlgebraFileError("label directive is: label INDEX NAME", lineno)
-            idx = int(tokens[1])
+            try:
+                idx = int(tokens[1])
+            except ValueError:  # int()'s refusal of a token with too many digits
+                raise AlgebraFileError(f"label index of {len(tokens[1])} digits out of "
+                                       f"range [1, {dim}]", lineno) from None
             if not 1 <= idx <= dim:
                 raise AlgebraFileError(f"label index {idx} out of range [1, {dim}]", lineno)
             labels[idx] = tokens[2]

@@ -96,7 +96,7 @@ class NotMaximalClass(LieError):
 
 
 class GeneratorSearchFailed(LieError):
-    """No generator pair produced a full descending chain (defective input)."""
+    """No line of L/γ₂ has a full descending chain, as can happen over a small field."""
 
 
 class CharTwoField(LieError):

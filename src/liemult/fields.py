@@ -20,6 +20,7 @@ such fields outright.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from math import gcd
 
@@ -35,6 +36,12 @@ def _is_integer_literal(text: str) -> bool:
     exactly on the Unicode category Nd that \\d matches, and int() reads
     those digits."""
     return (text[1:] if text[:1] in ("+", "-") else text).isdecimal()
+
+
+def _unconvertible(what: str, text: str) -> ResourceLimit:
+    # int() converts at most sys.get_int_max_str_digits() digits (4,300 by default).
+    return ResourceLimit(f"{what} of {len(text)} characters exceeds the limit of "
+                         f"{sys.get_int_max_str_digits()} digits on integer conversion")
 
 
 # The first 13 primes, and ψ₁₃: the least odd composite that is a strong
@@ -106,12 +113,15 @@ class RationalField:
         """(numerator, denominator) of a literal in lowest terms, with a
         positive denominator."""
         text = text.strip()
-        if _is_integer_literal(text):
-            return int(text), 1
-        if not _RATIONAL_RE.match(text):
-            raise BadScalarLiteral(f"{text!r} is not a rational literal (use p/q or an integer)")
-        # The literal is validated, so int() converts its parts directly.
-        num, den = map(int, text.split("/"))
+        try:  # a validated literal converts unless int() refuses its length
+            if _is_integer_literal(text):
+                return int(text), 1
+            if not _RATIONAL_RE.match(text):
+                raise BadScalarLiteral(
+                    f"{text!r} is not a rational literal (use p/q or an integer)")
+            num, den = map(int, text.split("/"))
+        except ValueError:
+            raise _unconvertible("literal", text) from None
         if den == 0:
             raise BadScalarLiteral(f"{text!r} has a zero denominator")
         g = gcd(num, den)
@@ -256,13 +266,14 @@ class PrimeField:
     def parse_integers(self, text: str) -> tuple[int, int]:
         """(residue in [0, p), 1) for an integer literal."""
         text = text.strip()
-        if not _is_integer_literal(text):
-            if _RATIONAL_RE.match(text):
-                raise BadScalarLiteral(
-                    f"rational literal {text!r} is not allowed over GF({self.p})"
-                )
-            raise BadScalarLiteral(f"{text!r} is not an integer literal")
-        return int(text) % self.p, 1
+        try:  # a validated literal converts unless int() refuses its length
+            if _is_integer_literal(text):
+                return int(text) % self.p, 1
+        except ValueError:
+            raise _unconvertible("literal", text) from None
+        if _RATIONAL_RE.match(text):
+            raise BadScalarLiteral(f"rational literal {text!r} is not allowed over GF({self.p})")
+        raise BadScalarLiteral(f"{text!r} is not an integer literal")
 
     def __repr__(self):
         return self.tag
@@ -286,5 +297,9 @@ def parse_field_spec(text: str, allow_char_two: bool = False):
         return QQ
     m = _FIELD_SPEC_RE.match(text)
     if m:
-        return PrimeField(int(m.group(1)), allow_char_two=allow_char_two)
+        try:
+            p = int(m.group(1))
+        except ValueError:
+            raise _unconvertible("modulus", m.group(1)) from None
+        return PrimeField(p, allow_char_two=allow_char_two)
     raise FieldSpecError(f"unrecognized field spec {text!r} (use Q or GF(p))")

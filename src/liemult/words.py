@@ -47,7 +47,7 @@ from dataclasses import dataclass
 from math import lcm
 from operator import itemgetter
 
-from .algebra import LieAlgebra, QuotientMap, Subspace, _combine
+from .algebra import LieAlgebra, QuotientMap, _combine
 from .errors import (
     CharTwoField,
     DimensionMismatch,
@@ -59,7 +59,7 @@ from .errors import (
     TupleSpaceTooLarge,
     WordTooShort,
 )
-from .linalg import RowSpan, integer_row
+from .linalg import RowSpan
 
 # Bracket steps (|x|·|y| per evaluated bracket) one ψ degree may spend.
 PSI_BRACKET_BUDGET = 2 * 10**6
@@ -395,82 +395,24 @@ class GeneratorChain:
     tail: tuple  # (s_2, ..., s_c)
 
 
-def _try_chain(L: LieAlgebra, series, s, s1):
-    gamma2 = series.gamma(2)
-    if gamma2.contains_vector(s) or gamma2.contains_vector(s1):
-        return None
-    pair = gamma2.sum(Subspace.from_vectors(L.field, L.n, [s, s1]))
-    if pair.dim != gamma2.dim + 2:
-        return None  # not independent modulo gamma2
-    c = series.nilpotency_class
-    field = L.field
-    (u, su), (u1, su1) = integer_row(field, s, L.n), integer_row(field, s1, L.n)
-    rows = L._chain_tail(u, u1, c - 1)
-    if rows is None:
-        return None
-    # Row k - 2 is (D su)^(k-1) su1 s_k, with D the integer table's scale.
-    tail = []
-    unit = field.one / field.element(su1)
-    step = field.one / field.element(L._scale * su)
-    for idx, row in enumerate(rows, start=2):
-        unit *= step
-        cur = L.zero_vector()
-        for k, x in row.items():
-            cur[k] = field.element(x) * unit
-        if not series.gamma(idx).contains_vector(cur):
-            return None
-        if series.gamma(idx + 1).contains_vector(cur):
-            return None
-        tail.append(tuple(cur))
-    return tuple(tail)
-
-
 def generator_chain(L: LieAlgebra) -> GeneratorChain:
-    """Deterministic generator pair and descending chain for a maximal-class
-    algebra.
-
-    The canonical choice is the first two canonical basis vectors outside
-    γ₂ in index order; if that pair fails the chain property, ordered basis
-    pairs and then small integer combinations are searched.
+    """The generator pair and descending chain of a maximal-class algebra,
+    read from the chain search that construction runs (``L._chain_rows``):
+    s along e_a, e_b, then e_a + t e_b, for a < b the free columns of γ₂.
+    That search finds a chain whenever one exists (``_chain_rows`` gives the
+    argument); its row of sₖ is D^(k-1) sₖ for the integer table's scale D.
     """
     ok, _ = L.is_maximal_class()
     if not ok:
         raise NotMaximalClass("generator chains exist only for maximal-class algebras")
-    series = L.lower_central_series()
-    gamma2 = series.gamma(2)
-    candidates = [
-        j for j in range(L.n) if not gamma2.contains_vector(L.basis_vector(j))
-    ]
-    # Canonical pair first, then every ordered basis pair.
-    pairs = [(candidates[0], candidates[1])] if len(candidates) >= 2 else []
-    pairs += [
-        (a, b) for a in candidates for b in candidates if a != b
-    ]
-    for a, b in pairs:
-        s, s1 = L.basis_vector(a), L.basis_vector(b)
-        tail = _try_chain(L, series, s, s1)
-        if tail is not None:
-            return GeneratorChain(tuple(s), tuple(s1), tail)
-    # Escape hatch: combinations e_a + t e_b avoid any finite set of bad
-    # directions over Q.
-    c = series.nilpotency_class
-    for t in range(1, c + 2):
-        coeff = L.field.element(t)
-        for a in candidates:
-            for b in candidates:
-                if a == b:
-                    continue
-                s = L.basis_vector(a)
-                s[b] = coeff
-                for b1 in candidates:
-                    s1 = L.basis_vector(b1)
-                    tail = _try_chain(L, series, s, s1)
-                    if tail is not None:
-                        return GeneratorChain(tuple(s), tuple(s1), tail)
-    raise GeneratorSearchFailed(
-        "no generator pair produced a full descending chain; "
-        "the input algebra is defective or the field is too small"
-    )
+    rows = L._chain_rows()
+    if rows is None:
+        raise GeneratorSearchFailed("no line of L/γ₂ has a full descending chain")
+    field, vectors = L.field, []
+    for k, row in enumerate(rows):
+        d = field.element(L._scale ** max(k - 1, 0))
+        vectors.append(tuple(field.element(row.get(j, 0)) / d for j in range(L.n)))
+    return GeneratorChain(vectors[0], vectors[1], tuple(vectors[2:]))
 
 
 @dataclass(frozen=True)

@@ -149,6 +149,40 @@ def multiplier_oracle(L: LieAlgebra) -> int:
     return len(pairs) - naive_rank(d2, L.field) - naive_rank(d3, L.field)
 
 
+def has_generator_chain_oracle(L: LieAlgebra) -> bool:
+    """Whether L, of maximal class over GF(p), has a generator chain: an s
+    outside γ₂ with s₂ = [s₁, s], s₃ = [s₂, s], … and each sₖ outside γₖ₊₁
+    up to k = c.  Whether s has one depends only on its line in L/γ₂, so this
+    tries all p + 1 lines <v>, <u + t v> (t in GF(p)), for u, v the unit
+    vectors at the free columns of γ₂'s naive_rref, with the dense
+    ``bracket`` and the terms of ``series_oracle``."""
+    terms, _ = series_oracle(L)  # terms[k - 1] = γₖ
+    pivots = {next(c for c, x in enumerate(row) if x) for row in terms[1]}
+    u, v = (L.basis_vector(c) for c in range(L.n) if c not in pivots)
+    p = L.field.characteristic
+    lines = [(v, u)] + [([a + L.field.element(t) * b for a, b in zip(u, v)], v)
+                        for t in range(p)]
+    for s, cur in lines:
+        for k in range(2, len(terms)):
+            cur = L.bracket(cur, s)
+            if len(naive_rref(terms[k] + [cur], L.field)) == len(terms[k]):
+                break  # sₖ lies in γₖ₊₁
+        else:
+            return True
+    return False
+
+
+def chain_rows_as_vectors(L: LieAlgebra, rows) -> list[tuple]:
+    """Generator-chain rows on L's integer ad table as field vectors: the row
+    of sₖ, k >= 2, is D^(k-1) sₖ for the integer table's scale D, and the
+    rows of s and s₁ are s and s₁."""
+    F, out = L.field, []
+    for k, row in enumerate(rows):
+        d = F.element(L._scale ** max(k - 1, 0))
+        out.append(tuple(F.element(row.get(j, 0)) / d for j in range(L.n)))
+    return out
+
+
 def random_rational_matrix(rng: random.Random, nrows: int, ncols: int) -> list[list[Fraction]]:
     return [
         [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(ncols)]

@@ -341,6 +341,36 @@ def test_modulus_past_the_proven_primality_bound_exits_3(tmp_path, capsys, spec)
     assert out == "" and err.startswith("resource guard:")
 
 
+# Decimal tokens one digit past the 4,300 that int() converts by default.
+LONG_ONES, LONG_SEVENS = "1" * 4301, "7" * 4301
+
+
+@pytest.mark.parametrize("text,argv,code,message", [
+    (f"field Q\ndim 3\nbracket 1 2 3 {LONG_ONES}\n", None, EXIT_RESOURCE,
+     "resource guard: line 4: literal of 4301 characters"),
+    (f"field Q\ndim 3\nbracket 1 2 3 1/{LONG_ONES}\n", None, EXIT_RESOURCE,
+     "resource guard: line 4: literal of 4303 characters"),
+    (f"field GF(7)\ndim 3\nbracket 1 2 3 {LONG_ONES}\n", None, EXIT_RESOURCE,
+     "resource guard: line 4: literal of 4301 characters"),
+    (f"field Q\ndim 3\nlabel {LONG_ONES} a\n", None, EXIT_INPUT,
+     "error: line 4: label index of 4301 digits out of range [1, 3]"),
+    (f"field GF({LONG_SEVENS})\ndim 3\n", None, EXIT_RESOURCE,
+     "resource guard: line 2: modulus of 4301 characters"),
+    (None, ["multiplier", "--name", "filiform-5", "--field", f"GF({LONG_SEVENS})"],
+     EXIT_RESOURCE, "resource guard: modulus of 4301 characters"),
+], ids=["Q-coefficient", "Q-denominator", "GF7-coefficient", "label", "field-line",
+        "field-option"])
+def test_oversized_decimal_tokens_are_refused_without_a_traceback(
+        tmp_path, capsys, text, argv, code, message):
+    if argv is None:
+        path = tmp_path / "long.alg"
+        path.write_text("lie-algebra v1\n" + text)
+        argv = ["check", "--file", str(path)]
+    got, out, err = run(capsys, argv)
+    assert got == code and out == ""
+    assert err.startswith(message) and "Traceback" not in err
+
+
 def test_fabricated_violation_drives_exit_2():
     # The exit-code contract is tested against a forged report: a fake
     # multiplier dimension larger than the quadratic bound.

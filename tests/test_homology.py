@@ -6,6 +6,8 @@ import pytest
 
 from helpers import (
     NO_CHAIN_GF2,
+    chain_rows_as_vectors,
+    has_generator_chain_oracle,
     multiplier_oracle,
     random_unimodular,
     series_oracle,
@@ -208,8 +210,10 @@ def test_input_without_a_generator_chain_keeps_its_basis():
     assert graded.is_maximal_class()[0]
     L = _changed(graded, 8)
     assert not _coordinate_series(L)
-    with pytest.raises(GeneratorSearchFailed):
-        generator_chain(L)
+    for A in (graded, L):  # no line of L/γ₂ has a chain, and the search finds none
+        assert not has_generator_chain_oracle(A)
+        with pytest.raises(GeneratorSearchFailed):
+            generator_chain(A)
     # Every line of L/γ₂ fails the construction-time search too.
     assert L._rewrite is None and L._adapted is None
     oracle, nilpotent = series_oracle(L)
@@ -252,6 +256,16 @@ def test_series_in_the_chain_basis_matches_the_oracle(field, family, n, seed, di
     assert [t.basis.rows() for t in series.terms] == oracle
     assert L._adapted is L._rewrite[1]
     assert multiplier_dim(L) == _raw_multiplier_dim(L)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+@pytest.mark.parametrize("family,n,seed,direction", ROUTE_CASES,
+                         ids=[f"{f.__name__}-{n}-seed{s}" for f, n, s, _ in ROUTE_CASES])
+def test_generator_chain_is_the_chain_of_the_rewrite(field, family, n, seed, direction):
+    L = _changed(family(n, field=field), seed)
+    assert L._rewrite is not None and _direction(L) == direction
+    chain = generator_chain(L)
+    assert [chain.s, chain.s1, *chain.tail] == chain_rows_as_vectors(L, L._rewrite[0])
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)

@@ -5,12 +5,20 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import brute_psi_image_dim, random_rational_vector, random_unimodular
+from helpers import (
+    brute_psi_image_dim,
+    chain_rows_as_vectors,
+    has_generator_chain_oracle,
+    random_rational_vector,
+    random_unimodular,
+    truncated_witt,
+)
 from liemult.algebra import Subspace, build
 from liemult.catalog import abelian, filiform_m2, filiform_q, heisenberg, standard_filiform
 from liemult.errors import (
     CharTwoField,
     EmptyWord,
+    GeneratorSearchFailed,
     IndexOutOfRange,
     NotMaximalClass,
     TupleSpaceTooLarge,
@@ -458,12 +466,13 @@ def test_generator_chain_rejects_non_maximal_class():
 
 
 def test_generator_chain_fallback_on_swapped_basis():
-    # Swap e1 and e2: the canonical pair (f1, f2) = (old x2, old x1) fails the
-    # chain at the second step, so the ordered-pair fallback must kick in.
+    # Swap e1 and e2: the first direction s = f1 (old x2) fails the chain at
+    # the second step, so the search must go on to s = f2 (old x1).
     L = standard_filiform(4)
     perm = Matrix(QQ, [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
     swapped = L.change_basis(perm)
     chain = generator_chain(swapped)
+    assert list(chain.s) == swapped.basis_vector(1)
     series = swapped.lower_central_series()
     for idx, v in enumerate(chain.tail, start=2):
         assert series.gamma(idx).contains_vector(v)
@@ -474,46 +483,94 @@ def test_generator_chain_fallback_on_swapped_basis():
 # algebra: catalog standard filiform 3..12, m2 5..10, Q 6/8/10, then seeded
 # basis changes (seeds 1-3) of filiform-7, filiform-10, m2-8 and Q-8, and over
 # Q rational basis changes, whose tables have denominators (the integer ad
-# table is scaled by D > 1).  The catalog Q_n need the e_a + t e_b escape
-# hatch.  Pinned from the dense field-scalar search, so a change of how the
-# tail is built cannot move them.
+# table is scaled by D > 1).  The catalog Q_n take s = e_a + e_b.  Pinned from
+# the construction-time search on integer rows (``LieAlgebra._chain_rows``),
+# converted to field scalars; the recurrence and series test below checks
+# every pinned chain.
 CHAIN_PINS = {
-    ("Q", "catalog"): "61052d5b5f9e44c0938efb0ff60377a8abad3ce83d7e3d80579f049fd1f6e87b",
-    ("Q", "dense"): "ce13673f417c30856843ed6fc95fd487eb290fd1c14b526322a0a7ec674de219",
-    ("GF7", "catalog"): "9130407fb4d9af17f20d893825a24571de3d0d298a13ce8e53a2bab07b35549d",
-    ("GF7", "dense"): "d1ed8040c8a05be39734510edb784619476df79496125bcc42d00c1f62e44678",
-    ("GFp", "catalog"): "b0cb3b755cc23bd89c2b089f56bd8b6867ec692b4382cc4aad2f0548cf9c7f18",
-    ("GFp", "dense"): "c7871ff9c5602d2801a4fc08dd3d3fb500607e920a47e818f4581156adf1e1ff",
-    ("Q", "rational"): "33ce5053fe3d428364b4c8fbaf881eff9b9f49fea0a4de0d2d51cee49b851066",
+    ("Q", "catalog"): "8b845144d38827e2f351cda76e47d745c56b49aeafaed3e4356ea7d3885f983d",
+    ("Q", "dense"): "d6be77737c454af990b937c0f5db4377396fd913391d02ca5e1df4d7792ed3c2",
+    ("GF7", "catalog"): "92ccd29b0a9e8b89b09c260679ea2f2d482d6c6ad0ad2aa89c1f612c5d9468d9",
+    ("GF7", "dense"): "0951c03e7105ea80e979a0e03545e300ef6fbb332b020ed4fb3c301b64fbf72e",
+    ("GFp", "catalog"): "19842bde9ba33d0906c6610dddc98a76bf0372aa902b50156d08516198b5f638",
+    ("GFp", "dense"): "b2e30f0789113d0caa28328f9e72cf8ac58912c217a9d958b82531e2430fd4d3",
+    ("Q", "rational"): "96208e2f1434336e6dc4b42b8bce1488e81055262d1c315a212c14a6f63adef2",
 }
 CHAIN_FIELDS = {"Q": QQ, "GF7": PrimeField(7), "GFp": PrimeField(2147483647)}
 
 
-@pytest.mark.parametrize("fid,kind", sorted(CHAIN_PINS))
-def test_generator_chain_outputs_are_pinned(fid, kind):
+def _chain_corpus(fid, kind):
     F = CHAIN_FIELDS[fid]
     if kind == "catalog":
-        algebras = ([standard_filiform(n, F) for n in range(3, 13)]
-                    + [filiform_m2(n, F) for n in range(5, 11)]
-                    + [filiform_q(n, F) for n in (6, 8, 10)])
-    elif kind == "rational":
+        return ([standard_filiform(n, F) for n in range(3, 13)]
+                + [filiform_m2(n, F) for n in range(5, 11)]
+                + [filiform_q(n, F) for n in (6, 8, 10)])
+    if kind == "rational":
         algebras = []
         for family, n in ((standard_filiform, 7), (filiform_m2, 7), (filiform_q, 8)):
             for seed in (1, 2):
                 L = _rationally_scaled(family(n), seed)
                 assert L._scale > 1
                 algebras.append(L)
-    else:
-        algebras = [family(n, F).change_basis(random_unimodular(random.Random(seed), n, F))
-                    for family, n in ((standard_filiform, 7), (standard_filiform, 10),
-                                      (filiform_m2, 8), (filiform_q, 8))
-                    for seed in (1, 2, 3)]
+        return algebras
+    return [family(n, F).change_basis(random_unimodular(random.Random(seed), n, F))
+            for family, n in ((standard_filiform, 7), (standard_filiform, 10),
+                              (filiform_m2, 8), (filiform_q, 8))
+            for seed in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("fid,kind", sorted(CHAIN_PINS))
+def test_generator_chain_outputs_are_pinned(fid, kind):
     lines = []
-    for L in algebras:
+    for L in _chain_corpus(fid, kind):
         chain = generator_chain(L)
         lines.append("|".join(",".join(str(x) for x in v)
                               for v in (chain.s, chain.s1, *chain.tail)))
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == CHAIN_PINS[fid, kind]
+
+
+@pytest.mark.parametrize("fid,kind", sorted(CHAIN_PINS))
+def test_pinned_chains_follow_the_recurrence_down_the_series(fid, kind):
+    # s_k = [s_{k-1}, s] by the field-scalar bracket, and s_k lies in
+    # γ_k \ γ_{k+1}, for 2 <= k <= c; s and s1 span L modulo γ₂.
+    for L in _chain_corpus(fid, kind):
+        chain = generator_chain(L)
+        series = L.lower_central_series()
+        assert len(chain.tail) == series.nilpotency_class - 1
+        gamma2 = series.gamma(2)
+        assert gamma2.sum(Subspace.from_vectors(L.field, L.n, [chain.s, chain.s1])).dim == L.n
+        prev = chain.s1
+        for k, v in enumerate(chain.tail, start=2):
+            assert list(v) == L.bracket(list(prev), list(chain.s))
+            assert series.gamma(k).contains_vector(v)
+            assert not series.gamma(k + 1).contains_vector(v)
+            prev = v
+        if L._rewrite is not None:
+            assert chain_rows_as_vectors(L, L._rewrite[0]) == [chain.s, chain.s1, *chain.tail]
+
+
+def _chain_found(L):
+    try:
+        generator_chain(L)
+    except GeneratorSearchFailed:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_generator_chain_is_found_exactly_when_one_exists(p):
+    F = PrimeField(p)
+    checked = 0
+    for family, sizes in ((standard_filiform, range(4, 10)), (filiform_m2, range(5, 10)),
+                          (filiform_q, (6, 8)), (truncated_witt, range(4, 10))):
+        for n in sizes:
+            for seed in (1, 2):
+                L = family(n, F).change_basis(random_unimodular(random.Random(seed), n, F))
+                if not L.is_maximal_class()[0]:
+                    continue
+                assert _chain_found(L) == has_generator_chain_oracle(L), (family, n, seed)
+                checked += 1
+    assert checked >= 28  # the maximal-class inputs: 28, 32 and 36 for p = 3, 5, 7
 
 
 def test_odd_witness_found_in_n4_filiform():
