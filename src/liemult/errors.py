@@ -132,4 +132,4 @@ class ResourceLimit(LieError):
 
 
 class TupleSpaceTooLarge(ResourceLimit):
-    """ψ image enumeration exceeded its bracket budget."""
+    """ψ's reachable span held more states at one step than its limit."""

@@ -21,31 +21,46 @@ left projection is well defined.
 is: in the outer slot x̄ = 0 in L/γ₂, and in an inner slot the inner word
 has weight at least i+1, so it lies in γᵢ₊₁ and ū = 0.  ψ is multilinear,
 so ψ on the tuples of any complement T of γ₂ spans its image.  T is the d =
-dim L/γ₂ unit vectors at the free (non-pivot) columns of γ₂'s canonical
-rows, and the image dimension is exact.  A zero word stays zero however it
-is extended (a left word at the end, a right word at the front), so the
-nonzero words of each length grow from those one shorter, as trees keyed
-by integer codes.  Term k is nonzero only on tuples P + (o,) + S whose left
-word L(P), right word R(S) and projected inner word π([R(S), L(P)]) are
-all nonzero (x̄_o never is zero), and ψ is 0 on any other tuple.  The
-enumeration merges these per-term supports in lexicographic order, so its
-cost follows the number of nonzero words rather than d^(i+1), and the count
-of tuples examined (up to saturation) is what a full walk would report.
-The words are sparse integer rows on the ad table the lower central series
-runs on, projected by reducing them with γᵢ₊₁'s canonical integer rows, so
-the enumeration does no field arithmetic; ``PsiEvaluator.value`` evaluates
-one tuple in field scalars and stays the independent reference.  Each
-bracket is charged the product of its operands' support sizes, and past
-``PSI_BRACKET_BUDGET`` the enumeration raises ``TupleSpaceTooLarge``.
+dim L/γ₂ unit vectors c_a at the free (non-pivot) columns of γ₂'s canonical
+rows, and the image dimension is exact.
+
+The image is the span a linear recurrence reaches on gr L = ⊕ γₖ/γₖ₊₁.
+[γₐ, γ_b] ⊆ γₐ₊_b (induction on b with Jacobi, which construction
+validates), so the class modulo γₐ₊_b₊₁ of a bracket of x ∈ γₐ and y ∈ γ_b
+depends only on the classes of x in grₐ and y in gr_b: it is their graded
+bracket, and every inner word's class in grᵢ is one.  Read a tuple x_0, ...,
+x_i (0-based) left to right.  After s letters the state is (u, φ): u ∈ grₛ
+is the left word [x_0, ..., x_{s-1}], and φ: gr_{i+1-s} → grᵢ ⊗ L/γ₂ is the
+sum of the terms whose outer argument x_o, o < s, has been read, as a
+function of the right-normed word v of the letters still to come,
+
+    φ(v) = Σ_{o<s} π([ad(x_{o+1}) ⋯ ad(x_{s-1}) v, [x_0, ..., x_{o-1}]]) ⊗ x̄_o
+
+(the o = 0 term has no left word: π(ad(x_1) ⋯ ad(x_{s-1}) v) ⊗ x̄_0).  Each
+of those terms has i+1-s letters of its right word still to read, which is
+why one φ holds them all.  The first letter c_a gives (e_a, v ↦ v ⊗ ē_a); a
+later letter c_a steps u ← [u, c_a] and φ ← φ∘ad(c_a) + (v ↦ [v, u] ⊗ ē_a),
+the new part being the term whose outer argument it is; the last letter
+outputs φ(c_a) + u ⊗ ē_a, the term with no right word included.  The state
+is multilinear in the letters read, and a step is linear in the state, so
+the states of all prefixes of s+1 letters span what the steps of a basis of
+the span at s letters span, and the image is the span of the outputs of a
+basis of the last span.  That is forward reachability of a weighted
+automaton (Schützenberger 1961; Kiefer, Murawski, Ouaknine, Wachter and
+Worrell, LMCS 2013): exact, and polynomial in i and the dims of the grₖ.
+The states are sparse integer rows on the ad table the lower central
+series runs on (``_psi_span`` gives the scaling), so the recurrence does no
+field arithmetic; ``PsiEvaluator.value`` evaluates one tuple in field
+scalars and stays the independent reference.  Past ``PSI_STATE_LIMIT``
+states at one step it raises ``TupleSpaceTooLarge``.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
 from dataclasses import dataclass
+from functools import cache
 from math import lcm
-from operator import itemgetter
 
 from .algebra import LieAlgebra, QuotientMap, _combine
 from .errors import (
@@ -61,8 +76,8 @@ from .errors import (
 )
 from .linalg import RowSpan
 
-# Bracket steps (|x|·|y| per evaluated bracket) one ψ degree may spend.
-PSI_BRACKET_BUDGET = 2 * 10**6
+# States that one step of ψ's reachable span may hold.
+PSI_STATE_LIMIT = 2000
 
 
 def normed_bracket(L: LieAlgebra, xs, orientation: str = "left") -> list:
@@ -199,8 +214,10 @@ def psi(L: LieAlgebra, i: int, xs) -> TensorElement:
 class PsiImage:
     """Image dimension of a tensor map.  The dimension is always exact:
     ``exact`` is always True and ``mode`` always "exact"; both stay because
-    the machine report prints them.  ``tuples_examined`` counts the tuples of
-    the free-column candidates up to saturation."""
+    the machine report prints them.  ``tuples_examined`` is a work count:
+    the (state, candidate) transitions of the recurrence evaluated, the first
+    letters and the outputs included, up to saturation of the codomain.  No
+    tuple enumeration stands behind it."""
 
     i: int
     dim: int
@@ -209,147 +226,98 @@ class PsiImage:
     tuples_examined: int
 
 
-class _Words:
-    """ψ's words of degree i as integer rows.  Candidate a is the unit row at
-    the a-th free column f of γ₂; ``L._ad[f]`` is ad(e_f), ``_combine``
-    applies it and ``L._nonzero`` reduces mod p.  Over Q a bracket scales by
-    D, and ``inner_coords`` reduces at d, the lcm of the leads of γᵢ₊₁'s
-    canonical rows, so every term of the degree carries D^(i-1)·d (1 over
-    GF(p)): one nonzero factor, which changes no rank and no zero test."""
+def _psi_span(L: LieAlgebra, series, i: int) -> tuple[int, int]:
+    """(dim im ψᵢ, transitions evaluated): the span the recurrence of the
+    module docstring reaches on gr L, in integer rows.
 
-    def __init__(self, L: LieAlgebra, series, i: int):
-        free = [j for j in range(L.n) if j not in series.gamma(2)._rows]
-        self.L, self.i, self.m, self.spent = L, i, len(free), 0
-        self.cand = [{f: 1} for f in free]
-        self.ad = [L._ad[f] for f in free]
-        self.lower = series.gamma(i + 1)
-        rows = self.lower._rows
-        self.scale = lcm(*(r[c] for c, r in rows.items()))
-        # (offset in the flat tensor, pivot) of each basis vector of γᵢ/γᵢ₊₁.
-        self.out = [(a * self.m, c)
-                    for a, c in enumerate(c for c in series.gamma(i)._rows if c not in rows)]
-
-    def _charge(self, steps: int):
-        self.spent += steps
-        if self.spent > PSI_BRACKET_BUDGET:
-            raise TupleSpaceTooLarge(f"psi enumeration at degree {self.i} exceeds the "
-                                     f"budget of {PSI_BRACKET_BUDGET} bracket steps")
-
-    def act(self, a: int, v: dict[int, int]) -> dict[int, int]:
-        """[c_a, v], charged |v|."""
-        self._charge(len(v))
-        return self.L._nonzero(_combine(self.ad[a], v))
-
-    def inner_coords(self, lw, rights):
-        """Yield ``(code of S, π([R(S), L(P)]))`` for L(P) = lw over the right
-        words R(S) of ``rights``, skipping zeros; π's nonzero coordinates are
-        listed as (offset of their row in the flat tensor, value).  One
-        ``_ad_rows`` of -lw serves every right word: [R, L] = [-L, R]."""
-        ad_lw = None
-        for sc, rw in rights:
-            if rw is None or lw is None:
-                w = lw if rw is None else rw
-            else:
-                self._charge(len(rw) * len(lw))
-                if ad_lw is None:
-                    ad_lw = self.L._ad_rows({j: -x for j, x in lw.items()})
-                w = self.L._nonzero(_combine(ad_lw, rw))
-            if w:
-                r = self.lower._reduce_integers(w, self.scale)
-                lc = self.L._nonzero({off: r[c] for off, c in self.out if c in r})
-                if lc:
-                    yield sc, list(lc.items())
-
-
-def _left_words(words: _Words, length: int, memo: dict):
-    """Yield the nonzero left-normed words of ``length`` candidates as
-    ``(code, value)`` in increasing code; the empty word is ``(0, None)``.
-    A word's code is its index sequence read as a base-m number, so codes of
-    one length sort lexicographically.  A word grows at the end, L(P·a) =
-    [c_a, -L(P)], and only nonzero prefixes are extended: a depth-first walk
-    of the prefix tree, done as far as the caller reads.  ``memo`` keeps each
-    prefix's extensions for the other lengths that walk the same tree."""
-    if length < 2:
-        yield from [(0, None)] if length == 0 else enumerate(words.cand)
-        return
-    m = words.m
-    for code, v in _left_words(words, length - 1, memo):
-        ext = memo.get((length, code))
-        if ext is None:
-            neg = {j: -x for j, x in v.items()}
-            ext = memo[length, code] = [
-                (code * m + a, w) for a in range(m) if (w := words.act(a, neg))
-            ]
-        yield from ext
-
-
-def _right_words(words: _Words, shorter: list, length: int):
-    """Yield the nonzero right-normed words of ``length`` candidates as
-    ``(code, value)`` in increasing code, from ``shorter``, the complete list
-    of those one candidate shorter.  A right word grows at the front,
-    R(a·S) = [c_a, R(S)], so a zero R(S) is never extended."""
-    step = words.m ** (length - 1)
-    for a in range(words.m):
-        for code, v in shorter:
-            w = words.act(a, v)
-            if w:
-                yield a * step + code, w
-
-
-def _term_support(words: _Words, k: int, lefts, rights: list):
-    """The tuples P + (o,) + S on which schedule term k is nonzero, in
-    increasing tuple code, as ``(code, k, inner coords, o)``; k breaks ties
-    between streams, so the coordinates are never compared.  ``lefts`` and
-    ``rights`` yield the nonzero left words of |P| and right words of |S|
-    candidates.  The term is π([R(S), L(P)]) ⊗ x̄_o, and x̄_o is the o-th
-    basis vector of L/γ₂, so it is nonzero exactly when π([R(S), L(P)]) is.
-    The inner coordinates for one P are computed as the stream reads them,
-    once for all o."""
-    m = words.m
-    scale = m ** (k - 1)
-    for pc, lw in lefts:
-        for o, pairs in enumerate(itertools.tee(words.inner_coords(lw, rights), m)):
-            base = (pc * m + o) * scale
-            for sc, lc in pairs:
-                yield base + sc, k, lc, o
-
-
-def _span_over_tuples(L: LieAlgebra, series, i: int) -> tuple[int, int]:
-    """(rank, tuples examined) of the span of ψ over cand^(i+1), for cand the
-    unit vectors at the free columns of γ₂.
-
-    Term k evaluates on P + (o,) + S with |P| = i+1-k and |S| = k-1, and is
-    nonzero only if L(P), R(S) and π([R(S), L(P)]) are; elsewhere ψ = 0.
-    Each term's support streams in increasing tuple code (the tuple's
-    lexicographic index); merging the i+1 streams and summing the terms of
-    equal codes evaluates ψ on their union in lexicographic order.  ``tuples
-    examined`` is the index of the saturating tuple plus 1, or m^(i+1)
-    without saturation, exactly as a walk over the whole product would
-    count.  Left words are built as far as the merge reads, and so are the
-    right words of all i candidates (read only by the term with an empty
-    left word), by first candidate; shorter right words are listed in full,
-    since every nonzero P pairs with each of them.
+    grₖ's basis is the canonical rows of γₖ whose pivot is not a pivot of
+    γₖ₊₁, and gr₁'s is the candidates.  A graded bracket into grₖ is D·[x, y]
+    from the ad table, reduced with γₖ₊₁'s canonical rows at dₖ, the lcm of
+    their leads, and read at grₖ's pivots c as (entry)/(dₖ·D·lead_c).  Every
+    table is scaled by F, the lcm of those denominators over the target
+    grades (1 over GF(p)), so each entry is an integer, and each state and
+    output of degree i carries F^(i-1): one nonzero factor.  A state after s
+    letters is one row: u at columns [0, dim grₛ), then φ(b_j), for b_j the
+    j-th basis vector of gr_{i+1-s}, from column dim grₛ + j·codim on, in the
+    flat tensor's coordinates (left index major).
     """
-    words = _Words(L, series, i)
-    rights = [[(0, None)], list(enumerate(words.cand))]
-    for length in range(2, i):
-        rights.append(list(_right_words(words, rights[-1], length)))
-    memo: dict = {}
-    streams = [
-        _term_support(words, k, _left_words(words, i + 1 - k, memo),
-                      rights[k - 1] if k <= i else _right_words(words, rights[i - 1], i))
-        for k in range(1, i + 2)
-    ]
-    codim = len(words.out) * words.m
-    span = RowSpan(L.field, codim)
-    for code, terms in itertools.groupby(heapq.merge(*streams), key=itemgetter(0)):
-        row: dict[int, int] = {}
-        for _, _, lc, o in terms:
-            for off, x in lc:
-                row[off + o] = row.get(off + o, 0) + x
-        if span.add_integers(L._nonzero(row)) and span.dim == codim:
-            return span.dim, code + 1
-    return span.dim, words.m ** (i + 1)
+    rows = {k: series.gamma(k)._rows for k in range(1, i + 2)}
+    piv = [[]] + [[c for c in rows[k] if c not in rows[k + 1]] for k in range(1, i + 1)]
+    dims = [len(ps) for ps in piv]
+    m, codim = dims[1], dims[i] * dims[1]
+    # dₖ, and at[k]: grₖ's t-th pivot c -> (t, F / (dₖ·D·lead_c)), for the
+    # target grades k >= 2.
+    red = {k: lcm(*(r[c] for c, r in rows[k + 1].items())) for k in range(2, i + 1)}
+    F = lcm(*(red[k] * L._scale * rows[k][c][c] for k in red for c in piv[k]))
+    at = {k: {c: (t, F // (red[k] * L._scale * rows[k][c][c])) for t, c in enumerate(piv[k])}
+          for k in red}
+
+    def graded(k: int, w: dict[int, int]) -> dict[int, int]:
+        """The class in grₖ of the bracket row w = D·[x, y], scaled by F."""
+        pivots = at[k]
+        r = series.gamma(k + 1)._reduce_integers(w, red[k])
+        return L._nonzero({pivots[c][0]: x * pivots[c][1] for c, x in r.items() if c in pivots})
+
+    @cache
+    def table(r: int, s: int) -> list[dict[int, dict[int, int]]]:
+        """[j][t] -> [b_j, b_t] in gr_{r+s}, for b_j the j-th basis vector of grᵣ
+        and b_t the t-th of grₛ; ad(c_a) is the ad table's own row."""
+        ads = (L._ad[c] if r == 1 else L._ad_rows(rows[r][c]) for c in piv[r])
+        return [{t: graded(r + s, _combine(ad_b, rows[s][c])) for t, c in enumerate(piv[s])}
+                for ad_b in ads]
+
+    # After the first letter c_a: u = e_a and φ = (v ↦ v ⊗ ē_a).
+    states = [{a: 1, **{m + j * codim + j * m + a: 1 for j in range(dims[i])}}
+              for a in range(m)]
+    count = m  # the first letters
+    for s in range(1, i):
+        ad_u, ad_phi, br, base = table(1, s), table(1, i - s), table(i - s, s), dims[s + 1]
+        span = RowSpan(L.field, base + dims[i - s] * codim)
+        for state in states:
+            u, phi = _split(state, dims[s], codim)
+            vu = [_combine(row, u) for row in br]  # [b_j, u] in grᵢ, for every candidate
+            for a in range(m):
+                count += 1
+                # u ← [u, c_a] = -[c_a, u]
+                new = {t: -x for t, x in _combine(ad_u[a], u).items()}
+                # φ ← (v ↦ [v, u] ⊗ ē_a) + φ∘ad(c_a)
+                for j, w in enumerate(vu):
+                    col = base + j * codim + a
+                    for k, y in w.items():
+                        new[col + k * m] = y
+                for j, v in ad_phi[a].items():
+                    col = base + j * codim
+                    for off, x in _combine(phi, v).items():
+                        new[col + off] = new.get(col + off, 0) + x
+                if span.add_integers(L._nonzero(new)) and span.dim > PSI_STATE_LIMIT:
+                    raise TupleSpaceTooLarge(f"psi reachable span at degree {i} exceeds "
+                                             f"{PSI_STATE_LIMIT} states")
+        states = list(span._rows.values())
+    # The last letter c_a outputs φ(c_a) + u ⊗ ē_a.
+    image = RowSpan(L.field, codim)
+    for state in states:
+        u, phi = _split(state, dims[i], codim)
+        for a in range(m):
+            count += 1
+            out = dict(phi.get(a, {}))
+            for t, x in u.items():
+                out[t * m + a] = out.get(t * m + a, 0) + x
+            if image.add_integers(L._nonzero(out)) and image.dim == codim:
+                return codim, count
+    return image.dim, count
+
+
+def _split(state: dict[int, int], du: int, codim: int):
+    """(u, φ) of a state row: u as {t: x}, φ as {j: {offset: x}}."""
+    u: dict[int, int] = {}
+    phi: dict[int, dict[int, int]] = {}
+    for col, x in state.items():
+        if col < du:
+            u[col] = x
+        else:
+            j, off = divmod(col - du, codim)
+            phi.setdefault(j, {})[off] = x
+    return u, phi
 
 
 def psi_image_dim(L: LieAlgebra, i: int, mode: str = "exact") -> PsiImage:
@@ -360,7 +328,7 @@ def psi_image_dim(L: LieAlgebra, i: int, mode: str = "exact") -> PsiImage:
     ``L._adapted`` when construction rewrote L in its generator-chain basis,
     as ``multiplier_dim`` does, and in L otherwise; the dimension does not
     depend on the basis.  ``mode`` accepts only "exact".  Past
-    ``PSI_BRACKET_BUDGET`` the enumeration raises ``TupleSpaceTooLarge``.
+    ``PSI_STATE_LIMIT`` states at one step it raises ``TupleSpaceTooLarge``.
     """
     if mode != "exact":
         raise IndexOutOfRange(f"mode must be 'exact', got {mode!r}")
@@ -373,7 +341,7 @@ def psi_image_dim(L: LieAlgebra, i: int, mode: str = "exact") -> PsiImage:
     if i > series.nilpotency_class:
         # Degenerate codomain: gamma_i is 0 past the class.
         return PsiImage(i, 0, True, mode, 0)
-    dim, count = _span_over_tuples(L, series, i)
+    dim, count = _psi_span(L, series, i)
     return PsiImage(i, dim, True, mode, count)
 
 

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import (
+    NO_CHAIN_GF2,
     brute_psi_image_dim,
     chain_rows_as_vectors,
     has_generator_chain_oracle,
@@ -14,6 +15,7 @@ from helpers import (
     truncated_witt,
 )
 from liemult.algebra import Subspace, build
+from liemult.bounds import verify_main_theorem
 from liemult.catalog import abelian, filiform_m2, filiform_q, heisenberg, standard_filiform
 from liemult.errors import (
     CharTwoField,
@@ -240,9 +242,9 @@ GFP = PrimeField(2147483647)
 def _alternating(n):
     """(i, dim, exact, mode, tuples_examined) of every degree for a
     maximal-class algebra whose images alternate 0, 1 without saturating the
-    2-dimensional codomain, so all 2^(i+1) tuples of the two free-column
-    candidates count as examined."""
-    return [(i, i % 2, True, "exact", 2 ** (i + 1)) for i in range(2, n)]
+    2-dimensional codomain.  On these inputs the reachable span evaluates
+    4·⌊(i+3)/2⌋ transitions of the two free-column candidates at degree i."""
+    return [(i, i % 2, True, "exact", 4 * ((i + 3) // 2)) for i in range(2, n)]
 
 
 def _images(L):
@@ -253,15 +255,15 @@ def _basis_changed(L, seed):
     return L.change_basis(random_unimodular(random.Random(seed), L.n, L.field))
 
 
-# Values from the full walk over candidate^(i+1) that enumeration of the
-# support must reproduce, tuples_examined included.  The Q_n family
+# Dims from the full walk over candidate^(i+1), which the reachable span
+# must reproduce; tuples_examined pins its transition count.  The Q_n family
 # saturates its codomain at the top degree.
 PSI_PINS = (
     [(f"filiform-{n}-{f}", lambda n=n, fld=fld: standard_filiform(n, field=fld), _alternating(n))
      for n in range(4, 11) for f, fld in (("Q", QQ), ("GF7", PrimeField(7)), ("GFp", GFP))]
     + [(f"m2-{n}", lambda n=n: filiform_m2(n), _alternating(n)) for n in range(5, 9)]
     + [("Q6", lambda: filiform_q(6), _alternating(5) + [(5, 2, True, "exact", 22)]),
-       ("Q8", lambda: filiform_q(8), _alternating(7) + [(7, 2, True, "exact", 70)]),
+       ("Q8", lambda: filiform_q(8), _alternating(7) + [(7, 2, True, "exact", 30)]),
        # Every basis vector lies outside gamma_2 here, but construction
        # rewrites L in its generator-chain basis, where gamma_2 has two free
        # columns, s and s1.
@@ -361,17 +363,18 @@ def test_psi_of_rationally_scaled_input_matches_catalog_basis(family, n):
         assert brute_psi_image_dim(L, 2) == 0  # n^3 <= 625
 
 
-def _filiform5_squared():
-    """filiform-5 ⊕ filiform-5 over Q, the second summand on x6..x10."""
-    f5 = standard_filiform(5).structure_constants()
-    return build(10, [(i + a, j + a, k + a, c) for a in (0, 5) for i, j, k, c in f5])
+def _filiform_squared(n=5, field=QQ):
+    """filiform-n ⊕ filiform-n, the second summand on x(n+1)..x(2n)."""
+    fn = standard_filiform(n, field=field).structure_constants()
+    return build(2 * n, [(i + a, j + a, k + a, c) for a in (0, n) for i, j, k, c in fn],
+                 field=field)
 
 
 # (input in its catalog basis, seed, table scale D after scaling, ψ dims).
 RAW_RATIONAL_CASES = {
     "filiform-5+line": (lambda: _filiform5_plus_line(field=QQ), 3, 240, [1, 2, 1]),
     # Here a projection that skipped γᵢ₊₁ would change the dims.
-    "filiform-5+filiform-5": (_filiform5_squared, 1, 3600, [4, 6, 4]),
+    "filiform-5+filiform-5": (_filiform_squared, 1, 3600, [4, 6, 4]),
 }
 
 
@@ -388,6 +391,61 @@ def test_psi_of_rationally_scaled_non_maximal_class_input(case):
     assert [p.dim for p in psi_image_dims(L)] == dims
     if L.n ** 3 <= 625:
         assert brute_psi_image_dim(L, 2) == dims[0]
+
+
+def _free_class_two(rank):
+    """The free nilpotent Lie algebra of class 2 on x1..x_rank over Q:
+    [x_a, x_b] is the basis vector y_ab for a < b, so n = rank + C(rank, 2)."""
+    pairs = itertools.combinations(range(1, rank + 1), 2)
+    return build(rank + rank * (rank - 1) // 2,
+                 [(a, b, rank + k, 1) for k, (a, b) in enumerate(pairs, 1)])
+
+
+# Corpora the pins above do not reach: Witt over Q, Qₙ in small odd
+# characteristic, a maximal-class input with no generator chain (so no
+# ``_adapted``: in a dense basis gr L comes from a series that is no
+# coordinate subspace), and one with dim L/γ₂ = 3.
+DIFFERENTIAL_CASES = {
+    **{f"W{n}": lambda n=n: truncated_witt(n) for n in range(4, 9)},
+    **{f"Q{n}-GF{p}": lambda n=n, p=p: filiform_q(n, field=PrimeField(p))
+       for n in (6, 8) for p in (3, 5, 7)},
+    "no-chain-GF2": lambda: build(8, NO_CHAIN_GF2, field=PrimeField(2, allow_char_two=True)),
+    "free-class-2-rank-3": lambda: _free_class_two(3),
+}
+
+
+@pytest.mark.parametrize("dense", [False, True], ids=["own-basis", "dense"])
+@pytest.mark.parametrize("case", sorted(DIFFERENTIAL_CASES))
+def test_psi_matches_exhaustive_enumeration_beyond_the_pins(case, dense):
+    L = DIFFERENTIAL_CASES[case]()
+    if dense:
+        L = _basis_changed(L, L.n)
+    checked = [i for i in range(2, L.nilpotency_class() + 1) if L.n ** (i + 1) <= 625]
+    assert checked
+    for i in checked:
+        assert psi_image_dim(L, i).dim == brute_psi_image_dim(L, i), i
+
+
+@pytest.mark.parametrize("n,p,total", [(12, 5, 5), (14, 3, 6), (16, 7, 7)])
+def test_q_n_pinching_total_in_small_characteristic(n, p, total):
+    assert verify_main_theorem(filiform_q(n, field=PrimeField(p))).pinching.total == total
+
+
+@pytest.mark.parametrize("family", [filiform_m2, truncated_witt], ids=["m2", "witt"])
+def test_psi_of_n24_does_not_depend_on_the_basis(family):
+    # No oracle reaches n = 24, so agreement across bases is the check.
+    base = family(24)
+    dims = [p.dim for p in psi_image_dims(base)]
+    assert dims == [p.dim for p in psi_image_dims(_basis_changed(base, 24))]
+    assert dims == [i % 2 for i in range(2, 24)]
+
+
+def test_psi_of_dense_filiform8_squared_agrees_over_q_and_gfp():
+    dims = [[p.dim for p in psi_image_dims(_filiform_squared(8, field).change_basis(
+                random_unimodular(random.Random(16), 16, field)))]
+            for field in (QQ, GFP)]
+    assert dims[0] == dims[1]
+    assert dims[0][2:4] == [4, 6]  # degrees 4 and 5, as the CI step pins them
 
 
 def test_psi_image_dim_abelian_is_zero_any_degree():
@@ -408,7 +466,7 @@ def test_psi_image_cap_guard(monkeypatch, capsys):
     import liemult.words as words
     from liemult.cli import EXIT_RESOURCE, main
 
-    monkeypatch.setattr(words, "PSI_BRACKET_BUDGET", 10)
+    monkeypatch.setattr(words, "PSI_STATE_LIMIT", 1)
     with pytest.raises(TupleSpaceTooLarge):
         psi_image_dim(standard_filiform(5), 3)
     # No fallback: the batch helper refuses too.
@@ -419,16 +477,16 @@ def test_psi_image_cap_guard(monkeypatch, capsys):
 
 
 def test_psi_budget_answers_catalog_m2_18_at_every_degree():
-    # The real budget, not a patched one: every bracket is charged |x|·|y|,
-    # and degree 17 takes 275,584 steps.
+    # The real state limit, not a patched one: no step holds more than 2 states.
     assert _images(filiform_m2(18)) == _alternating(18)
 
 
-def test_psi_budget_refuses_dense_m2_16_at_degree_14():
-    # Degree 14 of this basis would take 2,430,560 bracket steps.
+def test_psi_answers_dense_m2_16_at_every_degree():
+    # Bracket words rarely vanish in this basis; the reachable span holds at
+    # most 2 states per step.
     L = _basis_changed(filiform_m2(16), 5)
-    with pytest.raises(TupleSpaceTooLarge, match="degree 14 exceeds the budget of 2000000"):
-        psi_image_dim(L, 14)
+    assert [p.dim for p in psi_image_dims(L)] == [p.dim for p in psi_image_dims(filiform_m2(16))]
+    assert verify_main_theorem(L).pinching.total == 7
 
 
 def test_pinching_inequality_small_filiform():
