@@ -11,8 +11,8 @@ antisymmetry is stored there, not in the table.  The field-scalar table
 c[(i, j)][k] (``_table``, behind ``bracket``, ``bracket_basis`` and
 ``structure_constants``) is built only when something reads it.  Scaling by
 D changes no span and no zero test, so the lower central series,
-``product_subspace``, the Jacobi check, the ideal check of ``quotient`` and
-ψ's words run on raw ints and feed ``RowSpan`` directly, and
+``product_subspace``, the Jacobi check, ``quotient`` and ψ's words run on
+raw ints and feed ``RowSpan`` directly, and
 ``change_basis`` and the chain rewrite share one integer basis-change kernel
 (``_table_in_basis``) with the integer inverse R of P (``inverse_rows``).
 That kernel packs each integer row into one int of B-bit signed digits,
@@ -24,34 +24,37 @@ u_i[a] u_j[b] T[a][b][k] R[k][m], and B is the least width with
 n³·max|u|²·max|T|·max|R| < 2^(B-1), so the digits decode exactly.  A
 ``Subspace`` is the canonical integer rows of a ``RowSpan``; membership,
 sums, equality, ``Subspace.reduce`` (the one exact reduction, behind
-``quotient``, ``QuotientMap`` and, by its integer core, ψ's projection) run
-on those rows, and the dense basis is built only when asked for.
+``QuotientMap`` and, by its integer core ``_reduce_integers``, ``quotient``
+and ψ's projection) run on those rows, and the dense basis is built only
+when asked for.
 
 Construction also searches the ad table once for a generator chain
 (s, s₁, s₂, …, s_c), sₖ₊₁ = [sₖ, s] (``_chain_rows``, the package's only
 chain search; ``words.generator_chain`` reads the same one).  When one is
-found in a basis that is not already adapted to the lower central series,
-the algebra keeps A, itself rewritten in the chain basis P, whose table is
-nearly a shift (``_chain_rewrite``).  The search reads γ₂ as the span of
-the table rows taken only until it reaches dim n - 2; the other rows stay
-pending.  A chain vector outside that partial span proves γ₂ larger, and
-then no rewrite is made.  One scan of a table decides whether it is in a
-chain basis (``_chain_basis_series``): whether every [e_a, e_b], a < b, lies
-in span(e_{b+1}, …) and every [e_0, e_k], 1 <= k <= n - 2, has a nonzero
+found in a basis whose series is not already coordinate, L is rewritten
+as A in the chain basis P, whose table is nearly a shift
+(``_chain_rewrite``).  The search reads γ₂ as the span of the table rows
+taken only until it reaches dim n - 2; the other rows stay pending.  A
+chain vector outside that partial span proves γ₂ larger, and then no
+rewrite is made.  One scan of a table decides whether it is in a chain
+basis (``_chain_basis_series``): whether every [e_a, e_b], a < b, lies in
+span(e_{b+1}, …) and every [e_0, e_k], 1 <= k <= n - 2, has a nonzero
 e_{k+1} entry.  A table with n >= 3 that passes has class n - 1 and
 γ_k = span(e_k, …, e_{n-1}) for k >= 2, and its series is then set without
-being computed.  On A the scan decides adaptedness exactly, and passing
-proves dim γ₂ = n - 2, so the pending rows are never added; otherwise
-construction adds them (``_finish_derived``) and drops a rewrite made on a
-γ₂ that turns out larger.  Every reader of the full γ₂ adds them first.  The
-Jacobi identity is validated eagerly at construction, so everything
-downstream may assume it: on A when there is a rewrite (it holds on A exactly
-when it holds on L) and on L's own table otherwise, and a violation is always
-reported from L's own table, walking its keys in input order.  The lower
-central series is read off L's own table when the scan passes (the catalog
-filiform and m₂ bases and their central quotients), is A's series mapped
-back through P when there is a rewrite, and is computed on L's table
-otherwise.  At class n - 1 the center is γₙ₋₁, with no kernel to compute.
+being computed.  Construction keeps the rewrite only when the scan passes
+on A, which proves dim γ₂ = n - 2, so the pending rows are never added.
+Otherwise (no chain, a singular P, a non-nilpotent input or a table that
+breaks Jacobi) L keeps only its own table, and construction adds the
+pending rows (``_finish_derived``).  Every reader of the full γ₂ adds them
+first.  The Jacobi identity is validated eagerly at construction, so
+everything downstream may assume it: on A when there is a rewrite (it holds
+on A exactly when it holds on L) and on L's own table otherwise, and a
+violation is always reported from L's own table, walking its keys in input
+order.  The lower central series is read off L's own table when the scan
+passes (the catalog filiform and m₂ bases and their central quotients), is
+γₖ = span(P's rows k, …, n - 1) when there is a rewrite (``_tail_series``
+serves both), and is computed on L's table otherwise.  At class n - 1 the
+center is γₙ₋₁, with no kernel to compute.
 Instances are immutable after construction (internal caches, the pending γ₂
 rows and the field-scalar table among them, only memoize pure results) and
 safe to share between workers.
@@ -63,7 +66,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 
 from .errors import (
@@ -221,11 +224,13 @@ class SeriesChain:
 
 @dataclass(frozen=True)
 class QuotientPresentation:
+    """L/K with its parent L and ideal K.  The quotient's basis is the images
+    of the parent's unit vectors at the non-pivot columns of K, in order, with
+    their labels."""
+
     parent: "LieAlgebra"
     ideal: Subspace
     quotient: "LieAlgebra"
-    projection: Matrix  # n x q, row i = image of the i-th parent basis vector
-    section: Matrix     # q x n, row j = a lift of the j-th quotient basis vector
 
 
 class LieAlgebra:
@@ -247,18 +252,15 @@ class LieAlgebra:
 
     def _construct(self, n: int, rows, scale: int, field, labels, table, validate: bool):
         self._setup(n, rows, scale, field, labels, table)
-        self._rewrite = self._chain_rewrite()
-        if self._rewrite is not None:
-            rewrite = self._rewrite[1]
-            rewrite._series = rewrite._chain_basis_series()
-            if rewrite._series is not None:
+        rewrite = self._chain_rewrite()
+        if rewrite is not None:
+            rewrite[1]._series = rewrite[1]._chain_basis_series()
+            if rewrite[1]._series is not None:
                 # dim γ₂(A) = n - 2, and γ₂(A) is the image of γ₂(L) under P
                 # (Jacobi or not), so the partial span is already all of γ₂.
-                self._adapted = rewrite
-        if self._adapted is None:
+                self._rewrite, self._adapted = rewrite, rewrite[1]
+        if self._rewrite is None:
             self._finish_derived()
-            if self._derived.dim > n - 2:
-                self._rewrite = None
         if validate:
             self._validate()
 
@@ -299,8 +301,8 @@ class LieAlgebra:
         self._series: SeriesChain | None = None
         self._center: Subspace | None = None
         self._multiplier_dim: int | None = None
-        # (chain rows P, this algebra in the basis P) from ``_chain_rewrite``,
-        # and that algebra again when its basis is adapted to its series.
+        # (chain rows P, this algebra A in the basis P) from ``_chain_rewrite``
+        # when A's basis passes the scan, and A again; None otherwise.
         self._rewrite: tuple[list[dict[int, int]], LieAlgebra] | None = None
         self._adapted: LieAlgebra | None = None
 
@@ -467,12 +469,16 @@ class LieAlgebra:
     def lower_central_series(self) -> SeriesChain:
         """γ₁ = L and γᵢ₊₁ = [γᵢ, L].  Read off the table when one scan shows
         a chain basis (``_chain_basis_series``); otherwise, with a rewrite,
-        the series of the sparse rewrite mapped back through P, and without
-        one computed here."""
+        γₖ is the span of P's rows k, …, n - 1 for k >= 2, since P maps the
+        coordinate terms of A's series onto L's; without one it is computed
+        here."""
         if self._series is None:
             series = self._chain_basis_series()
             if series is None:
-                series = self._series_via_chain() if self._rewrite else self._own_series()
+                if self._rewrite is not None:
+                    series = _tail_series(self.field, self._rewrite[0])
+                else:
+                    series = self._own_series()
             self._series = series
         return self._series
 
@@ -499,27 +505,6 @@ class LieAlgebra:
             terms.append(Subspace(self.n, span))
             span = self._bracket_span(terms[-1]._rows.values(), full._rows.values())
         return SeriesChain(tuple(terms), nilpotent)
-
-    def _series_via_chain(self) -> SeriesChain:
-        """γᵢ(L) is the span of x P over the canonical rows x of γᵢ(A), for A
-        this algebra in the basis of the rows of P; that holds for any
-        invertible P, nilpotent or not.  The spans grow from the smallest term
-        up: a row of γᵢ(A) whose pivot is a pivot of γᵢ₊₁(A) adds nothing new,
-        so only the others are mapped and added."""
-        rows, rewrite = self._rewrite
-        chain = rewrite.lower_central_series()
-        rows = dict(enumerate(rows))
-        span = RowSpan(self.field, self.n)
-        terms: list[Subspace] = []
-        smaller: dict = {}
-        for term in reversed(chain.terms):
-            for c, x in term._rows.items():
-                if c not in smaller:
-                    span.add_integers(self._nonzero(_combine(rows, x)))
-            span.canonical_rows()
-            terms.append(Subspace(self.n, span.copy()))
-            smaller = term._rows
-        return SeriesChain(tuple(reversed(terms)), chain.nilpotent)
 
     def is_nilpotent(self) -> bool:
         return self.lower_central_series().nilpotent
@@ -575,36 +560,52 @@ class LieAlgebra:
     # -- quotients and ideals -------------------------------------------------
 
     def quotient(self, ideal: Subspace) -> QuotientPresentation:
-        """Quotient by an ideal, with projection and section matrices."""
+        """Quotient by an ideal K, built on the integer table.
+
+        Its basis is the images of e_f at K's free (non-pivot) columns f,
+        and [e_f, e_g] mod K is read at those columns off K's reduction of
+        the integer row D [e_f, e_g] (``Subspace._reduce_integers`` at d, the
+        lcm of K's leads at the row's pivots), which is d D [e_f, e_g] mod
+        K.  Over Q each row is put in lowest terms over its denominator d D
+        and then over the lcm of those denominators, the (rows, scale) that
+        ``LieAlgebra(q, table)`` makes of the field-scalar table."""
         if ideal.ambient != self.n:
             raise DimensionMismatch("ideal of a different ambient space")
         if ideal.field != self.field:
             raise FieldMismatch("ideal over a different field")
-        for u, row in zip(ideal.basis.rows(), ideal._rows.values()):
+        pivots = ideal._rows
+        for index, row in enumerate(pivots.values()):
             ad_u = self._ad_rows(row)
             for j in range(self.n):
                 if not ideal._span.contains_integers(self._nonzero(ad_u.get(j, {}))):
+                    u = ideal.basis.row(index)
                     raise NotAnIdeal(
                         f"bracket of an ideal vector with {self.labels[j]} escapes the subspace",
                         witness=(u, j, self.bracket(u, self.basis_vector(j))),
                     )
-        free = [c for c in range(self.n) if c not in ideal._rows]
-        q = len(free)
-        zero, one = self.field.zero, self.field.one
-        reduced = [ideal.reduce({i: one}) for i in range(self.n)]
-        projection = Matrix(self.field, [[w.get(f, zero) for f in free] for w in reduced], ncols=q)
-        section = Matrix(self.field, [self.basis_vector(f) for f in free], ncols=self.n)
-        table: dict[tuple[int, int], dict[int, object]] = {}
-        for a in range(q):
-            for b in range(a + 1, q):
-                w = ideal.reduce(self.bracket_basis(free[a], free[b]))
-                comps = {k: w[f] for k, f in enumerate(free) if f in w}
-                if comps:
-                    table[(a, b)] = comps
-        quotient = LieAlgebra(
-            q, table, field=self.field, labels=[self.labels[f] for f in free]
+        free = [c for c in range(self.n) if c not in pivots]
+        rows: dict[tuple[int, int], dict[int, int]] = {}
+        dens: dict[tuple[int, int], int] = {}
+        for a, f in enumerate(free):
+            for b in range(a + 1, len(free)):
+                v = self._ad[f].get(free[b])
+                if not v:
+                    continue
+                d = lcm(*(pivots[c][c] for c in v if c in pivots))
+                w = ideal._reduce_integers(v, d)
+                row = self._nonzero({k: w[g] for k, g in enumerate(free) if g in w})
+                if row:  # over GF(p), d D = 1
+                    h = gcd(d * self._scale, *row.values())
+                    rows[(a, b)] = {k: x // h for k, x in row.items()}
+                    dens[(a, b)] = d * self._scale // h
+        scale = lcm(*dens.values())
+        for key, den in dens.items():
+            if den != scale:
+                rows[key] = {k: x * (scale // den) for k, x in rows[key].items()}
+        quotient = LieAlgebra._from_integer_rows(
+            len(free), rows, scale, self.field, [self.labels[f] for f in free]
         )
-        return QuotientPresentation(self, ideal, quotient, projection, section)
+        return QuotientPresentation(self, ideal, quotient)
 
     def central_ideals(self) -> list[Subspace]:
         """Subspaces spanned by subsets of the canonical center basis.
@@ -700,18 +701,17 @@ class LieAlgebra:
 
     def _chain_rewrite(self):
         """(P, A): the rows of P are a generator chain (s, s₁, s₂, …, s_c) of
-        L as integer rows (``_chain_rows``), and A is L in that basis; None
-        without a rewrite.
+        L as integer rows (``_chain_rows``), and A is L in that basis, with
+        no series set; None without a rewrite.  ``_construct`` keeps it only
+        when A passes the scan.
 
         No rewrite is made when the tail s₂, …, s_c holds unit vectors only:
         then every γᵢ is already a coordinate subspace, as in the catalog
         bases and their quotients (s itself may be e_a + t e_b there, as for
         Qₙ).  The tail lies in γ₂, so when s_c lies outside the partial span
-        of ``_derived``, dim γ₂ > n - 2 and construction would drop a
-        rewrite: none is made.  (When s_c happens to lie inside, the rewrite
-        is made and ``_construct`` drops it once the span is finished.)
-        Input that is not a Lie algebra of maximal class may give a singular
-        P, and then there is no rewrite either."""
+        of ``_derived``, dim γ₂ > n - 2, A cannot pass the scan, and none is
+        made.  Input that is not a Lie algebra of maximal class may give a
+        singular P, and then there is no rewrite either."""
         rows = self._chain_rows()
         if rows is None or all(len(v) == 1 for v in rows[2:]):
             return None
@@ -803,13 +803,7 @@ class LieAlgebra:
             return None
         if not all(ad[0].get(k, {}).get(k + 1) for k in range(1, n - 1)):
             return None
-        span = RowSpan(self.field, n)
-        terms = [Subspace(n, span.copy())]
-        for j in range(n - 1, -1, -1):
-            span.add_integers({j: 1})
-            if j != 1:
-                terms.append(Subspace(n, span.copy()))
-        return SeriesChain(tuple(reversed(terms)), True)
+        return _tail_series(self.field, [{j: 1} for j in range(n)])
 
     def __eq__(self, other):
         return (
@@ -858,6 +852,22 @@ def _integer_rows(table, field) -> tuple[dict[tuple[int, int], dict[int, int]], 
         for key, comps in table.items()
     }
     return rows, scale
+
+
+def _tail_series(field, rows: list[dict[int, int]]) -> SeriesChain:
+    """The series of class n - 1 with γ₁ = L and γₖ = span(rows k, …, n - 1)
+    for k >= 2, for n independent integer rows.  The span grows from the
+    last row up and is made canonical in place at each term, so every
+    back-substitution starts from the previous term's canonical rows."""
+    n = len(rows)
+    span = RowSpan(field, n)
+    terms = [Subspace(n, span.copy())]
+    for j in range(n - 1, -1, -1):
+        span.add_integers(rows[j])
+        if j != 1:
+            span.canonical_rows()
+            terms.append(Subspace(n, span.copy()))
+    return SeriesChain(tuple(reversed(terms)), True)
 
 
 def _combine(rows: dict[int, dict[int, int]], v: dict[int, int]) -> dict[int, int]:

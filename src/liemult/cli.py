@@ -33,6 +33,11 @@ EXIT_INPUT = 1
 EXIT_VIOLATION = 2
 EXIT_RESOURCE = 3
 
+# lemma-test evaluates about (i + 1)² brackets per tuple of degree i, and each
+# walks the whole table and a vector of length n: a step is one table key, one
+# constant or one coordinate.  A step takes 0.6-3 µs, so the limit is minutes.
+LEMMA_TEST_STEP_LIMIT = 10**8
+
 
 class _Parser(argparse.ArgumentParser):
     """argparse defaults to exit code 2 on usage errors; the contract here
@@ -282,6 +287,14 @@ def _cmd_lemma_test(args) -> int:
     else:
         top = min(c if c is not None else 6, 6)
         degrees = [i for i in range(3, top + 1)]
+    table = L._integer_table
+    per_bracket = len(table) + sum(map(len, table.values())) + L.n
+    steps = args.tuples * sum(max(i + 1, 0) ** 2 for i in degrees) * per_bracket
+    if steps > LEMMA_TEST_STEP_LIMIT:
+        raise ResourceLimit(
+            f"lemma-test needs about {steps} bracket steps, over the limit of "
+            f"{LEMMA_TEST_STEP_LIMIT}"
+        )
     rng = random.Random(args.seed)
     checked = 0
     for i in degrees:

@@ -26,10 +26,11 @@ Maximal-class input whose basis is not adapted to the lower central series
 (some γᵢ is not a coordinate subspace) carries ``L._adapted``, L rewritten
 in its generator-chain basis (s, s₁, s₂, …, s_c), where [·, s] is a shift
 and the table keeps a few dozen constants instead of hundreds, so d3 is
-sparse (the adapted route).  Everything else keeps its own basis (the raw
-route): input not of maximal class, a basis already adapted (the catalog
-bases and their quotients), and input without a generator chain, which can
-happen over a small GF(p).  dim M does not depend on the basis, and the
+sparse (the adapted route).  Construction keeps that rewrite only when its
+table passes the chain-basis scan, so ``L._adapted`` is always adapted.
+Everything else keeps its own basis (the raw route): input not of maximal
+class, a basis already adapted (the catalog bases and their quotients), and
+input without a generator chain, which can happen over a small GF(p).  dim M does not depend on the basis, and the
 rewrite is an exact change of basis whose inverse the kernel computes, so
 either route prints the same theorem.
 """
@@ -149,7 +150,7 @@ def multiplier_dim(L: LieAlgebra) -> int:
         return L._multiplier_dim
     _check_dimension(L.n)
     # An adapted rewrite has class n - 1, so L is nilpotent; asking L would
-    # map the rewrite's whole series back through P.
+    # build L's whole series from the chain rows.
     if L._adapted is None and not L.is_nilpotent():
         raise NonNilpotent("the multiplier computation requires a nilpotent algebra")
     pair = boundary_matrices(L._adapted or L)

@@ -181,22 +181,14 @@ def inverse_rows(
     (1 over GF(p), where every lead is 1).  Raises ``SingularMatrix`` when
     some pivot lies in the right half.
 
-    When every s_i is 1 and the first two rows lie on two columns a < b
-    between them, with a 2 x 2 block S there of determinant ±1 (the
-    generator-chain rows of ``LieAlgebra._chain_rewrite`` begin with e_a and
-    e_b, or e_a + t e_b and e_b), the reduction runs on the other n - 2
-    rows only (``_inverse_past_head``)."""
+    The rows enter the reduction last first, which changes no result.  For
+    a generator chain (``LieAlgebra._chain_rewrite``) the last k rows span
+    the series term γₙ₋ₖ, and over Q the fraction-free entries stay smaller
+    that way."""
     n = len(rows)
-    if n > 2 and all(s == 1 for _, s in rows):
-        (u0, _), (u1, _) = rows[0], rows[1]
-        head = u0.keys() | u1.keys()
-        if len(head) == 2:
-            a, b = sorted(head)
-            det = u0.get(a, 0) * u1.get(b, 0) - u0.get(b, 0) * u1.get(a, 0)
-            if det in (1, -1):
-                return _inverse_past_head(field, rows, a, b, det)
     span = RowSpan(field, 2 * n)
-    for i, (u, s) in enumerate(rows):
+    for i in reversed(range(n)):
+        u, s = rows[i]
         span.add_integers({**u, n + i: s})
     canon = span.canonical_rows()
     if any(c >= n for c in canon):
@@ -204,56 +196,6 @@ def inverse_rows(
     den = lcm(*(r[c] for c, r in canon.items()))
     inv = [{j - n: x * (den // r[c]) for j, x in r.items() if j >= n} for c, r in canon.items()]
     return inv, den
-
-
-def _inverse_past_head(
-    field, rows: list[tuple[dict[int, int], int]], a: int, b: int, det: int
-) -> tuple[list[dict[int, int]], int]:
-    """``inverse_rows`` for integer rows whose first two lie on columns a and
-    b, where their block S has determinant det = ±1, so S^-1 = det adj(S)
-    is integral.  With the columns ordered (a, b, the rest) and T_ab and C
-    the other rows at a, b and at the rest, P = [[S, 0], [T_ab, C]] and
-
-        P^-1 = [[S^-1, 0], [-C^-1 T_ab S^-1, C^-1]].
-
-    ``inverse_rows`` of C gives C^-1 = R_C / den.  R's rows at a and b are
-    den S^-1, and its row at the r-th other column is row r of R_C at the
-    other rows and -(R_C T_ab S^-1)[r] at the first two.  den is P^-1's
-    least common denominator too, since S^-1 and T_ab are integral, so
-    every denominator in P^-1 divides den.  det P = ±det C, so P is
-    singular exactly when C is (``SingularMatrix``).
-
-    C's rows enter the reduction last row first, which changes no result.
-    For a generator chain the last k rows span the series term γₙ₋ₖ, and
-    over Q the fraction-free entries stay smaller that way: on the chain
-    rows of one seeded dense filiform-13 the largest has 40 bits instead of
-    63.  On seeded dense filiform-13, m₂-12 and W₁₁ the reduction of C took
-    5-45% less time over Q, and the same time over GF(p)."""
-    n, p = len(rows), field.characteristic
-    (u0, _), (u1, _) = rows[0], rows[1]
-    s_inv = {
-        a: (det * u1.get(b, 0), -det * u0.get(b, 0)),
-        b: (-det * u1.get(a, 0), det * u0.get(a, 0)),
-    }
-    pos = {c: r for r, c in enumerate(c for c in range(n) if c != a and c != b)}
-    # C's rows, last first, and (t[a], t[b]) S^-1 for each; C's row i is
-    # P's row n - 1 - i.
-    heads, tail = [], []
-    for t, _ in reversed(rows[2:]):
-        t_a, t_b = t.get(a, 0), t.get(b, 0)
-        heads.append([t_a * x + t_b * y for x, y in zip(s_inv[a], s_inv[b])])
-        tail.append(({pos[c]: x for c, x in t.items() if c in pos}, 1))
-    r_c, den = inverse_rows(field, tail)
-
-    def first_two(values) -> dict[int, int]:
-        """The nonzero entries at columns 0 and 1, reduced mod p over GF(p)."""
-        return {m: v for m, v in enumerate(v % p if p else v for v in values) if v}
-
-    inv = {c: first_two(den * x for x in s_inv[c]) for c in (a, b)}
-    for c, row in zip(pos, r_c):
-        head = first_two(-sum(v * heads[i][m] for i, v in row.items()) for m in (0, 1))
-        inv[c] = head | {n - 1 - i: v for i, v in row.items()}
-    return [inv[c] for c in range(n)], den
 
 
 def integer_row(field, vec, ncols: int) -> tuple[dict[int, int], int]:

@@ -121,6 +121,22 @@ def chain_basis_series_oracle(A: LieAlgebra) -> SeriesChain | None:
     return series if series.nilpotency_class == A.n - 1 and unit_rows else None
 
 
+def quotient_oracle(L: LieAlgebra, ideal: Subspace) -> LieAlgebra:
+    """L/K by the field-scalar route: basis the images of the unit vectors
+    at K's non-pivot columns, [e_f, e_g] = ``bracket_basis`` reduced by
+    ``Subspace.reduce`` and read at those columns, through ``LieAlgebra(q,
+    table)``."""
+    pivots = set(ideal.basis.pivot_columns())
+    free = [c for c in range(L.n) if c not in pivots]
+    table = {}
+    for a, b in itertools.combinations(range(len(free)), 2):
+        w = ideal.reduce(L.bracket_basis(free[a], free[b]))
+        comps = {k: w[f] for k, f in enumerate(free) if f in w}
+        if comps:
+            table[(a, b)] = comps
+    return LieAlgebra(len(free), table, field=L.field, labels=[L.labels[f] for f in free])
+
+
 def naive_rank(rows, field=QQ) -> int:
     return len(naive_rref(rows, field))
 

@@ -16,6 +16,7 @@ from helpers import (
     change_basis_oracle,
     naive_rref,
     quotient_coords_oracle,
+    quotient_oracle,
     random_rational_vector,
     random_unimodular,
     series_oracle,
@@ -379,16 +380,6 @@ def test_quotient_of_n5_filiform_by_center_is_n4_filiform():
     assert pres.quotient.structure_constants() == standard_filiform(4).structure_constants()
 
 
-def test_quotient_projection_section_identity():
-    L = standard_filiform(5)
-    ideal = L.lower_central_series().gamma(3)
-    pres = L.quotient(ideal)
-    q = pres.quotient.n
-    assert pres.section @ pres.projection == Matrix.identity(QQ, q)
-    assert (ideal.basis @ pres.projection).is_zero()
-    assert pres.projection.rank() == q
-
-
 def _first_escaping_bracket(L, subspace):
     """(u, j, [u, e_j]) for the first basis row u and index j whose dense
     bracket leaves the subspace, tested by the rank of naive_rref."""
@@ -628,15 +619,34 @@ def test_subspace_operations_match_naive_rref(field):
             both = naive_rref(rows + t.basis.rows(), field)
             assert s.sum(t).basis.rows() == both
             assert s.dim_intersection(t) == s.dim + t.dim - len(both)
-    for K in ideals:
-        pres = L.quotient(K)
-        rows = K.basis.rows()
-        free = [j for j in range(6) if j not in _pivots(rows)]
-        for i in range(6):
-            lift = L.zero_vector()
-            for f, x in zip(free, pres.projection.row(i)):
-                lift[f] = x
-            assert _in_span(rows, [a - b for a, b in zip(L.basis_vector(i), lift)], field)
+
+
+def _quotient_corpus(field):
+    """Catalog filiform, m₂ and Qₙ, a seeded dense basis of each, and the
+    rationally changed filiform-6, whose table has D > 1."""
+    base = ([standard_filiform(n, field=field) for n in range(3, 10)]
+            + [filiform_m2(n, field=field) for n in range(5, 10)]
+            + [filiform_q(n, field=field) for n in (6, 8)])
+    dense = [L.change_basis(random_unimodular(random.Random(L.n), L.n, field)) for L in base]
+    return base + dense + [_rationally_changed_filiform_6(field)]
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_quotient_matches_the_field_scalar_oracle(field):
+    # Equality compares the scale and the integer rows, so the quotient's
+    # (rows, D) must be the canonical form of the oracle's table.
+    scaled = leads = 0
+    for L in _quotient_corpus(field):
+        ideals = [*L.central_ideals(), *L.lower_central_series().terms]
+        for K in ideals:
+            got, want = L.quotient(K).quotient, quotient_oracle(L, K)
+            assert got == want
+            assert got.structure_constants() == want.structure_constants()
+            assert got.labels == want.labels
+            scaled += got._scale > 1
+            leads += any(row[c] > 1 for c, row in K._rows.items())
+    assert not field.characteristic or scaled == leads == 0
+    assert field.characteristic or (scaled and leads)
 
 
 def test_central_ideals_guard_on_large_centers():
@@ -1012,8 +1022,17 @@ def test_adaptedness_scan_on_tables_that_are_not_lie_or_not_nilpotent(field):
     for perturbation, n, seed in [((2, 3, 5, 1), 12, 12)] + [(p, 9, 9) for p in PERTURBATIONS]:
         L = LieAlgebra(n, _perturbed_dense_table(field, perturbation, n, seed), field=field,
                        validate=False)
-        assert L._rewrite is not None
-        assert (L._adapted is not None) == _scan_matches_oracle(L._rewrite[1])
+        rewrite = L._chain_rewrite()
+        assert rewrite is not None
+        # Construction keeps the rewrite exactly when it passes the scan.
+        assert (L._rewrite is not None) == _scan_matches_oracle(rewrite[1])
+    # A dense basis of the non-nilpotent [x1, x2] = x3, [x1, x3] = x3 has a
+    # rewrite that fails the scan and the rule alike, and is not kept.
+    L = build(3, [(1, 2, 3, 1), (1, 3, 3, 1)], field=field).change_basis(
+        random_unimodular(random.Random(3), 3, field))
+    rewrite = L._chain_rewrite()
+    assert rewrite is not None and not _scan_matches_oracle(rewrite[1])
+    assert L._rewrite is None
     # The cyclic shift: construction makes no rewrite, and the rewrite it
     # skipped fails the scan and the rule alike.
     assert not _scan_matches_oracle(_chain_basis_algebra(_cyclic_shift_algebra(field)))

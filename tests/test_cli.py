@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -517,6 +518,18 @@ def test_lemma_test_rejects_fewer_than_one_tuple(capsys):
     code, out, err = run(capsys, ["lemma-test", "--name", "L(7,5,1,7)", "--tuples", "-1"])
     assert code == EXIT_INPUT
     assert out == "" and "--tuples: must be at least 1" in err
+
+
+@pytest.mark.parametrize("args", [["--i", "1000000000"], ["--i", "400"]], ids=["1e9", "400"])
+def test_lemma_test_refuses_costly_degrees_before_building_a_tuple(capsys, monkeypatch, args):
+    # At the default 200 tuples degree 400 runs for minutes; degree 10⁹
+    # would exhaust memory building the first tuple's vectors.
+    monkeypatch.setattr(cli, "_random_vector", lambda L, rng: pytest.fail("vector built"))
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["lemma-test", "--name", "filiform-5", *args])
+    assert time.perf_counter() - start < 1
+    assert code == EXIT_RESOURCE and out == ""
+    assert err.startswith("resource guard: lemma-test needs about ")
 
 
 @pytest.mark.parametrize("argv", [

@@ -223,10 +223,10 @@ def test_inverse_rows_matches_the_naive_inverse(field):
 @pytest.mark.parametrize("field", [QQ, PrimeField(7), PrimeField(2147483647)],
                          ids=["Q", "GF7", "GFp"])
 def test_inverse_past_a_unimodular_head_matches_the_naive_inverse(field):
-    # The first two rows lie on columns a < b with a 2 x 2 block of
-    # determinant ±1 there, as the generator-chain rows do (e_a, e_b; e_b,
-    # e_a; e_a + t e_b, e_b), so only the other rows are reduced.  (R, den)
-    # must be exact: R / den = P^-1 with den the least common denominator.
+    # Chain-shaped rows: the first two lie on columns a < b with a 2 x 2
+    # block of determinant ±1 there, as the generator-chain rows of the
+    # rewrite do (e_a, e_b; e_b, e_a; e_a + t e_b, e_b).  (R, den) must be
+    # exact: R / den = P^-1 with den the least common denominator.
     rng = random.Random(11)
     heads = [lambda a, b, t: ({a: 1}, {b: 1}), lambda a, b, t: ({b: 1}, {a: 1}),
              lambda a, b, t: ({a: 1, b: t}, {b: 1}), lambda a, b, t: ({a: t, b: 1}, {a: 1})]
