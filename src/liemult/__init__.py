@@ -31,13 +31,12 @@ from .homology import BoundaryPair, ExteriorBasis, boundary_matrices, multiplier
 from .linalg import Matrix, RowSpan
 from .words import (
     GeneratorChain,
-    OddWitness,
     PsiImage,
     TensorElement,
+    free_defect,
     generator_chain,
     lemma_defect,
     normed_bracket,
-    odd_witness_search,
     psi,
     psi_image_dim,
     psi_image_dims,
@@ -78,13 +77,12 @@ __all__ = [
     "Matrix",
     "RowSpan",
     "GeneratorChain",
-    "OddWitness",
     "PsiImage",
     "TensorElement",
+    "free_defect",
     "generator_chain",
     "lemma_defect",
     "normed_bracket",
-    "odd_witness_search",
     "psi",
     "psi_image_dim",
     "psi_image_dims",

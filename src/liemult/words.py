@@ -8,9 +8,12 @@ The schedule is uniform: for 1 <= k <= i+1, term k is
 where R_k = [x_{i+3-k}, ..., x_{i+1}] is right-normed, L_k = [x_1, ...,
 x_{i+1-k}] is left-normed, and an empty factor means the inner bracket
 degenerates to the other factor (k = 1 has no right word, k = i+1 no left
-word).  Summing the terms gives the exact zero vector in every Lie algebra;
-that contract is what the randomized defect tests enforce, so any wrong
-schedule fails immediately.
+word).  Summing the terms gives 0 in every Lie algebra.  ``free_defect``
+proves that degree by degree: it expands the sum in the free associative
+ring over Z, which contains the free Lie ring over Z (Witt; Reutenauer, Free
+Lie Algebras, 1993), and no monomial is left.  Substituting elements of any
+Lie algebra for the letters maps the free Lie ring into it, so the identity
+holds over every field; a wrong schedule leaves a monomial.
 
 The tensor-valued map replaces each outermost bracket [u_k, x_t] by
 ū_k ⊗ x̄_t, all signs +, with ū_k taken in γᵢ/γᵢ₊₁ and x̄_t in L/γ₂.
@@ -57,20 +60,19 @@ states at one step it raises ``TupleSpaceTooLarge``.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cache
 from math import lcm
 
 from .algebra import LieAlgebra, QuotientMap, _combine
 from .errors import (
-    CharTwoField,
     DimensionMismatch,
     EmptyWord,
     GeneratorSearchFailed,
     IndexOutOfRange,
     NonNilpotent,
     NotMaximalClass,
+    ResourceLimit,
     TupleSpaceTooLarge,
     WordTooShort,
 )
@@ -78,6 +80,12 @@ from .linalg import RowSpan
 
 # States that one step of ψ's reachable span may hold.
 PSI_STATE_LIMIT = 2000
+
+# Monomials that ``free_defect`` may expand at one degree.  Degree i expands
+# (i + 1)·2^i of them, so degrees up to FREE_DEFECT_MAX_DEGREE (15) pass.
+FREE_MONOMIAL_LIMIT = 2**20
+FREE_DEFECT_MAX_DEGREE = max(i for i in range(FREE_MONOMIAL_LIMIT.bit_length())
+                             if (i + 1) << i <= FREE_MONOMIAL_LIMIT)
 
 
 def normed_bracket(L: LieAlgebra, xs, orientation: str = "left") -> list:
@@ -146,6 +154,53 @@ def lemma_defect(L: LieAlgebra, xs) -> list:
     total = L.zero_vector()
     for t in terms:
         total = [a + b for a, b in zip(total, t)]
+    return total
+
+
+class _FreeRing:
+    """The free associative ring over Z as a stand-in for L in the word
+    evaluators: elements are {monomial tuple: coefficient}, [a, b] = ab − ba."""
+
+    @staticmethod
+    def bracket(a: dict, b: dict) -> dict:
+        # The two factors of each bracket in a term have disjoint letters,
+        # so no two products coincide.
+        out = {}
+        for u, x in a.items():
+            for v, y in b.items():
+                out[u + v] = x * y
+                out[v + u] = -x * y
+        return out
+
+
+def free_defect(i: int) -> dict[tuple[int, ...], int]:
+    """The nonzero monomials of the degree-i schedule sum in the free
+    associative ring over Z on the letters 0 … i, as {monomial: coefficient}.
+
+    It builds each term as ``defect_terms`` does, so it reads
+    ``term_schedule`` as ψ and ``lemma_defect`` do; each term has 2^i
+    monomials, and one term is held at a time.  The free Lie
+    ring over Z embeds in the free associative ring, so an empty result
+    proves the identity in the free Lie ring, and so in every Lie algebra
+    over every field.  Degrees above ``FREE_DEFECT_MAX_DEGREE`` raise
+    ``ResourceLimit`` before anything is expanded, and i < 3 raises
+    ``WordTooShort``.
+    """
+    if i < 3:
+        raise WordTooShort(f"the identity needs degree i >= 3 (4 arguments), got i = {i}")
+    if i > FREE_DEFECT_MAX_DEGREE:
+        raise ResourceLimit(
+            f"the free expansion at degree {i} needs (i + 1)·2^i monomials, over the "
+            f"limit of {FREE_MONOMIAL_LIMIT} (degrees up to {FREE_DEFECT_MAX_DEGREE})"
+        )
+    letters = [{(t,): 1} for t in range(i + 1)]
+    total: dict[tuple[int, ...], int] = {}
+    for right, left, outer in term_schedule(i):
+        term = _FreeRing.bracket(_inner_word(_FreeRing, letters, right, left), letters[outer])
+        for monomial, x in term.items():
+            y = total.pop(monomial, 0) + x
+            if y:
+                total[monomial] = y
     return total
 
 
@@ -382,44 +437,3 @@ def generator_chain(L: LieAlgebra) -> GeneratorChain:
         vectors.append(tuple(field.element(row.get(j, 0)) / d for j in range(L.n)))
     return GeneratorChain(vectors[0], vectors[1], tuple(vectors[2:]))
 
-
-@dataclass(frozen=True)
-class OddWitness:
-    found: bool
-    args: tuple | None
-    value: TensorElement | None
-    tuples_examined: int
-    diagnostic: str | None = None
-
-
-def odd_witness_search(L: LieAlgebra, i: int) -> OddWitness:
-    """First generator tuple with a nonzero degree-i tensor value, i odd.
-
-    Exhaustion contradicts the bound's proof for valid maximal-class input
-    over characteristic != 2, so it is reported as a diagnostic, never
-    silently.
-    """
-    if L.field.characteristic == 2:
-        raise CharTwoField("the odd-degree witness requires characteristic != 2")
-    if i % 2 == 0:
-        raise IndexOutOfRange(f"witness degree must be odd, got {i}")
-    chain = generator_chain(L)
-    c = L.nilpotency_class()
-    if not 3 <= i <= c:
-        raise IndexOutOfRange(f"witness degree i={i} outside [3, {c}]")
-    ev = PsiEvaluator(L, i)
-    count = 0
-    for tup in itertools.product((chain.s, chain.s1), repeat=i + 1):
-        count += 1
-        val = ev.value(tup)
-        if not val.is_zero:
-            return OddWitness(True, tup, val, count)
-    return OddWitness(
-        False,
-        None,
-        None,
-        count,
-        f"theorem-contradiction: all {count} generator tuples gave zero at odd "
-        f"degree {i}; this should be impossible for a valid maximal-class "
-        "algebra over characteristic != 2",
-    )

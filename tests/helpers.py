@@ -23,7 +23,7 @@ from liemult.errors import (
 )
 from liemult.fields import QQ, parse_field_spec
 from liemult.linalg import Matrix
-from liemult.words import PsiEvaluator
+from liemult.words import PsiEvaluator, generator_chain
 
 
 # Maximal class over GF(2) in a graded basis x1, x2, x3, ..., x8 with x_k of
@@ -233,6 +233,19 @@ def brute_psi_image_dim(L: LieAlgebra, i: int) -> int:
     if not seen_rows:
         return 0
     return Matrix(L.field, seen_rows).rank()
+
+
+def odd_witness_oracle(L: LieAlgebra, i: int) -> tuple | None:
+    """The first tuple of (s, s1) from ``generator_chain``, in product order,
+    whose degree-i ψ value is nonzero, with that value; None when all
+    2^(i+1) of them give zero."""
+    chain = generator_chain(L)
+    ev = PsiEvaluator(L, i)
+    for tup in itertools.product((chain.s, chain.s1), repeat=i + 1):
+        value = ev.value(tup)
+        if not value.is_zero:
+            return tup, value
+    return None
 
 
 def quotient_coords_oracle(sup: Subspace, sub: Subspace, v) -> list:

@@ -9,7 +9,7 @@ import random
 import time
 from math import comb
 
-from helpers import brute_psi_image_dim, random_rational_vector, random_unimodular
+from helpers import brute_psi_image_dim, odd_witness_oracle, random_rational_vector, random_unimodular
 from liemult.algfile import parse_algebra, serialize_algebra
 from liemult.bounds import (
     VIOLATED,
@@ -24,7 +24,7 @@ from liemult.cli import EXIT_INPUT, main as cli_main
 from liemult.errors import DuplicateBracket, FieldSpecError, JacobiViolation
 from liemult.fields import PrimeField
 from liemult.homology import boundary_matrices, multiplier_dim
-from liemult.words import defect_terms, lemma_defect, odd_witness_search, psi_image_dims
+from liemult.words import defect_terms, lemma_defect, psi_image_dim, psi_image_dims
 
 
 def _ok(num, text):
@@ -152,14 +152,13 @@ def test_criterion_08_odd_witnesses():
             L = entry.algebra if field is None else standard_filiform(n, field=field)
             c = L.nilpotency_class()
             for i in range(3, c + 1, 2):
-                w = odd_witness_search(L, i)
-                assert w.found, (entry.name, i, field)
-                assert w.diagnostic is None
-                assert not w.value.is_zero
+                assert psi_image_dim(L, i).dim >= 1, (entry.name, i, field)
+                # Independent check: a generator tuple with a nonzero value.
+                assert odd_witness_oracle(L, i) is not None, (entry.name, i, field)
                 found += 1
     assert found > 0
-    _ok(8, f"odd-degree witnesses found in all {found} (algebra, degree) cases "
-           "over Q and GF(3); no exhaustion diagnostics")
+    _ok(8, f"dim im ψᵢ >= 1 at every odd degree in all {found} (algebra, degree) cases "
+           "over Q and GF(3), each with a generator-tuple witness")
 
 
 def test_criterion_09_central_ideal_inequality():

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from helpers import random_unimodular, truncated_witt
-from liemult import algebra, algfile, cli, linalg
+from liemult import algebra, algfile, cli, linalg, words
 from liemult.algebra import LieAlgebra, build
 from liemult.bounds import BoundReport, VIOLATED
 from liemult.catalog import filiform_q, standard_filiform
@@ -169,9 +169,47 @@ def test_psi_command(capsys):
 
 
 def test_lemma_test_command(capsys):
-    code, out, _ = run(capsys, ["lemma-test", "--name", "L(7,5,1,7)", "--tuples", "25"])
+    code, out, err = run(capsys, ["lemma-test"])
+    assert (code, err) == (EXIT_OK, "")
+    assert out == ("ok: the defect is 0 in the free associative ring over Z at degrees "
+                   "[3, 4, 5, 6], so the identity holds in every Lie algebra\n")
+    code, out, _ = run(capsys, ["lemma-test", "--i", "15", "--format", "machine"])
     assert code == EXIT_OK
-    assert "ok" in out
+    assert json.loads(out) == {"format": "liemult-report-v1", "command": "lemma-test",
+                               "holds": True, "degrees": [15],
+                               "ring": "free associative ring over Z"}
+    code, out, err = run(capsys, ["lemma-test", "--i", "2"])
+    assert (code, out) == (EXIT_INPUT, "")
+    assert err == "error: the identity needs degree i >= 3 (4 arguments), got i = 2\n"
+
+
+def test_lemma_test_fails_on_a_mutated_schedule(capsys, monkeypatch):
+    # Term 2's left word reversed: the expansion no longer cancels.
+    original = words.term_schedule
+
+    def mutant(i):
+        terms = original(i)
+        right, left, outer = terms[1]
+        return [terms[0], (right, left[::-1], outer), *terms[2:]]
+
+    monkeypatch.setattr(words, "term_schedule", mutant)
+    code, out, _ = run(capsys, ["lemma-test", "--i", "5", "--format", "machine"])
+    assert code == EXIT_VIOLATION
+    doc = json.loads(out)
+    assert (doc["holds"], doc["i"]) == (False, 5)
+    assert doc["nonzero_monomials"] == len(words.free_defect(5)) > 0
+    assert sorted(doc["monomial"]) == list(range(6)) and doc["coefficient"] != 0
+    code, out, _ = run(capsys, ["lemma-test"])
+    assert code == EXIT_VIOLATION and out.startswith("FAIL: the defect at degree 3 has ")
+
+
+@pytest.mark.parametrize("argv", [["--tuples", "25"], ["--seed", "1"], ["--name", "heisenberg-3"],
+                                  ["--file", "x.alg"], ["--field", "GF(7)"], ["--unsafe-char-2"]],
+                         ids=["tuples", "seed", "name", "file", "field", "unsafe-char-2"])
+def test_lemma_test_takes_no_sample_or_algebra_options(capsys, argv):
+    code, out, err = run(capsys, ["lemma-test", *argv])
+    assert (code, out) == (EXIT_INPUT, "")
+    assert "unrecognized arguments" in err
 
 
 def test_catalog_listing(capsys):
@@ -514,22 +552,23 @@ def test_importing_the_cli_leaves_the_process_pool_unloaded():
     assert done.stdout.strip() == "False"
 
 
-def test_lemma_test_rejects_fewer_than_one_tuple(capsys):
-    code, out, err = run(capsys, ["lemma-test", "--name", "L(7,5,1,7)", "--tuples", "-1"])
-    assert code == EXIT_INPUT
-    assert out == "" and "--tuples: must be at least 1" in err
-
-
-@pytest.mark.parametrize("args", [["--i", "1000000000"], ["--i", "400"]], ids=["1e9", "400"])
-def test_lemma_test_refuses_costly_degrees_before_building_a_tuple(capsys, monkeypatch, args):
-    # At the default 200 tuples degree 400 runs for minutes; degree 10⁹
-    # would exhaust memory building the first tuple's vectors.
-    monkeypatch.setattr(cli, "_random_vector", lambda L, rng: pytest.fail("vector built"))
-    start = time.perf_counter()
-    code, out, err = run(capsys, ["lemma-test", "--name", "filiform-5", *args])
-    assert time.perf_counter() - start < 1
-    assert code == EXIT_RESOURCE and out == ""
-    assert err.startswith("resource guard: lemma-test needs about ")
+@pytest.mark.parametrize("degree", ["1000000000", "400", "16"], ids=["1e9", "400", "16"])
+def test_lemma_test_refuses_costly_degrees_before_building_a_tuple(capsys, monkeypatch, degree):
+    # Degree 16 expands 17·2^16 monomials, past the limit of 2^20; 2^(10⁹)
+    # alone would be a 125 MB integer.  Nothing may be expanded.
+    monkeypatch.setattr(words, "_inner_word", lambda *a: pytest.fail("expansion entered"))
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        code, out, err = run(capsys, ["lemma-test", "--i", degree])
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (EXIT_RESOURCE, "")
+    assert err == (f"resource guard: the free expansion at degree {degree} needs (i + 1)·2^i "
+                   "monomials, over the limit of 1048576 (degrees up to 15)\n")
+    assert elapsed < 1 and peak < 1 << 20, (elapsed, peak)
 
 
 @pytest.mark.parametrize("argv", [

@@ -10,19 +10,21 @@ from helpers import (
     brute_psi_image_dim,
     chain_rows_as_vectors,
     has_generator_chain_oracle,
+    odd_witness_oracle,
     random_rational_vector,
     random_unimodular,
     truncated_witt,
 )
+from liemult import words
 from liemult.algebra import Subspace, build
 from liemult.bounds import verify_main_theorem
 from liemult.catalog import abelian, filiform_m2, filiform_q, heisenberg, standard_filiform
 from liemult.errors import (
-    CharTwoField,
     EmptyWord,
     GeneratorSearchFailed,
     IndexOutOfRange,
     NotMaximalClass,
+    ResourceLimit,
     TupleSpaceTooLarge,
     WordTooShort,
 )
@@ -32,10 +34,10 @@ from liemult.linalg import Matrix
 from liemult.words import (
     PsiEvaluator,
     defect_terms,
+    free_defect,
     generator_chain,
     lemma_defect,
     normed_bracket,
-    odd_witness_search,
     psi,
     psi_image_dim,
     psi_image_dims,
@@ -162,6 +164,58 @@ def test_corrupted_schedule_fails():
             broken = True
             break
     assert broken
+
+
+def _free_terms(i):
+    return defect_terms(words._FreeRing, [{(t,): 1} for t in range(i + 1)])
+
+
+@pytest.mark.parametrize("i", range(3, 16))
+def test_free_defect_is_zero_through_degree_15(i):
+    # Each term is a bracket of i + 1 distinct letters: 2^i monomials, none
+    # repeated, and the i + 1 terms cancel completely.
+    terms = _free_terms(i)
+    assert sum(map(len, terms)) == (i + 1) << i
+    assert all(sorted(m) == list(range(i + 1)) for t in terms for m in t)
+    assert free_defect(i) == {}
+
+
+def _reversed_left_word(i):
+    terms = term_schedule(i)
+    right, left, outer = terms[1]
+    return [terms[0], (right, left[::-1], outer), *terms[2:]]
+
+
+def _dropped_term(i):
+    terms = term_schedule(i)
+    return terms[:1] + terms[2:]
+
+
+@pytest.mark.parametrize("i", [3, 5, 8, 12])
+@pytest.mark.parametrize("mutant", [_reversed_left_word, _dropped_term], ids=["reversed", "dropped"])
+def test_free_defect_catches_a_wrong_schedule(monkeypatch, mutant, i):
+    monkeypatch.setattr(words, "term_schedule", mutant)
+    assert free_defect(i)
+
+
+@pytest.mark.parametrize("i", [3, 5, 8, 12])
+def test_free_expansion_catches_a_sign_flipped_term(i):
+    total = {}
+    for idx, t in enumerate(_free_terms(i)):
+        for m, x in t.items():
+            total[m] = total.get(m, 0) + (-x if idx == 1 else x)
+    assert any(total.values())
+
+
+def test_free_defect_admits_exactly_the_degrees_within_the_monomial_limit():
+    # (i + 1)·2^i monomials at degree i: 15 is the last within 2^20.
+    assert words.FREE_DEFECT_MAX_DEGREE == 15
+    assert 16 << 15 <= words.FREE_MONOMIAL_LIMIT < 17 << 16
+    with pytest.raises(ResourceLimit):
+        free_defect(16)
+    for i in (2, -1):
+        with pytest.raises(WordTooShort):
+            free_defect(i)
 
 
 def test_psi2_schedule_matches_cyclic_form():
@@ -632,42 +686,31 @@ def test_generator_chain_is_found_exactly_when_one_exists(p):
 
 
 def test_odd_witness_found_in_n4_filiform():
-    w = odd_witness_search(standard_filiform(4), 3)
-    assert w.found and not w.value.is_zero
-    assert w.tuples_examined <= 16
+    L = standard_filiform(4)
+    assert psi_image_dim(L, 3).dim == 1
+    _, value = odd_witness_oracle(L, 3)
+    assert not value.is_zero
 
 
 def test_odd_witness_all_odd_degrees_n6():
     L = standard_filiform(6)
     for i in (3, 5):
-        w = odd_witness_search(L, i)
-        assert w.found
+        assert psi_image_dim(L, i).dim >= 1
+        assert odd_witness_oracle(L, i) is not None
 
 
 def test_odd_witness_over_gf3():
     L = standard_filiform(5, field=PrimeField(3))
-    w = odd_witness_search(L, 3)
-    assert w.found
-
-
-def test_odd_witness_rejects_even_degree():
-    with pytest.raises(IndexOutOfRange):
-        odd_witness_search(standard_filiform(5), 4)
-
-
-def test_odd_witness_rejects_char_two():
-    F = PrimeField(2, allow_char_two=True)
-    L = standard_filiform(4, field=F)
-    with pytest.raises(CharTwoField):
-        odd_witness_search(L, 3)
+    assert psi_image_dim(L, 3).dim >= 1
+    assert odd_witness_oracle(L, 3) is not None
 
 
 def test_odd_witness_value_has_doubled_chain_component():
-    # The found value must have a nonzero coefficient against the s1 class,
-    # the doubling that dies in characteristic 2.
-    L = standard_filiform(4)
-    w = odd_witness_search(L, 3)
-    rd = w.value.right_dim
-    s1_column = [w.value.coords[a * rd + 1] for a in range(w.value.left_dim)]
+    # The witness value (PsiEvaluator on the oracle's tuple) must have a
+    # nonzero coefficient against the s1 class, the doubling that dies in
+    # characteristic 2.
+    _, value = odd_witness_oracle(standard_filiform(4), 3)
+    rd = value.right_dim
+    s1_column = [value.coords[a * rd + 1] for a in range(value.left_dim)]
     assert any(s1_column)
     assert all(c.denominator == 1 and c.numerator % 2 == 0 for c in s1_column)
