@@ -63,11 +63,11 @@ safe to share between workers.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 from operator import mul
+from typing import NamedTuple
 
 from .errors import (
     DimensionMismatch,
@@ -196,8 +196,7 @@ class Subspace:
         return f"Subspace(dim {self.dim} of {self.ambient})"
 
 
-@dataclass(frozen=True)
-class SeriesChain:
+class SeriesChain(NamedTuple):
     """The lower central series γ₁ ⊇ γ₂ ⊇ … computed down to 0 or to
     stabilization (non-nilpotent input)."""
 
@@ -222,8 +221,7 @@ class SeriesChain:
         return self.terms[-1]
 
 
-@dataclass(frozen=True)
-class QuotientPresentation:
+class QuotientPresentation(NamedTuple):
     """L/K with its parent L and ideal K.  The quotient's basis is the images
     of the parent's unit vectors at the non-pivot columns of K, in order, with
     their labels."""
@@ -657,7 +655,8 @@ class LieAlgebra:
         and the decoding is exact (below), so y = 0 exactly when c = 0: the
         pair then has no entry, and nothing is decoded.  Otherwise
         ``_unpack`` decodes y; over GF(p) the digits are then reduced mod p,
-        once.
+        once.  Over GF(p), y carries the unreduced integer digits, so the skip
+        never fires there.
 
         Why the decoding is exact: packing is Z-linear, so y is c packed
         whatever the intermediate digits were.  c_m is a sum of at most n³

@@ -11,8 +11,8 @@ bound's hypotheses fail and only the general bounds are reported).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
 from math import comb
+from typing import NamedTuple
 
 from .algebra import LieAlgebra, Subspace
 from .errors import (
@@ -66,8 +66,7 @@ def _verdict(dim_m: int, bound: int) -> str:
     return HOLDS
 
 
-@dataclass(frozen=True)
-class PinchingRecord:
+class PinchingRecord(NamedTuple):
     """Sum of tensor-map image dimensions against the (n-1) - dim M budget."""
 
     per_degree: tuple[PsiImage, ...]
@@ -77,8 +76,7 @@ class PinchingRecord:
     all_exact: bool
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     algebra_id: str
     field_desc: str
     n: int
@@ -87,7 +85,7 @@ class BoundReport:
     is_maximal_class: bool
     dim_multiplier: int
     series_dims: tuple[int, ...]
-    bounds: dict = dataclass_field(default_factory=dict)
+    bounds: dict
     pinching: PinchingRecord | None = None
 
     @property
@@ -194,8 +192,7 @@ def verify_main_theorem(L: LieAlgebra, algebra_id: str = "") -> BoundReport:
     return bound_report(L, algebra_id=algebra_id)
 
 
-@dataclass(frozen=True)
-class CentralQuotientRecord:
+class CentralQuotientRecord(NamedTuple):
     """The inequality for a central ideal K:
     dim M(L) + dim(L² ∩ K) <= dim M(L/K) + C(dim K, 2) + dim (L/K)ᵃᵇ · dim K."""
 
@@ -258,8 +255,7 @@ def verify_central_quotient_bound(L: LieAlgebra, K: Subspace) -> CentralQuotient
     )
 
 
-@dataclass(frozen=True)
-class OddCaseRecord:
+class OddCaseRecord(NamedTuple):
     """Odd-n reduction through the center: dim M(L) <= dim M(L/Z) + 1 with
     L/Z maximal class of even dimension n-1."""
 

@@ -4,20 +4,19 @@ The registry is immutable and built at import time.  The two classical small
 filiform algebras carry their standard classification-table labels; the rest
 use systematic names (filiform-n, abelian-n, heisenberg-3).  Vergne's other
 maximal-class families, m2 and Q_n, have builders but no registry entries.
+``difflib`` is loaded only when ``get`` misses, to suggest close names.
 """
 
 from __future__ import annotations
 
-import difflib
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .algebra import LieAlgebra, build
 from .errors import DimensionMismatch, DimensionTooSmall, UnknownName
 from .fields import QQ
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     name: str
     family: str
     params: tuple
@@ -153,6 +152,7 @@ def names(include_aliases: bool = False) -> tuple[str, ...]:
 def get(name: str) -> CatalogEntry:
     entry = _BY_NAME.get(name)
     if entry is None:
+        import difflib
         suggestions = difflib.get_close_matches(name, list(_BY_NAME), n=3, cutoff=0.4)
         raise UnknownName(name, suggestions)
     return entry

@@ -38,8 +38,8 @@ either route prints the same theorem.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from math import comb
+from typing import NamedTuple
 
 from .algebra import LieAlgebra
 from .errors import IndexOutOfRange, NonNilpotent, ResourceLimit
@@ -74,8 +74,7 @@ class ExteriorBasis:
         return self._subsets[pos]
 
 
-@dataclass(frozen=True)
-class BoundaryPair:
+class BoundaryPair(NamedTuple):
     """The two boundary matrices; rows are images of basis wedges."""
 
     d2: Matrix  # C(n,2) rows -> n cols

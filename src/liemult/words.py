@@ -60,9 +60,9 @@ states at one step it raises ``TupleSpaceTooLarge``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from math import lcm
+from typing import NamedTuple
 
 from .algebra import LieAlgebra, QuotientMap, _combine
 from .errors import (
@@ -204,8 +204,7 @@ def free_defect(i: int) -> dict[tuple[int, ...], int]:
     return total
 
 
-@dataclass(frozen=True)
-class TensorElement:
+class TensorElement(NamedTuple):
     """An element of γᵢ/γᵢ₊₁ ⊗ L/γ₂ in flat coordinates (left index major)."""
 
     left_dim: int
@@ -265,8 +264,7 @@ def psi(L: LieAlgebra, i: int, xs) -> TensorElement:
     return PsiEvaluator(L, i).value(xs)
 
 
-@dataclass(frozen=True)
-class PsiImage:
+class PsiImage(NamedTuple):
     """Image dimension of a tensor map.  The dimension is always exact:
     ``exact`` is always True and ``mode`` always "exact"; both stay because
     the machine report prints them.  ``tuples_examined`` is a work count:
@@ -408,8 +406,7 @@ def psi_image_dims(L: LieAlgebra) -> list[PsiImage]:
     return [psi_image_dim(L, i) for i in range(2, series.nilpotency_class + 1)]
 
 
-@dataclass(frozen=True)
-class GeneratorChain:
+class GeneratorChain(NamedTuple):
     """Generators s, s1 outside γ₂ and the chain s_i = [s_{i-1}, s] with
     s_i in γᵢ \\ γᵢ₊₁ for 2 <= i <= c."""
 

@@ -552,6 +552,16 @@ def test_importing_the_cli_leaves_the_process_pool_unloaded():
     assert done.stdout.strip() == "False"
 
 
+def test_importing_the_cli_loads_no_dataclasses_inspect_or_difflib():
+    # -I -S: no site, no PYTHONPATH, so nothing preloads what liemult does not import.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    probe = ("import sys; sys.path.insert(0, sys.argv[1]); import liemult.cli; "
+             "print(sorted({'dataclasses', 'inspect', 'difflib'} & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-I", "-S", "-c", probe, src],
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"
+
+
 @pytest.mark.parametrize("degree", ["1000000000", "400", "16"], ids=["1e9", "400", "16"])
 def test_lemma_test_refuses_costly_degrees_before_building_a_tuple(capsys, monkeypatch, degree):
     # Degree 16 expands 17·2^16 monomials, past the limit of 2^20; 2^(10⁹)
