@@ -3,13 +3,18 @@
 An algebra is stored as a sparse table of integer rows over 0-based keys
 (i, j) with i < j, in input order: D [e_i, e_j] as ``{k: int}``, residues over
 GF(p), where D = 1, and over Q the structure constants times the lcm D of
-their denominators.  The parser hands its rows over as they are
-(``_from_integer_rows``); ``LieAlgebra(n, table)`` converts a field-scalar
-table once, and both reach the same construction.  The rows are laid out as
+their denominators.  Integer rows are the only construction format.  The
+parser, ``change_basis``, the chain rewrite and ``quotient`` make them
+directly (``_from_integer_rows``); ``LieAlgebra(n, table)`` and ``build``
+read each constant as integers in one pass (``field.integers``) and keep no
+table of the caller's.  No step makes a field scalar on the way to a
+validated algebra, and equal algebras have equal (rows, D), since D is
+always the least common scale.  The rows are laid out as
 the private integer ad table, tab[a][j] = D [e_a, e_j] for every a != j;
 antisymmetry is stored there, not in the table.  The field-scalar table
 c[(i, j)][k] (``_table``, behind ``bracket``, ``bracket_basis`` and
-``structure_constants``) is built only when something reads it.  Scaling by
+``structure_constants``) is built only when something reads it; the file
+serializer and ``__hash__`` read the integer rows.  Scaling by
 D changes no span and no zero test, so the lower central series,
 ``product_subspace``, the Jacobi check, ``quotient`` and ψ's words run on
 raw ints and feed ``RowSpan`` directly, and
@@ -70,6 +75,7 @@ from operator import mul
 from typing import NamedTuple
 
 from .errors import (
+    BadLabel,
     DimensionMismatch,
     DimensionTooSmall,
     DuplicateBracket,
@@ -237,19 +243,18 @@ class LieAlgebra:
     def __init__(self, n: int, table, field=QQ, labels=None, validate: bool = True):
         if n < 0:
             raise DimensionMismatch("dimension must be nonnegative")
-        table = _clean_table(n, table, field)
-        self._construct(n, *_integer_rows(table, field), field, labels, table, validate)
+        self._construct(n, *_table_rows(n, table, field), field, labels, validate)
 
     @classmethod
     def _from_integer_rows(cls, n: int, rows, scale: int, field, labels=None) -> "LieAlgebra":
         """The validated algebra of integer rows as ``_setup`` takes them,
-        with no field-scalar table built on the way (the parser's path)."""
+        which it takes over rather than copies."""
         algebra = cls.__new__(cls)
-        algebra._construct(n, rows, scale, field, labels, None, True)
+        algebra._construct(n, rows, scale, field, labels, True)
         return algebra
 
-    def _construct(self, n: int, rows, scale: int, field, labels, table, validate: bool):
-        self._setup(n, rows, scale, field, labels, table)
+    def _construct(self, n: int, rows, scale: int, field, labels, validate: bool):
+        self._setup(n, rows, scale, field, labels)
         rewrite = self._chain_rewrite()
         if rewrite is not None:
             rewrite[1]._series = rewrite[1]._chain_basis_series()
@@ -262,18 +267,16 @@ class LieAlgebra:
         if validate:
             self._validate()
 
-    def _setup(self, n: int, rows, scale: int, field, labels, table=None):
+    def _setup(self, n: int, rows, scale: int, field, labels):
         """Lay out the integer table: ``rows`` maps each key (i, j), i < j,
         in input order, to the nonzero integer row D [e_i, e_j] (residues in
-        [1, p) over GF(p), where D = ``scale`` is 1).  ``table`` is the same
-        table in field scalars when the caller has it; otherwise ``_table``
-        builds it on first read."""
+        [1, p) over GF(p), where D = ``scale`` is 1), with D the least
+        scale that makes every row integral.  Labels are checked here, so
+        that every algebra can be written to a file and read back."""
         self.n = n
         self.field = field
         self._integer_table = rows
         self._scale = scale
-        if table is not None:
-            self._table = table
         p = field.characteristic
         tab: list[dict[int, dict[int, int]]] = [{} for _ in range(n)]
         for (i, j), row in rows.items():
@@ -295,6 +298,12 @@ class LieAlgebra:
             labels = tuple(labels)
             if len(labels) != n:
                 raise DimensionMismatch("label count differs from dimension")
+            for idx, name in enumerate(labels, start=1):
+                # str.split() splits at every character that ends a line or
+                # a token in a file; "#" starts a comment there.
+                if not isinstance(name, str) or name.split() != [name] or "#" in name:
+                    raise BadLabel(f"label {idx} is {name!r}; a label is a nonempty "
+                                   "string with no whitespace and no '#'")
         self.labels = labels
         self._series: SeriesChain | None = None
         self._center: Subspace | None = None
@@ -307,8 +316,7 @@ class LieAlgebra:
     @cached_property
     def _table(self) -> dict[tuple[int, int], dict[int, object]]:
         """The sparse table c[(i, j)][k] in field scalars, keys in input
-        order; built from the integer rows on first read when the algebra
-        was constructed from them."""
+        order, built from the integer rows on first read."""
         d = self._scale
         element = self.field.element if self.field.characteristic else lambda x: Fraction(x, d)
         return {
@@ -565,8 +573,9 @@ class LieAlgebra:
         the integer row D [e_f, e_g] (``Subspace._reduce_integers`` at d, the
         lcm of K's leads at the row's pivots), which is d D [e_f, e_g] mod
         K.  Over Q each row is put in lowest terms over its denominator d D
-        and then over the lcm of those denominators, the (rows, scale) that
-        ``LieAlgebra(q, table)`` makes of the field-scalar table."""
+        and then over the lcm of those denominators (``_common_scale``), the
+        (rows, scale) that ``LieAlgebra(q, table)`` makes of the
+        field-scalar table."""
         if ideal.ambient != self.n:
             raise DimensionMismatch("ideal of a different ambient space")
         if ideal.field != self.field:
@@ -593,13 +602,8 @@ class LieAlgebra:
                 w = ideal._reduce_integers(v, d)
                 row = self._nonzero({k: w[g] for k, g in enumerate(free) if g in w})
                 if row:  # over GF(p), d D = 1
-                    h = gcd(d * self._scale, *row.values())
-                    rows[(a, b)] = {k: x // h for k, x in row.items()}
-                    dens[(a, b)] = d * self._scale // h
-        scale = lcm(*dens.values())
-        for key, den in dens.items():
-            if den != scale:
-                rows[key] = {k: x * (scale // den) for k, x in rows[key].items()}
+                    rows[(a, b)], dens[(a, b)] = row, d * self._scale
+        scale = _common_scale(rows, dens)
         quotient = LieAlgebra._from_integer_rows(
             len(free), rows, scale, self.field, [self.labels[f] for f in free]
         )
@@ -634,15 +638,20 @@ class LieAlgebra:
             raise DimensionMismatch("change of basis must be square of matching size")
         if p.field != self.field:
             raise FieldMismatch("change of basis over a different field")
-        rows = [integer_row(self.field, r, self.n) for r in p.rows()]
-        return LieAlgebra(self.n, self._table_in_basis(rows), field=self.field)
+        rows = [integer_row(self.field, r, self.n) for r in p._rows]
+        return LieAlgebra._from_integer_rows(self.n, *self._table_in_basis(rows), self.field)
 
     def _table_in_basis(
         self, rows: list[tuple[dict[int, int], int]]
-    ) -> dict[tuple[int, int], dict[int, object]]:
-        """The table of L in the basis f_i = u_i / s_i, for ``rows`` the
-        integer pairs (u_i, s_i) that ``integer_row`` makes; the one
-        basis-change kernel, behind ``change_basis`` and ``_chain_rewrite``.
+    ) -> tuple[dict[tuple[int, int], dict[int, int]], int]:
+        """(rows, D'): the table of L in the basis f_i = u_i / s_i as
+        integer rows over the common scale D', for ``rows`` the integer pairs
+        (u_i, s_i) that ``integer_row`` makes; the one basis-change kernel,
+        behind ``change_basis`` and ``_chain_rewrite``.  D' is the lcm of
+        the rows' reduced denominators (1 over GF(p), where the rows are
+        residues), the least scale that makes every row integral, so (rows,
+        D') is what ``_setup`` takes and what ``LieAlgebra(n, table)`` makes
+        of the same table in field scalars.
 
         Let R / den be the integer inverse of P (``inverse_rows``), T[a][b]
         = D [e_a, e_b] the integer table row for a < b, and T[b][a] =
@@ -656,7 +665,8 @@ class LieAlgebra:
         pair then has no entry, and nothing is decoded.  Otherwise
         ``_unpack`` decodes y; over GF(p) the digits are then reduced mod p,
         once.  Over GF(p), y carries the unreduced integer digits, so the skip
-        never fires there.
+        never fires there.  Over Q the row c over D s_i s_j den is then put
+        over D' (``_common_scale``).
 
         Why the decoding is exact: packing is Z-linear, so y is c packed
         whatever the intermediate digits were.  c_m is a sum of at most n³
@@ -675,8 +685,8 @@ class LieAlgebra:
         for (a, b), row in self._integer_table.items():
             x = sum(map(mul, row.values(), map(packed_inv.__getitem__, row)))
             tr[b][a], tr[a][b] = x, -x
-        element = field.element
-        table: dict[tuple[int, int], dict[int, object]] = {}
+        table: dict[tuple[int, int], dict[int, int]] = {}
+        dens: dict[tuple[int, int], int] = {}
         for i in range(n - 1):
             y_i = [sum(map(mul, us[i], col)) for col in tr]
             if not any(y_i):
@@ -689,12 +699,12 @@ class LieAlgebra:
                 coords = _unpack(y, n, width)
                 if p:
                     coords = [x % p for x in coords]
-                if not any(coords):
+                row = {m: x for m, x in enumerate(coords) if x}
+                if not row:
                     continue
-                d = self._scale * si * rows[j][1] * den  # always 1 over GF(p)
-                scalar = element if d == 1 else lambda x: Fraction(x, d)
-                table[(i, j)] = {m: scalar(x) for m, x in enumerate(coords) if x}
-        return table
+                # d is always 1 over GF(p).
+                table[(i, j)], dens[(i, j)] = row, self._scale * si * rows[j][1] * den
+        return table, _common_scale(table, dens)
 
     # -- the generator-chain basis -------------------------------------------
 
@@ -717,11 +727,11 @@ class LieAlgebra:
         if not self._derived.contains_integers(rows[-1]):
             return None
         try:
-            table = self._table_in_basis([(r, 1) for r in rows])
+            table, scale = self._table_in_basis([(r, 1) for r in rows])
         except SingularMatrix:
             return None
         rewrite = LieAlgebra.__new__(LieAlgebra)
-        rewrite._setup(self.n, *_integer_rows(table, self.field), self.field, None, table)
+        rewrite._setup(self.n, table, scale, self.field, None)
         return rows, rewrite
 
     def _chain_rows(self) -> list[dict[int, int]] | None:
@@ -814,43 +824,70 @@ class LieAlgebra:
         )
 
     def __hash__(self):
-        return hash((self.n, self.field, self.structure_constants()))
+        # What __eq__ compares, with the rows in an order-free form.
+        rows = frozenset((key, frozenset(row.items())) for key, row in self._integer_table.items())
+        return hash((self.n, self.field, self._scale, rows))
 
     def __repr__(self):
         return f"LieAlgebra(n={self.n}, field={self.field})"
 
 
-def _clean_table(n: int, table, field) -> dict[tuple[int, int], dict[int, object]]:
-    """The table c[(i, j)][k] with every key and index range-checked, every
-    constant made a field scalar, and the zero ones and empty keys dropped."""
-    clean: dict[tuple[int, int], dict[int, object]] = {}
+def _table_rows(n: int, table, field) -> tuple[dict[tuple[int, int], dict[int, int]], int]:
+    """(rows, D) for a table c[(i, j)][k] of constants as ``field.element``
+    takes them, in one pass: every key and index range-checked, every
+    constant read as integers (``field.integers``), the zero ones and empty
+    keys dropped, and rows[(i, j)] = D c[(i, j)] over the least common
+    scale D (1 over GF(p), where the entries are residues)."""
+    rows: dict[tuple[int, int], dict[int, int]] = {}
+    fractions: list[tuple[dict[int, int], int, int]] = []
     for (i, j), comps in table.items():
         if not (0 <= i < j < n):
             raise IndexOutOfRange(f"bracket key ({i + 1}, {j + 1}) out of range for n={n}")
-        entry = {}
+        row = {}
         for k, c in comps.items():
             if not 0 <= k < n:
                 raise IndexOutOfRange(f"component index {k + 1} out of range for n={n}")
-            c = field.element(c)
-            if c:
-                entry[k] = c
-        if entry:
-            clean[(i, j)] = entry
-    return clean
+            num, den = field.integers(c)
+            if num:
+                row[k] = num
+                if den != 1:
+                    fractions.append((row, k, den))
+        if row:
+            rows[(i, j)] = row
+    return rows, _scale_fractions(rows, fractions)
 
 
-def _integer_rows(table, field) -> tuple[dict[tuple[int, int], dict[int, int]], int]:
-    """(rows, D) for a clean field-scalar table: rows[(i, j)] = D c[(i, j)] as
-    integers, with D 1 over GF(p), where the entries are residues, and the lcm
-    of the denominators over Q."""
-    if field.characteristic:
-        return {key: {k: c.v for k, c in comps.items()} for key, comps in table.items()}, 1
-    scale = lcm(*(c.denominator for comps in table.values() for c in comps.values()))
-    rows = {
-        key: {k: c.numerator * (scale // c.denominator) for k, c in comps.items()}
-        for key, comps in table.items()
-    }
-    return rows, scale
+def _scale_fractions(rows, fractions) -> int:
+    """The common scale D, the lcm of the reduced denominators, of rows of
+    numerators, brought to D in place: ``fractions`` lists (row, k, den)
+    for each entry num/den of ``rows`` with den != 1, and each entry
+    num/den becomes num D / den."""
+    scale = lcm(*(den for _, _, den in fractions))
+    if scale > 1:
+        for row in rows.values():
+            for k in row:
+                row[k] *= scale
+        for row, k, den in fractions:
+            row[k] //= den
+    return scale
+
+
+def _common_scale(rows, dens: dict) -> int:
+    """The least common scale D of integer rows r over denominators d =
+    dens[key], with the rows brought to it in place: each row is put in
+    lowest terms, r / h over d / h for h = gcd(d, r), and D is the lcm of
+    those denominators."""
+    for key, d in dens.items():
+        if d > 1:
+            h = gcd(d, *rows[key].values())
+            if h > 1:
+                rows[key] = {k: x // h for k, x in rows[key].items()}
+                dens[key] = d // h
+    scale = lcm(*dens.values())
+    for key, den in dens.items():
+        if den != scale:
+            rows[key] = {k: x * (scale // den) for k, x in rows[key].items()}
+    return scale
 
 
 def _tail_series(field, rows: list[dict[int, int]]) -> SeriesChain:
@@ -913,7 +950,8 @@ def build(n: int, brackets, field=QQ, labels=None) -> LieAlgebra:
     1 <= k <= n, meaning [e_i, e_j] has the given coefficient on e_k.  A
     Jacobi failure is reported with the violating triple.
     """
-    table: dict[tuple[int, int], dict[int, object]] = {}
+    rows: dict[tuple[int, int], dict[int, int]] = {}
+    fractions: list[tuple[dict[int, int], int, int]] = []
     seen = set()
     for i, j, k, coeff in brackets:
         if not (1 <= i < j <= n):
@@ -923,11 +961,17 @@ def build(n: int, brackets, field=QQ, labels=None) -> LieAlgebra:
         if (i, j, k) in seen:
             raise DuplicateBracket(f"duplicate bracket entry ({i}, {j}, {k})")
         seen.add((i, j, k))
-        c = field.element(coeff)
-        if not c:
+        num, den = field.integers(coeff)
+        if not num:
             continue
-        table.setdefault((i - 1, j - 1), {})[k - 1] = c
-    return LieAlgebra(n, table, field=field, labels=labels)
+        row = rows.setdefault((i - 1, j - 1), {})
+        row[k - 1] = num
+        if den != 1:
+            fractions.append((row, k - 1, den))
+    if n < 0:
+        raise DimensionMismatch("dimension must be nonnegative")
+    scale = _scale_fractions(rows, fractions)
+    return LieAlgebra._from_integer_rows(n, rows, scale, field, labels)
 
 
 class QuotientMap:

@@ -34,14 +34,20 @@ up again only to report the error.  The parser builds the 0-based table as
 integer rows over the common scale D, the lcm of the denominators, keys in
 file order, and constructs ``LieAlgebra`` from those rows directly, which
 then checks Jacobi.
+
+The serializer reads the same integer rows, sorted by (I, J, K), and
+writes each constant x / D as ``str`` writes its field scalar, so it makes
+no field scalar either.  Construction refuses a label that a ``label``
+line could not carry (``BadLabel``), so every algebra survives the round
+trip with its labels.
 """
 
 from __future__ import annotations
 
 from itertools import islice
-from math import lcm
+from math import gcd
 
-from .algebra import LieAlgebra
+from .algebra import LieAlgebra, _scale_fractions
 from .errors import (
     AlgebraFileError,
     BadScalarLiteral,
@@ -153,15 +159,7 @@ def parse_algebra(text: str, allow_char_two: bool = False) -> LieAlgebra:
     if dim is None:
         raise AlgebraFileError("missing dim directive")
 
-    # The common scale D is the lcm of the reduced denominators (1 over
-    # GF(p)); each constant num/den becomes num * D / den.
-    scale = lcm(*(den for _, _, den in fractions))
-    if scale > 1:
-        for row in rows.values():
-            for k in row:
-                row[k] *= scale
-        for row, k, den in fractions:
-            row[k] //= den
+    scale = _scale_fractions(rows, fractions)
     label_list = None
     if labels:
         label_list = [labels.get(i + 1, f"x{i + 1}") for i in range(dim)]
@@ -227,13 +225,24 @@ def _first_line(lines: list[str], key: tuple[int, int, int]) -> int:
 
 
 def serialize_algebra(L: LieAlgebra) -> str:
-    """Canonical text form; stable byte-for-byte for equal algebras."""
+    """Canonical text form; stable byte-for-byte for equal algebras.  Each
+    constant x / D of the integer rows is written as ``str`` writes its
+    field scalar: the residue over GF(p), where D = 1, and over Q the
+    reduced num/den, or num when den = 1."""
     lines = [HEADER, f"field {L.field}", f"dim {L.n}"]
     default_labels = tuple(f"x{i + 1}" for i in range(L.n))
     if L.labels != default_labels:
         for idx, name in enumerate(L.labels, start=1):
             if name != f"x{idx}":
                 lines.append(f"label {idx} {name}")
-    for i, j, k, c in L.structure_constants():
-        lines.append(f"bracket {i} {j} {k} {c}")
+    scale, rows = L._scale, L._integer_table
+    for i, j in sorted(rows):
+        prefix = f"bracket {i + 1} {j + 1} "
+        row = rows[(i, j)]
+        for k in sorted(row):
+            x = row[k]
+            if scale > 1:
+                h = gcd(x, scale)
+                x = x // h if h == scale else f"{x // h}/{scale // h}"
+            lines.append(f"{prefix}{k + 1} {x}")
     return "\n".join(lines) + "\n"

@@ -39,6 +39,11 @@ class IndexOutOfRange(LieError):
     """An index or parameter lies outside its documented domain."""
 
 
+class BadLabel(LieError):
+    """A basis label is not a nonempty string free of whitespace and '#',
+    so the algebra file format could not carry it."""
+
+
 class DuplicateBracket(LieError):
     """The same (i, j, k) structure-constant key was given twice."""
 

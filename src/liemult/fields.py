@@ -4,9 +4,11 @@ Rational scalars are plain ``fractions.Fraction`` values (always lowest terms,
 positive denominator).  Prime-field scalars are ``PrimeFieldElement`` wrappers
 holding a residue in [0, p).  Both kinds support +, -, *, /, unary - and
 truthiness, so all linear algebra and bracket code downstream is field
-agnostic.  ``parse_integers`` reads a literal as integers instead, a reduced
-numerator and denominator over Q and a residue over GF(p), for the parser,
-which builds integer rows; ``parse`` is built on it.
+agnostic.  ``integers`` reads a constant as integers instead, a reduced
+numerator and denominator over Q and a residue over GF(p), for the
+constructions that build integer rows; ``parse_integers`` does the same for
+a literal, for the parser, and ``parse`` is built on it.  ``element``
+takes its fast paths itself and the rest from ``integers``.
 
 ``PrimeField`` proves its modulus prime with the strong (Miller-Rabin) test
 to the first 13 primes, which is exact below ψ₁₃ (``_is_prime``); an
@@ -102,8 +104,18 @@ class RationalField:
             return value
         if isinstance(value, int):
             return Fraction(value)
+        return Fraction(*self.integers(value))
+
+    def integers(self, value) -> tuple[int, int]:
+        """(numerator, denominator) of a Fraction, an int or a literal, in
+        lowest terms with a positive denominator, and with no scalar made;
+        ``FieldMismatch`` for any other value."""
+        if isinstance(value, Fraction):
+            return value.numerator, value.denominator
+        if isinstance(value, int):
+            return int(value), 1
         if isinstance(value, str):
-            return self.parse(value)
+            return self.parse_integers(value)
         raise FieldMismatch(f"cannot coerce {value!r} into Q")
 
     def parse(self, text: str) -> Fraction:
@@ -250,14 +262,24 @@ class PrimeField:
         return PrimeFieldElement(self.p, 1)
 
     def element(self, value) -> PrimeFieldElement:
-        if isinstance(value, PrimeFieldElement):
-            if value.p != self.p:
-                raise FieldMismatch(f"GF({value.p}) element given to GF({self.p})")
+        if isinstance(value, PrimeFieldElement) and value.p == self.p:
             return value
         if isinstance(value, int):
             return PrimeFieldElement(self.p, value)
+        return PrimeFieldElement(self.p, self.integers(value)[0])
+
+    def integers(self, value) -> tuple[int, int]:
+        """(residue in [0, p), 1) of an element of this field, an int or a
+        literal, with no scalar made; ``FieldMismatch`` for any other
+        value."""
+        if isinstance(value, PrimeFieldElement):
+            if value.p != self.p:
+                raise FieldMismatch(f"GF({value.p}) element given to GF({self.p})")
+            return value.v, 1
+        if isinstance(value, int):
+            return value % self.p, 1
         if isinstance(value, str):
-            return self.parse(value)
+            return self.parse_integers(value)
         raise FieldMismatch(f"cannot coerce {value!r} into GF({self.p})")
 
     def parse(self, text: str) -> PrimeFieldElement:

@@ -14,6 +14,8 @@ integer rows a ``Subspace`` keeps; ``matrix`` makes them dense) both use it.
 ``Matrix`` is a dense immutable matrix over one field.  Its rank, echelon
 form and kernel basis all feed its rows into a ``RowSpan``; so does
 ``inverse_rows``, the one inverse routine, which works on integer rows.
+Its product multiplies the integer rows and columns (``integer_row``) of
+its factors and makes one scalar per cell.
 Echelon form here always means the canonical reduced form: leading
 entries 1, zeros above and below every pivot, zero rows dropped.  That makes
 every basis produced by this module byte-deterministic.
@@ -21,6 +23,7 @@ every basis produced by this module byte-deterministic.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
@@ -98,12 +101,21 @@ class Matrix:
             raise FieldMismatch("matrix product across different fields")
         if self.ncols != other.nrows:
             raise DimensionMismatch(f"{self.shape} @ {other.shape}")
-        zero = self.field.zero
-        bt = other.transpose()._rows
+        # Integer rows u / s of self and integer columns v / t of other: the
+        # entry is (u . v) / (s t), one scalar per cell (s = t = 1 over GF(p)).
+        field = self.field
+        us = [integer_row(field, r, self.ncols) for r in self._rows]
+        vs = [integer_row(field, [r[j] for r in other._rows], other.nrows)
+              for j in range(other.ncols)]
+        element = field.element
         out = []
-        for r in self._rows:
-            out.append([sum((a * b for a, b in zip(r, col) if a and b), zero) for col in bt])
-        return Matrix(self.field, out, ncols=other.ncols)
+        for u, s in us:
+            row = []
+            for v, t in vs:
+                x = sum([a * v[k] for k, a in u.items() if k in v])
+                row.append(element(x) if s * t == 1 else Fraction(x, s * t))
+            out.append(row)
+        return Matrix(field, out, ncols=other.ncols)
 
     def is_zero(self) -> bool:
         return all(not e for r in self._rows for e in r)

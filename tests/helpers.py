@@ -111,6 +111,27 @@ def change_basis_oracle(L: LieAlgebra, p: Matrix) -> tuple:
     return tuple(out)
 
 
+def scalar_table(field, table) -> dict:
+    """A table as ``LieAlgebra._table_in_basis`` returns it, integer rows
+    over a common scale D, back in field scalars: c[(i, j)][k] =
+    rows[(i, j)][k] / D."""
+    rows, scale = table
+    d = field.element(scale)
+    return {key: {k: field.element(x) / d for k, x in row.items()} for key, row in rows.items()}
+
+
+def matmul_oracle(a: Matrix, b: Matrix) -> list[list]:
+    """The product of two matrices entry by entry in field scalars, sum over
+    k of a[i][k] b[k][j] as ``Fraction``s over Q and as residues mod p over
+    GF(p)."""
+    field, p = a.field, a.field.characteristic
+    rows, cols = a.rows(), b.transpose().rows()
+    if p:
+        return [[field.element(sum(x.v * y.v for x, y in zip(r, c)) % p) for c in cols]
+                for r in rows]
+    return [[sum((x * y for x, y in zip(r, c)), Fraction(0)) for c in cols] for r in rows]
+
+
 def chain_basis_series_oracle(A: LieAlgebra) -> SeriesChain | None:
     """The lower central series of A computed term by term (``_own_series``)
     when it has class n - 1 and only unit-vector rows, else None: the rule

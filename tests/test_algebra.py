@@ -19,6 +19,7 @@ from helpers import (
     quotient_oracle,
     random_rational_vector,
     random_unimodular,
+    scalar_table,
     series_oracle,
 )
 from liemult import algebra as algebra_module
@@ -26,6 +27,7 @@ from liemult import algfile, cli
 from liemult.algebra import LieAlgebra, QuotientMap, Subspace, build
 from liemult.catalog import abelian, filiform_m2, filiform_q, heisenberg, standard_filiform
 from liemult.errors import (
+    BadScalarLiteral,
     DimensionMismatch,
     DimensionTooSmall,
     DuplicateBracket,
@@ -104,7 +106,7 @@ def _perturbed_dense_table(field, perturbation, n=9, seed=9):
     entry[k - 1] = entry.get(k - 1, field.zero) + field.element(c)
     raw = LieAlgebra(n, table, field=field, validate=False)
     p = random_unimodular(random.Random(seed), n, field)
-    return raw._table_in_basis([integer_row(field, r, n) for r in p.rows()])
+    return scalar_table(field, raw._table_in_basis([integer_row(field, r, n) for r in p.rows()]))
 
 
 PERTURBATIONS = [(2, 3, 5, 1), (2, 4, 6, 1), (3, 4, 7, 2), (2, 3, 6, 1), (3, 5, 8, 1),
@@ -155,10 +157,10 @@ def test_violation_only_in_the_chain_basis_is_an_internal_error(monkeypatch):
     original = LieAlgebra._table_in_basis
 
     def corrupted(self, p):
-        out = original(self, p)
-        entry = out.setdefault((1, 2), {})
-        entry[3] = entry.get(3, 0) + 1  # [f1, f2] += f3, and [f3, f0] = f4
-        return out
+        rows, scale = original(self, p)
+        entry = rows.setdefault((1, 2), {})
+        entry[3] = entry.get(3, 0) + scale  # [f1, f2] += f3, and [f3, f0] = f4
+        return rows, scale
 
     monkeypatch.setattr(LieAlgebra, "_table_in_basis", corrupted)
     with pytest.raises(RuntimeError, match="internal error"):
@@ -181,6 +183,58 @@ def test_build_index_errors():
         build(3, [(1, 2, 5, 1)])  # k out of range
     with pytest.raises(DuplicateBracket):
         build(3, [(1, 2, 3, 1), (1, 2, 3, 2)])
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["Q", "GF7"])
+def test_construction_reads_constants_as_integers_with_the_field_errors(field):
+    # Every spelling of a constant that ``field.element`` takes gives the
+    # same algebra, and the one-pass conversion keeps the field's errors.
+    third = Fraction(1, 3) if field == QQ else field.one / field.element(3)
+    for c in (third, str(third) if field == QQ else "5", -2, "-2", field.element(-2)):
+        want = build(3, [(1, 2, 3, field.element(c))], field=field)
+        assert build(3, [(1, 2, 3, c)], field=field) == want
+        assert LieAlgebra(3, {(0, 1): {2: c}}, field=field) == want
+    zeros = LieAlgebra(3, {(0, 1): {2: 0, 1: "0"}, (0, 2): {1: field.zero}}, field=field)
+    assert zeros._integer_table == {} and zeros.is_abelian()
+    other = QQ.element(Fraction(1, 2)) if field != QQ else PrimeField(5).one
+    for bad, error in ((other, FieldMismatch), (1.5, FieldMismatch), ("1/0", BadScalarLiteral),
+                       ("x", BadScalarLiteral)):
+        with pytest.raises(error):
+            build(3, [(1, 2, 3, bad)], field=field)
+        with pytest.raises(error):
+            LieAlgebra(3, {(0, 1): {2: bad}}, field=field)
+    with pytest.raises(IndexOutOfRange):
+        LieAlgebra(3, {(1, 0): {2: 1}}, field=field)
+    with pytest.raises(IndexOutOfRange):
+        LieAlgebra(3, {(0, 1): {3: 1}}, field=field)
+
+
+def test_construction_keeps_no_table_of_the_caller():
+    table = {(0, 1): {2: Fraction(1, 2)}, (0, 2): {3: Fraction(2, 3)}}
+    L = LieAlgebra(4, table)
+    assert "_table" not in vars(L) and L._scale == 6
+    table[(0, 1)][2] = Fraction(5)
+    table[(1, 2)] = {3: Fraction(1)}
+    assert L.structure_constants() == ((1, 2, 3, Fraction(1, 2)), (1, 3, 4, Fraction(2, 3)))
+
+
+def test_hash_reads_the_integer_rows():
+    # The same algebra by build, by LieAlgebra(n, table) and by the parser,
+    # with its keys in three different orders.
+    constants = [(1, 3, 4, Fraction(2, 3)), (1, 2, 3, Fraction(1, 2)), (2, 3, 4, 0)]
+    by_build = build(4, constants)
+    by_table = LieAlgebra(4, {(0, 1): {2: Fraction(1, 2)}, (0, 2): {3: Fraction(2, 3)}})
+    by_parser = algfile.parse_algebra(
+        "lie-algebra v1\nfield Q\ndim 4\nbracket 1 2 3 1/2\nbracket 1 3 4 2/3\n")
+    assert list(by_build._integer_table) != list(by_table._integer_table)
+    algebras = [by_build, by_table, by_parser]
+    assert len({hash(L) for L in algebras}) == 1
+    assert all(L == by_build for L in algebras)
+    assert all("_table" not in vars(L) for L in algebras)
+    assert hash(by_build) != hash(build(4, constants[:1]))
+    dense = standard_filiform(9).change_basis(random_unimodular(random.Random(9), 9))
+    assert hash(dense) == hash(algfile.parse_algebra(algfile.serialize_algebra(dense)))
+    assert "_table" not in vars(dense)
 
 
 def test_bracket_antisymmetry_on_random_vectors():
@@ -690,6 +744,21 @@ def test_change_basis_matches_dense_oracle(field, make, unimodular):
     assert [(i, j, k, str(c)) for i, j, k, c in got] == [(i, j, k, str(c)) for i, j, k, c in want]
 
 
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_change_basis_puts_the_table_over_the_least_common_scale(field):
+    # In the basis f_i = c e_i every constant is c times the old one, and
+    # the kernel's rows all carry a factor that only cancels when each row
+    # is put in lowest terms: over Q, c = 1/3 gives 3 T over 9.
+    L = standard_filiform(7, field=field)
+    for c in (field.element(2), field.one / field.element(3), field.element(6)):
+        p = Matrix(field, [[c if i == j else field.zero for j in range(7)] for i in range(7)])
+        got = L.change_basis(p)
+        want = build(7, [(i, j, k, c * x) for i, j, k, x in L.structure_constants()],
+                     field=field)
+        assert got == want and got._scale == want._scale
+        assert algfile.parse_algebra(algfile.serialize_algebra(got)) == got
+
+
 def test_change_basis_rejects_a_singular_matrix():
     # det = 7: invertible over Q, singular over GF(7).
     rows = [[1, 1, 0], [1, 8, 0], [0, 0, 1]]
@@ -811,8 +880,8 @@ def test_change_basis_singular_over_gf7_only_matches_its_pin(family):
 
 
 def _table_constants(table) -> tuple:
-    """A table as ``_table_in_basis`` returns it, listed the way
-    ``structure_constants()`` lists constants: 1-based, sorted by (i, j, k)."""
+    """A field-scalar table listed the way ``structure_constants()`` lists
+    constants: 1-based, sorted by (i, j, k)."""
     return tuple(sorted((i + 1, j + 1, k + 1, c)
                         for (i, j), row in table.items() for k, c in row.items()))
 
@@ -877,7 +946,7 @@ def test_basis_change_kernel_matches_the_oracle_on_unvalidated_tables(data):
     assume(len(naive_rref(p.rows(), field)) == n)
     L = LieAlgebra(n, table, field=field, validate=False)
     got = L._table_in_basis([integer_row(field, r, n) for r in p.rows()])
-    assert _table_constants(got) == change_basis_oracle(L, p)
+    assert _table_constants(scalar_table(field, got)) == change_basis_oracle(L, p)
 
 
 @pytest.mark.parametrize("bound", [1, 2, 3, 7, 8, 9, 2**31 - 2, 2**122, 3**200])
@@ -977,8 +1046,8 @@ def _chain_basis_algebra(L):
     rows = probe._chain_rows()
     if rows is None:
         return None
-    return LieAlgebra(L.n, L._table_in_basis([(r, 1) for r in rows]), field=L.field,
-                      validate=False)
+    table = scalar_table(L.field, L._table_in_basis([(r, 1) for r in rows]))
+    return LieAlgebra(L.n, table, field=L.field, validate=False)
 
 
 def _scan_matches_oracle(A) -> bool:

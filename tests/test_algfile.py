@@ -12,13 +12,15 @@ from liemult.algfile import MAX_FILE_DIM, parse_algebra, serialize_algebra
 from liemult.catalog import entries, standard_filiform
 from liemult.errors import (
     AlgebraFileError,
+    BadLabel,
     DuplicateBracket,
     FieldSpecError,
     JacobiViolation,
     LieError,
     ResourceLimit,
 )
-from liemult.fields import PrimeField, parse_field_spec
+from liemult.fields import QQ, PrimeField, parse_field_spec
+from liemult.linalg import Matrix
 
 EXAMPLE_N4 = """\
 lie-algebra v1
@@ -68,6 +70,99 @@ def test_round_trip_over_prime_field():
     again = parse_algebra(serialize_algebra(L))
     assert again.field == PrimeField(7)
     assert again.structure_constants() == L.structure_constants()
+
+
+# Each of these once serialized to a file that its parser misread: "c#d"
+# came back as "c", the whitespace ones and "" failed with "label directive
+# is: label INDEX NAME", and the int came back as a str.
+BAD_LABELS = ["c#d", "#", "b c", "b\tc", "b\nc", "b\u2028c", "", " ", 3, None]
+
+
+@pytest.mark.parametrize("label", BAD_LABELS, ids=repr)
+def test_a_label_the_file_format_cannot_carry_is_refused(label):
+    with pytest.raises(BadLabel, match="^label 2 is ") as exc:
+        build(3, [(1, 2, 3, 1)], labels=["a", label, "c"])
+    assert isinstance(exc.value, LieError)
+    with pytest.raises(BadLabel, match="^label 3 is "):
+        build(3, [(1, 2, 3, 1)], labels=["a", "b", label])
+
+
+GOOD_LABELS = ["a", "x_1", "x1", "x4", "e[1,2]", "α₁", "-1", "1/2", "label", "bracket",
+               "lie-algebra", "x" * 200]
+
+
+def test_every_accepted_label_survives_the_round_trip():
+    for field in (QQ, PrimeField(7)):
+        for window in range(len(GOOD_LABELS) - 2):
+            labels = GOOD_LABELS[window:window + 3]
+            L = build(3, [(1, 2, 3, 1)], field=field, labels=labels)
+            again = parse_algebra(serialize_algebra(L))
+            assert again.labels == L.labels == tuple(labels)
+            assert again == L
+
+
+DENSE_13_FIELDS = [QQ, PrimeField(2**31 - 1)]
+
+
+def _dense_filiform_13(field, scaled):
+    p = random_unimodular(random.Random(13), 13, field)
+    if scaled:
+        # The rows scaled as in ``test_change_basis_and_rewrite_match_their_pins``:
+        # over Q the table has denominators, so its scale must be canonical.
+        scales = [field.element(2), field.one / field.element(3), -field.one, field.element(5)]
+        p = Matrix(field, [[scales[i % 4] * x for x in row] for i, row in enumerate(p.rows())])
+    return standard_filiform(13, field=field).change_basis(p)
+
+
+def _no_field_scalar_table(L):
+    assert L._adapted is not None
+    return "_table" not in vars(L) and "_table" not in vars(L._adapted)
+
+
+@pytest.mark.parametrize("scaled", [False, True], ids=["unimodular", "scaled"])
+@pytest.mark.parametrize("field", DENSE_13_FIELDS, ids=["Q", "GF(2^31-1)"])
+def test_dense_construction_builds_no_field_scalar(field, scaled):
+    L = _dense_filiform_13(field, scaled)
+    assert _no_field_scalar_table(L)
+    text = serialize_algebra(L)
+    assert _no_field_scalar_table(L)
+    parsed = parse_algebra(text)
+    assert _no_field_scalar_table(parsed)
+    assert parsed == L and parsed._scale == L._scale
+    assert field.characteristic or (L._scale > 1) == scaled
+    built = build(13, L.structure_constants(), field=field)
+    assert _no_field_scalar_table(built)
+    assert built == L and built._scale == L._scale
+    assert serialize_algebra(built) == serialize_algebra(parsed) == text
+
+
+def _text_from_field_scalars(L) -> str:
+    """The file of L written from ``structure_constants()``, each constant
+    as ``str`` writes its field scalar."""
+    lines = ["lie-algebra v1", f"field {L.field}", f"dim {L.n}"]
+    lines += [f"label {idx} {name}" for idx, name in enumerate(L.labels, start=1)
+              if name != f"x{idx}"]
+    lines += [f"bracket {i} {j} {k} {c}" for i, j, k, c in L.structure_constants()]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7), PrimeField(2**31 - 1)],
+                         ids=["Q", "GF7", "GF(2^31-1)"])
+def test_serializer_writes_each_constant_as_its_field_scalar(field):
+    # Rational rows with both signs and denominators that share factors with
+    # the scale, and over GF(p) residues that the integer rows hold as is.
+    rng = random.Random(17)
+    for scaled in (False, True):
+        L = _dense_filiform_13(field, scaled)
+        q = L.quotient(L.center()).quotient
+        for algebra in (L, q, build(3, [(1, 2, 3, field.one / field.element(6))], field=field,
+                                    labels=["a", "x2", "x1"])):
+            assert serialize_algebra(algebra) == _text_from_field_scalars(algebra)
+    if field == QQ:
+        values = [Fraction(rng.randint(-40, 40), rng.choice((1, 2, 4, 6, 9, 12)))
+                  for _ in range(3)]
+        L = build(4, [(1, 2, 3, values[0]), (1, 2, 4, values[1]), (1, 3, 4, values[2])])
+        assert serialize_algebra(L) == _text_from_field_scalars(L)
 
 
 def test_missing_header():

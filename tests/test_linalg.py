@@ -6,7 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import naive_rank, naive_rref, random_rational_matrix, random_unimodular
+from helpers import (
+    matmul_oracle,
+    naive_rank,
+    naive_rref,
+    random_rational_matrix,
+    random_unimodular,
+)
 from liemult.errors import DimensionMismatch, FieldMismatch, SingularMatrix
 from liemult.fields import QQ, PrimeField
 from liemult.linalg import Matrix, RowSpan, integer_row, inverse_rows
@@ -176,6 +182,55 @@ def test_gf_kernel_and_rref():
     assert ker.nrows == 1
     for v in ker.rows():
         assert _annihilates(m, v)
+
+
+def _product_matches_the_oracle(a: Matrix, b: Matrix):
+    got = a @ b
+    assert got.shape == (a.nrows, b.ncols)
+    assert got.rows() == matmul_oracle(a, b)
+    # Every cell is a canonical scalar of the field, as ``Matrix`` stores it.
+    assert got == Matrix(a.field, matmul_oracle(a, b), ncols=b.ncols)
+
+
+def test_product_over_q_with_denominators_matches_the_oracle():
+    rng = random.Random(41)
+    for shape in [(3, 4, 2), (5, 5, 5), (1, 6, 3)]:
+        m, k, n = shape
+        a = Matrix(QQ, random_rational_matrix(rng, m, k))
+        b = Matrix(QQ, random_rational_matrix(rng, k, n))
+        assert any(x.denominator > 1 for r in (a @ b).rows() for x in r)
+        _product_matches_the_oracle(a, b)
+    # Denominators that cancel in the product: (1/2)(2/3) + (1/6)(2) = 2/3.
+    a = Matrix(QQ, [[Fraction(1, 2), Fraction(1, 6)]])
+    b = Matrix(QQ, [[Fraction(2, 3)], [Fraction(2)]])
+    assert (a @ b).rows() == [[Fraction(2, 3)]]
+
+
+@pytest.mark.parametrize("p", [7, 2**61 - 1], ids=["GF7", "GF(2^61-1)"])
+def test_product_over_gf_p_matches_the_oracle(p):
+    # Over GF(2^61-1) every entry is a residue above p/2, so the integer
+    # dot products run far past p before the one reduction per cell.
+    field, rng = PrimeField(p), random.Random(p % 1009)
+    low = p // 2 if p > 7 else 0
+    for m, k, n in [(3, 4, 2), (6, 6, 6), (1, 5, 4)]:
+        a = Matrix(field, [[rng.randrange(low, p) for _ in range(k)] for _ in range(m)])
+        b = Matrix(field, [[rng.randrange(low, p) for _ in range(n)] for _ in range(k)])
+        _product_matches_the_oracle(a, b)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["Q", "GF7"])
+def test_product_with_zero_rows_and_zero_columns_matches_the_oracle(field):
+    e = field.element
+    a = Matrix(field, [[e(0), e(0), e(0)], [e(1), e(0), e(2)], [e(0), e(0), e(0)]])
+    b = Matrix(field, [[e(3), e(0)], [e(5), e(0)], [e(0), e(0)]])
+    _product_matches_the_oracle(a, b)
+    assert (a @ b).row(0) == [field.zero, field.zero]
+    assert [r[1] for r in (a @ b).rows()] == [field.zero] * 3
+    _product_matches_the_oracle(Matrix.zeros(field, 2, 3), b)
+    # Empty shapes: no rows, and an inner dimension of 0.
+    _product_matches_the_oracle(Matrix(field, [], ncols=3), b)
+    product = Matrix(field, [[], []], ncols=0) @ Matrix(field, [], ncols=4)
+    assert product == Matrix.zeros(field, 2, 4)
 
 
 def test_inverse_round_trip():
