@@ -16,8 +16,8 @@ c[(i, j)][k] (``_table``, behind ``bracket``, ``bracket_basis`` and
 ``structure_constants``) is built only when something reads it; the file
 serializer and ``__hash__`` read the integer rows.  Scaling by
 D changes no span and no zero test, so the lower central series,
-``product_subspace``, the Jacobi check, ``quotient`` and ψ's words run on
-raw ints and feed ``RowSpan`` directly, and
+``product_subspace``, the Jacobi check, ``quotient`` and gr L run on raw
+ints and feed ``RowSpan`` directly, and
 ``change_basis`` and the chain rewrite share one integer basis-change kernel
 (``_table_in_basis``) with the integer inverse R of P (``inverse_rows``).
 That kernel packs each integer row into one int of B-bit signed digits,
@@ -29,9 +29,10 @@ u_i[a] u_j[b] T[a][b][k] R[k][m], and B is the least width with
 n³·max|u|²·max|T|·max|R| < 2^(B-1), so the digits decode exactly.  A
 ``Subspace`` is the canonical integer rows of a ``RowSpan``; membership,
 sums, equality, ``Subspace.reduce`` (the one exact reduction, behind
-``QuotientMap`` and, by its integer core ``_reduce_integers``, ``quotient``
-and ψ's projection) run on those rows, and the dense basis is built only
-when asked for.
+``QuotientMap`` and, by its integer core ``_reduce_integers``, ``quotient``)
+run on those rows, and the dense basis is built only when asked for.  gr L
+= ⊕ γₖ/γₖ₊₁ is one algebra, built once per algebra from the series
+(``_graded``); ψ reads its table.
 
 Construction also searches the ad table once for a generator chain
 (s, s₁, s₂, …, s_c), sₖ₊₁ = [sₖ, s] (``_chain_rows``, the package's only
@@ -144,18 +145,18 @@ class Subspace:
         pivots c, which clears every pivot column, since each row is zero at
         the other pivots."""
         iv, scale = integer_row(self.field, v, self.ambient)
-        rows, p = self._rows, self.field.characteristic
-        d = lcm(*(rows[c][c] for c in iv if c in rows))  # 1 over GF(p), where every lead is 1
-        w = self._reduce_integers(iv, d)
-        element = self.field.element
+        w, d = self._reduce_integers(iv)
+        p, element = self.field.characteristic, self.field.element
         unit = self.field.one / element(scale * d)
         return {j: element(x) * unit for j, x in w.items() if (x % p if p else x)}
 
-    def _reduce_integers(self, v: dict[int, int], d: int) -> dict[int, int]:
-        """d·v modulo the subspace, for an integer row v and d a multiple of
-        the lead of every row at a pivot of v: d·v minus (d·v_c / lead_c)
-        row_c over those pivots c.  Entries are not reduced mod p."""
+    def _reduce_integers(self, v: dict[int, int]) -> tuple[dict[int, int], int]:
+        """(d·v modulo the subspace, d) for an integer row v, with d the lcm
+        of the leads of the rows at v's pivots (1 over GF(p), where every
+        lead is 1): d·v minus (d·v_c / lead_c) row_c over those pivots c.
+        Entries are not reduced mod p."""
         rows = self._rows
+        d = lcm(*(rows[c][c] for c in v if c in rows))
         w = {j: d * x for j, x in v.items()} if d > 1 else dict(v)
         for c, x in v.items():
             row = rows.get(c)
@@ -163,7 +164,7 @@ class Subspace:
                 b = x * (d // row[c])
                 for j, y in row.items():
                     w[j] = w.get(j, 0) - b * y
-        return w
+        return w, d
 
     def contains_vector(self, v) -> bool:
         return self._span.contains_integers(integer_row(self.field, v, self.ambient)[0])
@@ -512,6 +513,39 @@ class LieAlgebra:
             span = self._bracket_span(terms[-1]._rows.values(), full._rows.values())
         return SeriesChain(tuple(terms), nilpotent)
 
+    @cached_property
+    def _graded(self) -> tuple["LieAlgebra", tuple[int, ...]]:
+        """(G, grades): gr L = ⊕ γₖ/γₖ₊₁ as one algebra G, unvalidated, and
+        the grade k of each basis vector of G, which spans grₖ.
+
+        Let A = ``L._adapted`` or L.  G's basis is the canonical rows of each
+        γₖ(A) whose pivot is not a pivot of γₖ₊₁(A), grade by grade in pivot
+        order, so grades never decrease along it.  When those rows are A's
+        own basis vectors in order (the chain rewrites, the catalog bases and
+        their quotients), G starts from A's table; otherwise A is rewritten
+        on them (``_table_in_basis``).  Either way each γₖ is spanned by the
+        basis vectors of grade >= k and [γₐ, γ_b] ⊆ γₐ₊_b, so the class of
+        [e_a, e_b] in gr_{a+b} is its component along the basis vectors of
+        grade a + b, and G keeps exactly the constants c_ab^m with
+        grade(m) = grade(a) + grade(b).
+        Jacobi holds on G because it holds on L: the graded part of a
+        Jacobiator of basis vectors is the Jacobiator in G.  L must be
+        nilpotent, so that the rows make a basis."""
+        A = self._adapted or self
+        terms = A.lower_central_series().terms
+        basis = [(k, row) for k, (sup, sub) in enumerate(zip(terms, terms[1:]), 1)
+                 for c, row in sup._rows.items() if c not in sub._rows]
+        grades = tuple(k for k, _ in basis)
+        if [row for _, row in basis] == [{c: 1} for c in range(A.n)]:
+            table, scale = A._integer_table, A._scale
+        else:
+            table, scale = A._table_in_basis([(row, 1) for _, row in basis])
+        rows = {(a, b): graded for (a, b), row in table.items()
+                if (graded := {m: x for m, x in row.items() if grades[m] == grades[a] + grades[b]})}
+        G = LieAlgebra.__new__(LieAlgebra)
+        G._setup(A.n, rows, _common_scale(rows, dict.fromkeys(rows, scale)), A.field, None)
+        return G, grades
+
     def is_nilpotent(self) -> bool:
         return self.lower_central_series().nilpotent
 
@@ -570,7 +604,7 @@ class LieAlgebra:
 
         Its basis is the images of e_f at K's free (non-pivot) columns f,
         and [e_f, e_g] mod K is read at those columns off K's reduction of
-        the integer row D [e_f, e_g] (``Subspace._reduce_integers`` at d, the
+        the integer row D [e_f, e_g] (``Subspace._reduce_integers``, at d the
         lcm of K's leads at the row's pivots), which is d D [e_f, e_g] mod
         K.  Over Q each row is put in lowest terms over its denominator d D
         and then over the lcm of those denominators (``_common_scale``), the
@@ -598,8 +632,7 @@ class LieAlgebra:
                 v = self._ad[f].get(free[b])
                 if not v:
                     continue
-                d = lcm(*(pivots[c][c] for c in v if c in pivots))
-                w = ideal._reduce_integers(v, d)
+                w, d = ideal._reduce_integers(v)
                 row = self._nonzero({k: w[g] for k, g in enumerate(free) if g in w})
                 if row:  # over GF(p), d D = 1
                     rows[(a, b)], dens[(a, b)] = row, d * self._scale

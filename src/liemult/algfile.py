@@ -13,7 +13,8 @@ Requirements: 1 <= I < J <= N (antisymmetry is implied, never written),
 1 <= K <= N, COEFF an integer or NUM/DEN rational literal over Q and an
 integer literal over GF(p).  N and every index are decimal digits only
 (``str.isdecimal``), so ``+1``, ``-0`` and ``1_0`` are not indices.
-Duplicate (I, J, K) keys are rejected.  The serializer emits brackets
+Duplicate (I, J, K) keys are rejected, and so is a second ``label`` line
+for the same index.  The serializer emits brackets
 sorted by (I, J, K), so output is byte-stable and ``parse(serialize(L))``
 reproduces the same sparse table.
 
@@ -74,7 +75,7 @@ def parse_algebra(text: str, allow_char_two: bool = False) -> LieAlgebra:
     field = None
     dim = None
     index: dict[str, int] = {}  # "1" … "N" to the 0-based index
-    labels: dict[int, str] = {}
+    labels: dict[int, tuple[str, int]] = {}  # index -> (name, line)
     # rows[(i, j)][k] = the constant's numerator, or its residue over GF(p),
     # and the (row, k, denominator) of every constant whose denominator is
     # not 1, so the rows can be brought to the common scale D at the end.
@@ -150,7 +151,10 @@ def parse_algebra(text: str, allow_char_two: bool = False) -> LieAlgebra:
                                        f"range [1, {dim}]", lineno) from None
             if not 1 <= idx <= dim:
                 raise AlgebraFileError(f"label index {idx} out of range [1, {dim}]", lineno)
-            labels[idx] = tokens[2]
+            if idx in labels:
+                raise AlgebraFileError(f"duplicate label directive for index {idx} "
+                                       f"(first seen on line {labels[idx][1]})", lineno)
+            labels[idx] = tokens[2], lineno
         else:
             raise AlgebraFileError(f"unknown directive {directive!r}", lineno)
 
@@ -160,9 +164,7 @@ def parse_algebra(text: str, allow_char_two: bool = False) -> LieAlgebra:
         raise AlgebraFileError("missing dim directive")
 
     scale = _scale_fractions(rows, fractions)
-    label_list = None
-    if labels:
-        label_list = [labels.get(i + 1, f"x{i + 1}") for i in range(dim)]
+    label_list = [labels[i][0] if i in labels else f"x{i}" for i in range(1, dim + 1)]
     return LieAlgebra._from_integer_rows(dim, rows, scale, field, labels=label_list)
 
 

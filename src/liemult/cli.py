@@ -203,7 +203,7 @@ def _cmd_check(args) -> int:
         "nilpotent": series.nilpotent,
         "class": series.nilpotency_class,
         "series_dims": list(series.dims()),
-        "brackets": len(L.structure_constants()),
+        "brackets": sum(map(len, L._integer_table.values())),
     }
     human = (
         f"ok: {name}: dim {L.n} over {L.field}, "

@@ -33,6 +33,22 @@ class, a basis already adapted (the catalog bases and their quotients), and
 input without a generator chain, which can happen over a small GF(p).  dim M does not depend on the basis, and the
 rewrite is an exact change of basis whose inverse the kernel computes, so
 either route prints the same theorem.
+
+Lemma: dim M(L) <= dim M(gr L) for nilpotent L over any field, where gr L =
+⊕ γₖ/γₖ₊₁ (``LieAlgebra._graded``).  Proof: take a basis adapted to the
+series, each e_a of weight w_a with γₖ spanned by the e_a of weight >= k,
+and weigh a wedge by the sum of its factors' weights.  [γₐ, γ_b] ⊆ γₐ₊_b,
+so d2 and d3 map a wedge of weight w into wedges of weight >= w: with rows
+and columns ordered by weight both are block-triangular, and their
+weight-preserving diagonal blocks are the d2 and d3 of gr L, whose
+constants are exactly L's c_ab^m with w_m = w_a + w_b.  The rank of a
+block-triangular matrix is at least the sum of the ranks of its diagonal
+blocks: a nonsingular minor of each block picks rows and columns whose
+submatrix of the whole is block-triangular with those minors on its
+diagonal, so it is nonsingular.  Hence rank dᵢ(L) >= rank dᵢ(gr L) for i =
+2, 3, and dim M = C(n,2) - rank d2 - rank d3 gives the lemma.  It can be
+strict: dim M(W₁₈) = 3 against dim M(gr W₁₈) = 9 for the truncated Witt
+algebra, and dim M(m₂-12) = 3 against 6.
 """
 
 from __future__ import annotations

@@ -51,17 +51,16 @@ the span at s letters span, and the image is the span of the outputs of a
 basis of the last span.  That is forward reachability of a weighted
 automaton (Schützenberger 1961; Kiefer, Murawski, Ouaknine, Wachter and
 Worrell, LMCS 2013): exact, and polynomial in i and the dims of the grₖ.
-The states are sparse integer rows on the ad table the lower central
-series runs on (``_psi_span`` gives the scaling), so the recurrence does no
-field arithmetic; ``PsiEvaluator.value`` evaluates one tuple in field
-scalars and stays the independent reference.  Past ``PSI_STATE_LIMIT``
-states at one step it raises ``TupleSpaceTooLarge``.
+gr L is one algebra, built once per algebra (``LieAlgebra._graded``), and
+the states are sparse integer rows on gr L's integer table, so the
+recurrence does no field arithmetic; ``PsiEvaluator.value`` evaluates one
+tuple in field scalars and stays the independent reference.  Past
+``PSI_STATE_LIMIT`` states at one step it raises ``TupleSpaceTooLarge``.
 """
 
 from __future__ import annotations
 
 from functools import cache
-from math import lcm
 from typing import NamedTuple
 
 from .algebra import LieAlgebra, QuotientMap, _combine
@@ -279,45 +278,31 @@ class PsiImage(NamedTuple):
     tuples_examined: int
 
 
-def _psi_span(L: LieAlgebra, series, i: int) -> tuple[int, int]:
+def _psi_span(G: LieAlgebra, grades, i: int) -> tuple[int, int]:
     """(dim im ψᵢ, transitions evaluated): the span the recurrence of the
-    module docstring reaches on gr L, in integer rows.
+    module docstring reaches on gr L, for G and its grades as
+    ``LieAlgebra._graded`` gives them.
 
-    grₖ's basis is the canonical rows of γₖ whose pivot is not a pivot of
-    γₖ₊₁, and gr₁'s is the candidates.  A graded bracket into grₖ is D·[x, y]
-    from the ad table, reduced with γₖ₊₁'s canonical rows at dₖ, the lcm of
-    their leads, and read at grₖ's pivots c as (entry)/(dₖ·D·lead_c).  Every
-    table is scaled by F, the lcm of those denominators over the target
-    grades (1 over GF(p)), so each entry is an integer, and each state and
-    output of degree i carries F^(i-1): one nonzero factor.  A state after s
-    letters is one row: u at columns [0, dim grₛ), then φ(b_j), for b_j the
-    j-th basis vector of gr_{i+1-s}, from column dim grₛ + j·codim on, in the
-    flat tensor's coordinates (left index major).
+    G's basis runs grade by grade, so grₖ's basis is G's basis vectors
+    start[k], …, start[k + 1] - 1, and gr₁'s is the candidates.  A graded
+    bracket is a row of G's integer ad table, D times the bracket for G's
+    scale D, so each state and output of degree i carries D^(i-1): one
+    nonzero factor.  A state after s letters is one row: u at columns [0,
+    dim grₛ), then φ(b_j), for b_j the j-th basis vector of gr_{i+1-s}, from
+    column dim grₛ + j·codim on, in the flat tensor's coordinates (left
+    index major).
     """
-    rows = {k: series.gamma(k)._rows for k in range(1, i + 2)}
-    piv = [[]] + [[c for c in rows[k] if c not in rows[k + 1]] for k in range(1, i + 1)]
-    dims = [len(ps) for ps in piv]
+    dims = [grades.count(k) for k in range(i + 1)]
+    start = [sum(dims[:k]) for k in range(i + 2)]
     m, codim = dims[1], dims[i] * dims[1]
-    # dₖ, and at[k]: grₖ's t-th pivot c -> (t, F / (dₖ·D·lead_c)), for the
-    # target grades k >= 2.
-    red = {k: lcm(*(r[c] for c, r in rows[k + 1].items())) for k in range(2, i + 1)}
-    F = lcm(*(red[k] * L._scale * rows[k][c][c] for k in red for c in piv[k]))
-    at = {k: {c: (t, F // (red[k] * L._scale * rows[k][c][c])) for t, c in enumerate(piv[k])}
-          for k in red}
-
-    def graded(k: int, w: dict[int, int]) -> dict[int, int]:
-        """The class in grₖ of the bracket row w = D·[x, y], scaled by F."""
-        pivots = at[k]
-        r = series.gamma(k + 1)._reduce_integers(w, red[k])
-        return L._nonzero({pivots[c][0]: x * pivots[c][1] for c, x in r.items() if c in pivots})
 
     @cache
     def table(r: int, s: int) -> list[dict[int, dict[int, int]]]:
         """[j][t] -> [b_j, b_t] in gr_{r+s}, for b_j the j-th basis vector of grᵣ
-        and b_t the t-th of grₛ; ad(c_a) is the ad table's own row."""
-        ads = (L._ad[c] if r == 1 else L._ad_rows(rows[r][c]) for c in piv[r])
-        return [{t: graded(r + s, _combine(ad_b, rows[s][c])) for t, c in enumerate(piv[s])}
-                for ad_b in ads]
+        and b_t the t-th of grₛ."""
+        low, cols = start[r + s], range(start[s], start[s + 1])
+        return [{t: {k - low: x for k, x in ad[c].items()} for t, c in enumerate(cols) if c in ad}
+                for ad in (G._ad[b] for b in range(start[r], start[r + 1]))]
 
     # After the first letter c_a: u = e_a and φ = (v ↦ v ⊗ ē_a).
     states = [{a: 1, **{m + j * codim + j * m + a: 1 for j in range(dims[i])}}
@@ -325,7 +310,7 @@ def _psi_span(L: LieAlgebra, series, i: int) -> tuple[int, int]:
     count = m  # the first letters
     for s in range(1, i):
         ad_u, ad_phi, br, base = table(1, s), table(1, i - s), table(i - s, s), dims[s + 1]
-        span = RowSpan(L.field, base + dims[i - s] * codim)
+        span = RowSpan(G.field, base + dims[i - s] * codim)
         for state in states:
             u, phi = _split(state, dims[s], codim)
             vu = [_combine(row, u) for row in br]  # [b_j, u] in grᵢ, for every candidate
@@ -342,12 +327,12 @@ def _psi_span(L: LieAlgebra, series, i: int) -> tuple[int, int]:
                     col = base + j * codim
                     for off, x in _combine(phi, v).items():
                         new[col + off] = new.get(col + off, 0) + x
-                if span.add_integers(L._nonzero(new)) and span.dim > PSI_STATE_LIMIT:
+                if span.add_integers(G._nonzero(new)) and span.dim > PSI_STATE_LIMIT:
                     raise TupleSpaceTooLarge(f"psi reachable span at degree {i} exceeds "
                                              f"{PSI_STATE_LIMIT} states")
         states = list(span._rows.values())
     # The last letter c_a outputs φ(c_a) + u ⊗ ē_a.
-    image = RowSpan(L.field, codim)
+    image = RowSpan(G.field, codim)
     for state in states:
         u, phi = _split(state, dims[i], codim)
         for a in range(m):
@@ -355,7 +340,7 @@ def _psi_span(L: LieAlgebra, series, i: int) -> tuple[int, int]:
             out = dict(phi.get(a, {}))
             for t, x in u.items():
                 out[t * m + a] = out.get(t * m + a, 0) + x
-            if image.add_integers(L._nonzero(out)) and image.dim == codim:
+            if image.add_integers(G._nonzero(out)) and image.dim == codim:
                 return codim, count
     return image.dim, count
 
@@ -376,17 +361,17 @@ def _split(state: dict[int, int], du: int, codim: int):
 def psi_image_dim(L: LieAlgebra, i: int, mode: str = "exact") -> PsiImage:
     """Exact dimension of the image span of the degree-i tensor map.
 
-    ψ vanishes on tuples with an argument in γ₂, so ψ over the tuples of the
-    unit vectors at γ₂'s free columns spans the image.  They are taken in
+    ψ vanishes on tuples with an argument in γ₂, so ψ over the tuples of a
+    basis of gr₁ spans the image.  The recurrence runs on gr L as
+    ``L._graded`` gives it: one algebra, built once per algebra from
     ``L._adapted`` when construction rewrote L in its generator-chain basis,
-    as ``multiplier_dim`` does, and in L otherwise; the dimension does not
+    as ``multiplier_dim`` does, and from L otherwise; the dimension does not
     depend on the basis.  ``mode`` accepts only "exact".  Past
     ``PSI_STATE_LIMIT`` states at one step it raises ``TupleSpaceTooLarge``.
     """
     if mode != "exact":
         raise IndexOutOfRange(f"mode must be 'exact', got {mode!r}")
-    L = L._adapted or L
-    series = L.lower_central_series()
+    series = (L._adapted or L).lower_central_series()
     if not series.nilpotent:
         raise NonNilpotent("image enumeration requires a nilpotent algebra")
     if i < 2:
@@ -394,16 +379,15 @@ def psi_image_dim(L: LieAlgebra, i: int, mode: str = "exact") -> PsiImage:
     if i > series.nilpotency_class:
         # Degenerate codomain: gamma_i is 0 past the class.
         return PsiImage(i, 0, True, mode, 0)
-    dim, count = _psi_span(L, series, i)
+    dim, count = _psi_span(*L._graded, i)
     return PsiImage(i, dim, True, mode, count)
 
 
 def psi_image_dims(L: LieAlgebra) -> list[PsiImage]:
     """Exact image dimensions for every degree 2..c."""
-    series = L.lower_central_series()
-    if not series.nilpotent:
-        raise NonNilpotent("image enumeration requires a nilpotent algebra")
-    return [psi_image_dim(L, i) for i in range(2, series.nilpotency_class + 1)]
+    c = (L._adapted or L).nilpotency_class()
+    # Without a class, psi_image_dim raises NonNilpotent at degree 2.
+    return [psi_image_dim(L, i) for i in range(2, 3 if c is None else c + 1)]
 
 
 class GeneratorChain(NamedTuple):

@@ -13,7 +13,8 @@ import re
 from fractions import Fraction
 from math import gcd, lcm
 
-from liemult.algebra import LieAlgebra, SeriesChain, Subspace, build
+from liemult.algebra import LieAlgebra, QuotientMap, SeriesChain, Subspace, build
+from liemult.catalog import standard_filiform
 from liemult.errors import (
     AlgebraFileError,
     BadScalarLiteral,
@@ -300,6 +301,54 @@ def truncated_witt(n: int, field=QQ) -> LieAlgebra:
     return build(n, brackets, field=field)
 
 
+def filiform_square(n: int, field=QQ) -> LieAlgebra:
+    """filiform-n ⊕ filiform-n, the second summand on x(n+1)..x(2n)."""
+    fn = standard_filiform(n, field=field).structure_constants()
+    return build(2 * n, [(i + a, j + a, k + a, c) for a in (0, n) for i, j, k, c in fn],
+                 field=field)
+
+
+def free_class_two(rank: int, field=QQ) -> LieAlgebra:
+    """The free nilpotent Lie algebra of class 2 on x1..x_rank: [x_a, x_b]
+    is the basis vector y_ab for a < b, so n = rank + C(rank, 2)."""
+    pairs = itertools.combinations(range(1, rank + 1), 2)
+    return build(rank + rank * (rank - 1) // 2,
+                 [(a, b, rank + k, 1) for k, (a, b) in enumerate(pairs, 1)], field=field)
+
+
+def graded_oracle(L: LieAlgebra) -> tuple[list[list], list[int], dict]:
+    """gr L = ⊕ γₖ/γₖ₊₁ in field scalars, as (basis, grades, table).
+
+    The basis of grₖ is the rows of γₖ's naive_rref (``series_oracle``)
+    whose pivot column is not a pivot of γₖ₊₁'s, in pivot order, grade by
+    grade, so that grades never decrease along the basis.  table[(a, b)],
+    a < b, is {m: c} for the dense [basis[a], basis[b]], read in
+    γ_w/γ_{w+1}, w = grades[a] + grades[b], by the ``QuotientMap`` of the
+    two terms spanned by the oracle's rows; the coordinates belong to the
+    basis vectors of grade w.  L must be nilpotent."""
+    terms, nilpotent = series_oracle(L)
+    assert nilpotent
+    spaces = [Subspace.from_vectors(L.field, L.n, t) for t in terms]
+    lead = [[next(c for c, x in enumerate(row) if x) for row in t] for t in terms]
+    basis, grades = [], []
+    for k in range(1, len(terms)):
+        for row, c in zip(terms[k - 1], lead[k - 1]):
+            if c not in lead[k]:
+                basis.append(row)
+                grades.append(k)
+    table = {}
+    for a, b in itertools.combinations(range(len(basis)), 2):
+        w = grades[a] + grades[b]
+        if w >= len(terms):
+            continue  # γ_w = 0
+        coords = QuotientMap(spaces[w - 1], spaces[w]).coords(L.bracket(basis[a], basis[b]))
+        at = [m for m, g in enumerate(grades) if g == w]
+        comps = {at[t]: x for t, x in enumerate(coords) if x}
+        if comps:
+            table[(a, b)] = comps
+    return basis, grades, table
+
+
 _RATIONAL_LITERAL = re.compile(r"^[+-]?\d+(?:/\d+)?$")
 _INTEGER_LITERAL = re.compile(r"^[+-]?\d+$")
 
@@ -338,6 +387,7 @@ def parse_algebra_oracle(text: str, allow_char_two: bool = False) -> LieAlgebra:
     field = None
     dim = None
     labels: dict[int, str] = {}
+    label_lines: dict[int, int] = {}
     rows: dict[tuple[int, int], dict[int, int]] = {}
     fractions: list[tuple[dict[int, int], int, int]] = []
     seen_keys: dict[tuple[int, int, int], int] = {}
@@ -410,7 +460,10 @@ def parse_algebra_oracle(text: str, allow_char_two: bool = False) -> LieAlgebra:
             idx = int(tokens[1])
             if not 1 <= idx <= dim:
                 raise AlgebraFileError(f"label index {idx} out of range [1, {dim}]", lineno)
-            labels[idx] = tokens[2]
+            if idx in labels:
+                raise AlgebraFileError(f"duplicate label directive for index {idx} "
+                                       f"(first seen on line {label_lines[idx]})", lineno)
+            labels[idx], label_lines[idx] = tokens[2], lineno
         else:
             raise AlgebraFileError(f"unknown directive {directive!r}", lineno)
     if not header_seen:

@@ -294,6 +294,9 @@ MALFORMED = {
     "superscript-label": (
         H + "field Q\ndim 2\nlabel ² a\n", AlgebraFileError,
         "line 4: label directive is: label INDEX NAME", 4),
+    "duplicate-label": (
+        H + "field Q\ndim 3\nlabel 1 a\n# a\nlabel 01 b\n", AlgebraFileError,
+        "line 6: duplicate label directive for index 1 (first seen on line 4)", 6),
     "label-out-of-range": (
         H + "field Q\ndim 2\nlabel 3 c\n", AlgebraFileError,
         "line 4: label index 3 out of range [1, 2]", 4),

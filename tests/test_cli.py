@@ -97,6 +97,37 @@ def test_check_duplicate_bracket_exits_1(tmp_path, capsys):
     assert "duplicate" in err
 
 
+def test_check_duplicate_label_exits_1(tmp_path, capsys):
+    path = tmp_path / "labels.alg"
+    path.write_text("lie-algebra v1\nfield Q\ndim 3\nlabel 1 a\nlabel 1 b\nbracket 1 2 3 1\n")
+    code, out, err = run(capsys, ["check", "--file", str(path)])
+    assert (code, out) == (EXIT_INPUT, "")
+    assert err == "error: line 5: duplicate label directive for index 1 (first seen on line 4)\n"
+
+
+@pytest.mark.parametrize("spec", ["Q", "GF(2147483647)"])
+def test_check_counts_brackets_without_the_field_scalar_table(tmp_path, capsys, monkeypatch,
+                                                              spec):
+    field = QQ if spec == "Q" else PrimeField(2147483647)
+    dense = standard_filiform(13, field=field).change_basis(
+        random_unimodular(random.Random(13), 13, field))
+    path = tmp_path / "dense-13.alg"
+    path.write_text(algfile.serialize_algebra(dense))
+    loaded = []
+    load = cli._load_algebra
+    monkeypatch.setattr(cli, "_load_algebra", lambda args: loaded.append(load(args)) or loaded[0])
+    code, out, _ = run(capsys, ["check", "--file", str(path), "--format", "machine"])
+    assert code == EXIT_OK
+    L = loaded[0][0]
+    assert "_table" not in L.__dict__
+    # The document as the count by ``structure_constants()`` gave it.
+    assert json.loads(out) == {
+        "algebra": str(path), "brackets": 1014, "class": 12, "command": "check", "field": spec,
+        "format": "liemult-report-v1", "n": 13, "nilpotent": True,
+        "series_dims": [13, 11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0]}
+    assert len(L.structure_constants()) == 1014
+
+
 @pytest.mark.parametrize("line,shown", [
     ("dim ²", "line 3: dim directive takes one nonnegative integer"),
     ("dim 2\nlabel ² a", "line 4: label directive is: label INDEX NAME"),

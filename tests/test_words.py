@@ -1,5 +1,4 @@
 import hashlib
-import itertools
 import random
 from fractions import Fraction
 
@@ -9,6 +8,8 @@ from helpers import (
     NO_CHAIN_GF2,
     brute_psi_image_dim,
     chain_rows_as_vectors,
+    filiform_square,
+    free_class_two,
     has_generator_chain_oracle,
     odd_witness_oracle,
     random_rational_vector,
@@ -417,18 +418,11 @@ def test_psi_of_rationally_scaled_input_matches_catalog_basis(family, n):
         assert brute_psi_image_dim(L, 2) == 0  # n^3 <= 625
 
 
-def _filiform_squared(n=5, field=QQ):
-    """filiform-n ⊕ filiform-n, the second summand on x(n+1)..x(2n)."""
-    fn = standard_filiform(n, field=field).structure_constants()
-    return build(2 * n, [(i + a, j + a, k + a, c) for a in (0, n) for i, j, k, c in fn],
-                 field=field)
-
-
 # (input in its catalog basis, seed, table scale D after scaling, ψ dims).
 RAW_RATIONAL_CASES = {
     "filiform-5+line": (lambda: _filiform5_plus_line(field=QQ), 3, 240, [1, 2, 1]),
     # Here a projection that skipped γᵢ₊₁ would change the dims.
-    "filiform-5+filiform-5": (_filiform_squared, 1, 3600, [4, 6, 4]),
+    "filiform-5+filiform-5": (lambda: filiform_square(5), 1, 3600, [4, 6, 4]),
 }
 
 
@@ -447,14 +441,6 @@ def test_psi_of_rationally_scaled_non_maximal_class_input(case):
         assert brute_psi_image_dim(L, 2) == dims[0]
 
 
-def _free_class_two(rank):
-    """The free nilpotent Lie algebra of class 2 on x1..x_rank over Q:
-    [x_a, x_b] is the basis vector y_ab for a < b, so n = rank + C(rank, 2)."""
-    pairs = itertools.combinations(range(1, rank + 1), 2)
-    return build(rank + rank * (rank - 1) // 2,
-                 [(a, b, rank + k, 1) for k, (a, b) in enumerate(pairs, 1)])
-
-
 # Corpora the pins above do not reach: Witt over Q, Qₙ in small odd
 # characteristic, a maximal-class input with no generator chain (so no
 # ``_adapted``: in a dense basis gr L comes from a series that is no
@@ -464,7 +450,7 @@ DIFFERENTIAL_CASES = {
     **{f"Q{n}-GF{p}": lambda n=n, p=p: filiform_q(n, field=PrimeField(p))
        for n in (6, 8) for p in (3, 5, 7)},
     "no-chain-GF2": lambda: build(8, NO_CHAIN_GF2, field=PrimeField(2, allow_char_two=True)),
-    "free-class-2-rank-3": lambda: _free_class_two(3),
+    "free-class-2-rank-3": lambda: free_class_two(3),
 }
 
 
@@ -495,7 +481,7 @@ def test_psi_of_n24_does_not_depend_on_the_basis(family):
 
 
 def test_psi_of_dense_filiform8_squared_agrees_over_q_and_gfp():
-    dims = [[p.dim for p in psi_image_dims(_filiform_squared(8, field).change_basis(
+    dims = [[p.dim for p in psi_image_dims(filiform_square(8, field).change_basis(
                 random_unimodular(random.Random(16), 16, field)))]
             for field in (QQ, GFP)]
     assert dims[0] == dims[1]
