@@ -44,10 +44,10 @@ taken only until it reaches dim n - 2; the other rows stay pending.  A
 chain vector outside that partial span proves γ₂ larger, and then no
 rewrite is made.  One scan of a table decides whether it is in a chain
 basis (``_chain_basis_series``): whether every [e_a, e_b], a < b, lies in
-span(e_{b+1}, …) and every [e_0, e_k], 1 <= k <= n - 2, has a nonzero
-e_{k+1} entry.  A table with n >= 3 that passes has class n - 1 and
-γ_k = span(e_k, …, e_{n-1}) for k >= 2, and its series is then set without
-being computed.  Construction keeps the rewrite only when the scan passes
+span(e_{b+1}, …) and every [s, e_k], 1 <= k <= n - 2, has a nonzero
+e_{k+1} entry, for s the generator of the chain found (e_0 without one).
+A table with n >= 3 that passes has class n - 1 and γ_k = span(e_k, …,
+e_{n-1}) for k >= 2, and its series is then set without being computed.  Construction keeps the rewrite only when the scan passes
 on A, which proves dim γ₂ = n - 2, so the pending rows are never added.
 Otherwise (no chain, a singular P, a non-nilpotent input or a table that
 breaks Jacobi) L keeps only its own table, and construction adds the
@@ -57,9 +57,9 @@ everything downstream may assume it: on A when there is a rewrite (it holds
 on A exactly when it holds on L) and on L's own table otherwise, and a
 violation is always reported from L's own table, walking its keys in input
 order.  The lower central series is read off L's own table when the scan
-passes (the catalog filiform and m₂ bases and their central quotients), is
-γₖ = span(P's rows k, …, n - 1) when there is a rewrite (``_tail_series``
-serves both), and is computed on L's table otherwise.  At class n - 1 the
+passes (the catalog filiform, m₂ and Qₙ bases and their central
+quotients), is γₖ = span(P's rows k, …, n - 1) when there is a rewrite
+(``_tail_series`` serves both), and is computed on L's table otherwise.  At class n - 1 the
 center is γₙ₋₁, with no kernel to compute.
 Instances are immutable after construction (internal caches, the pending γ₂
 rows and the field-scalar table among them, only memoize pure results) and
@@ -309,6 +309,10 @@ class LieAlgebra:
         self._series: SeriesChain | None = None
         self._center: Subspace | None = None
         self._multiplier_dim: int | None = None
+        # The generator chain that construction's search found, as
+        # ``_chain_rows`` gives it; None when none was found or (gr L, the
+        # rewrite itself) no search ran.
+        self._chain: list[dict[int, int]] | None = None
         # (chain rows P, this algebra A in the basis P) from ``_chain_rewrite``
         # when A's basis passes the scan, and A again; None otherwise.
         self._rewrite: tuple[list[dict[int, int]], LieAlgebra] | None = None
@@ -754,7 +758,7 @@ class LieAlgebra:
         of ``_derived``, dim γ₂ > n - 2, A cannot pass the scan, and none is
         made.  Input that is not a Lie algebra of maximal class may give a
         singular P, and then there is no rewrite either."""
-        rows = self._chain_rows()
+        rows = self._chain = self._chain_rows()
         if rows is None or all(len(v) == 1 for v in rows[2:]):
             return None
         if not self._derived.contains_integers(rows[-1]):
@@ -823,28 +827,39 @@ class LieAlgebra:
         scan of the table; None when the scan fails and for n < 3.
 
         With weights w₀ = w₁ = 1 and w_k = k, and F_j = span(e_j, …, e_{n-1}),
-        the scan asks two things.  The index test: every [e_a, e_b] lies in
-        F_{max(w_a, w_b) + 1}, that is, for a < b, [e_a, e_b] has no entry at
-        an index <= b.  The link test: for 1 <= k <= n - 2, [e_0, e_k] has a
-        nonzero e_{k+1} entry.  The index test gives [F_k, L] ⊆ F_{k+1} for
-        k >= 1 and γ₂ ⊆ F₂, so γ_k ⊆ F_k for k >= 2.  The link gives, by
-        induction on k from e_1 ∈ γ_1, e_{k+1} ∈ <[e_0, e_k]> + F_{k+2} ⊆
-        γ_{k+1} + F_{k+2}, so F_k ⊆ γ_k.  Then γ_k = F_k for k >= 2, and the
-        class is n - 1.  Neither direction uses the Jacobi identity, so a
-        table that is not validated gets its definitional series.
+        the scan asks two things of the table and one s ∈ L: the generator
+        of the chain that construction found (``_chain``), and e_0 when it
+        found none or ran no search.  The index test: every [e_a, e_b] lies
+        in F_{max(w_a, w_b) + 1}, that is, for a < b, [e_a, e_b] has no entry
+        at an index <= b.  The link test: for 1 <= k <= n - 2, [s, e_k] has a
+        nonzero e_{k+1} entry.  The index test gives [L, F_k] ⊆ F_{k+1} for
+        k >= 1 by bilinearity, and γ₂ ⊆ F₂, so γ_k ⊆ F_k for k >= 2.  The
+        link gives, by induction on k from e_1 ∈ γ_1, e_k ∈ γ_k + F_{k+1}:
+        [s, e_k] lies in [s, γ_k] + [s, F_{k+1}] ⊆ γ_{k+1} + F_{k+2} and has
+        a nonzero e_{k+1} entry, so e_{k+1} ∈ γ_{k+1} + F_{k+2}.  So F_k =
+        γ_k + F_{k+1} for k >= 2, which with F_n = 0 gives F_k ⊆ γ_k.  Then
+        γ_k = F_k for k >= 2, and the class is n - 1.  Neither direction
+        uses the Jacobi identity, so a table that is not validated gets its
+        definitional series.
 
-        A generator-chain rewrite passes the link test by construction, since
-        its e_{k+1} is a nonzero multiple of [e_k, e_0]; for such a table the
-        converse holds as well (class n - 1 forces dim γ_k = n - k, so γ_k =
-        F_k and the index test passes), and the scan decides exactly whether
-        its series has class n - 1 with coordinate terms.  The catalog
-        filiform and m₂ bases and their central quotients pass both tests;
-        Qₙ fails the link ([x₁, xₙ₋₁] = 0) and takes another route."""
-        n, ad = self.n, self._ad
+        A generator-chain rewrite passes the link test with s = e_0 by
+        construction, since its e_{k+1} is a nonzero multiple of [e_k, e_0];
+        for such a table the converse holds as well (class n - 1 forces dim
+        γ_k = n - k, so γ_k = F_k and the index test passes), and the scan
+        decides exactly whether its series has class n - 1 with coordinate
+        terms.  When e_0 passes, construction's search tries s = e_0 first
+        and keeps it, so reading s off the chain loses no table that e_0
+        passes.  The catalog filiform and m₂ bases and their central
+        quotients pass with s = e_0, and Qₙ, where [x₁, xₙ₋₁] = 0, with the
+        s = x₁ + x₂ that the search finds."""
+        n, ad, p = self.n, self._ad, self.field.characteristic
         if n < 3 or any(min(row) <= j for (_, j), row in self._integer_table.items()):
             return None
-        if not all(ad[0].get(k, {}).get(k + 1) for k in range(1, n - 1)):
-            return None
+        s = self._chain[0] if self._chain else {0: 1}
+        for k in range(1, n - 1):
+            link = sum(c * ad[a].get(k, {}).get(k + 1, 0) for a, c in s.items())
+            if not (link % p if p else link):
+                return None
         return _tail_series(self.field, [{j: 1} for j in range(n)])
 
     def __eq__(self, other):

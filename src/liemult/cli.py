@@ -56,11 +56,14 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="liemult", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_input_args(p, family_ok=False):
-        p.add_argument("--file", help="algebra definition file")
-        p.add_argument("--name", help="catalog name")
-        if family_ok:
-            p.add_argument("--family", choices=["filiform", "abelian"])
+    def add_input_args(p, single=True, family=False):
+        # One input source: an algebra by file or name, or a family sweep.
+        source = p.add_mutually_exclusive_group()
+        if single:
+            source.add_argument("--file", help="algebra definition file")
+            source.add_argument("--name", help="catalog name")
+        if family:
+            source.add_argument("--family", choices=["filiform", "abelian"])
             p.add_argument("--max-dim", type=int, default=8)
             p.add_argument("--min-dim", type=int, default=3)
         p.add_argument("--field", default=None, help="field for --name/--family (Q or GF(p))")
@@ -92,7 +95,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--i", type=int, default=None, help="single word degree (default: 3 to 6)")
 
     p = sub.add_parser("verify-bound", help="evaluate all multiplier bounds")
-    add_input_args(p, family_ok=True)
+    add_input_args(p, family=True)
     add_output_args(p)
     p.add_argument("--jobs", type=_count, default=1)
 
@@ -104,7 +107,7 @@ def _build_parser() -> _Parser:
     add_output_args(p)
 
     p = sub.add_parser("report", help="per-dimension bound table for a family")
-    add_input_args(p, family_ok=True)
+    add_input_args(p, single=False, family=True)
     add_output_args(p)
     p.add_argument("--jobs", type=_count, default=1)
     p.set_defaults(family="filiform")

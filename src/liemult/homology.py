@@ -11,6 +11,14 @@ with [x, y] ∧ z expanded bilinearly into the degree-2 basis (a ∧ a = 0,
 a ∧ b = -b ∧ a when a > b).  Ranks are convention independent; the sign
 convention above is normative for golden outputs.
 
+dim M(L) = dim ker d2 - rank d3 = C(n,2) - rank d2 - rank d3, and
+``multiplier_dim`` reads rank d2 off the series: rank d2 = dim [L, L] =
+dim γ₂ over any field.  Proof: the rows of d2 are the brackets [e_i, e_j],
+i < j, so its row space is their span; by bilinearity and antisymmetry
+every [x, y] is a combination of them, so that span is [L, L].  So
+``multiplier_dim`` builds and ranks d3 only, and only ``boundary_matrices``
+builds d2.
+
 The complex is held once: each boundary row is generated as a fresh list and
 copied into its ``Matrix`` as it arrives, so no list of raw rows lives beside
 the matrices.  The dense d3 still costs one pointer per cell, C(n,3)·C(n,2)·8
@@ -129,15 +137,20 @@ def _d2_rows(L: LieAlgebra):
         yield row
 
 
-def _d3_rows(L: LieAlgebra, ext2: ExteriorBasis):
-    """The rows of d3, one fresh list per wedge e_i ∧ e_j ∧ e_k."""
+def _d3(L: LieAlgebra, ext2: ExteriorBasis) -> Matrix:
+    """d3 of L in L's own basis, one fresh row per wedge e_i ∧ e_j ∧ e_k,
+    each copied into the matrix as it is made."""
     zero = L.field.zero
-    for i, j, k in itertools.combinations(range(L.n), 3):
-        row = [zero] * ext2.size
-        _wedge_into(row, ext2, L.bracket_basis(i, j), k, +1)
-        _wedge_into(row, ext2, L.bracket_basis(i, k), j, -1)
-        _wedge_into(row, ext2, L.bracket_basis(j, k), i, +1)
-        yield row
+
+    def rows():
+        for i, j, k in itertools.combinations(range(L.n), 3):
+            row = [zero] * ext2.size
+            _wedge_into(row, ext2, L.bracket_basis(i, j), k, +1)
+            _wedge_into(row, ext2, L.bracket_basis(i, k), j, -1)
+            _wedge_into(row, ext2, L.bracket_basis(j, k), i, +1)
+            yield row
+
+    return Matrix(L.field, rows(), ncols=ext2.size)
 
 
 def boundary_matrices(L: LieAlgebra) -> BoundaryPair:
@@ -150,7 +163,7 @@ def boundary_matrices(L: LieAlgebra) -> BoundaryPair:
     ext2 = ExteriorBasis(L.n, 2)
     return BoundaryPair(
         d2=Matrix(L.field, _d2_rows(L), ncols=L.n),
-        d3=Matrix(L.field, _d3_rows(L, ext2), ncols=ext2.size),
+        d3=_d3(L, ext2),
         ext2=ext2,
     )
 
@@ -158,8 +171,10 @@ def boundary_matrices(L: LieAlgebra) -> BoundaryPair:
 def multiplier_dim(L: LieAlgebra) -> int:
     """dim of the Schur multiplier of a nilpotent algebra, exactly.
 
-    Computed as C(n,2) - rank(d2) - rank(d3) on L's adapted rewrite when
-    construction made one, and on L itself otherwise.
+    Computed as C(n,2) - dim γ₂ - rank(d3), where dim γ₂ = rank(d2) (module
+    docstring), on L's adapted rewrite X when construction made one, and on
+    X = L otherwise.  X's series is already known: the scan set it on a
+    rewrite, and the nilpotency check computed it on L.
     """
     if L._multiplier_dim is not None:
         return L._multiplier_dim
@@ -168,7 +183,7 @@ def multiplier_dim(L: LieAlgebra) -> int:
     # build L's whole series from the chain rows.
     if L._adapted is None and not L.is_nilpotent():
         raise NonNilpotent("the multiplier computation requires a nilpotent algebra")
-    pair = boundary_matrices(L._adapted or L)
-    value = comb(L.n, 2) - pair.d2.rank() - pair.d3.rank()
+    X = L._adapted or L
+    value = comb(L.n, 2) - X.derived_subalgebra().dim - _d3(X, ExteriorBasis(L.n, 2)).rank()
     L._multiplier_dim = value
     return value

@@ -1172,9 +1172,9 @@ def test_series_and_center_match_the_oracles_on_maximal_class_input(field):
     for family, n in ROUTE_FAMILIES:
         L = family(n, field=field)
         Z = L.quotient(L.center()).quotient
-        # The catalog filiform and m₂ bases and every central quotient pass
-        # the scan (Qₙ/Z is filiform); Qₙ fails its link.
-        assert (L._chain_basis_series() is not None) == (family is not filiform_q)
+        # The catalog filiform, m₂ and Qₙ bases and every central quotient
+        # pass the scan (Qₙ/Z is filiform); Qₙ with s = x₁ + x₂.
+        assert L._chain_basis_series() is not None
         assert Z.n < 3 or Z._chain_basis_series() is not None
         for M in (L, Z):
             assert M.nilpotency_class() == M.n - 1
@@ -1226,6 +1226,20 @@ def test_filiform_report_reads_every_series_and_center_off_the_table(monkeypatch
     # series is the abelian L/Z of filiform-3.
     assert [(A.n, A.is_abelian()) for A in own] == [(2, True)]
     assert kernels == []
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_q_series_is_read_off_one_scan_with_the_chain_generator(field, monkeypatch):
+    # Qₙ fails the link test with e_0 ([x₁, xₙ₋₁] = 0) and passes it with the
+    # generator x₁ + x₂ of the chain that construction finds.
+    own = _count_calls(monkeypatch, "_own_series")
+    algebras = [filiform_q(n, field=field) for n in range(6, 65, 2)]
+    series = [L.lower_central_series() for L in algebras]
+    assert own == []
+    for L, got in zip(algebras, series):
+        assert L._chain[0] == {0: 1, 1: 1} and L._rewrite is None
+        assert got == L._own_series()
+        assert got.dims() == (L.n, *range(L.n - 2, -1, -1))
 
 
 def _filiform_7_table(field, changes=()):

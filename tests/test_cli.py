@@ -291,6 +291,18 @@ def test_report_outputs_are_pinned(capsys):
         "8d2e7194fb4bb0bd3a4f38b66458b4c13307e81e7ba212dde112ee93f3a54ed0")
 
 
+@pytest.mark.parametrize("spec,digest", [
+    ("Q", "f0834813ad19fcfad3373a4c5a30ab97d73df92ce74d0351d6a6e2ddb385e042"),
+    ("GF(2147483647)", "31437a77ea25984953ddbdefeb2e8aca05103ca681ef0f354497fbb401c4a6df"),
+], ids=["Q", "GFp"])
+def test_filiform_sweep_to_14_is_pinned(capsys, spec, digest):
+    # The bound-sweep benchmark pins the same two digests.
+    code, machine, _ = run(capsys, ["report", "--family", "filiform", "--max-dim", "14",
+                                    "--format", "machine", "--jobs", "1", "--field", spec])
+    assert code == EXIT_OK
+    assert hashlib.sha256(machine.encode()).hexdigest() == digest
+
+
 VERIFY_BOUND_6_HUMAN = """\
 algebra     n  dim M  parity bound  n-2             derived       quadratic
 ----------  -  -----  ------------  --------------  ------------  ----------
@@ -626,6 +638,27 @@ def test_jobs_below_one_is_a_usage_error(capsys):
     code, out, err = run(capsys, ["report", "--max-dim", "5", "--jobs", "-3"])
     assert code == EXIT_INPUT
     assert out == "" and "--jobs: must be at least 1" in err
+
+
+@pytest.mark.parametrize("argv,reason", [
+    (["report", "--name", "heisenberg-3", "--max-dim", "4"], "unrecognized arguments"),
+    (["report", "--file", "{file}", "--max-dim", "4"], "unrecognized arguments"),
+    (["report", "--family", "filiform", "--name", "filiform-6"], "unrecognized arguments"),
+    (["verify-bound", "--family", "filiform", "--name", "filiform-6"], "not allowed with"),
+    (["verify-bound", "--family", "filiform", "--file", "{file}"], "not allowed with"),
+    (["verify-bound", "--name", "filiform-6", "--family", "abelian"], "not allowed with"),
+    (["verify-bound", "--file", "{file}", "--name", "filiform-6"], "not allowed with"),
+    *[([command, "--file", "{file}", "--name", "filiform-6", *extra], "not allowed with")
+      for command, extra in (("check", []), ("series", []), ("multiplier", []),
+                             ("psi", ["--i", "2"]), ("verify-thm13", []))],
+])
+def test_more_than_one_input_source_is_a_usage_error(capsys, tmp_path, argv, reason):
+    # The file exists and holds a valid algebra, so only the combination is at fault.
+    path = tmp_path / "filiform-5.alg"
+    path.write_text(algfile.serialize_algebra(standard_filiform(5)))
+    code, out, err = run(capsys, [str(path) if a == "{file}" else a for a in argv])
+    assert (code, out) == (EXIT_INPUT, "")
+    assert reason in err
 
 
 def test_rebuild_over_a_field_where_a_denominator_vanishes():

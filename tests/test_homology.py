@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 import tracemalloc
 from math import comb
@@ -7,12 +9,15 @@ import pytest
 from helpers import (
     NO_CHAIN_GF2,
     chain_rows_as_vectors,
+    filiform_square,
+    free_class_two,
     has_generator_chain_oracle,
     multiplier_oracle,
     random_unimodular,
     series_oracle,
     truncated_witt,
 )
+from liemult import homology
 from liemult.algebra import build
 from liemult.catalog import (
     abelian,
@@ -357,3 +362,83 @@ def test_witt_over_gf5_loses_maximal_class_at_7():
     assert multiplier_dim(truncated_witt(7, F)) == 3
     with pytest.raises(NotMaximalClass):
         generator_chain(truncated_witt(7, F))
+
+
+# -- dim M from dim γ₂ and d3: rank d2 = dim [L, L] --------------------------------
+
+
+def _identity_corpus(field):
+    """Inputs for the rank d2 = dim γ₂ identity: maximal class in catalog,
+    Witt and dense bases, direct sums with dim L/γ₂ >= 3, and input of class
+    at most 2."""
+    base = {
+        "filiform-8": standard_filiform(8, field=field),
+        "m2-8": filiform_m2(8, field=field),
+        "Q-8": filiform_q(8, field=field),
+        "W-8": truncated_witt(8, field),
+        "filiform-4+filiform-4": filiform_square(4, field),
+        "free-class-two-3": free_class_two(3, field),
+        "abelian-4": abelian(4, field=field),
+        "heisenberg+abelian-2": build(5, [(1, 2, 3, 1)], field=field),
+    }
+    dense = {f"dense {name} (seed {seed})": _changed(base[name], seed)
+             for name, seed in (("filiform-8", 81), ("m2-8", 82), ("Q-8", 83),
+                                ("filiform-4+filiform-4", 84), ("heisenberg+abelian-2", 85))}
+    return {**base, **dense}
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_multiplier_dim_is_the_full_complex_with_rank_d2_read_as_dim_gamma2(field):
+    for name, L in _identity_corpus(field).items():
+        X = L._adapted or L
+        assert boundary_matrices(X).d2.rank() == X.derived_subalgebra().dim, name
+        assert multiplier_dim(L) == _raw_multiplier_dim(L) == multiplier_oracle(L), name
+
+
+def _no_d2(L):
+    raise AssertionError("d2 was built")
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_multiplier_dim_builds_no_d2(field, monkeypatch):
+    monkeypatch.setattr(homology, "_d2_rows", _no_d2)
+    for L in _identity_corpus(field).values():
+        multiplier_dim(L)
+    with pytest.raises(AssertionError, match="d2 was built"):
+        boundary_matrices(standard_filiform(4, field=field))
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_multiplier_dim_of_non_nilpotent_input_raises(field, monkeypatch):
+    monkeypatch.setattr(homology, "_d2_rows", _no_d2)
+    for L in (build(2, [(1, 2, 2, 1)], field=field),
+              build(3, [(1, 2, 2, 1), (1, 3, 3, 1)], field=field),
+              _changed(build(3, [(1, 2, 2, 1), (1, 3, 3, 1)], field=field), 3)):
+        with pytest.raises(NonNilpotent):
+            multiplier_dim(L)
+
+
+# sha256 of the JSON list [d2 rows, d3 rows] of str(entry), fixed before d2
+# left multiplier_dim, so the complex that ``boundary_matrices`` returns stays.
+BOUNDARY_PINS = {
+    "filiform-8/Q": (lambda: standard_filiform(8),
+                     "ee3a77f82480fc7ce22949dc8646eeaa7487100b608e85139c5444b8c00e67e6"),
+    "dense-filiform-7/Q": (lambda: standard_filiform(7).change_basis(
+                               random_unimodular(random.Random(7), 7)),
+                           "2ac187ebfd2d45ea393196339eecf30badaefbba89ced0959b57eb1724080eef"),
+    "dense-m2-7/GF7": (lambda: filiform_m2(7, field=PrimeField(7)).change_basis(
+                           random_unimodular(random.Random(7), 7, PrimeField(7))),
+                       "5e7c35d95d20e8bcd0fe90637cd04d06ce3c7113649b70768ee4ca6f39f64d8e"),
+    "witt-8/GF7": (lambda: truncated_witt(8, PrimeField(7)),
+                   "74b078777dcd26bdda71b6e590dbb2867fbbf94289b81438de134a2246c975b8"),
+    "free-class-two-3/GFp": (lambda: free_class_two(3, PrimeField(2147483647)),
+                             "e163ca53743a34b9f4b3ffc3c3e0ab6dbf3e72659bad8eec08ec0c0fcf955bff"),
+}
+
+
+@pytest.mark.parametrize("name", BOUNDARY_PINS)
+def test_boundary_matrices_are_pinned(name):
+    make, digest = BOUNDARY_PINS[name]
+    pair = boundary_matrices(make())
+    text = json.dumps([[[str(x) for x in row] for row in m.rows()] for m in (pair.d2, pair.d3)])
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
