@@ -8,7 +8,6 @@ tensor maps, and verifies the known upper bounds on the multiplier dimension.
 
 from .algebra import (
     LieAlgebra,
-    QuotientMap,
     QuotientPresentation,
     SeriesChain,
     Subspace,
@@ -22,31 +21,18 @@ from .bounds import (
     moneyhun_bound,
     verify_central_quotient_bound,
     verify_main_theorem,
-    verify_odd_case_reduction,
 )
 from .catalog import CatalogEntry, abelian, entries, get, heisenberg, names, standard_filiform
 from .errors import LieError
 from .fields import QQ, PrimeField, parse_field_spec
 from .homology import BoundaryPair, ExteriorBasis, boundary_matrices, multiplier_dim
 from .linalg import Matrix, RowSpan
-from .words import (
-    GeneratorChain,
-    PsiImage,
-    TensorElement,
-    free_defect,
-    generator_chain,
-    lemma_defect,
-    normed_bracket,
-    psi,
-    psi_image_dim,
-    psi_image_dims,
-)
+from .words import PsiImage, free_defect, normed_bracket, psi_image_dim, psi_image_dims
 
 __version__ = "0.1.0"
 
 __all__ = [
     "LieAlgebra",
-    "QuotientMap",
     "QuotientPresentation",
     "SeriesChain",
     "Subspace",
@@ -58,7 +44,6 @@ __all__ = [
     "moneyhun_bound",
     "verify_central_quotient_bound",
     "verify_main_theorem",
-    "verify_odd_case_reduction",
     "CatalogEntry",
     "abelian",
     "entries",
@@ -76,14 +61,9 @@ __all__ = [
     "multiplier_dim",
     "Matrix",
     "RowSpan",
-    "GeneratorChain",
     "PsiImage",
-    "TensorElement",
     "free_defect",
-    "generator_chain",
-    "lemma_defect",
     "normed_bracket",
-    "psi",
     "psi_image_dim",
     "psi_image_dims",
     "__version__",

@@ -28,18 +28,17 @@ digits are the coordinates.  Every digit is a sum of at most n³ terms
 u_i[a] u_j[b] T[a][b][k] R[k][m], and B is the least width with
 n³·max|u|²·max|T|·max|R| < 2^(B-1), so the digits decode exactly.  A
 ``Subspace`` is the canonical integer rows of a ``RowSpan``; membership,
-sums, equality, ``Subspace.reduce`` (the one exact reduction, behind
-``QuotientMap`` and, by its integer core ``_reduce_integers``, ``quotient``)
-run on those rows, and the dense basis is built only when asked for.  gr L
-= ⊕ γₖ/γₖ₊₁ is one algebra, built once per algebra from the series
-(``_graded``); ψ reads its table.
+sums, equality, ``Subspace.reduce`` (the one exact reduction; its integer
+core ``_reduce_integers`` is behind ``quotient``) run on those rows, and
+the dense basis is built only when asked for.  gr L = ⊕ γₖ/γₖ₊₁ is one
+algebra, built once per algebra from the series (``_graded``); ψ reads its
+table.
 
 Construction also searches the ad table once for a generator chain
 (s, s₁, s₂, …, s_c), sₖ₊₁ = [sₖ, s] (``_chain_rows``, the package's only
-chain search; ``words.generator_chain`` reads the same one).  When one is
-found in a basis whose series is not already coordinate, L is rewritten
-as A in the chain basis P, whose table is nearly a shift
-(``_chain_rewrite``).  The search reads γ₂ as the span of the table rows
+chain search).  When one is found in a basis whose series is not already
+coordinate, L is rewritten as A in the chain basis P, whose table is nearly
+a shift (``_chain_rewrite``).  The search reads γ₂ as the span of the table rows
 taken only until it reaches dim n - 2; the other rows stay pending.  A
 chain vector outside that partial span proves γ₂ larger, and then no
 rewrite is made.  One scan of a table decides whether it is in a chain
@@ -84,7 +83,6 @@ from .errors import (
     IndexOutOfRange,
     JacobiViolation,
     NotAnIdeal,
-    NotInSubspace,
     ResourceLimit,
     SingularMatrix,
 )
@@ -773,8 +771,8 @@ class LieAlgebra:
 
     def _chain_rows(self) -> list[dict[int, int]] | None:
         """A generator chain (s, s₁, s₂, …, s_c), sₖ₊₁ = [sₖ, s], as integer
-        rows on the ad table, or None when there is none; the rewrite and
-        ``words.generator_chain`` both read it.  Each step multiplies by D,
+        rows on the ad table, or None when there is none; the rewrite reads
+        it.  Each step multiplies by D,
         so the row of sₖ (k >= 2) is D^(k-1) sₖ (mod p over GF(p)).
 
         The search needs dim γ₂ = n - 2.  It reads ``_derived``, which at
@@ -1020,29 +1018,3 @@ def build(n: int, brackets, field=QQ, labels=None) -> LieAlgebra:
         raise DimensionMismatch("dimension must be nonnegative")
     scale = _scale_fractions(rows, fractions)
     return LieAlgebra._from_integer_rows(n, rows, scale, field, labels)
-
-
-class QuotientMap:
-    """Coordinates in U/W for nested subspaces W ⊆ U.
-
-    The basis of U/W is the image of those canonical rows of U whose pivot
-    column is not a pivot of W.  A vector of U reduced modulo W is the
-    combination of exactly those rows, with its own entries at their pivot
-    columns as the coefficients, so coordinates are read off directly.
-    """
-
-    def __init__(self, sup: Subspace, sub: Subspace):
-        if not sup.contains_subspace(sub):
-            raise NotInSubspace("the second subspace is not contained in the first")
-        self.sup = sup
-        self.sub = sub
-        self._pivots = [p for p in sup._rows if p not in sub._rows]
-        self.dim = len(self._pivots)
-
-    def coords(self, v) -> list:
-        """Coordinates of v (a sequence or a sparse dict; it must lie in U) in the U/W basis."""
-        if not self.sup.contains_vector(v):
-            raise NotInSubspace("vector lies outside the larger subspace")
-        w = self.sub.reduce(v)
-        zero = self.sup.field.zero
-        return [w.get(p, zero) for p in self._pivots]

@@ -22,7 +22,6 @@ from .errors import (
     IndexOutOfRange,
     NonNilpotent,
     NotCentralIdeal,
-    NotMaximalClass,
 )
 from .homology import multiplier_dim
 from .words import PsiImage, psi_image_dims
@@ -252,67 +251,4 @@ def verify_central_quotient_bound(L: LieAlgebra, K: Subspace) -> CentralQuotient
         lhs=lhs,
         rhs=rhs,
         holds=lhs <= rhs,
-    )
-
-
-class OddCaseRecord(NamedTuple):
-    """Odd-n reduction through the center: dim M(L) <= dim M(L/Z) + 1 with
-    L/Z maximal class of even dimension n-1."""
-
-    n: int
-    dim_m: int
-    center_dim: int
-    quotient_dim: int
-    quotient_is_maximal_class: bool
-    dim_m_quotient: int
-    chained_bound: int
-    holds: bool
-
-    @property
-    def equality(self) -> bool:
-        return self.dim_m == self.chained_bound
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "dim_multiplier": self.dim_m,
-            "center_dim": self.center_dim,
-            "quotient_dim": self.quotient_dim,
-            "quotient_is_maximal_class": self.quotient_is_maximal_class,
-            "dim_multiplier_quotient": self.dim_m_quotient,
-            "chained_bound": self.chained_bound,
-            "holds": self.holds,
-        }
-
-
-def verify_odd_case_reduction(L: LieAlgebra) -> OddCaseRecord:
-    if L.n % 2 == 0:
-        raise IndexOutOfRange(f"the odd-case reduction needs odd n, got n={L.n}")
-    ok, _ = L.is_maximal_class()
-    if not ok:
-        raise NotMaximalClass("the odd-case reduction needs a maximal-class algebra")
-    z = L.center()
-    pres = L.quotient(z)
-    q = pres.quotient
-    q_max = q.n >= 3 and q.nilpotency_class() == q.n - 1
-    dim_m = multiplier_dim(L)
-    dim_m_q = multiplier_dim(q)
-    chained = (L.n - 1) // 2 + 1
-    holds = (
-        z.dim == 1
-        and q_max
-        and q.n == L.n - 1
-        and q.n % 2 == 0
-        and dim_m <= dim_m_q + 1
-        and dim_m <= chained
-    )
-    return OddCaseRecord(
-        n=L.n,
-        dim_m=dim_m,
-        center_dim=z.dim,
-        quotient_dim=q.n,
-        quotient_is_maximal_class=q_max,
-        dim_m_quotient=dim_m_q,
-        chained_bound=chained,
-        holds=holds,
     )

@@ -20,7 +20,7 @@ from . import algfile, bounds, catalog
 from .algebra import LieAlgebra
 from .errors import AlgebraFileError, FieldMismatch, LieError, ResourceLimit
 from .fields import QQ, parse_field_spec
-from .homology import multiplier_dim
+from .homology import _check_dimension, multiplier_dim
 from .words import free_defect, psi_image_dim
 
 REPORT_FORMAT = "liemult-report-v1"
@@ -29,6 +29,10 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_VIOLATION = 2
 EXIT_RESOURCE = 3
+
+# Sweep options are parsed with no default, so that one given with --file or
+# --name, which read none of them, can be refused; these fill in the rest.
+SWEEP_DEFAULTS = {"min_dim": 3, "max_dim": 8, "jobs": 1}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -64,8 +68,8 @@ def _build_parser() -> _Parser:
             source.add_argument("--name", help="catalog name")
         if family:
             source.add_argument("--family", choices=["filiform", "abelian"])
-            p.add_argument("--max-dim", type=int, default=8)
-            p.add_argument("--min-dim", type=int, default=3)
+            p.add_argument("--max-dim", type=int)
+            p.add_argument("--min-dim", type=int)
         p.add_argument("--field", default=None, help="field for --name/--family (Q or GF(p))")
         p.add_argument("--unsafe-char-2", action="store_true")
 
@@ -97,7 +101,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("verify-bound", help="evaluate all multiplier bounds")
     add_input_args(p, family=True)
     add_output_args(p)
-    p.add_argument("--jobs", type=_count, default=1)
+    p.add_argument("--jobs", type=_count)
 
     p = sub.add_parser("verify-thm13", help="central-ideal inequality over all central ideals")
     add_input_args(p)
@@ -109,11 +113,31 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("report", help="per-dimension bound table for a family")
     add_input_args(p, single=False, family=True)
     add_output_args(p)
-    p.add_argument("--jobs", type=_count, default=1)
+    p.add_argument("--jobs", type=_count)
     p.set_defaults(family="filiform")
 
     parser.commands = sub.choices
     return parser
+
+
+def _check_args(p: _Parser, args) -> None:
+    """Refuse, as usage errors of command parser ``p``, the options that the
+    input source does not read: ``--field`` with ``--file``, whose field the
+    file names, and ``--min-dim``, ``--max-dim`` and ``--jobs`` with
+    ``--file`` or ``--name``.  Then fill in the sweep defaults and refuse a
+    sweep range that holds no algebra."""
+    for source, unread in (("file", ["field", *SWEEP_DEFAULTS]), ("name", SWEEP_DEFAULTS)):
+        if getattr(args, source, None):
+            for dest in unread:
+                if getattr(args, dest, None) is not None:
+                    flag = "--" + dest.replace("_", "-")
+                    p.error(f"argument {flag}: not allowed with argument --{source}")
+    for dest, value in SWEEP_DEFAULTS.items():
+        if hasattr(args, dest) and getattr(args, dest) is None:
+            setattr(args, dest, value)
+    if getattr(args, "family", None) and not _family_dims(args):
+        p.error(f"--min-dim {args.min_dim} and --max-dim {args.max_dim} "
+                f"select no {args.family} algebra")
 
 
 def _resolve_field(args):
@@ -321,6 +345,8 @@ def _bound_report_for(spec) -> dict:
 
 
 def _sweep_reports(args, field, with_ideals: bool = False) -> list[dict]:
+    # The largest algebra comes last; the guard refuses it before the first is built.
+    _check_dimension(args.max_dim)
     # The field object itself goes to each task (it pickles), so its
     # modulus is checked once per sweep, not once per dimension.
     specs = [(args.family, n, field, with_ideals) for n in _family_dims(args)]
@@ -448,11 +474,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "family", None) and not _family_dims(args):
-            parser.commands[args.command].error(
-                f"--min-dim {args.min_dim} and --max-dim {args.max_dim} "
-                f"select no {args.family} algebra"
-            )
+        _check_args(parser.commands[args.command], args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_INPUT
     try:

@@ -31,10 +31,6 @@ class SingularMatrix(LieError):
     pass
 
 
-class NotInSubspace(LieError):
-    """A vector expected inside a subspace is not contained in it."""
-
-
 class IndexOutOfRange(LieError):
     """An index or parameter lies outside its documented domain."""
 
@@ -94,14 +90,6 @@ class EmptyWord(LieError):
 
 class WordTooShort(LieError):
     pass
-
-
-class NotMaximalClass(LieError):
-    pass
-
-
-class GeneratorSearchFailed(LieError):
-    """No line of L/γ₂ has a full descending chain, as can happen over a small field."""
 
 
 class CharTwoField(LieError):

@@ -53,9 +53,9 @@ automaton (Schützenberger 1961; Kiefer, Murawski, Ouaknine, Wachter and
 Worrell, LMCS 2013): exact, and polynomial in i and the dims of the grₖ.
 gr L is one algebra, built once per algebra (``LieAlgebra._graded``), and
 the states are sparse integer rows on gr L's integer table, so the
-recurrence does no field arithmetic; ``PsiEvaluator.value`` evaluates one
-tuple in field scalars and stays the independent reference.  Past
-``PSI_STATE_LIMIT`` states at one step it raises ``TupleSpaceTooLarge``.
+recurrence does no field arithmetic; ``tests/helpers.PsiEvaluator``
+evaluates one tuple in field scalars and stays the independent reference.
+Past ``PSI_STATE_LIMIT`` states at one step it raises ``TupleSpaceTooLarge``.
 """
 
 from __future__ import annotations
@@ -63,14 +63,11 @@ from __future__ import annotations
 from functools import cache
 from typing import NamedTuple
 
-from .algebra import LieAlgebra, QuotientMap, _combine
+from .algebra import LieAlgebra, _combine
 from .errors import (
-    DimensionMismatch,
     EmptyWord,
-    GeneratorSearchFailed,
     IndexOutOfRange,
     NonNilpotent,
-    NotMaximalClass,
     ResourceLimit,
     TupleSpaceTooLarge,
     WordTooShort,
@@ -134,28 +131,6 @@ def _inner_word(L: LieAlgebra, xs, right, left) -> list:
     return L.bracket(r, l)
 
 
-def defect_terms(L: LieAlgebra, xs) -> list[list]:
-    """The individual outer-bracket terms of the vanishing identity."""
-    xs = list(xs)
-    i = len(xs) - 1
-    if i < 3:
-        raise WordTooShort(f"the identity needs at least 4 arguments, got {len(xs)}")
-    out = []
-    for right, left, outer in term_schedule(i):
-        inner = _inner_word(L, xs, right, left)
-        out.append(L.bracket(inner, xs[outer]))
-    return out
-
-
-def lemma_defect(L: LieAlgebra, xs) -> list:
-    """Sum of the schedule terms; the zero vector for every Lie algebra."""
-    terms = defect_terms(L, xs)
-    total = L.zero_vector()
-    for t in terms:
-        total = [a + b for a, b in zip(total, t)]
-    return total
-
-
 class _FreeRing:
     """The free associative ring over Z as a stand-in for L in the word
     evaluators: elements are {monomial tuple: coefficient}, [a, b] = ab − ba."""
@@ -176,12 +151,12 @@ def free_defect(i: int) -> dict[tuple[int, ...], int]:
     """The nonzero monomials of the degree-i schedule sum in the free
     associative ring over Z on the letters 0 … i, as {monomial: coefficient}.
 
-    It builds each term as ``defect_terms`` does, so it reads
-    ``term_schedule`` as ψ and ``lemma_defect`` do; each term has 2^i
-    monomials, and one term is held at a time.  The free Lie
-    ring over Z embeds in the free associative ring, so an empty result
-    proves the identity in the free Lie ring, and so in every Lie algebra
-    over every field.  Degrees above ``FREE_DEFECT_MAX_DEGREE`` raise
+    Term k is the bracket of ``_inner_word`` on the schedule's right and
+    left words with its outer argument, so it reads ``term_schedule`` as ψ
+    does; each term has 2^i monomials, and one term is held at a time.  The
+    free Lie ring over Z embeds in the free associative ring, so an empty
+    result proves the identity in the free Lie ring, and so in every Lie
+    algebra over every field.  Degrees above ``FREE_DEFECT_MAX_DEGREE`` raise
     ``ResourceLimit`` before anything is expanded, and i < 3 raises
     ``WordTooShort``.
     """
@@ -201,66 +176,6 @@ def free_defect(i: int) -> dict[tuple[int, ...], int]:
             if y:
                 total[monomial] = y
     return total
-
-
-class TensorElement(NamedTuple):
-    """An element of γᵢ/γᵢ₊₁ ⊗ L/γ₂ in flat coordinates (left index major)."""
-
-    left_dim: int
-    right_dim: int
-    coords: tuple
-
-    @property
-    def is_zero(self) -> bool:
-        return not any(self.coords)
-
-
-class PsiEvaluator:
-    """Evaluates the degree-i tensor map on single tuples, in field scalars;
-    builds the quotient coordinate maps once."""
-
-    def __init__(self, L: LieAlgebra, i: int):
-        series = L.lower_central_series()
-        if not series.nilpotent:
-            raise NonNilpotent("the tensor maps require a nilpotent algebra")
-        c = series.nilpotency_class
-        if not 2 <= i <= c:
-            raise IndexOutOfRange(f"degree i={i} outside [2, {c}] for this algebra")
-        self.L = L
-        self.i = i
-        self.left_map = QuotientMap(series.gamma(i), series.gamma(i + 1))
-        self.right_map = QuotientMap(series.gamma(1), series.gamma(2))
-        self.schedule = term_schedule(i)
-
-    @property
-    def codomain_dim(self) -> int:
-        return self.left_map.dim * self.right_map.dim
-
-    def value(self, xs) -> TensorElement:
-        xs = list(xs)
-        if len(xs) != self.i + 1:
-            raise DimensionMismatch(f"expected {self.i + 1} arguments, got {len(xs)}")
-        ld, rd = self.left_map.dim, self.right_map.dim
-        coords = [self.L.field.zero] * (ld * rd)
-        for right, left, outer in self.schedule:
-            inner = _inner_word(self.L, xs, right, left)
-            if not any(inner):
-                continue
-            lc = self.left_map.coords(inner)
-            if not any(lc):
-                continue
-            rc = self.right_map.coords(xs[outer])
-            for a, la in enumerate(lc):
-                if la:
-                    for b, rb in enumerate(rc):
-                        if rb:
-                            coords[a * rd + b] = coords[a * rd + b] + la * rb
-        return TensorElement(ld, rd, tuple(coords))
-
-
-def psi(L: LieAlgebra, i: int, xs) -> TensorElement:
-    """Single evaluation of the degree-i tensor map."""
-    return PsiEvaluator(L, i).value(xs)
 
 
 class PsiImage(NamedTuple):
@@ -388,33 +303,3 @@ def psi_image_dims(L: LieAlgebra) -> list[PsiImage]:
     c = (L._adapted or L).nilpotency_class()
     # Without a class, psi_image_dim raises NonNilpotent at degree 2.
     return [psi_image_dim(L, i) for i in range(2, 3 if c is None else c + 1)]
-
-
-class GeneratorChain(NamedTuple):
-    """Generators s, s1 outside γ₂ and the chain s_i = [s_{i-1}, s] with
-    s_i in γᵢ \\ γᵢ₊₁ for 2 <= i <= c."""
-
-    s: tuple
-    s1: tuple
-    tail: tuple  # (s_2, ..., s_c)
-
-
-def generator_chain(L: LieAlgebra) -> GeneratorChain:
-    """The generator pair and descending chain of a maximal-class algebra,
-    read from the chain search that construction runs (``L._chain_rows``):
-    s along e_a, e_b, then e_a + t e_b, for a < b the free columns of γ₂.
-    That search finds a chain whenever one exists (``_chain_rows`` gives the
-    argument); its row of sₖ is D^(k-1) sₖ for the integer table's scale D.
-    """
-    ok, _ = L.is_maximal_class()
-    if not ok:
-        raise NotMaximalClass("generator chains exist only for maximal-class algebras")
-    rows = L._chain_rows()
-    if rows is None:
-        raise GeneratorSearchFailed("no line of L/γ₂ has a full descending chain")
-    field, vectors = L.field, []
-    for k, row in enumerate(rows):
-        d = field.element(L._scale ** max(k - 1, 0))
-        vectors.append(tuple(field.element(row.get(j, 0)) / d for j in range(L.n)))
-    return GeneratorChain(vectors[0], vectors[1], tuple(vectors[2:]))
-

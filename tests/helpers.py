@@ -13,18 +13,25 @@ import re
 from fractions import Fraction
 from math import gcd, lcm
 
-from liemult.algebra import LieAlgebra, QuotientMap, SeriesChain, Subspace, build
+from typing import NamedTuple
+
+from liemult.algebra import LieAlgebra, SeriesChain, Subspace, build
 from liemult.catalog import standard_filiform
 from liemult.errors import (
     AlgebraFileError,
     BadScalarLiteral,
+    DimensionMismatch,
     DuplicateBracket,
     FieldSpecError,
-    NotInSubspace,
+    IndexOutOfRange,
+    LieError,
+    NonNilpotent,
+    WordTooShort,
 )
 from liemult.fields import QQ, parse_field_spec
+from liemult.homology import multiplier_dim
 from liemult.linalg import Matrix
-from liemult.words import PsiEvaluator, generator_chain
+from liemult.words import _inner_word, term_schedule
 
 
 # Maximal class over GF(2) in a graded basis x1, x2, x3, ..., x8 with x_k of
@@ -483,3 +490,221 @@ def parse_algebra_oracle(text: str, allow_char_two: bool = False) -> LieAlgebra:
     if labels:
         label_list = [labels.get(i + 1, f"x{i + 1}") for i in range(dim)]
     return LieAlgebra._from_integer_rows(dim, rows, scale, field, labels=label_list)
+
+
+# -- single-tuple references ---------------------------------------------------
+#
+# No command reads these; the tests compare the library against them.  Each
+# works in field scalars on dense vectors, one tuple or one algebra at a time.
+
+
+class NotInSubspace(LieError):
+    """A vector expected inside a subspace is not contained in it."""
+
+
+class NotMaximalClass(LieError):
+    pass
+
+
+class GeneratorSearchFailed(LieError):
+    """No line of L/γ₂ has a full descending chain, as can happen over a small field."""
+
+
+class QuotientMap:
+    """Coordinates in U/W for nested subspaces W ⊆ U.
+
+    The basis of U/W is the image of those canonical rows of U whose pivot
+    column is not a pivot of W.  A vector of U reduced modulo W is the
+    combination of exactly those rows, with its own entries at their pivot
+    columns as the coefficients, so coordinates are read off directly.
+    """
+
+    def __init__(self, sup: Subspace, sub: Subspace):
+        if not sup.contains_subspace(sub):
+            raise NotInSubspace("the second subspace is not contained in the first")
+        self.sup = sup
+        self.sub = sub
+        self._pivots = [p for p in sup._rows if p not in sub._rows]
+        self.dim = len(self._pivots)
+
+    def coords(self, v) -> list:
+        """Coordinates of v (a sequence or a sparse dict; it must lie in U) in the U/W basis."""
+        if not self.sup.contains_vector(v):
+            raise NotInSubspace("vector lies outside the larger subspace")
+        w = self.sub.reduce(v)
+        zero = self.sup.field.zero
+        return [w.get(p, zero) for p in self._pivots]
+
+
+def defect_terms(L: LieAlgebra, xs) -> list[list]:
+    """The individual outer-bracket terms of the vanishing identity."""
+    xs = list(xs)
+    i = len(xs) - 1
+    if i < 3:
+        raise WordTooShort(f"the identity needs at least 4 arguments, got {len(xs)}")
+    out = []
+    for right, left, outer in term_schedule(i):
+        inner = _inner_word(L, xs, right, left)
+        out.append(L.bracket(inner, xs[outer]))
+    return out
+
+
+def lemma_defect(L: LieAlgebra, xs) -> list:
+    """Sum of the schedule terms; the zero vector for every Lie algebra."""
+    terms = defect_terms(L, xs)
+    total = L.zero_vector()
+    for t in terms:
+        total = [a + b for a, b in zip(total, t)]
+    return total
+
+
+class TensorElement(NamedTuple):
+    """An element of γᵢ/γᵢ₊₁ ⊗ L/γ₂ in flat coordinates (left index major)."""
+
+    left_dim: int
+    right_dim: int
+    coords: tuple
+
+    @property
+    def is_zero(self) -> bool:
+        return not any(self.coords)
+
+
+class PsiEvaluator:
+    """Evaluates the degree-i tensor map on single tuples, in field scalars;
+    builds the quotient coordinate maps once."""
+
+    def __init__(self, L: LieAlgebra, i: int):
+        series = L.lower_central_series()
+        if not series.nilpotent:
+            raise NonNilpotent("the tensor maps require a nilpotent algebra")
+        c = series.nilpotency_class
+        if not 2 <= i <= c:
+            raise IndexOutOfRange(f"degree i={i} outside [2, {c}] for this algebra")
+        self.L = L
+        self.i = i
+        self.left_map = QuotientMap(series.gamma(i), series.gamma(i + 1))
+        self.right_map = QuotientMap(series.gamma(1), series.gamma(2))
+        self.schedule = term_schedule(i)
+
+    @property
+    def codomain_dim(self) -> int:
+        return self.left_map.dim * self.right_map.dim
+
+    def value(self, xs) -> TensorElement:
+        xs = list(xs)
+        if len(xs) != self.i + 1:
+            raise DimensionMismatch(f"expected {self.i + 1} arguments, got {len(xs)}")
+        ld, rd = self.left_map.dim, self.right_map.dim
+        coords = [self.L.field.zero] * (ld * rd)
+        for right, left, outer in self.schedule:
+            inner = _inner_word(self.L, xs, right, left)
+            if not any(inner):
+                continue
+            lc = self.left_map.coords(inner)
+            if not any(lc):
+                continue
+            rc = self.right_map.coords(xs[outer])
+            for a, la in enumerate(lc):
+                if la:
+                    for b, rb in enumerate(rc):
+                        if rb:
+                            coords[a * rd + b] = coords[a * rd + b] + la * rb
+        return TensorElement(ld, rd, tuple(coords))
+
+
+def psi(L: LieAlgebra, i: int, xs) -> TensorElement:
+    """Single evaluation of the degree-i tensor map."""
+    return PsiEvaluator(L, i).value(xs)
+
+
+class GeneratorChain(NamedTuple):
+    """Generators s, s1 outside γ₂ and the chain s_i = [s_{i-1}, s] with
+    s_i in γᵢ \\ γᵢ₊₁ for 2 <= i <= c."""
+
+    s: tuple
+    s1: tuple
+    tail: tuple  # (s_2, ..., s_c)
+
+
+def generator_chain(L: LieAlgebra) -> GeneratorChain:
+    """The generator pair and descending chain of a maximal-class algebra,
+    read from the chain search that construction runs (``L._chain_rows``):
+    s along e_a, e_b, then e_a + t e_b, for a < b the free columns of γ₂.
+    That search finds a chain whenever one exists (``_chain_rows`` gives the
+    argument); its row of sₖ is D^(k-1) sₖ for the integer table's scale D.
+    """
+    ok, _ = L.is_maximal_class()
+    if not ok:
+        raise NotMaximalClass("generator chains exist only for maximal-class algebras")
+    rows = L._chain_rows()
+    if rows is None:
+        raise GeneratorSearchFailed("no line of L/γ₂ has a full descending chain")
+    field, vectors = L.field, []
+    for k, row in enumerate(rows):
+        d = field.element(L._scale ** max(k - 1, 0))
+        vectors.append(tuple(field.element(row.get(j, 0)) / d for j in range(L.n)))
+    return GeneratorChain(vectors[0], vectors[1], tuple(vectors[2:]))
+
+
+class OddCaseRecord(NamedTuple):
+    """Odd-n reduction through the center: dim M(L) <= dim M(L/Z) + 1 with
+    L/Z maximal class of even dimension n-1."""
+
+    n: int
+    dim_m: int
+    center_dim: int
+    quotient_dim: int
+    quotient_is_maximal_class: bool
+    dim_m_quotient: int
+    chained_bound: int
+    holds: bool
+
+    @property
+    def equality(self) -> bool:
+        return self.dim_m == self.chained_bound
+
+    def to_dict(self) -> dict:
+        return {
+            "n": self.n,
+            "dim_multiplier": self.dim_m,
+            "center_dim": self.center_dim,
+            "quotient_dim": self.quotient_dim,
+            "quotient_is_maximal_class": self.quotient_is_maximal_class,
+            "dim_multiplier_quotient": self.dim_m_quotient,
+            "chained_bound": self.chained_bound,
+            "holds": self.holds,
+        }
+
+
+def verify_odd_case_reduction(L: LieAlgebra) -> OddCaseRecord:
+    if L.n % 2 == 0:
+        raise IndexOutOfRange(f"the odd-case reduction needs odd n, got n={L.n}")
+    ok, _ = L.is_maximal_class()
+    if not ok:
+        raise NotMaximalClass("the odd-case reduction needs a maximal-class algebra")
+    z = L.center()
+    pres = L.quotient(z)
+    q = pres.quotient
+    q_max = q.n >= 3 and q.nilpotency_class() == q.n - 1
+    dim_m = multiplier_dim(L)
+    dim_m_q = multiplier_dim(q)
+    chained = (L.n - 1) // 2 + 1
+    holds = (
+        z.dim == 1
+        and q_max
+        and q.n == L.n - 1
+        and q.n % 2 == 0
+        and dim_m <= dim_m_q + 1
+        and dim_m <= chained
+    )
+    return OddCaseRecord(
+        n=L.n,
+        dim_m=dim_m,
+        center_dim=z.dim,
+        quotient_dim=q.n,
+        quotient_is_maximal_class=q_max,
+        dim_m_quotient=dim_m_q,
+        chained_bound=chained,
+        holds=holds,
+    )

@@ -9,7 +9,14 @@ import random
 import time
 from math import comb
 
-from helpers import brute_psi_image_dim, odd_witness_oracle, random_rational_vector, random_unimodular
+from helpers import (
+    brute_psi_image_dim,
+    defect_terms,
+    lemma_defect,
+    odd_witness_oracle,
+    random_rational_vector,
+    random_unimodular,
+)
 from liemult.algfile import parse_algebra, serialize_algebra
 from liemult.bounds import (
     VIOLATED,
@@ -24,7 +31,7 @@ from liemult.cli import EXIT_INPUT, main as cli_main
 from liemult.errors import DuplicateBracket, FieldSpecError, JacobiViolation
 from liemult.fields import PrimeField
 from liemult.homology import boundary_matrices, multiplier_dim
-from liemult.words import defect_terms, lemma_defect, psi_image_dim, psi_image_dims
+from liemult.words import psi_image_dim, psi_image_dims
 
 
 def _ok(num, text):

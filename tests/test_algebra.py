@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 
 from helpers import (
     NO_CHAIN_GF2,
+    NotInSubspace,
+    QuotientMap,
     bracket_span_oracle,
     center_oracle,
     chain_basis_series_oracle,
@@ -24,7 +26,7 @@ from helpers import (
 )
 from liemult import algebra as algebra_module
 from liemult import algfile, cli
-from liemult.algebra import LieAlgebra, QuotientMap, Subspace, build
+from liemult.algebra import LieAlgebra, Subspace, build
 from liemult.catalog import abelian, filiform_m2, filiform_q, heisenberg, standard_filiform
 from liemult.errors import (
     BadScalarLiteral,
@@ -36,7 +38,6 @@ from liemult.errors import (
     JacobiViolation,
     LieError,
     NotAnIdeal,
-    NotInSubspace,
     SingularMatrix,
 )
 from liemult.fields import QQ, PrimeField

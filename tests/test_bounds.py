@@ -1,5 +1,6 @@
 import pytest
 
+from helpers import NotMaximalClass, verify_odd_case_reduction
 from liemult.algebra import Subspace, build
 from liemult.bounds import (
     ATTAINED,
@@ -13,7 +14,6 @@ from liemult.bounds import (
     moneyhun_bound,
     verify_central_quotient_bound,
     verify_main_theorem,
-    verify_odd_case_reduction,
 )
 from liemult.catalog import abelian, entries, heisenberg, standard_filiform
 from liemult.errors import (
@@ -23,7 +23,6 @@ from liemult.errors import (
     IndexOutOfRange,
     NonNilpotent,
     NotCentralIdeal,
-    NotMaximalClass,
 )
 from liemult.fields import QQ, PrimeField
 from liemult.homology import multiplier_dim

@@ -13,7 +13,8 @@ from pathlib import Path
 import pytest
 
 from helpers import random_unimodular, truncated_witt
-from liemult import algebra, algfile, cli, linalg, words
+import liemult
+from liemult import algebra, algfile, cli, homology, linalg, words
 from liemult.algebra import LieAlgebra, build
 from liemult.bounds import BoundReport, VIOLATED
 from liemult.catalog import filiform_q, standard_filiform
@@ -605,6 +606,20 @@ def test_importing_the_cli_loads_no_dataclasses_inspect_or_difflib():
     assert done.stdout.strip() == "[]"
 
 
+def test_the_package_exports_only_what_a_command_or_the_benchmark_reads():
+    assert liemult.__all__ == [
+        "LieAlgebra", "QuotientPresentation", "SeriesChain", "Subspace", "build",
+        "BoundReport", "bound_report", "derived_subalgebra_bound", "main_theorem_bound",
+        "moneyhun_bound", "verify_central_quotient_bound", "verify_main_theorem",
+        "CatalogEntry", "abelian", "entries", "get", "heisenberg", "names",
+        "standard_filiform", "LieError", "QQ", "PrimeField", "parse_field_spec",
+        "BoundaryPair", "ExteriorBasis", "boundary_matrices", "multiplier_dim", "Matrix",
+        "RowSpan", "PsiImage", "free_defect", "normed_bracket", "psi_image_dim",
+        "psi_image_dims", "__version__",
+    ]
+    assert all(hasattr(liemult, name) for name in liemult.__all__)
+
+
 @pytest.mark.parametrize("degree", ["1000000000", "400", "16"], ids=["1e9", "400", "16"])
 def test_lemma_test_refuses_costly_degrees_before_building_a_tuple(capsys, monkeypatch, degree):
     # Degree 16 expands 17·2^16 monomials, past the limit of 2^20; 2^(10⁹)
@@ -659,6 +674,42 @@ def test_more_than_one_input_source_is_a_usage_error(capsys, tmp_path, argv, rea
     code, out, err = run(capsys, [str(path) if a == "{file}" else a for a in argv])
     assert (code, out) == (EXIT_INPUT, "")
     assert reason in err
+
+
+@pytest.mark.parametrize("argv,option,source", [
+    *[([command, "--file", "{file}", "--field", "GF(7)", *extra], "--field", "--file")
+      for command, extra in (("check", []), ("series", []), ("multiplier", []),
+                             ("psi", ["--i", "2"]), ("verify-bound", []), ("verify-thm13", []))],
+    *[(["verify-bound", source, value, option, number], option, source)
+      for source, value in (("--file", "{file}"), ("--name", "filiform-6"))
+      for option, number in (("--min-dim", "4"), ("--max-dim", "9"), ("--jobs", "2"))],
+    (["verify-bound", "--name", "filiform-6", "--min-dim", "9", "--max-dim", "3"],
+     "--min-dim", "--name"),
+])
+def test_an_option_the_input_source_does_not_read_is_a_usage_error(capsys, tmp_path, argv,
+                                                                    option, source):
+    # The file exists and holds a valid algebra, so only the option is at fault.
+    path = tmp_path / "filiform-5.alg"
+    path.write_text(algfile.serialize_algebra(standard_filiform(5)))
+    code, out, err = run(capsys, [str(path) if a == "{file}" else a for a in argv])
+    assert (code, out) == (EXIT_INPUT, "")
+    assert err.splitlines()[-1].endswith(f"argument {option}: not allowed with argument {source}")
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("family", ["filiform", "abelian"])
+@pytest.mark.parametrize("command", ["report", "verify-bound"])
+def test_a_sweep_past_the_homology_guard_is_refused_before_any_dimension(
+        monkeypatch, capsys, command, family, jobs):
+    monkeypatch.setattr(homology, "MAX_HOMOLOGY_DIM", 12)
+    monkeypatch.setattr(cli.bounds, "bound_report",
+                        lambda *a, **k: pytest.fail("a dimension was computed"))
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        lambda *a, **k: pytest.fail("a worker pool was started"))
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    code, out, err = run(capsys, [command, "--family", family, "--max-dim", "13", "--jobs", jobs])
+    assert (code, out) == (EXIT_RESOURCE, "")
+    assert err == "resource guard: dimension 13 exceeds the homology guard (12)\n"
 
 
 def test_rebuild_over_a_field_where_a_denominator_vanishes():

@@ -8,9 +8,12 @@ import pytest
 
 from helpers import (
     NO_CHAIN_GF2,
+    GeneratorSearchFailed,
+    NotMaximalClass,
     chain_rows_as_vectors,
     filiform_square,
     free_class_two,
+    generator_chain,
     has_generator_chain_oracle,
     multiplier_oracle,
     random_unimodular,
@@ -27,16 +30,9 @@ from liemult.catalog import (
     heisenberg,
     standard_filiform,
 )
-from liemult.errors import (
-    GeneratorSearchFailed,
-    IndexOutOfRange,
-    NonNilpotent,
-    NotMaximalClass,
-    ResourceLimit,
-)
+from liemult.errors import IndexOutOfRange, NonNilpotent, ResourceLimit
 from liemult.fields import QQ, PrimeField
 from liemult.homology import ExteriorBasis, boundary_matrices, multiplier_dim
-from liemult.words import generator_chain
 
 
 @pytest.mark.parametrize("n,k", [(4, 2), (4, 3), (8, 2), (8, 3), (3, 3)])

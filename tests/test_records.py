@@ -3,15 +3,11 @@
 
 import pytest
 
+from helpers import generator_chain, psi, verify_odd_case_reduction
 from liemult import catalog
-from liemult.bounds import (
-    BoundReport,
-    bound_report,
-    verify_central_quotient_bound,
-    verify_odd_case_reduction,
-)
+from liemult.bounds import BoundReport, bound_report, verify_central_quotient_bound
 from liemult.homology import boundary_matrices
-from liemult.words import PsiImage, generator_chain, psi, psi_image_dim
+from liemult.words import PsiImage, psi_image_dim
 
 
 def _records():

@@ -6,12 +6,19 @@ import pytest
 
 from helpers import (
     NO_CHAIN_GF2,
+    GeneratorSearchFailed,
+    NotMaximalClass,
+    PsiEvaluator,
     brute_psi_image_dim,
     chain_rows_as_vectors,
+    defect_terms,
     filiform_square,
     free_class_two,
+    generator_chain,
     has_generator_chain_oracle,
+    lemma_defect,
     odd_witness_oracle,
+    psi,
     random_rational_vector,
     random_unimodular,
     truncated_witt,
@@ -22,9 +29,7 @@ from liemult.bounds import verify_main_theorem
 from liemult.catalog import abelian, filiform_m2, filiform_q, heisenberg, standard_filiform
 from liemult.errors import (
     EmptyWord,
-    GeneratorSearchFailed,
     IndexOutOfRange,
-    NotMaximalClass,
     ResourceLimit,
     TupleSpaceTooLarge,
     WordTooShort,
@@ -33,13 +38,8 @@ from liemult.fields import QQ, PrimeField
 from liemult.homology import multiplier_dim
 from liemult.linalg import Matrix
 from liemult.words import (
-    PsiEvaluator,
-    defect_terms,
     free_defect,
-    generator_chain,
-    lemma_defect,
     normed_bracket,
-    psi,
     psi_image_dim,
     psi_image_dims,
     term_schedule,
