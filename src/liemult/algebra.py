@@ -27,10 +27,10 @@ e_b], and makes one packed sum per basis vector and one per bracket, whose
 digits are the coordinates.  Every digit is a sum of at most n³ terms
 u_i[a] u_j[b] T[a][b][k] R[k][m], and B is the least width with
 n³·max|u|²·max|T|·max|R| < 2^(B-1), so the digits decode exactly.  A
-``Subspace`` is the canonical integer rows of a ``RowSpan``; membership,
-sums, equality, ``Subspace.reduce`` (the one exact reduction; its integer
-core ``_reduce_integers`` is behind ``quotient``) run on those rows, and
-the dense basis is built only when asked for.  gr L = ⊕ γₖ/γₖ₊₁ is one
+``Subspace`` is the canonical integer rows of a ``RowSpan``, built only from
+integer rows; membership, sums, equality and the reduction behind
+``quotient`` (``_reduce_integers``) run on those rows, and the dense basis
+is built only when asked for.  gr L = ⊕ γₖ/γₖ₊₁ is one
 algebra, built once per algebra from the series (``_graded``); ψ reads its
 table.
 
@@ -58,8 +58,12 @@ violation is always reported from L's own table, walking its keys in input
 order.  The lower central series is read off L's own table when the scan
 passes (the catalog filiform, m₂ and Qₙ bases and their central
 quotients), is γₖ = span(P's rows k, …, n - 1) when there is a rewrite
-(``_tail_series`` serves both), and is computed on L's table otherwise.  At class n - 1 the
-center is γₙ₋₁, with no kernel to compute.
+(``_tail_series`` serves both), and is computed on L's table otherwise.  At
+class n - 1 the center is γₙ₋₁, with no kernel to compute; at any other
+class it is the annihilator (``RowSpan.annihilator``) of the integer ad
+table's columns.  So field scalars are made only by the dense views
+(``bracket``, ``structure_constants``, ``Subspace.basis``) and by error
+payloads.
 Instances are immutable after construction (internal caches, the pending γ₂
 rows and the field-scalar table among them, only memoize pure results) and
 safe to share between workers.
@@ -93,14 +97,13 @@ from .linalg import Matrix, RowSpan, integer_row, inverse_rows
 class Subspace:
     """A subspace of the ambient coordinate space, held as the canonical rows
     of a ``RowSpan`` so equal subspaces compare equal however they were built.
-    The constructor takes a spanning ``Matrix`` or a ``RowSpan``, which it
-    takes over rather than copies; ``basis`` is the dense reduced-echelon
-    basis, built on first use."""
+    The constructor takes the ``RowSpan``, which it takes over rather than
+    copies; ``basis`` is the dense reduced-echelon basis, built on first
+    use."""
 
-    def __init__(self, ambient: int, basis: Matrix | RowSpan):
-        if basis.ncols != ambient:
-            raise DimensionMismatch(f"basis has {basis.ncols} columns, ambient is {ambient}")
-        span = basis._echelon() if isinstance(basis, Matrix) else basis
+    def __init__(self, ambient: int, span: RowSpan):
+        if span.ncols != ambient:
+            raise DimensionMismatch(f"span has {span.ncols} columns, ambient is {ambient}")
         self.ambient = ambient
         self.field = span.field
         self._span = span
@@ -109,7 +112,10 @@ class Subspace:
 
     @classmethod
     def from_vectors(cls, field, ambient: int, vectors) -> "Subspace":
-        return cls(ambient, Matrix(field, [list(v) for v in vectors], ncols=ambient))
+        span = RowSpan(field, ambient)
+        for v in vectors:
+            span.add(v)
+        return cls(ambient, span)
 
     @classmethod
     def _spanned(cls, field, ambient: int, rows) -> "Subspace":
@@ -125,7 +131,7 @@ class Subspace:
 
     @classmethod
     def full_space(cls, field, ambient: int) -> "Subspace":
-        return cls(ambient, Matrix.identity(field, ambient))
+        return cls._spanned(field, ambient, ({j: 1} for j in range(ambient)))
 
     @property
     def dim(self) -> int:
@@ -136,17 +142,6 @@ class Subspace:
         if self._basis is None:
             self._basis = self._span.matrix()
         return self._basis
-
-    def reduce(self, v) -> dict:
-        """v modulo the subspace as a sparse ``{index: scalar}`` dict, for v
-        a sequence or such a dict: v minus (v_c / lead_c) row_c over the
-        pivots c, which clears every pivot column, since each row is zero at
-        the other pivots."""
-        iv, scale = integer_row(self.field, v, self.ambient)
-        w, d = self._reduce_integers(iv)
-        p, element = self.field.characteristic, self.field.element
-        unit = self.field.one / element(scale * d)
-        return {j: element(x) * unit for j, x in w.items() if (x % p if p else x)}
 
     def _reduce_integers(self, v: dict[int, int]) -> tuple[dict[int, int], int]:
         """(d·v modulo the subspace, d) for an integer row v, with d the lcm
@@ -345,12 +340,6 @@ class LieAlgebra:
             raise IndexOutOfRange(f"basis index {i} out of range")
         v = self.zero_vector()
         v[i] = self.field.one
-        return v
-
-    def vector(self, coords) -> list:
-        v = [self.field.element(c) for c in coords]
-        if len(v) != self.n:
-            raise DimensionMismatch(f"vector of length {len(v)} in dimension {self.n}")
         return v
 
     def bracket(self, x, y) -> list:
@@ -559,7 +548,9 @@ class LieAlgebra:
 
     def center(self) -> Subspace:
         """Z(L) = {z : [z, L] = 0}: γₙ₋₁ when the series has class n - 1,
-        otherwise the kernel of the stacked adjoint action (``_center_kernel``).
+        otherwise the annihilator of the columns c_jk[a] = tab[a][j][k] of
+        the integer ad table, since [z, e_j] = sum over a of z[a] tab[a][j]
+        up to the scale D.
 
         At class n - 1, γₙ₋₁ is central, since [γₙ₋₁, L] = γₙ = 0.  The n - 1
         drops dim γₖ - dim γₖ₊₁ are positive and sum to n, and the first is
@@ -575,21 +566,16 @@ class LieAlgebra:
             if series.nilpotency_class == self.n - 1:
                 self._center = series.gamma(self.n - 1)
             else:
-                self._center = self._center_kernel()
+                columns: dict[tuple[int, int], dict[int, int]] = {}
+                for a, row in enumerate(self._ad):
+                    for j, bracket in row.items():
+                        for k, x in bracket.items():
+                            columns.setdefault((j, k), {})[a] = x
+                span = RowSpan(self.field, self.n)
+                for column in columns.values():
+                    span.add_integers(column)
+                self._center = Subspace._spanned(self.field, self.n, span.annihilator())
         return self._center
-
-    def _center_kernel(self) -> Subspace:
-        """Exact kernel of the stacked adjoint-action matrix."""
-        zero = self.field.zero
-        rows = []
-        for j in range(self.n):
-            block = [[zero] * self.n for _ in range(self.n)]
-            for i in range(self.n):
-                for k, c in self.bracket_basis(i, j).items():
-                    block[k][i] = c
-            rows.extend(block)
-        stacked = Matrix(self.field, rows, ncols=self.n)
-        return Subspace(self.n, stacked.kernel_basis())
 
     def is_maximal_class(self) -> tuple[bool, tuple[int, ...]]:
         """True iff the nilpotency class equals n - 1.  Needs n >= 3."""

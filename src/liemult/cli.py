@@ -18,7 +18,7 @@ import sys
 
 from . import algfile, bounds, catalog
 from .algebra import LieAlgebra
-from .errors import AlgebraFileError, FieldMismatch, LieError, ResourceLimit
+from .errors import AlgebraFileError, LieError, ResourceLimit
 from .fields import QQ, parse_field_spec
 from .homology import _check_dimension, multiplier_dim
 from .words import free_defect, psi_image_dim
@@ -71,7 +71,8 @@ def _build_parser() -> _Parser:
             p.add_argument("--max-dim", type=int)
             p.add_argument("--min-dim", type=int)
         p.add_argument("--field", default=None, help="field for --name/--family (Q or GF(p))")
-        p.add_argument("--unsafe-char-2", action="store_true")
+        # No default, like the sweep options, so that an unread one can be refused.
+        p.add_argument("--unsafe-char-2", action="store_true", default=None)
 
     def add_output_args(p):
         p.add_argument("--format", choices=["human", "machine"], default="human")
@@ -123,10 +124,15 @@ def _build_parser() -> _Parser:
 def _check_args(p: _Parser, args) -> None:
     """Refuse, as usage errors of command parser ``p``, the options that the
     input source does not read: ``--field`` with ``--file``, whose field the
-    file names, and ``--min-dim``, ``--max-dim`` and ``--jobs`` with
-    ``--file`` or ``--name``.  Then fill in the sweep defaults and refuse a
-    sweep range that holds no algebra."""
-    for source, unread in (("file", ["field", *SWEEP_DEFAULTS]), ("name", SWEEP_DEFAULTS)):
+    file names, ``--min-dim``, ``--max-dim`` and ``--jobs`` with ``--file``
+    or ``--name``, and ``--unsafe-char-2`` with ``--name`` or a family sweep
+    (``--family``, which ``report`` always is) when no ``--field`` names a
+    field.  Then fill in the sweep defaults and refuse a sweep range that
+    holds no algebra."""
+    # --unsafe-char-2 admits GF(2) where a field is named: by --field or in a file.
+    char_two = [] if getattr(args, "field", None) else ["unsafe_char_2"]
+    for source, unread in (("file", ["field", *SWEEP_DEFAULTS]),
+                           ("name", [*SWEEP_DEFAULTS, *char_two]), ("family", char_two)):
         if getattr(args, source, None):
             for dest in unread:
                 if getattr(args, dest, None) is not None:
@@ -142,7 +148,7 @@ def _check_args(p: _Parser, args) -> None:
 
 def _resolve_field(args):
     if getattr(args, "field", None):
-        return parse_field_spec(args.field, allow_char_two=args.unsafe_char_2)
+        return parse_field_spec(args.field, allow_char_two=bool(args.unsafe_char_2))
     return QQ
 
 
@@ -156,29 +162,15 @@ def _load_algebra(args) -> tuple[LieAlgebra, str]:
                 f"{args.file}: not UTF-8 text "
                 f"(byte 0x{exc.object[exc.start]:02x} at offset {exc.start})"
             ) from None
-        return algfile.parse_algebra(text, allow_char_two=args.unsafe_char_2), args.file
+        return algfile.parse_algebra(text, allow_char_two=bool(args.unsafe_char_2)), args.file
     if getattr(args, "name", None):
         entry = catalog.get(args.name)
-        algebra = entry.algebra
         field = _resolve_field(args)
-        if field != QQ:
-            algebra = _rebuild_over(algebra, field)
-        return algebra, entry.name
+        if field == QQ:
+            return entry.algebra, entry.name
+        # Every entry is its family's builder at params[0] over Q.
+        return _family_algebra(entry.family, entry.params[0], field), entry.name
     raise LieError("one of --file or --name is required")
-
-
-def _rebuild_over(L: LieAlgebra, field) -> LieAlgebra:
-    from .algebra import build
-
-    consts = []
-    for i, j, k, c in L.structure_constants():
-        den = field.element(c.denominator)
-        if not den:
-            raise FieldMismatch(
-                f"structure constant ({i}, {j}, {k}) = {c} has no image in {field}"
-            )
-        consts.append((i, j, k, field.element(c.numerator) / den))
-    return build(L.n, consts, field=field, labels=L.labels)
 
 
 def _family_dims(args) -> range:

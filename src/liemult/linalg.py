@@ -10,6 +10,9 @@ step, ``RowSpan._clear``, is the only elimination arithmetic and the only
 place it differs by field; forward reduction (``add``, ``contains``) and
 back-substitution to the canonical reduced basis (``canonical_rows``, the
 integer rows a ``Subspace`` keeps; ``matrix`` makes them dense) both use it.
+``annihilator`` reads the integer rows orthogonal to the span off the
+canonical rows, one per free column; it is the package's only kernel
+routine, behind ``LieAlgebra.center`` and ``Matrix.kernel_basis``.
 
 ``Matrix`` is a dense immutable matrix over one field.  Its rank, echelon
 form and kernel basis all feed its rows into a ``RowSpan``; so does
@@ -60,7 +63,6 @@ class Matrix:
         self.nrows = len(stored)
         self.ncols = width
         self._span: RowSpan | None = None
-        self._rref: tuple[Matrix, tuple[int, ...]] | None = None
 
     @classmethod
     def zeros(cls, field, nrows: int, ncols: int) -> "Matrix":
@@ -81,9 +83,6 @@ class Matrix:
 
     def rows(self) -> list[list]:
         return [list(r) for r in self._rows]
-
-    def entry(self, i: int, j: int):
-        return self._rows[i][j]
 
     def transpose(self) -> "Matrix":
         return Matrix(
@@ -122,10 +121,10 @@ class Matrix:
 
     def rref(self) -> "Matrix":
         """Canonical reduced row-echelon form (zero rows dropped)."""
-        return self._rref_with_pivots()[0]
+        return self._echelon().matrix()
 
     def pivot_columns(self) -> tuple[int, ...]:
-        return self._rref_with_pivots()[1]
+        return tuple(self._echelon().canonical_rows())
 
     def _echelon(self) -> "RowSpan":
         """The rows fed into a RowSpan (forward reduction only, done once)."""
@@ -136,28 +135,16 @@ class Matrix:
             self._span = span
         return self._span
 
-    def _rref_with_pivots(self) -> tuple["Matrix", tuple[int, ...]]:
-        if self._rref is None:
-            self._rref = self._echelon().matrix()._rref
-        return self._rref
-
     def rank(self) -> int:
         return self._echelon().dim
 
     def kernel_basis(self) -> "Matrix":
-        """Canonical echelonized basis of the right null space, as rows."""
-        reduced, pivots = self._rref_with_pivots()
-        pivot_set = set(pivots)
-        free = [c for c in range(self.ncols) if c not in pivot_set]
-        zero, one = self.field.zero, self.field.one
-        rows = []
-        for f in free:
-            v = [zero] * self.ncols
-            v[f] = one
-            for i, p in enumerate(pivots):
-                v[p] = -reduced.entry(i, f)
-            rows.append(v)
-        return Matrix(self.field, rows, ncols=self.ncols).rref()
+        """Canonical echelonized basis of the right null space, as rows: the
+        annihilator of the row space."""
+        kernel = RowSpan(self.field, self.ncols)
+        for z in self._echelon().annihilator():
+            kernel.add_integers(z)
+        return kernel.matrix()
 
     def _check_compatible(self, other: "Matrix"):
         if self.field != other.field:
@@ -212,9 +199,10 @@ def inverse_rows(
 
 def integer_row(field, vec, ncols: int) -> tuple[dict[int, int], int]:
     """(row, s): the nonzero entries of vec as integers, row = s * vec.  Over
-    GF(p) they are residues and s = 1; over Q, s is the lcm of the
-    denominators.  vec is a sequence of length ncols or a sparse
-    ``{index: scalar}`` dict with indices in range(ncols)."""
+    GF(p) they are residues and s = 1, and an entry that is a multiple of p
+    is 0; over Q, s is the lcm of the denominators.  vec is a sequence of
+    length ncols or a sparse ``{index: scalar}`` dict with indices in
+    range(ncols)."""
     if isinstance(vec, dict):
         if vec and not (min(vec) >= 0 and max(vec) < ncols):
             raise DimensionMismatch(f"vector index out of range for {ncols} columns")
@@ -226,7 +214,7 @@ def integer_row(field, vec, ncols: int) -> tuple[dict[int, int], int]:
     element = field.element
     nz = {j: element(x) for j, x in items if x}
     if field.characteristic:
-        return {j: x.v for j, x in nz.items()}, 1
+        return {j: v for j, x in nz.items() if (v := x.v)}, 1
     scale = lcm(*(x.denominator for x in nz.values()))
     return {j: x.numerator * (scale // x.denominator) for j, x in nz.items()}, scale
 
@@ -235,8 +223,9 @@ class RowSpan:
     """Incrementally maintained row space over sparse exact integer rows.
 
     ``add`` and ``contains`` forward-reduce a vector against the pivot rows;
-    ``canonical_rows()`` back-substitutes to the canonical reduced basis and
-    ``matrix()`` makes it dense.  Rows may arrive one at a time (series, image
+    ``canonical_rows()`` back-substitutes to the canonical reduced basis,
+    ``matrix()`` makes it dense and ``annihilator()`` reads its orthogonal
+    complement off it.  Rows may arrive one at a time (series, image
     enumeration); every ``Matrix`` elimination also runs here.
     """
 
@@ -309,8 +298,28 @@ class RowSpan:
             for j, x in row.items():
                 r[j] = element(x) / lead
             dense.append(r)
-        out = Matrix(self.field, dense, ncols=self.ncols)
-        out._rref = (out, tuple(rows))
+        return Matrix(self.field, dense, ncols=self.ncols)
+
+    def annihilator(self) -> list[dict[int, int]]:
+        """Integer rows z with z · r = 0 for every r in the span, one per
+        free (non-pivot) column f, in column order, as ``add_integers``
+        takes them: z[f] = d and z[c] = -d r_c[f] / lead_c for each
+        canonical row r_c with an entry at f, d the lcm of their leads (over
+        GF(p) every lead is 1, d = 1 and z[c] is the residue p - r_c[f]).
+        z · r_c = 0 because r_c is zero at every other pivot and z is zero
+        at every other free column; the rows are independent because z is
+        the only one nonzero at f, and there are ncols - dim of them, so
+        they are a basis of the annihilator: the right null space of any
+        matrix whose rows span the span."""
+        rows, p = self.canonical_rows(), self._p
+        out = []
+        for f in range(self.ncols):
+            if f not in rows:
+                column = [(c, row[c], row[f]) for c, row in rows.items() if f in row]
+                d = lcm(*(lead for _, lead, _ in column))
+                z = {c: p - x if p else -x * (d // lead) for c, lead, x in column}
+                z[f] = d
+                out.append(z)
         return out
 
     def _reduce(self, v: dict[int, int]) -> dict[int, int]:

@@ -30,7 +30,7 @@ from liemult.errors import (
 )
 from liemult.fields import QQ, parse_field_spec
 from liemult.homology import multiplier_dim
-from liemult.linalg import Matrix
+from liemult.linalg import Matrix, integer_row
 from liemult.words import _inner_word, term_schedule
 
 
@@ -85,24 +85,31 @@ def series_oracle(L: LieAlgebra) -> tuple[list[list[list]], bool]:
     return terms, True
 
 
-def center_oracle(L: LieAlgebra) -> list[list]:
-    """Canonical basis of the center: the kernel of the dense linear map
-    x -> ([x, e_j])_j, read off the naive_rref of its n^2 x n matrix, whose
-    row (j, k) holds [e_i, e_j]_k at column i."""
-    n, zero, one = L.n, L.field.zero, L.field.one
-    brackets = [[L.bracket(L.basis_vector(i), L.basis_vector(j)) for i in range(n)]
-                for j in range(n)]
-    rref = naive_rref([[brackets[j][i][k] for i in range(n)] for j in range(n) for k in range(n)],
-                      L.field)
-    pivots = [next(c for c in range(n) if row[c]) for row in rref]
+def naive_kernel(rows, ncols: int, field=QQ) -> list[list]:
+    """Canonical basis of the right null space of ``rows`` (ncols columns):
+    one vector per free column f of their naive_rref, 1 at f and minus
+    column f of the rref at the pivots, put through naive_rref."""
+    rref = naive_rref(rows, field)
+    pivots = [next(c for c in range(ncols) if row[c]) for row in rref]
     kernel = []
-    for f in (c for c in range(n) if c not in pivots):
-        v = [zero] * n
-        v[f] = one
+    for f in (c for c in range(ncols) if c not in pivots):
+        v = [field.zero] * ncols
+        v[f] = field.one
         for row, c in zip(rref, pivots):
             v[c] = -row[f]
         kernel.append(v)
-    return naive_rref(kernel, L.field)
+    return naive_rref(kernel, field)
+
+
+def center_oracle(L: LieAlgebra) -> list[list]:
+    """Canonical basis of the center: the kernel of the dense linear map
+    x -> ([x, e_j])_j, read off its n^2 x n matrix, whose row (j, k) holds
+    [e_i, e_j]_k at column i."""
+    n = L.n
+    brackets = [[L.bracket(L.basis_vector(i), L.basis_vector(j)) for i in range(n)]
+                for j in range(n)]
+    return naive_kernel([[brackets[j][i][k] for i in range(n)] for j in range(n) for k in range(n)],
+                        n, L.field)
 
 
 def change_basis_oracle(L: LieAlgebra, p: Matrix) -> tuple:
@@ -153,13 +160,13 @@ def chain_basis_series_oracle(A: LieAlgebra) -> SeriesChain | None:
 def quotient_oracle(L: LieAlgebra, ideal: Subspace) -> LieAlgebra:
     """L/K by the field-scalar route: basis the images of the unit vectors
     at K's non-pivot columns, [e_f, e_g] = ``bracket_basis`` reduced by
-    ``Subspace.reduce`` and read at those columns, through ``LieAlgebra(q,
+    ``subspace_reduce`` and read at those columns, through ``LieAlgebra(q,
     table)``."""
     pivots = set(ideal.basis.pivot_columns())
     free = [c for c in range(L.n) if c not in pivots]
     table = {}
     for a, b in itertools.combinations(range(len(free)), 2):
-        w = ideal.reduce(L.bracket_basis(free[a], free[b]))
+        w = subspace_reduce(ideal, L.bracket_basis(free[a], free[b]))
         comps = {k: w[f] for k, f in enumerate(free) if f in w}
         if comps:
             table[(a, b)] = comps
@@ -510,6 +517,18 @@ class GeneratorSearchFailed(LieError):
     """No line of L/γ₂ has a full descending chain, as can happen over a small field."""
 
 
+def subspace_reduce(subspace: Subspace, v) -> dict:
+    """v modulo the subspace as a sparse ``{index: scalar}`` dict, for v
+    a sequence or such a dict: v minus (v_c / lead_c) row_c over the
+    pivots c, which clears every pivot column, since each row is zero at
+    the other pivots."""
+    iv, scale = integer_row(subspace.field, v, subspace.ambient)
+    w, d = subspace._reduce_integers(iv)
+    p, element = subspace.field.characteristic, subspace.field.element
+    unit = subspace.field.one / element(scale * d)
+    return {j: element(x) * unit for j, x in w.items() if (x % p if p else x)}
+
+
 class QuotientMap:
     """Coordinates in U/W for nested subspaces W ⊆ U.
 
@@ -531,7 +550,7 @@ class QuotientMap:
         """Coordinates of v (a sequence or a sparse dict; it must lie in U) in the U/W basis."""
         if not self.sup.contains_vector(v):
             raise NotInSubspace("vector lies outside the larger subspace")
-        w = self.sub.reduce(v)
+        w = subspace_reduce(self.sub, v)
         zero = self.sup.field.zero
         return [w.get(p, zero) for p in self._pivots]
 

@@ -23,6 +23,7 @@ from helpers import (
     random_unimodular,
     scalar_table,
     series_oracle,
+    subspace_reduce,
 )
 from liemult import algebra as algebra_module
 from liemult import algfile, cli
@@ -42,7 +43,7 @@ from liemult.errors import (
 )
 from liemult.fields import QQ, PrimeField
 from liemult.homology import multiplier_dim
-from liemult.linalg import Matrix, integer_row
+from liemult.linalg import Matrix, RowSpan, integer_row
 
 FILIFORM_4 = [(1, 2, 3, 1), (1, 3, 4, 1)]
 
@@ -578,7 +579,7 @@ def test_wrong_lengths_and_ambients_raise_dimension_mismatch():
         with pytest.raises(DimensionMismatch):
             qm.coords(v)
         with pytest.raises(DimensionMismatch):
-            g2.reduce(v)
+            subspace_reduce(g2, v)
     for a, b in ((g2, Subspace.full_space(QQ, 3)), (Subspace.full_space(QQ, 3), g2)):
         with pytest.raises(DimensionMismatch):
             a.contains_subspace(b)
@@ -613,7 +614,7 @@ def test_equal_subspaces_compare_and_hash_equal_across_routes(field):
         return Subspace.from_vectors(field, 6, rows)
 
     for s in (g2, g3):
-        routes = [rebuilt(s), Subspace(6, Matrix(field, s.basis.rows())), s.sum(g3),
+        routes = [rebuilt(s), Subspace(6, Matrix(field, s.basis.rows())._echelon()), s.sum(g3),
                   rebuilt(s).sum(Subspace.zero_space(field, 6))]
         for other in routes:
             assert other == s and hash(other) == hash(s)
@@ -663,13 +664,13 @@ def test_subspace_operations_match_naive_rref(field):
             vectors.append(v)
         for v in vectors:
             assert s.contains_vector(v) == _in_span(rows, v, field)
-            w = s.reduce(v)
+            w = subspace_reduce(s, v)
             dense = [w.get(j, zero) for j in range(6)]
             # The reduction is the unique vector congruent to v that is zero
             # at every pivot column.
             assert all(not dense[p] for p in pivots)
             assert _in_span(rows, [a - b for a, b in zip(v, dense)], field)
-            assert s.reduce({j: x for j, x in enumerate(v) if x}) == w
+            assert subspace_reduce(s, {j: x for j, x in enumerate(v) if x}) == w
         for t in ideals + others:
             both = naive_rref(rows + t.basis.rows(), field)
             assert s.sum(t).basis.rows() == both
@@ -1204,22 +1205,45 @@ def test_series_and_center_match_the_oracles_below_maximal_class(field):
                 _assert_series_and_center_match_oracles(M.quotient(M.center()).quotient)
 
 
-def _count_calls(monkeypatch, name):
-    """Record the algebra of every call of the LieAlgebra method ``name``."""
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["Q", "GF7"])
+@pytest.mark.parametrize("summands", [(4, 4), (3, 2)], ids=["filiform-4+filiform-4",
+                                                          "heisenberg+abelian-2"])
+def test_center_below_maximal_class_makes_no_field_scalar(field, summands, monkeypatch):
+    # Both sums have class below n - 1, so the center is the annihilator of
+    # the integer ad table's columns; filiform-3 is the Heisenberg algebra.
+    m, k = summands
+    L = _direct_sum(standard_filiform(m, field=field),
+                    standard_filiform(k, field=field) if k > 2 else abelian(k, field=field))
+    L = L.change_basis(random_unimodular(random.Random(L.n), L.n, field))
+
+    def refuse(*args):
+        raise AssertionError("the center made field scalars")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(LieAlgebra, "_table", property(refuse))
+        patch.setattr(Matrix, "__init__", refuse)
+        center = L.center()
+    assert L.nilpotency_class() < L.n - 1
+    assert center.basis.rows() == center_oracle(L)
+
+
+def _count_calls(monkeypatch, name, owner=LieAlgebra):
+    """Record the instance of every call of the method ``name`` of
+    ``owner``."""
     seen = []
-    method = getattr(LieAlgebra, name)
+    method = getattr(owner, name)
 
     def counted(self):
         seen.append(self)
         return method(self)
 
-    monkeypatch.setattr(LieAlgebra, name, counted)
+    monkeypatch.setattr(owner, name, counted)
     return seen
 
 
 def test_filiform_report_reads_every_series_and_center_off_the_table(monkeypatch, capsys):
     own = _count_calls(monkeypatch, "_own_series")
-    kernels = _count_calls(monkeypatch, "_center_kernel")
+    kernels = _count_calls(monkeypatch, "annihilator", RowSpan)
     assert cli.main(["report", "--family", "filiform", "--max-dim", "14",
                      "--format", "machine"]) == 0
     assert len(json.loads(capsys.readouterr().out)["reports"]) == 12
@@ -1282,7 +1306,7 @@ def test_scan_gives_the_definitional_series_of_a_table_that_breaks_jacobi(field,
     with pytest.raises(JacobiViolation):
         L._validate_jacobi()
     own = _count_calls(monkeypatch, "_own_series")
-    kernels = _count_calls(monkeypatch, "_center_kernel")
+    kernels = _count_calls(monkeypatch, "annihilator", RowSpan)
     assert L._chain_basis_series() is not None
     _assert_series_and_center_match_oracles(L)
     assert own == [] and kernels == []

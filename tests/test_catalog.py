@@ -3,6 +3,8 @@ import random
 import pytest
 
 from helpers import random_unimodular
+from liemult import algfile, cli
+from liemult.algebra import build
 from liemult.catalog import (
     abelian,
     entries,
@@ -124,3 +126,19 @@ def test_vergne_relations_and_ranges():
         filiform_q(4)
     with pytest.raises(DimensionMismatch):
         filiform_q(7)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(3), PrimeField(2147483647)],
+                         ids=["Q", "GF3", "GFp"])
+def test_every_entry_is_its_family_builder(field):
+    # `--name X --field F` builds X's family at its parameter over F: that is
+    # X over F, since every entry's constants are integers.
+    for entry in entries():
+        L = entry.algebra
+        constants = L.structure_constants()
+        assert all(c.denominator == 1 for *_, c in constants)
+        reduced = build(L.n, [(i, j, k, c.numerator) for i, j, k, c in constants],
+                        field=field, labels=L.labels)
+        built = cli._family_algebra(entry.family, entry.params[0], field)
+        assert built == reduced
+        assert algfile.serialize_algebra(built) == algfile.serialize_algebra(reduced)

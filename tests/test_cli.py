@@ -7,14 +7,13 @@ import subprocess
 import sys
 import time
 import tracemalloc
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from helpers import random_unimodular, truncated_witt
+from helpers import filiform_square, random_unimodular, truncated_witt
 import liemult
-from liemult import algebra, algfile, cli, homology, linalg, words
+from liemult import algebra, algfile, catalog, cli, homology, linalg, words
 from liemult.algebra import LieAlgebra, build
 from liemult.bounds import BoundReport, VIOLATED
 from liemult.catalog import filiform_q, standard_filiform
@@ -24,10 +23,8 @@ from liemult.cli import (
     EXIT_RESOURCE,
     EXIT_VIOLATION,
     _dicts_to_reports_exit,
-    _rebuild_over,
     main,
 )
-from liemult.errors import LieError
 from liemult.fields import QQ, PrimeField
 
 BAD_JACOBI = (
@@ -685,6 +682,15 @@ def test_more_than_one_input_source_is_a_usage_error(capsys, tmp_path, argv, rea
       for option, number in (("--min-dim", "4"), ("--max-dim", "9"), ("--jobs", "2"))],
     (["verify-bound", "--name", "filiform-6", "--min-dim", "9", "--max-dim", "3"],
      "--min-dim", "--name"),
+    # Without --field, only a file names a field that --unsafe-char-2 could
+    # admit GF(2) for; report is always a family sweep.
+    *[([command, "--name", "filiform-7", "--unsafe-char-2", *extra], "--unsafe-char-2", "--name")
+      for command, extra in (("check", []), ("series", []), ("multiplier", []),
+                             ("psi", ["--i", "2"]), ("verify-bound", []), ("verify-thm13", []))],
+    (["verify-bound", "--family", "abelian", "--unsafe-char-2"], "--unsafe-char-2", "--family"),
+    (["report", "--unsafe-char-2"], "--unsafe-char-2", "--family"),
+    (["report", "--family", "filiform", "--max-dim", "5", "--unsafe-char-2"],
+     "--unsafe-char-2", "--family"),
 ])
 def test_an_option_the_input_source_does_not_read_is_a_usage_error(capsys, tmp_path, argv,
                                                                     option, source):
@@ -694,6 +700,13 @@ def test_an_option_the_input_source_does_not_read_is_a_usage_error(capsys, tmp_p
     code, out, err = run(capsys, [str(path) if a == "{file}" else a for a in argv])
     assert (code, out) == (EXIT_INPUT, "")
     assert err.splitlines()[-1].endswith(f"argument {option}: not allowed with argument {source}")
+
+
+def test_unsafe_char_2_is_read_with_field_and_name(capsys):
+    argv = ["multiplier", "--name", "filiform-7", "--field", "GF(2)"]
+    assert run(capsys, [*argv, "--unsafe-char-2"])[:2] == (EXIT_OK, "4\n")
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (EXIT_INPUT, "") and "unsafe-char-2" in err
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
@@ -712,11 +725,66 @@ def test_a_sweep_past_the_homology_guard_is_refused_before_any_dimension(
     assert err == "resource guard: dimension 13 exceeds the homology guard (12)\n"
 
 
-def test_rebuild_over_a_field_where_a_denominator_vanishes():
-    L = build(3, [(1, 2, 3, Fraction(1, 7))])
-    with pytest.raises(LieError):
-        _rebuild_over(L, PrimeField(7))
-    assert _rebuild_over(L, PrimeField(5)).structure_constants() == ((1, 2, 3, 3),)
+PINNED_COMMANDS = ("check", "series", "multiplier", "verify-bound", "verify-thm13")
+
+
+def _pinned_digest(capsys, source, path=None) -> str:
+    """sha256 over the exit code and machine output of each pinned command
+    on one input, with the input file's path written as {file}."""
+    digest = hashlib.sha256()
+    for command in PINNED_COMMANDS:
+        code, out, _ = run(capsys, [command, *source, "--format", "machine"])
+        if path is not None:
+            out = out.replace(str(path), "{file}")
+        digest.update(f"{command} {code}\n{out}".encode())
+    return digest.hexdigest()
+
+
+# Pinned on the code that still built the center on a dense field-scalar
+# matrix and rebuilt --name algebras through field scalars.
+DENSE_PINS = {
+    ("filiform-4+filiform-4", "Q"): "14b8d0397bf97837fd6c2d29f9a127739b0834eca8f86ab3390df2b7cc053982",
+    ("filiform-4+filiform-4", "GF7"): "0c342899c8dd1cfadc54cf2fd8ebb8a27c68a354a52419cc0c6425d6ddebdda7",
+    ("heisenberg+abelian-2", "Q"): "570473b4a62d1db9653944f10c9d56e95068a39be74d425162e2e85688f23b7c",
+    ("heisenberg+abelian-2", "GF7"): "0dd31518d1cd6e01961d9e31e7ac7c90b3431905e5d6ea6c41d006086434c00f",
+}
+NAME_PINS = {
+    ("heisenberg-3", "GF(7)"): "a2a47ec4d4fd37c7ed110e5033df656c4dfecfdfabe3ef0ab37dd0753f8f89b6",
+    ("heisenberg-3", "GF(2147483647)"): "52220c98d0570465ccd2503afcf60d8611d6c2c60e5ad4ddad898f79d4f03fcc",
+    ("L(3,4,1,4)", "GF(7)"): "9ba4f7d029b0a8522d05efb47e55fa9a73c06f12db45e8e3f00ce4cc6b25feb5",
+    ("L(3,4,1,4)", "GF(2147483647)"): "4416be9ead8efa0a11151478659a1ad9b5428476638b807a26b1a3599f768d41",
+    ("L(7,5,1,7)", "GF(7)"): "1baa6b91e79ad091f0bd2809aa7e5fa03a19e5e303d9619f21a4d022ae390017",
+    ("L(7,5,1,7)", "GF(2147483647)"): "a5c2f3def046e2aea5f09837188a7eb524400776664a7ffcc8a8a8f742591c3f",
+    ("filiform-6", "GF(7)"): "c9aae08aa6c28b4d144fcf507ae6a8a0843802d9c5d497242308e14aec8c7c86",
+    ("filiform-6", "GF(2147483647)"): "2375a490ca316f9ae4a44bb98499cc263d0410a4d59d5b45af6cf7fb32bfb585",
+    ("filiform-7", "GF(7)"): "57dd785f6920c5e1ed4f7c8132b5c22abcd3195ef87300e3e815c3cc576f6efd",
+    ("filiform-7", "GF(2147483647)"): "036faef182ff7a26f27e88acd9102e9ee225c53a6f14a7e916540573062d723a",
+    ("abelian-2", "GF(7)"): "d8674aae214f122d6907864db6a4a8c24fe533a88246727510e9c4b3d692fcd0",
+    ("abelian-2", "GF(2147483647)"): "e0a7e9e465252c3b33c5e5f324b32594f902f5f511615c53f7b9c4fb93ff0238",
+    ("abelian-3", "GF(7)"): "c952bb84ede129d9d6c000ed166383f18c429f2d978e59095c66eeaa1b646288",
+    ("abelian-3", "GF(2147483647)"): "f2c159d32732de04b35331638c39eea0189ffcba3753cc899916d983709bb184",
+}
+
+
+@pytest.mark.parametrize("field,tag", [(QQ, "Q"), (PrimeField(7), "GF7")], ids=["Q", "GF7"])
+@pytest.mark.parametrize("kind", ["filiform-4+filiform-4", "heisenberg+abelian-2"])
+def test_commands_on_dense_input_below_maximal_class_match_their_pins(capsys, tmp_path, kind,
+                                                                       field, tag):
+    # Class below n - 1, so the center is computed as a kernel, in a seeded dense basis.
+    if kind.startswith("filiform"):
+        L = filiform_square(4, field)
+    else:
+        L = build(5, [(1, 2, 3, 1)], field=field)
+    L = L.change_basis(random_unimodular(random.Random(L.n), L.n, field))
+    path = tmp_path / "dense.alg"
+    path.write_text(algfile.serialize_algebra(L))
+    assert _pinned_digest(capsys, ["--file", str(path)], path) == DENSE_PINS[(kind, tag)]
+
+
+@pytest.mark.parametrize("field", ["GF(7)", "GF(2147483647)"])
+@pytest.mark.parametrize("name", catalog.names())
+def test_commands_on_a_catalog_name_over_a_prime_field_match_their_pins(capsys, name, field):
+    assert _pinned_digest(capsys, ["--name", name, "--field", field]) == NAME_PINS[(name, field)]
 
 
 def test_gf_field_flag(capsys):

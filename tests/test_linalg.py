@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     matmul_oracle,
+    naive_kernel,
     naive_rank,
     naive_rref,
     random_rational_matrix,
@@ -340,6 +341,45 @@ def test_row_span_accumulator_matches_matrix_rref():
             assert span.matrix() == Matrix(field, rows).rref()
             assert span.dim == Matrix(field, rows).rank() == sum(grew)
             assert all(span.contains(r) for r in rows)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(3), PrimeField(2147483647)],
+                         ids=["Q", "GF3", "GFp"])
+def test_annihilator_matches_the_naive_kernel(field):
+    # Random spans up to 8x8 (GF(3) makes rank drops common), and the 0-row,
+    # zero, full-rank and 0-column spans.
+    rng = random.Random(31)
+    cases = [([], 4), ([[0] * 5, [0] * 5], 5), ([], 0),
+             ([[1 if i == j else rng.randint(-3, 3) * (i < j) for j in range(6)]
+               for i in range(6)], 6)]
+    for _ in range(60):
+        ncols = rng.randint(1, 8)
+        cases.append((random_rational_matrix(rng, rng.randint(1, 8), ncols), ncols))
+    for rows, ncols in cases:
+        if field != QQ:
+            rows = [[Fraction(e).numerator for e in r] for r in rows]
+        span = RowSpan(field, ncols)
+        for r in rows:
+            span.add(r)
+        ann = span.annihilator()
+        # One row per free column, nonzero there and at no other free column.
+        free = [c for c in range(ncols) if c not in span.pivots]
+        assert [sorted(set(z) - set(span.pivots)) for z in ann] == [[f] for f in free]
+        if field.characteristic:
+            assert all(0 < x < field.characteristic for z in ann for x in z.values())
+        dense = [[field.element(z.get(j, 0)) for j in range(ncols)] for z in ann]
+        assert naive_rref(dense, field) == naive_kernel(rows, ncols, field)
+        assert Matrix(field, rows, ncols=ncols).kernel_basis().rows() == naive_kernel(
+            rows, ncols, field)
+
+
+def test_raw_multiples_of_p_are_zero_entries_over_gf_p():
+    # Integers that are multiples of p are 0 in GF(p), not stored residues 0.
+    F = PrimeField(7)
+    assert integer_row(F, [7, 1, -14], 3) == ({1: 1}, 1)
+    span = RowSpan(F, 2)
+    assert span.add([7, 1]) and span.canonical_rows() == {1: {1: 1}}
+    assert RowSpan(F, 2).contains([7, 0]) and not span.add([0, 14])
 
 
 def test_row_span_contains():
