@@ -25,7 +25,7 @@ from .bounds import (
 from .catalog import CatalogEntry, abelian, entries, get, heisenberg, names, standard_filiform
 from .errors import LieError
 from .fields import QQ, PrimeField, parse_field_spec
-from .homology import BoundaryPair, ExteriorBasis, boundary_matrices, multiplier_dim
+from .homology import BoundaryPair, boundary_matrices, multiplier_dim
 from .linalg import Matrix, RowSpan
 from .words import PsiImage, free_defect, normed_bracket, psi_image_dim, psi_image_dims
 
@@ -56,7 +56,6 @@ __all__ = [
     "PrimeField",
     "parse_field_spec",
     "BoundaryPair",
-    "ExteriorBasis",
     "boundary_matrices",
     "multiplier_dim",
     "Matrix",

@@ -93,6 +93,9 @@ from .errors import (
 from .fields import QQ
 from .linalg import Matrix, RowSpan, integer_row, inverse_rows
 
+# ``central_ideals`` enumerates 2^dim Z(L) subspaces; larger centers are refused.
+MAX_CENTER_DIM = 16
+
 
 class Subspace:
     """A subspace of the ambient coordinate space, held as the canonical rows
@@ -315,12 +318,17 @@ class LieAlgebra:
     def _table(self) -> dict[tuple[int, int], dict[int, object]]:
         """The sparse table c[(i, j)][k] in field scalars, keys in input
         order, built from the integer rows on first read."""
-        d = self._scale
-        element = self.field.element if self.field.characteristic else lambda x: Fraction(x, d)
+        element = self._entry_scalar()
         return {
             key: {k: element(x) for k, x in row.items()}
             for key, row in self._integer_table.items()
         }
+
+    def _entry_scalar(self):
+        """The map from an integer entry x of D times a row to its field
+        scalar: x / D over Q, the residue of x over GF(p)."""
+        d = self._scale
+        return self.field.element if self.field.characteristic else lambda x: Fraction(x, d)
 
     # -- bracket evaluation -------------------------------------------------
 
@@ -636,14 +644,10 @@ class LieAlgebra:
         Every subspace of the center is a central ideal; the coordinate
         subsets are the deterministic test family, ordered by size then
         lexicographically.  The family has 2^dim Z(L) members, so centers
-        beyond 16 dimensions are refused.
+        beyond ``MAX_CENTER_DIM`` dimensions are refused.
         """
         rows = list(self.center()._rows.values())
-        if len(rows) > 16:
-            raise ResourceLimit(
-                f"the center is {len(rows)}-dimensional; enumerating "
-                f"2^{len(rows)} central ideals is refused"
-            )
+        _check_central_ideals(len(rows))
         out = [Subspace.zero_space(self.field, self.n)]
         for size in range(1, len(rows) + 1):
             for combo in itertools.combinations(range(len(rows)), size):
@@ -862,6 +866,16 @@ class LieAlgebra:
 
     def __repr__(self):
         return f"LieAlgebra(n={self.n}, field={self.field})"
+
+
+def _check_central_ideals(center_dim: int) -> None:
+    """The central-ideal guard, shared by ``central_ideals`` and the
+    ``report`` sweep: 2^dim Z(L) ideals are refused past ``MAX_CENTER_DIM``."""
+    if center_dim > MAX_CENTER_DIM:
+        raise ResourceLimit(
+            f"the center is {center_dim}-dimensional; enumerating "
+            f"2^{center_dim} central ideals is refused"
+        )
 
 
 def _table_rows(n: int, table, field) -> tuple[dict[tuple[int, int], dict[int, int]], int]:

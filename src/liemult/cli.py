@@ -17,7 +17,7 @@ import os
 import sys
 
 from . import algfile, bounds, catalog
-from .algebra import LieAlgebra
+from .algebra import LieAlgebra, _check_central_ideals
 from .errors import AlgebraFileError, LieError, ResourceLimit
 from .fields import QQ, parse_field_spec
 from .homology import _check_dimension, multiplier_dim
@@ -337,8 +337,11 @@ def _bound_report_for(spec) -> dict:
 
 
 def _sweep_reports(args, field, with_ideals: bool = False) -> list[dict]:
-    # The largest algebra comes last; the guard refuses it before the first is built.
+    # The largest algebra comes last; the guards refuse it before the first
+    # report is computed.  Its center is the largest of the family's.
     _check_dimension(args.max_dim)
+    if with_ideals:
+        _check_central_ideals(_family_algebra(args.family, args.max_dim, field).center().dim)
     # The field object itself goes to each task (it pickles), so its
     # modulus is checked once per sweep, not once per dimension.
     specs = [(args.family, n, field, with_ideals) for n in _family_dims(args)]

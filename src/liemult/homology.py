@@ -19,6 +19,18 @@ every [x, y] is a combination of them, so that span is [L, L].  So
 ``multiplier_dim`` builds and ranks d3 only, and only ``boundary_matrices``
 builds d2.
 
+Both boundaries are read straight off the integer ad table ``L._ad``, whose
+rows are D [e_a, e_b] (residues over GF(p), where D = 1).  A row of d2 is
+D [e_i, e_j]; a row of d3 sums its three bracket terms as integers, reduced
+mod p over GF(p).  The degree-2 wedge e_a ∧ e_b, a < b, is column
+
+    a·n − a(a+1)/2 + b − a − 1,
+
+its position in the lexicographic order of ``combinations(range(n), 2)``;
+the rows of d3 follow ``combinations(range(n), 3)``.  A field scalar is made
+only for a nonzero cell, x / D over Q, and every other cell shares the
+field's zero.
+
 The complex is held once: each boundary row is generated as a fresh list and
 copied into its ``Matrix`` as it arrives, so no list of raw rows lives beside
 the matrices.  The dense d3 still costs one pointer per cell, C(n,3)·C(n,2)·8
@@ -66,36 +78,10 @@ from math import comb
 from typing import NamedTuple
 
 from .algebra import LieAlgebra
-from .errors import IndexOutOfRange, NonNilpotent, ResourceLimit
+from .errors import NonNilpotent, ResourceLimit
 from .linalg import Matrix
 
 MAX_HOMOLOGY_DIM = 64
-
-
-class ExteriorBasis:
-    """Bijection between sorted k-subsets of {0..n-1} and flat positions,
-    in lexicographic order."""
-
-    def __init__(self, n: int, k: int):
-        self.n = n
-        self.k = k
-        self._subsets = tuple(itertools.combinations(range(n), k))
-        self._index = {s: pos for pos, s in enumerate(self._subsets)}
-
-    @property
-    def size(self) -> int:
-        return len(self._subsets)
-
-    def index_of(self, subset) -> int:
-        key = tuple(subset)
-        if key not in self._index:
-            raise IndexOutOfRange(f"{key} is not a sorted {self.k}-subset of range({self.n})")
-        return self._index[key]
-
-    def subset_at(self, pos: int) -> tuple[int, ...]:
-        if not 0 <= pos < len(self._subsets):
-            raise IndexOutOfRange(f"position {pos} out of range")
-        return self._subsets[pos]
 
 
 class BoundaryPair(NamedTuple):
@@ -103,20 +89,6 @@ class BoundaryPair(NamedTuple):
 
     d2: Matrix  # C(n,2) rows -> n cols
     d3: Matrix  # C(n,3) rows -> C(n,2) cols, rows in the order of combinations(range(n), 3)
-    ext2: ExteriorBasis
-
-
-def _wedge_into(row, ext2, vec: dict[int, object], partner: int, sign: int):
-    """Accumulate (vec ∧ e_partner), vec sparse, into a degree-2 row."""
-    for m, c in vec.items():
-        if m == partner:
-            continue
-        if m < partner:
-            pos = ext2.index_of((m, partner))
-            row[pos] = row[pos] + c if sign > 0 else row[pos] - c
-        else:
-            pos = ext2.index_of((partner, m))
-            row[pos] = row[pos] - c if sign > 0 else row[pos] + c
 
 
 def _check_dimension(n: int) -> None:
@@ -128,29 +100,51 @@ def _check_dimension(n: int) -> None:
 
 
 def _d2_rows(L: LieAlgebra):
-    """The rows of d2, one fresh list per wedge e_i ∧ e_j."""
-    n, zero = L.n, L.field.zero
+    """The rows of d2, one fresh list per wedge e_i ∧ e_j: the nonzero
+    entries of D [e_i, e_j] made field scalars, every other cell zero."""
+    n, ad, zero = L.n, L._ad, L.field.zero
+    scalar = L._entry_scalar()
     for i, j in itertools.combinations(range(n), 2):
         row = [zero] * n
-        for k, c in L.bracket_basis(i, j).items():
-            row[k] = c
+        for k, x in ad[i].get(j, {}).items():
+            row[k] = scalar(x)
         yield row
 
 
-def _d3(L: LieAlgebra, ext2: ExteriorBasis) -> Matrix:
+def _d3(L: LieAlgebra) -> Matrix:
     """d3 of L in L's own basis, one fresh row per wedge e_i ∧ e_j ∧ e_k,
-    each copied into the matrix as it is made."""
-    zero = L.field.zero
+    i < j < k, each copied into the matrix as it is made.
+
+    A row sums its three bracket terms as integers, D times each cell, at
+    column base[a] + b of the wedge e_a ∧ e_b, a < b, the closed form of the
+    module docstring; only a cell whose sum is nonzero (mod p) is made a
+    field scalar."""
+    n, ad, p, zero = L.n, L._ad, L.field.characteristic, L.field.zero
+    scalar = L._entry_scalar()
+    base = [a * n - a * (a + 1) // 2 - a - 1 for a in range(n)]
+    ncols = comb(n, 2)
 
     def rows():
-        for i, j, k in itertools.combinations(range(L.n), 3):
-            row = [zero] * ext2.size
-            _wedge_into(row, ext2, L.bracket_basis(i, j), k, +1)
-            _wedge_into(row, ext2, L.bracket_basis(i, k), j, -1)
-            _wedge_into(row, ext2, L.bracket_basis(j, k), i, +1)
+        for i, j, k in itertools.combinations(range(n), 3):
+            cells: dict[int, int] = {}
+            for vec, partner, sign in ((ad[i].get(j), k, 1), (ad[i].get(k), j, -1),
+                                       (ad[j].get(k), i, 1)):
+                if vec:
+                    for m, x in vec.items():
+                        # e_m ∧ e_partner = -(e_partner ∧ e_m) when m > partner.
+                        if m < partner:
+                            col = base[m] + partner
+                            cells[col] = cells.get(col, 0) + sign * x
+                        elif m > partner:
+                            col = base[partner] + m
+                            cells[col] = cells.get(col, 0) - sign * x
+            row = [zero] * ncols
+            for col, x in cells.items():
+                if x % p if p else x:
+                    row[col] = scalar(x)
             yield row
 
-    return Matrix(L.field, rows(), ncols=ext2.size)
+    return Matrix(L.field, rows(), ncols=ncols)
 
 
 def boundary_matrices(L: LieAlgebra) -> BoundaryPair:
@@ -160,11 +154,9 @@ def boundary_matrices(L: LieAlgebra) -> BoundaryPair:
     copy of the complex is the one the two matrices hold.
     """
     _check_dimension(L.n)
-    ext2 = ExteriorBasis(L.n, 2)
     return BoundaryPair(
         d2=Matrix(L.field, _d2_rows(L), ncols=L.n),
-        d3=_d3(L, ext2),
-        ext2=ext2,
+        d3=_d3(L),
     )
 
 
@@ -184,6 +176,6 @@ def multiplier_dim(L: LieAlgebra) -> int:
     if L._adapted is None and not L.is_nilpotent():
         raise NonNilpotent("the multiplier computation requires a nilpotent algebra")
     X = L._adapted or L
-    value = comb(L.n, 2) - X.derived_subalgebra().dim - _d3(X, ExteriorBasis(L.n, 2)).rank()
+    value = comb(L.n, 2) - X.derived_subalgebra().dim - _d3(X).rank()
     L._multiplier_dim = value
     return value

@@ -178,10 +178,17 @@ def naive_rank(rows, field=QQ) -> int:
 
 
 def multiplier_oracle(L: LieAlgebra) -> int:
-    """dim M(L) = C(n,2) - rank d2 - rank d3 from the dense exterior complex,
-    each boundary row written out from ``L.bracket`` of basis vectors and
-    ranked by naive_rank, in L's own basis.  The wedge e_a ∧ e_b (a < b) is
-    the column of (a, b) among the pairs in lexicographic order."""
+    """dim M(L) = C(n,2) - rank d2 - rank d3 from the dense exterior complex
+    of ``boundary_oracle``, ranked by naive_rank, in L's own basis."""
+    d2, d3 = boundary_oracle(L)
+    return len(d2) - naive_rank(d2, L.field) - naive_rank(d3, L.field)
+
+
+def boundary_oracle(L: LieAlgebra) -> tuple[list[list], list[list]]:
+    """The rows of d2 and d3, each written out from ``L.bracket`` of basis
+    vectors in field scalars.  The wedge e_a ∧ e_b (a < b) is the column of
+    (a, b) among the pairs in lexicographic order, and the rows of d3 follow
+    the triples in lexicographic order."""
     n, zero = L.n, L.field.zero
     pairs = list(itertools.combinations(range(n), 2))
     column = {pair: pos for pos, pair in enumerate(pairs)}
@@ -198,7 +205,7 @@ def multiplier_oracle(L: LieAlgebra) -> int:
                     flip = 1 if m < partner else -1
                     row[column[(min(m, partner), max(m, partner))]] += sign * flip * c
         d3.append(row)
-    return len(pairs) - naive_rank(d2, L.field) - naive_rank(d3, L.field)
+    return d2, d3
 
 
 def has_generator_chain_oracle(L: LieAlgebra) -> bool:

@@ -610,7 +610,7 @@ def test_the_package_exports_only_what_a_command_or_the_benchmark_reads():
         "moneyhun_bound", "verify_central_quotient_bound", "verify_main_theorem",
         "CatalogEntry", "abelian", "entries", "get", "heisenberg", "names",
         "standard_filiform", "LieError", "QQ", "PrimeField", "parse_field_spec",
-        "BoundaryPair", "ExteriorBasis", "boundary_matrices", "multiplier_dim", "Matrix",
+        "BoundaryPair", "boundary_matrices", "multiplier_dim", "Matrix",
         "RowSpan", "PsiImage", "free_defect", "normed_bracket", "psi_image_dim",
         "psi_image_dims", "__version__",
     ]
@@ -723,6 +723,22 @@ def test_a_sweep_past_the_homology_guard_is_refused_before_any_dimension(
     code, out, err = run(capsys, [command, "--family", family, "--max-dim", "13", "--jobs", jobs])
     assert (code, out) == (EXIT_RESOURCE, "")
     assert err == "resource guard: dimension 13 exceeds the homology guard (12)\n"
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_a_report_past_the_central_ideal_guard_is_refused_before_any_dimension(
+        monkeypatch, capsys, jobs):
+    # abelian-17 is its own 17-dimensional center; the sweep would otherwise
+    # compute every report below it before central_ideals refused it.
+    monkeypatch.setattr(cli.bounds, "bound_report",
+                        lambda *a, **k: pytest.fail("a dimension was computed"))
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        lambda *a, **k: pytest.fail("a worker pool was started"))
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    code, out, err = run(capsys, ["report", "--family", "abelian", "--max-dim", "17", "--jobs", jobs])
+    assert (code, out) == (EXIT_RESOURCE, "")
+    assert err == ("resource guard: the center is 17-dimensional; "
+                   "enumerating 2^17 central ideals is refused\n")
 
 
 PINNED_COMMANDS = ("check", "series", "multiplier", "verify-bound", "verify-thm13")

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import random
 import tracemalloc
@@ -10,6 +11,7 @@ from helpers import (
     NO_CHAIN_GF2,
     GeneratorSearchFailed,
     NotMaximalClass,
+    boundary_oracle,
     chain_rows_as_vectors,
     filiform_square,
     free_class_two,
@@ -21,7 +23,7 @@ from helpers import (
     truncated_witt,
 )
 from liemult import homology
-from liemult.algebra import build
+from liemult.algebra import LieAlgebra, build
 from liemult.catalog import (
     abelian,
     entries,
@@ -30,27 +32,10 @@ from liemult.catalog import (
     heisenberg,
     standard_filiform,
 )
-from liemult.errors import IndexOutOfRange, NonNilpotent, ResourceLimit
+from liemult.errors import NonNilpotent, ResourceLimit
 from liemult.fields import QQ, PrimeField
-from liemult.homology import ExteriorBasis, boundary_matrices, multiplier_dim
-
-
-@pytest.mark.parametrize("n,k", [(4, 2), (4, 3), (8, 2), (8, 3), (3, 3)])
-def test_exterior_basis_round_trip(n, k):
-    ext = ExteriorBasis(n, k)
-    assert ext.size == comb(n, k)
-    for pos in range(ext.size):
-        assert ext.index_of(ext.subset_at(pos)) == pos
-    # Lexicographic order: position 0 is the smallest subset.
-    assert ext.subset_at(0) == tuple(range(k))
-
-
-def test_exterior_basis_rejects_bad_subset():
-    ext = ExteriorBasis(4, 2)
-    with pytest.raises(IndexOutOfRange):
-        ext.index_of((2, 1))
-    with pytest.raises(IndexOutOfRange):
-        ext.subset_at(99)
+from liemult.homology import boundary_matrices, multiplier_dim
+from liemult.linalg import Matrix
 
 
 def test_abelian_boundaries_are_zero():
@@ -58,18 +43,23 @@ def test_abelian_boundaries_are_zero():
     assert pair.d2.is_zero() and pair.d3.is_zero()
 
 
+def _wedge(n, a, b):
+    """The column of e_a ∧ e_b, a < b: its lexicographic position."""
+    return a * n - a * (a + 1) // 2 + b - a - 1
+
+
 def test_d3_rows_of_n4_filiform():
     # Hand expansion: d3(x1^x2^x3) = [x1,x2]^x3 - [x1,x3]^x2 + [x2,x3]^x1
     #                              = x3^x3 - x4^x2 + 0 = x2^x4.
     L = standard_filiform(4)
     pair = boundary_matrices(L)
-    ext3 = ExteriorBasis(4, 3)  # d3's rows follow the lexicographic triples
-    row = pair.d3.row(ext3.index_of((0, 1, 2)))
-    expected = [QQ.zero] * pair.ext2.size
-    expected[pair.ext2.index_of((1, 3))] = QQ.one
+    triples = list(itertools.combinations(range(4), 3))  # d3's rows, in this order
+    row = pair.d3.row(triples.index((0, 1, 2)))
+    expected = [QQ.zero] * comb(4, 2)
+    expected[_wedge(4, 1, 3)] = QQ.one
     assert row == expected
     # d3(x1^x3^x4) = x4^x4 - 0 + 0 = 0.
-    assert not any(pair.d3.row(ext3.index_of((0, 2, 3))))
+    assert not any(pair.d3.row(triples.index((0, 2, 3))))
 
 
 def test_d2_rank_and_kernel_of_n4_filiform():
@@ -405,6 +395,32 @@ def test_multiplier_dim_builds_no_d2(field, monkeypatch):
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_boundary_matrices_match_the_dense_oracle(field):
+    # The scaled input has fractional constants over Q (D = 6).
+    scaled = standard_filiform(6, field=field).change_basis(
+        _diagonal([1, 1, 2, 1, 3, 1], field) @ random_unimodular(random.Random(6), 6, field))
+    for name, L in {**_identity_corpus(field), "scaled filiform-6": scaled}.items():
+        pair = boundary_matrices(L)
+        assert [pair.d2.rows(), pair.d3.rows()] == list(boundary_oracle(L)), name
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_the_complex_is_built_from_the_integer_table(field, monkeypatch):
+    # The field-scalar table is never read: every cell comes from L._ad.
+    corpus = _identity_corpus(field)
+
+    def refuse(self):
+        raise AssertionError("the field-scalar table was read")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(LieAlgebra, "_table", property(refuse))
+        dims = {name: multiplier_dim(L) for name, L in corpus.items()}
+        for L in corpus.values():
+            boundary_matrices(L)
+    assert dims == {name: multiplier_oracle(L) for name, L in corpus.items()}
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
 def test_multiplier_dim_of_non_nilpotent_input_raises(field, monkeypatch):
     monkeypatch.setattr(homology, "_d2_rows", _no_d2)
     for L in (build(2, [(1, 2, 2, 1)], field=field),
@@ -429,7 +445,21 @@ BOUNDARY_PINS = {
                    "74b078777dcd26bdda71b6e590dbb2867fbbf94289b81438de134a2246c975b8"),
     "free-class-two-3/GFp": (lambda: free_class_two(3, PrimeField(2147483647)),
                              "e163ca53743a34b9f4b3ffc3c3e0ab6dbf3e72659bad8eec08ec0c0fcf955bff"),
+    # Scale D = 6: a basis change of determinant 6, so the cells are fractions.
+    "scaled-filiform-6/Q": (lambda: standard_filiform(6).change_basis(
+                                _diagonal([1, 1, 2, 1, 3, 1], QQ)
+                                @ random_unimodular(random.Random(6), 6)),
+                            "051c2b9e06fbef8e848051ed1e7a5dee90fd68f7f3933f89dbf7343b57d4f0b2"),
+    # In 24 cells of d3 the bracket terms, as residues, sum to a nonzero multiple of 3.
+    "dense-filiform-7/GF3": (lambda: standard_filiform(7, field=PrimeField(3)).change_basis(
+                                 random_unimodular(random.Random(3), 7, PrimeField(3))),
+                             "70a97027744da7fab69879b58d12f5b0fb63ce2bbf097fb7133764c60617aa21"),
 }
+
+
+def _diagonal(entries, field):
+    n = len(entries)
+    return Matrix(field, [[entries[i] if i == j else 0 for j in range(n)] for i in range(n)])
 
 
 @pytest.mark.parametrize("name", BOUNDARY_PINS)
