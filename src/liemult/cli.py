@@ -165,11 +165,8 @@ def _load_algebra(args) -> tuple[LieAlgebra, str]:
         return algfile.parse_algebra(text, allow_char_two=bool(args.unsafe_char_2)), args.file
     if getattr(args, "name", None):
         entry = catalog.get(args.name)
-        field = _resolve_field(args)
-        if field == QQ:
-            return entry.algebra, entry.name
-        # Every entry is its family's builder at params[0] over Q.
-        return _family_algebra(entry.family, entry.params[0], field), entry.name
+        # Every entry is its family's builder at params[0], over any field.
+        return _family_algebra(entry.family, entry.params[0], _resolve_field(args)), entry.name
     raise LieError("one of --file or --name is required")
 
 

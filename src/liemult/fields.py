@@ -7,8 +7,8 @@ truthiness, so all linear algebra and bracket code downstream is field
 agnostic.  ``integers`` reads a constant as integers instead, a reduced
 numerator and denominator over Q and a residue over GF(p), for the
 constructions that build integer rows; ``parse_integers`` does the same for
-a literal, for the parser, and ``parse`` is built on it.  ``element``
-takes its fast paths itself and the rest from ``integers``.
+a literal, for the parser.  ``element`` takes its fast paths itself and the
+rest, a literal included, from ``integers``.
 
 ``PrimeField`` proves its modulus prime with the strong (Miller-Rabin) test
 to the first 13 primes, which is exact below ψ₁₃ (``_is_prime``); an
@@ -117,9 +117,6 @@ class RationalField:
         if isinstance(value, str):
             return self.parse_integers(value)
         raise FieldMismatch(f"cannot coerce {value!r} into Q")
-
-    def parse(self, text: str) -> Fraction:
-        return Fraction(*self.parse_integers(text))
 
     def parse_integers(self, text: str) -> tuple[int, int]:
         """(numerator, denominator) of a literal in lowest terms, with a
@@ -281,9 +278,6 @@ class PrimeField:
         if isinstance(value, str):
             return self.parse_integers(value)
         raise FieldMismatch(f"cannot coerce {value!r} into GF({self.p})")
-
-    def parse(self, text: str) -> PrimeFieldElement:
-        return PrimeFieldElement(self.p, self.parse_integers(text)[0])
 
     def parse_integers(self, text: str) -> tuple[int, int]:
         """(residue in [0, p), 1) for an integer literal."""

@@ -7,16 +7,17 @@ primitive integer vector with a positive leading entry: the fraction-free idea
 of Bareiss, reduced to cross-multiplying two integer rows and dividing the
 content out, so no rational arithmetic runs inside elimination.  One clearing
 step, ``RowSpan._clear``, is the only elimination arithmetic and the only
-place it differs by field; forward reduction (``add``, ``contains``) and
-back-substitution to the canonical reduced basis (``canonical_rows``, the
+place it differs by field; forward reduction (``add``, ``contains_integers``)
+and back-substitution to the canonical reduced basis (``canonical_rows``, the
 integer rows a ``Subspace`` keeps; ``matrix`` makes them dense) both use it.
 ``annihilator`` reads the integer rows orthogonal to the span off the
 canonical rows, one per free column; it is the package's only kernel
-routine, behind ``LieAlgebra.center`` and ``Matrix.kernel_basis``.
+routine, behind ``LieAlgebra.center``.  ``inverse_rows``, the one inverse
+routine, reduces one ``RowSpan`` over integer rows.
 
-``Matrix`` is a dense immutable matrix over one field.  Its rank, echelon
-form and kernel basis all feed its rows into a ``RowSpan``; so does
-``inverse_rows``, the one inverse routine, which works on integer rows.
+``Matrix`` is a dense immutable matrix over one field, kept for what reads
+it: the boundary maps of ``homology``, the argument of ``change_basis`` and
+``Subspace.basis``.  Its rank feeds its rows into one fresh ``RowSpan``.
 Its product multiplies the integer rows and columns (``integer_row``) of
 its factors and makes one scalar per cell.
 Echelon form here always means the canonical reduced form: leading
@@ -62,17 +63,6 @@ class Matrix:
         self._rows = stored
         self.nrows = len(stored)
         self.ncols = width
-        self._span: RowSpan | None = None
-
-    @classmethod
-    def zeros(cls, field, nrows: int, ncols: int) -> "Matrix":
-        z = field.zero
-        return cls(field, [[z] * ncols for _ in range(nrows)], ncols=ncols)
-
-    @classmethod
-    def identity(cls, field, n: int) -> "Matrix":
-        z, o = field.zero, field.one
-        return cls(field, [[o if i == j else z for j in range(n)] for i in range(n)])
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -83,17 +73,6 @@ class Matrix:
 
     def rows(self) -> list[list]:
         return [list(r) for r in self._rows]
-
-    def transpose(self) -> "Matrix":
-        return Matrix(
-            self.field,
-            [[self._rows[i][j] for i in range(self.nrows)] for j in range(self.ncols)],
-            ncols=self.nrows,
-        )
-
-    def stack(self, other: "Matrix") -> "Matrix":
-        self._check_compatible(other)
-        return Matrix(self.field, self._rows + other._rows, ncols=self.ncols)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.field != other.field:
@@ -116,41 +95,12 @@ class Matrix:
             out.append(row)
         return Matrix(field, out, ncols=other.ncols)
 
-    def is_zero(self) -> bool:
-        return all(not e for r in self._rows for e in r)
-
-    def rref(self) -> "Matrix":
-        """Canonical reduced row-echelon form (zero rows dropped)."""
-        return self._echelon().matrix()
-
-    def pivot_columns(self) -> tuple[int, ...]:
-        return tuple(self._echelon().canonical_rows())
-
-    def _echelon(self) -> "RowSpan":
-        """The rows fed into a RowSpan (forward reduction only, done once)."""
-        if self._span is None:
-            span = RowSpan(self.field, self.ncols)
-            for r in self._rows:
-                span.add(r)
-            self._span = span
-        return self._span
-
     def rank(self) -> int:
-        return self._echelon().dim
-
-    def kernel_basis(self) -> "Matrix":
-        """Canonical echelonized basis of the right null space, as rows: the
-        annihilator of the row space."""
-        kernel = RowSpan(self.field, self.ncols)
-        for z in self._echelon().annihilator():
-            kernel.add_integers(z)
-        return kernel.matrix()
-
-    def _check_compatible(self, other: "Matrix"):
-        if self.field != other.field:
-            raise FieldMismatch("matrices over different fields")
-        if self.ncols != other.ncols:
-            raise DimensionMismatch(f"{self.ncols} vs {other.ncols} columns")
+        """The rank: the dimension of the ``RowSpan`` the rows are fed into."""
+        span = RowSpan(self.field, self.ncols)
+        for r in self._rows:
+            span.add(r)
+        return span.dim
 
     def __eq__(self, other):
         return (
@@ -159,9 +109,6 @@ class Matrix:
             and self.shape == other.shape
             and self._rows == other._rows
         )
-
-    def __hash__(self):
-        return hash((self.field, tuple(tuple(r) for r in self._rows), self.ncols))
 
     def __repr__(self):
         return f"Matrix({self.field}, {self.nrows}x{self.ncols})"
@@ -222,11 +169,11 @@ def integer_row(field, vec, ncols: int) -> tuple[dict[int, int], int]:
 class RowSpan:
     """Incrementally maintained row space over sparse exact integer rows.
 
-    ``add`` and ``contains`` forward-reduce a vector against the pivot rows;
-    ``canonical_rows()`` back-substitutes to the canonical reduced basis,
-    ``matrix()`` makes it dense and ``annihilator()`` reads its orthogonal
-    complement off it.  Rows may arrive one at a time (series, image
-    enumeration); every ``Matrix`` elimination also runs here.
+    ``add`` and ``contains_integers`` forward-reduce a vector against the
+    pivot rows; ``canonical_rows()`` back-substitutes to the canonical
+    reduced basis, ``matrix()`` makes it dense and ``annihilator()`` reads
+    its orthogonal complement off it.  Rows may arrive one at a time
+    (series, image enumeration); ``Matrix.rank`` feeds its rows here too.
     """
 
     def __init__(self, field, ncols: int):
@@ -264,9 +211,6 @@ class RowSpan:
         c = min(v)
         self._rows[c] = self._pivot_row(v, c)
         return True
-
-    def contains(self, vec: Sequence) -> bool:
-        return self.contains_integers(integer_row(self.field, vec, self.ncols)[0])
 
     def contains_integers(self, v: dict[int, int]) -> bool:
         """Membership of a vector given as in ``add_integers``."""

@@ -30,7 +30,7 @@ from liemult.errors import (
 )
 from liemult.fields import QQ, parse_field_spec
 from liemult.homology import multiplier_dim
-from liemult.linalg import Matrix, integer_row
+from liemult.linalg import Matrix, RowSpan, integer_row
 from liemult.words import _inner_word, term_schedule
 
 
@@ -41,6 +41,30 @@ from liemult.words import _inner_word, term_schedule
 NO_CHAIN_GF2 = [(1, 2, 3, 1), (1, 3, 4, -1), (1, 4, 5, -1), (2, 5, 6, -1), (3, 4, 6, 1),
                 (1, 6, 7, -1), (3, 5, 7, 1), (1, 7, 8, -1), (2, 7, 8, -1), (3, 6, 8, 1),
                 (4, 5, 8, 1)]
+
+
+def identity(field, n: int) -> Matrix:
+    return Matrix(field, [[field.one if i == j else field.zero for j in range(n)]
+                          for i in range(n)])
+
+
+def is_zero(m: Matrix) -> bool:
+    return not any(x for r in m.rows() for x in r)
+
+
+def row_span(m: Matrix) -> RowSpan:
+    """A ``RowSpan`` with m's rows added in order, as ``Matrix.rank`` adds
+    them: ``row_span(m).matrix()`` is m's canonical reduced echelon form and
+    ``row_span(m).annihilator()`` its right null space."""
+    span = RowSpan(m.field, m.ncols)
+    for r in m.rows():
+        span.add(r)
+    return span
+
+
+def leading_columns(rows) -> list[int]:
+    """The column of each row's first nonzero entry: its pivot, for echelon rows."""
+    return [next(j for j, x in enumerate(r) if x) for r in rows]
 
 
 def naive_rref(rows, field=QQ) -> list[list]:
@@ -140,7 +164,8 @@ def matmul_oracle(a: Matrix, b: Matrix) -> list[list]:
     k of a[i][k] b[k][j] as ``Fraction``s over Q and as residues mod p over
     GF(p)."""
     field, p = a.field, a.field.characteristic
-    rows, cols = a.rows(), b.transpose().rows()
+    rows = a.rows()
+    cols = [[r[j] for r in b.rows()] for j in range(b.ncols)]
     if p:
         return [[field.element(sum(x.v * y.v for x, y in zip(r, c)) % p) for c in cols]
                 for r in rows]
@@ -162,7 +187,7 @@ def quotient_oracle(L: LieAlgebra, ideal: Subspace) -> LieAlgebra:
     at K's non-pivot columns, [e_f, e_g] = ``bracket_basis`` reduced by
     ``subspace_reduce`` and read at those columns, through ``LieAlgebra(q,
     table)``."""
-    pivots = set(ideal.basis.pivot_columns())
+    pivots = set(leading_columns(ideal.basis.rows()))
     free = [c for c in range(L.n) if c not in pivots]
     table = {}
     for a, b in itertools.combinations(range(len(free)), 2):
@@ -295,12 +320,9 @@ def quotient_coords_oracle(sup: Subspace, sub: Subspace, v) -> list:
     """Coordinates of v in sup/sub by solving v = sum c_i * adapted_i with
     naive_rref, where adapted is sub's basis followed by the rows of sup's
     basis whose pivot column is not a pivot of sub."""
-    sub_pivots = set(sub.basis.pivot_columns())
-    complement = [
-        row
-        for row, p in zip(sup.basis.rows(), sup.basis.pivot_columns())
-        if p not in sub_pivots
-    ]
+    sub_pivots = set(leading_columns(sub.basis.rows()))
+    sup_rows = sup.basis.rows()
+    complement = [row for row, p in zip(sup_rows, leading_columns(sup_rows)) if p not in sub_pivots]
     adapted = sub.basis.rows() + complement
     k = len(adapted)
     system = [[a[j] for a in adapted] + [v[j]] for j in range(sup.ambient)]

@@ -12,6 +12,7 @@ from math import comb
 from helpers import (
     brute_psi_image_dim,
     defect_terms,
+    is_zero,
     lemma_defect,
     odd_witness_oracle,
     random_rational_vector,
@@ -123,11 +124,11 @@ def test_criterion_06_chain_condition_and_invariance():
         L = entry.algebra
         base = multiplier_dim(L)
         pair = boundary_matrices(L)
-        assert (pair.d3 @ pair.d2).is_zero(), entry.name
+        assert is_zero(pair.d3 @ pair.d2), entry.name
         for _ in range(20):
             conj = L.change_basis(random_unimodular(rng, L.n))
             cpair = boundary_matrices(conj)
-            assert (cpair.d3 @ cpair.d2).is_zero(), entry.name
+            assert is_zero(cpair.d3 @ cpair.d2), entry.name
             assert multiplier_dim(conj) == base, entry.name
     _ok(6, "d2∘d3 = 0 and multiplier dim invariant over 20 basis changes per entry")
 

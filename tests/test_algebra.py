@@ -16,11 +16,14 @@ from helpers import (
     center_oracle,
     chain_basis_series_oracle,
     change_basis_oracle,
+    identity,
+    leading_columns,
     naive_rref,
     quotient_coords_oracle,
     quotient_oracle,
     random_rational_vector,
     random_unimodular,
+    row_span,
     scalar_table,
     series_oracle,
     subspace_reduce,
@@ -614,7 +617,7 @@ def test_equal_subspaces_compare_and_hash_equal_across_routes(field):
         return Subspace.from_vectors(field, 6, rows)
 
     for s in (g2, g3):
-        routes = [rebuilt(s), Subspace(6, Matrix(field, s.basis.rows())._echelon()), s.sum(g3),
+        routes = [rebuilt(s), Subspace(6, row_span(s.basis)), s.sum(g3),
                   rebuilt(s).sum(Subspace.zero_space(field, 6))]
         for other in routes:
             assert other == s and hash(other) == hash(s)
@@ -636,10 +639,6 @@ def _in_span(rows, v, field) -> bool:
     return len(naive_rref(rows + [v], field)) == len(naive_rref(rows, field))
 
 
-def _pivots(rows) -> list[int]:
-    return [next(j for j, x in enumerate(r) if x) for r in rows]
-
-
 @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
 def test_subspace_operations_match_naive_rref(field):
     rng = random.Random(43)
@@ -655,7 +654,7 @@ def test_subspace_operations_match_naive_rref(field):
     for s in ideals + others:
         rows = s.basis.rows()
         assert rows == naive_rref(rows, field)
-        pivots = _pivots(rows)
+        pivots = leading_columns(rows)
         vectors = [[field.element(rng.randint(-4, 4)) for _ in range(6)] for _ in range(4)]
         for _ in range(3):
             v = L.zero_vector()
@@ -774,13 +773,13 @@ def test_change_basis_rejects_a_singular_matrix():
 
 def test_change_basis_rejects_a_matrix_over_another_field():
     with pytest.raises(FieldMismatch):
-        standard_filiform(4).change_basis(Matrix.identity(PrimeField(7), 4))
+        standard_filiform(4).change_basis(identity(PrimeField(7), 4))
 
 
 def test_change_basis_rejects_a_matrix_of_the_wrong_shape():
     L = standard_filiform(4)
     with pytest.raises(DimensionMismatch):
-        L.change_basis(Matrix.identity(QQ, 5))
+        L.change_basis(identity(QQ, 5))
     with pytest.raises(DimensionMismatch):
         L.change_basis(Matrix(QQ, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]]))
 

@@ -9,25 +9,25 @@ from liemult.fields import QQ, PrimeField, PrimeFieldElement, _is_prime, parse_f
 
 
 def test_rational_parse_lowest_terms():
-    v = QQ.parse("6/4")
+    v = QQ.element("6/4")
     assert v == Fraction(3, 2)
     assert v.denominator == 2 and v.numerator == 3
 
 
 def test_rational_parse_negative_and_integer():
-    assert QQ.parse("-7") == Fraction(-7)
-    assert QQ.parse("+3/9") == Fraction(1, 3)
+    assert QQ.element("-7") == Fraction(-7)
+    assert QQ.element("+3/9") == Fraction(1, 3)
 
 
 @pytest.mark.parametrize("bad", ["1.5", "1e3", "a/2", "1/2/3", "", "1/0"])
 def test_rational_parse_rejects_non_rationals(bad):
     with pytest.raises(BadScalarLiteral):
-        QQ.parse(bad)
+        QQ.element(bad)
 
 
 @given(st.integers(-10**6, 10**6), st.integers(1, 10**6))
 def test_rational_literal_round_trip(num, den):
-    v = QQ.parse(f"{num}/{den}")
+    v = QQ.element(f"{num}/{den}")
     assert v == Fraction(num, den)
     assert v.denominator > 0  # positive denominator invariant
 
@@ -95,8 +95,8 @@ def test_composite_modulus_always_rejected(p):
 def test_gf_parse_rejects_rational_literal():
     F = PrimeField(7)
     with pytest.raises(BadScalarLiteral):
-        F.parse("1/2")
-    assert F.parse("-3") == F.element(4)
+        F.element("1/2")
+    assert F.element("-3") == F.element(4)
 
 
 def test_parse_field_spec():

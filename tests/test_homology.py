@@ -17,8 +17,10 @@ from helpers import (
     free_class_two,
     generator_chain,
     has_generator_chain_oracle,
+    is_zero,
     multiplier_oracle,
     random_unimodular,
+    row_span,
     series_oracle,
     truncated_witt,
 )
@@ -40,7 +42,7 @@ from liemult.linalg import Matrix
 
 def test_abelian_boundaries_are_zero():
     pair = boundary_matrices(abelian(4))
-    assert pair.d2.is_zero() and pair.d3.is_zero()
+    assert is_zero(pair.d2) and is_zero(pair.d3)
 
 
 def _wedge(n, a, b):
@@ -66,17 +68,18 @@ def test_d2_rank_and_kernel_of_n4_filiform():
     # Hand row-reduction: only two nonzero boundary rows (x3 and x4), rank 2.
     pair = boundary_matrices(standard_filiform(4))
     assert pair.d2.rank() == 2
-    cycles = pair.d2.transpose().kernel_basis()  # 2-cycles, as rows in degree 2
-    assert cycles.nrows == 6 - 2
+    d2t = Matrix(QQ, zip(*pair.d2.rows()), ncols=pair.d2.nrows)
+    cycles = row_span(d2t).annihilator()  # 2-cycles, as integer rows in degree 2
+    assert len(cycles) == 6 - 2
     # im d3 is contained in the cycles: the sum adds nothing.
-    union = cycles.stack(pair.d3).rref()
-    assert union.nrows == 4
+    union = Matrix(QQ, [[z.get(j, 0) for j in range(6)] for z in cycles] + pair.d3.rows())
+    assert union.rank() == 4
 
 
 def test_chain_condition_on_catalog():
     for entry in entries():
         pair = boundary_matrices(entry.algebra)
-        assert (pair.d3 @ pair.d2).is_zero()
+        assert is_zero(pair.d3 @ pair.d2)
 
 
 def test_chain_condition_under_random_basis_change():
@@ -85,7 +88,7 @@ def test_chain_condition_under_random_basis_change():
     for _ in range(5):
         conj = L.change_basis(random_unimodular(rng, 5))
         pair = boundary_matrices(conj)
-        assert (pair.d3 @ pair.d2).is_zero()
+        assert is_zero(pair.d3 @ pair.d2)
 
 
 @pytest.mark.parametrize(

@@ -7,12 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    identity,
+    is_zero,
     matmul_oracle,
     naive_kernel,
     naive_rank,
     naive_rref,
     random_rational_matrix,
     random_unimodular,
+    row_span,
 )
 from liemult.errors import DimensionMismatch, FieldMismatch, SingularMatrix
 from liemult.fields import QQ, PrimeField
@@ -27,36 +30,43 @@ def _inverse(m: Matrix) -> Matrix:
     return Matrix(field, [[field.element(r.get(j, 0)) / d for j in range(n)] for r in rows], ncols=n)
 
 
-def _annihilates(m: Matrix, v) -> bool:
-    return (m @ Matrix(m.field, [[x] for x in v])).is_zero()
+def _zeros(field, nrows: int, ncols: int) -> Matrix:
+    return Matrix(field, [[field.zero] * ncols for _ in range(nrows)], ncols=ncols)
+
+
+def _annihilates(m: Matrix, z: dict[int, int]) -> bool:
+    """Whether m times the integer row z, as a column, is zero."""
+    return is_zero(m @ Matrix(m.field, [[z.get(j, 0)] for j in range(m.ncols)], ncols=1))
+
+
+def _contains(span: RowSpan, vec) -> bool:
+    return span.contains_integers(integer_row(span.field, vec, span.ncols)[0])
 
 
 def test_rank_identity():
-    assert Matrix.identity(QQ, 3).rank() == 3
+    assert identity(QQ, 3).rank() == 3
 
 
 def test_rank_zero_matrix():
-    assert Matrix.zeros(QQ, 4, 6).rank() == 0
+    assert _zeros(QQ, 4, 6).rank() == 0
 
 
 def test_kernel_of_identity_is_empty():
-    k = Matrix.identity(QQ, 4).kernel_basis()
-    assert k.nrows == 0 and k.ncols == 4
+    assert row_span(identity(QQ, 4)).annihilator() == []
 
 
 def test_kernel_of_zero_matrix_is_unit_rows():
-    k = Matrix.zeros(QQ, 2, 5).kernel_basis()
-    assert k == Matrix.identity(QQ, 5)
+    assert row_span(_zeros(QQ, 2, 5)).annihilator() == [{j: 1} for j in range(5)]
 
 
 def test_kernel_vectors_annihilated():
     rng = random.Random(11)
     for _ in range(20):
         m = Matrix(QQ, random_rational_matrix(rng, rng.randint(1, 7), rng.randint(1, 7)))
-        ker = m.kernel_basis()
-        assert ker.nrows == m.ncols - m.rank()  # rank-nullity
-        for v in ker.rows():
-            assert _annihilates(m, v)
+        ker = row_span(m).annihilator()
+        assert len(ker) == m.ncols - m.rank()  # rank-nullity
+        for z in ker:
+            assert _annihilates(m, z)
 
 
 def test_sparse_kernel_agrees_with_naive_elimination():
@@ -72,7 +82,7 @@ def test_sparse_kernel_agrees_with_naive_elimination():
             m = Matrix(field, rows)
             oracle = naive_rref(rows, field)
             assert m.rank() == len(oracle)
-            assert m.rref().rows() == oracle
+            assert row_span(m).matrix().rows() == oracle
 
 
 def test_sparse_kernel_on_rows_with_large_content_and_negative_leads():
@@ -89,8 +99,8 @@ def test_sparse_kernel_on_rows_with_large_content_and_negative_leads():
             rows.append([scale * e for e in r])
         m = Matrix(QQ, rows)
         assert m.rank() == naive_rank(base)
-        assert m.rref().rows() == naive_rref(rows)
-        assert m.rref() == Matrix(QQ, base).rref()
+        assert row_span(m).matrix().rows() == naive_rref(rows)
+        assert row_span(m).matrix() == row_span(Matrix(QQ, base)).matrix()
 
 
 def test_rank_invariant_under_unimodular_row_operations():
@@ -106,19 +116,18 @@ def test_echelonization_idempotent():
     rng = random.Random(5)
     for _ in range(20):
         m = Matrix(QQ, random_rational_matrix(rng, rng.randint(1, 6), rng.randint(1, 6)))
-        r = m.rref()
-        assert r.rref() == r
+        r = row_span(m).matrix()
+        assert row_span(r).matrix() == r
 
 
 def test_stacked_echelon_form_sums_unit_rows():
-    e1 = Matrix(QQ, [[1, 0, 0]])
-    e2 = Matrix(QQ, [[0, 1, 0]])
-    assert e1.stack(e2).rref() == Matrix(QQ, [[1, 0, 0], [0, 1, 0]])
+    e1, e2 = [1, 0, 0], [0, 1, 0]
+    assert row_span(Matrix(QQ, [e1, e2])).matrix() == Matrix(QQ, [[1, 0, 0], [0, 1, 0]])
 
 
 def test_stacked_echelon_form_with_itself_is_the_echelon_form():
     b = Matrix(QQ, [[2, 4, 0], [0, 0, 3]])
-    assert b.stack(b).rref() == b.rref()
+    assert row_span(Matrix(QQ, b.rows() + b.rows())).matrix() == row_span(b).matrix()
 
 
 def test_matrix_takes_rows_from_a_generator():
@@ -142,16 +151,9 @@ def test_matrix_rejects_ragged_rows_and_a_wrong_width():
         Matrix(QQ, [[1, 0]], ncols=3)
 
 
-def test_stack_shape_mismatch():
-    with pytest.raises(DimensionMismatch):
-        Matrix(QQ, [[1, 0]]).stack(Matrix(QQ, [[1, 0, 0]]))
-
-
 def test_mixed_field_rejected():
     q = Matrix(QQ, [[1, 0]])
     g = Matrix(PrimeField(5), [[1, 0]])
-    with pytest.raises(FieldMismatch):
-        q.stack(g)
     with pytest.raises(FieldMismatch):
         q @ g
 
@@ -179,10 +181,10 @@ def test_gf_kernel_and_rref():
     F = PrimeField(5)
     m = Matrix(F, [[1, 2, 3], [0, 1, 4]])
     assert m.rank() == 2
-    ker = m.kernel_basis()
-    assert ker.nrows == 1
-    for v in ker.rows():
-        assert _annihilates(m, v)
+    ker = row_span(m).annihilator()
+    assert len(ker) == 1
+    for z in ker:
+        assert _annihilates(m, z)
 
 
 def _product_matches_the_oracle(a: Matrix, b: Matrix):
@@ -227,11 +229,11 @@ def test_product_with_zero_rows_and_zero_columns_matches_the_oracle(field):
     _product_matches_the_oracle(a, b)
     assert (a @ b).row(0) == [field.zero, field.zero]
     assert [r[1] for r in (a @ b).rows()] == [field.zero] * 3
-    _product_matches_the_oracle(Matrix.zeros(field, 2, 3), b)
+    _product_matches_the_oracle(_zeros(field, 2, 3), b)
     # Empty shapes: no rows, and an inner dimension of 0.
     _product_matches_the_oracle(Matrix(field, [], ncols=3), b)
     product = Matrix(field, [[], []], ncols=0) @ Matrix(field, [], ncols=4)
-    assert product == Matrix.zeros(field, 2, 4)
+    assert product == _zeros(field, 2, 4)
 
 
 def test_inverse_round_trip():
@@ -240,7 +242,7 @@ def test_inverse_round_trip():
         for _ in range(10):
             n = rng.randint(1, 6)
             u = random_unimodular(rng, n, field)
-            assert u @ _inverse(u) == Matrix.identity(field, n)
+            assert u @ _inverse(u) == identity(field, n)
 
 
 def test_inverse_of_singular_matrix():
@@ -251,7 +253,7 @@ def test_inverse_of_singular_matrix():
     with pytest.raises(SingularMatrix):
         _inverse(Matrix(PrimeField(5), rows))
     m = Matrix(QQ, rows)
-    assert m @ _inverse(m) == Matrix.identity(QQ, 2)
+    assert m @ _inverse(m) == identity(QQ, 2)
     assert _inverse(m) == Matrix(QQ, [[Fraction(-1, 5), Fraction(2, 5)], [Fraction(3, 5), Fraction(-1, 5)]])
 
 
@@ -266,7 +268,7 @@ def test_inverse_rows_matches_the_naive_inverse(field):
                             for x in row] for row in random_rational_matrix(rng, n, n)])
         reduced = naive_rref([r + [field.one if i == j else field.zero for j in range(n)]
                               for i, r in enumerate(m.rows())], field)
-        if [r[:n] for r in reduced] != Matrix.identity(field, n).rows():
+        if [r[:n] for r in reduced] != identity(field, n).rows():
             with pytest.raises(SingularMatrix):
                 inverse_rows(field, [integer_row(field, r, n) for r in m.rows()])
             continue
@@ -299,7 +301,7 @@ def test_inverse_past_a_unimodular_head_matches_the_naive_inverse(field):
         dense = [[field.element(r.get(c, 0)) for c in range(n)] for r in rows]
         reduced = naive_rref([r + [field.one if i == j else field.zero for j in range(n)]
                               for i, r in enumerate(dense)], field)
-        if [r[:n] for r in reduced] != Matrix.identity(field, n).rows():
+        if [r[:n] for r in reduced] != identity(field, n).rows():
             with pytest.raises(SingularMatrix):
                 inverse_rows(field, [(r, 1) for r in rows])
             singular += 1
@@ -326,7 +328,7 @@ def test_inverse_past_a_unimodular_head_matches_the_naive_inverse(field):
 )
 def test_rank_nullity_property(rows):
     m = Matrix(QQ, rows)
-    assert m.rank() + m.kernel_basis().nrows == m.ncols
+    assert m.rank() + len(row_span(m).annihilator()) == m.ncols
 
 
 def test_row_span_accumulator_matches_matrix_rref():
@@ -338,9 +340,9 @@ def test_row_span_accumulator_matches_matrix_rref():
                 rows = [[field.element(e.numerator) for e in r] for r in rows]
             span = RowSpan(field, 5)
             grew = [span.add(r) for r in rows]
-            assert span.matrix() == Matrix(field, rows).rref()
+            assert span.matrix().rows() == naive_rref(rows, field)
             assert span.dim == Matrix(field, rows).rank() == sum(grew)
-            assert all(span.contains(r) for r in rows)
+            assert all(_contains(span, r) for r in rows)
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(3), PrimeField(2147483647)],
@@ -369,7 +371,7 @@ def test_annihilator_matches_the_naive_kernel(field):
             assert all(0 < x < field.characteristic for z in ann for x in z.values())
         dense = [[field.element(z.get(j, 0)) for j in range(ncols)] for z in ann]
         assert naive_rref(dense, field) == naive_kernel(rows, ncols, field)
-        assert Matrix(field, rows, ncols=ncols).kernel_basis().rows() == naive_kernel(
+        assert row_span(Matrix(field, dense, ncols=ncols)).matrix().rows() == naive_kernel(
             rows, ncols, field)
 
 
@@ -379,11 +381,11 @@ def test_raw_multiples_of_p_are_zero_entries_over_gf_p():
     assert integer_row(F, [7, 1, -14], 3) == ({1: 1}, 1)
     span = RowSpan(F, 2)
     assert span.add([7, 1]) and span.canonical_rows() == {1: {1: 1}}
-    assert RowSpan(F, 2).contains([7, 0]) and not span.add([0, 14])
+    assert _contains(RowSpan(F, 2), [7, 0]) and not span.add([0, 14])
 
 
 def test_row_span_contains():
     span = RowSpan(QQ, 3)
     span.add([Fraction(1), Fraction(2), Fraction(0)])
-    assert span.contains([Fraction(2), Fraction(4), Fraction(0)])
-    assert not span.contains([Fraction(0), Fraction(0), Fraction(1)])
+    assert _contains(span, [Fraction(2), Fraction(4), Fraction(0)])
+    assert not _contains(span, [Fraction(0), Fraction(0), Fraction(1)])
