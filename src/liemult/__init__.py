@@ -22,7 +22,7 @@ from .bounds import (
     verify_central_quotient_bound,
     verify_main_theorem,
 )
-from .catalog import CatalogEntry, abelian, entries, get, heisenberg, names, standard_filiform
+from .catalog import CatalogEntry, abelian, entries, get, names, standard_filiform
 from .errors import LieError
 from .fields import QQ, PrimeField, parse_field_spec
 from .homology import BoundaryPair, boundary_matrices, multiplier_dim
@@ -48,7 +48,6 @@ __all__ = [
     "abelian",
     "entries",
     "get",
-    "heisenberg",
     "names",
     "standard_filiform",
     "LieError",

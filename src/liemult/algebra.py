@@ -16,7 +16,7 @@ c[(i, j)][k] (``_table``, behind ``bracket``, ``bracket_basis`` and
 ``structure_constants``) is built only when something reads it; the file
 serializer and ``__hash__`` read the integer rows.  Scaling by
 D changes no span and no zero test, so the lower central series,
-``product_subspace``, the Jacobi check, ``quotient`` and gr L run on raw
+the Jacobi check, ``quotient`` and gr L run on raw
 ints and feed ``RowSpan`` directly, and
 ``change_basis`` and the chain rewrite share one integer basis-change kernel
 (``_table_in_basis``) with the integer inverse R of P (``inverse_rows``).
@@ -429,17 +429,7 @@ class LieAlgebra:
                 items.append((i + 1, j + 1, k + 1, c))
         return tuple(sorted(items, key=lambda t: t[:3]))
 
-    def is_abelian(self) -> bool:
-        return not self._integer_table
-
     # -- series, center, predicates ------------------------------------------
-
-    def product_subspace(self, a: Subspace, b: Subspace) -> Subspace:
-        """Span of all brackets of basis pairs of the two subspaces."""
-        for s in (a, b):
-            if s.ambient != self.n:
-                raise DimensionMismatch("subspace of a different ambient space")
-        return Subspace(self.n, self._bracket_span(a._rows.values(), b._rows.values()))
 
     def _ad_rows(self, u: dict[int, int]) -> dict[int, dict[int, int]]:
         """j -> [u, e_j] for an integer row u, on the integer ad table:

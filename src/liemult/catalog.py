@@ -1,15 +1,18 @@
 """Built-in algebra families and named fixtures.
 
-The registry is immutable and built at import time.  The two classical small
-filiform algebras carry their standard classification-table labels; the rest
-use systematic names (filiform-n, abelian-n, heisenberg-3).  Vergne's other
+``FAMILIES`` maps each family name to its builder and least dimension; it is
+the one route to a family or named algebra.  A registry entry names a family
+and its parameter, and no algebra is built until a command reads one, so an
+import builds none.  The two classical small filiform algebras carry their
+standard classification-table labels; the rest use systematic names
+(filiform-n, abelian-n, heisenberg-3, which is filiform-3).  Vergne's other
 maximal-class families, m2 and Q_n, have builders but no registry entries.
 ``difflib`` is loaded only when ``get`` misses, to suggest close names.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .algebra import LieAlgebra, build
 from .errors import DimensionMismatch, DimensionTooSmall, UnknownName
@@ -20,7 +23,6 @@ class CatalogEntry(NamedTuple):
     name: str
     family: str
     params: tuple
-    algebra: LieAlgebra
     known_multiplier_dim: int | None = None
     provenance: str | None = None
     aliases: tuple[str, ...] = ()
@@ -66,72 +68,57 @@ def abelian(n: int, field=QQ) -> LieAlgebra:
     return build(n, [], field=field)
 
 
-def heisenberg(field=QQ) -> LieAlgebra:
-    """The 3-dimensional algebra with the single relation [x1, x2] = x3."""
-    return build(3, [(1, 2, 3, 1)], field=field)
+class Family(NamedTuple):
+    """A family's builder, called as ``builder(n, field=...)``, and its least n."""
+
+    builder: Callable[..., LieAlgebra]
+    least_n: int
 
 
-def _entries() -> tuple[CatalogEntry, ...]:
-    return (
-        CatalogEntry(
-            name="heisenberg-3",
-            family="filiform",
-            params=(3,),
-            algebra=heisenberg(),
-            known_multiplier_dim=2,
-            provenance="hand computation: C(3,2)=3, rank d2=1, rank d3=0",
-            aliases=("filiform-3",),
-        ),
-        CatalogEntry(
-            name="L(3,4,1,4)",
-            family="filiform",
-            params=(4,),
-            algebra=standard_filiform(4),
-            known_multiplier_dim=2,
-            provenance="low-dimensional classification tables",
-            aliases=("filiform-4",),
-        ),
-        CatalogEntry(
-            name="L(7,5,1,7)",
-            family="filiform",
-            params=(5,),
-            algebra=standard_filiform(5),
-            known_multiplier_dim=3,
-            provenance="low-dimensional classification tables",
-            aliases=("filiform-5",),
-        ),
-        CatalogEntry(
-            name="filiform-6",
-            family="filiform",
-            params=(6,),
-            algebra=standard_filiform(6),
-        ),
-        CatalogEntry(
-            name="filiform-7",
-            family="filiform",
-            params=(7,),
-            algebra=standard_filiform(7),
-        ),
-        CatalogEntry(
-            name="abelian-2",
-            family="abelian",
-            params=(2,),
-            algebra=abelian(2),
-            known_multiplier_dim=1,
-            provenance="closed form C(n,2) for abelian algebras",
-        ),
-        CatalogEntry(
-            name="abelian-3",
-            family="abelian",
-            params=(3,),
-            algebra=abelian(3),
-            known_multiplier_dim=3,
-            provenance="closed form C(n,2) for abelian algebras",
-        ),
-    )
+FAMILIES = {"filiform": Family(standard_filiform, 3), "abelian": Family(abelian, 1)}
 
-
-_ENTRIES = _entries()
+_ENTRIES = (
+    CatalogEntry(
+        name="heisenberg-3",
+        family="filiform",
+        params=(3,),
+        known_multiplier_dim=2,
+        provenance="hand computation: C(3,2)=3, rank d2=1, rank d3=0",
+        aliases=("filiform-3",),
+    ),
+    CatalogEntry(
+        name="L(3,4,1,4)",
+        family="filiform",
+        params=(4,),
+        known_multiplier_dim=2,
+        provenance="low-dimensional classification tables",
+        aliases=("filiform-4",),
+    ),
+    CatalogEntry(
+        name="L(7,5,1,7)",
+        family="filiform",
+        params=(5,),
+        known_multiplier_dim=3,
+        provenance="low-dimensional classification tables",
+        aliases=("filiform-5",),
+    ),
+    CatalogEntry(name="filiform-6", family="filiform", params=(6,)),
+    CatalogEntry(name="filiform-7", family="filiform", params=(7,)),
+    CatalogEntry(
+        name="abelian-2",
+        family="abelian",
+        params=(2,),
+        known_multiplier_dim=1,
+        provenance="closed form C(n,2) for abelian algebras",
+    ),
+    CatalogEntry(
+        name="abelian-3",
+        family="abelian",
+        params=(3,),
+        known_multiplier_dim=3,
+        provenance="closed form C(n,2) for abelian algebras",
+    ),
+)
 _BY_NAME: dict[str, CatalogEntry] = {}
 for _e in _ENTRIES:
     _BY_NAME[_e.name] = _e

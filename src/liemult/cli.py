@@ -67,7 +67,7 @@ def _build_parser() -> _Parser:
             source.add_argument("--file", help="algebra definition file")
             source.add_argument("--name", help="catalog name")
         if family:
-            source.add_argument("--family", choices=["filiform", "abelian"])
+            source.add_argument("--family", choices=list(catalog.FAMILIES))
             p.add_argument("--max-dim", type=int)
             p.add_argument("--min-dim", type=int)
         p.add_argument("--field", default=None, help="field for --name/--family (Q or GF(p))")
@@ -166,19 +166,14 @@ def _load_algebra(args) -> tuple[LieAlgebra, str]:
     if getattr(args, "name", None):
         entry = catalog.get(args.name)
         # Every entry is its family's builder at params[0], over any field.
-        return _family_algebra(entry.family, entry.params[0], _resolve_field(args)), entry.name
+        L = catalog.FAMILIES[entry.family].builder(entry.params[0], field=_resolve_field(args))
+        return L, entry.name
     raise LieError("one of --file or --name is required")
 
 
 def _family_dims(args) -> range:
     """The dimensions of a ``--family`` sweep."""
-    return range(max(args.min_dim, 3 if args.family == "filiform" else 1), args.max_dim + 1)
-
-
-def _family_algebra(family: str, n: int, field):
-    if family == "filiform":
-        return catalog.standard_filiform(n, field=field)
-    return catalog.abelian(n, field=field)
+    return range(max(args.min_dim, catalog.FAMILIES[args.family].least_n), args.max_dim + 1)
 
 
 def _emit(args, human_text: str, machine_doc) -> None:
@@ -323,7 +318,7 @@ def _bound_row(doc: dict) -> list:
 
 def _bound_report_for(spec) -> dict:
     family, n, field, with_ideals = spec
-    L = _family_algebra(family, n, field)
+    L = catalog.FAMILIES[family].builder(n, field=field)
     doc = bounds.bound_report(L, algebra_id=f"{family}-{n}").to_dict()
     if with_ideals:
         doc["central_ideal_records"] = [
@@ -338,7 +333,8 @@ def _sweep_reports(args, field, with_ideals: bool = False) -> list[dict]:
     # report is computed.  Its center is the largest of the family's.
     _check_dimension(args.max_dim)
     if with_ideals:
-        _check_central_ideals(_family_algebra(args.family, args.max_dim, field).center().dim)
+        largest = catalog.FAMILIES[args.family].builder(args.max_dim, field=field)
+        _check_central_ideals(largest.center().dim)
     # The field object itself goes to each task (it pickles), so its
     # modulus is checked once per sweep, not once per dimension.
     specs = [(args.family, n, field, with_ideals) for n in _family_dims(args)]
@@ -400,7 +396,7 @@ def _cmd_catalog(args) -> int:
     rows = []
     docs = []
     for entry in catalog.entries():
-        L = entry.algebra
+        L = catalog.FAMILIES[entry.family].builder(entry.params[0])
         rows.append([
             entry.name,
             ", ".join(entry.aliases) or "-",
@@ -429,7 +425,9 @@ def _cmd_report(args) -> int:
     for d in docs:
         item = d["bounds"]["main_theorem"]
         value = item["value"]
-        margin = None if value is None else value - d["dim_multiplier"]
+        # An out-of-scope value (char 2) bounds nothing, so it has no margin.
+        in_scope = value is not None and item["verdict"] != bounds.OUT_OF_SCOPE
+        margin = value - d["dim_multiplier"] if in_scope else None
         rows.append([d["n"], d["dim_multiplier"], value, item["verdict"] == bounds.ATTAINED, margin])
     human_rows = [
         [n, dim_m, "-" if value is None else value, "yes" if attained else "no",

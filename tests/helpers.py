@@ -16,7 +16,7 @@ from math import gcd, lcm
 from typing import NamedTuple
 
 from liemult.algebra import LieAlgebra, SeriesChain, Subspace, build
-from liemult.catalog import standard_filiform
+from liemult.catalog import FAMILIES, CatalogEntry, standard_filiform
 from liemult.errors import (
     AlgebraFileError,
     BadScalarLiteral,
@@ -41,6 +41,11 @@ from liemult.words import _inner_word, term_schedule
 NO_CHAIN_GF2 = [(1, 2, 3, 1), (1, 3, 4, -1), (1, 4, 5, -1), (2, 5, 6, -1), (3, 4, 6, 1),
                 (1, 6, 7, -1), (3, 5, 7, 1), (1, 7, 8, -1), (2, 7, 8, -1), (3, 6, 8, 1),
                 (4, 5, 8, 1)]
+
+
+def entry_algebra(entry: CatalogEntry, field=QQ) -> LieAlgebra:
+    """A catalog entry over ``field``: its family's builder at params[0]."""
+    return FAMILIES[entry.family].builder(entry.params[0], field=field)
 
 
 def identity(field, n: int) -> Matrix:

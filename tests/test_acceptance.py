@@ -12,6 +12,7 @@ from math import comb
 from helpers import (
     brute_psi_image_dim,
     defect_terms,
+    entry_algebra,
     is_zero,
     lemma_defect,
     odd_witness_oracle,
@@ -30,7 +31,7 @@ from liemult.bounds import (
 from liemult.catalog import abelian, entries, get, standard_filiform
 from liemult.cli import EXIT_INPUT, main as cli_main
 from liemult.errors import DuplicateBracket, FieldSpecError, JacobiViolation
-from liemult.fields import PrimeField
+from liemult.fields import QQ, PrimeField
 from liemult.homology import boundary_matrices, multiplier_dim
 from liemult.words import psi_image_dim, psi_image_dims
 
@@ -90,7 +91,7 @@ def test_criterion_05_identity_and_mutation():
     rng = random.Random(20260810)
     checked = 0
     for entry in entries():
-        L = entry.algebra
+        L = entry_algebra(entry)
         c = L.nilpotency_class()
         for i in (3, 4, 5):
             if i > c:
@@ -121,7 +122,7 @@ def test_criterion_05_identity_and_mutation():
 def test_criterion_06_chain_condition_and_invariance():
     rng = random.Random(6)
     for entry in entries():
-        L = entry.algebra
+        L = entry_algebra(entry)
         base = multiplier_dim(L)
         pair = boundary_matrices(L)
         assert is_zero(pair.d3 @ pair.d2), entry.name
@@ -152,12 +153,11 @@ def test_criterion_07_pinching_and_decomposition():
 
 def test_criterion_08_odd_witnesses():
     found = 0
-    for field in (None, PrimeField(3)):
+    for field in (QQ, PrimeField(3)):
         for entry in entries():
             if entry.family != "filiform":
                 continue
-            n = entry.params[0]
-            L = entry.algebra if field is None else standard_filiform(n, field=field)
+            L = entry_algebra(entry, field)
             c = L.nilpotency_class()
             for i in range(3, c + 1, 2):
                 assert psi_image_dim(L, i).dim >= 1, (entry.name, i, field)
@@ -171,11 +171,11 @@ def test_criterion_08_odd_witnesses():
 
 def test_criterion_09_central_ideal_inequality():
     for entry in entries():
-        L = entry.algebra
+        L = entry_algebra(entry)
         for K in L.central_ideals():
             rec = verify_central_quotient_bound(L, K)
             assert rec.holds, (entry.name, K.dim)
-    H = get("heisenberg-3").algebra
+    H = entry_algebra(get("heisenberg-3"))
     rec = verify_central_quotient_bound(H, H.center())
     assert (rec.lhs, rec.rhs) == (3, 3)
     _ok(9, "central-ideal inequality holds for every catalog ideal; "
@@ -191,9 +191,10 @@ def test_criterion_10_abelian_baseline():
 
 def test_criterion_11_parser_and_diagnostics(tmp_path, capsys):
     for entry in entries():
-        text = serialize_algebra(entry.algebra)
+        L = entry_algebra(entry)
+        text = serialize_algebra(L)
         again = parse_algebra(text)
-        assert again.structure_constants() == entry.algebra.structure_constants()
+        assert again.structure_constants() == L.structure_constants()
         assert serialize_algebra(again) == text
 
     fixtures = {
@@ -234,5 +235,5 @@ def test_catalog_reports_have_no_violations():
     # Safety net on top of the numbered criteria: no bound anywhere reports
     # "violated" for valid nilpotent input over characteristic != 2.
     for entry in entries():
-        rep = bound_report(entry.algebra, algebra_id=entry.name)
+        rep = bound_report(entry_algebra(entry), algebra_id=entry.name)
         assert all(v != VIOLATED for _, v in rep.bounds.values()), entry.name

@@ -31,7 +31,7 @@ from helpers import (
 from liemult import algebra as algebra_module
 from liemult import algfile, cli
 from liemult.algebra import LieAlgebra, Subspace, build
-from liemult.catalog import abelian, filiform_m2, filiform_q, heisenberg, standard_filiform
+from liemult.catalog import abelian, filiform_m2, filiform_q, standard_filiform
 from liemult.errors import (
     BadScalarLiteral,
     DimensionMismatch,
@@ -59,7 +59,7 @@ def test_build_accepts_the_n4_filiform_relations():
 
 def test_build_accepts_abelian():
     L = build(3, [])
-    assert L.is_abelian()
+    assert not L._integer_table
 
 
 def test_build_rejects_jacobi_violation_with_triple():
@@ -200,7 +200,7 @@ def test_construction_reads_constants_as_integers_with_the_field_errors(field):
         assert build(3, [(1, 2, 3, c)], field=field) == want
         assert LieAlgebra(3, {(0, 1): {2: c}}, field=field) == want
     zeros = LieAlgebra(3, {(0, 1): {2: 0, 1: "0"}, (0, 2): {1: field.zero}}, field=field)
-    assert zeros._integer_table == {} and zeros.is_abelian()
+    assert zeros._integer_table == {}
     other = QQ.element(Fraction(1, 2)) if field != QQ else PrimeField(5).one
     for bad, error in ((other, FieldMismatch), (1.5, FieldMismatch), ("1/0", BadScalarLiteral),
                        ("x", BadScalarLiteral)):
@@ -270,26 +270,19 @@ def test_bracket_matches_table_in_n5_filiform():
 
 def test_jacobi_on_500_random_triples():
     rng = random.Random(4)
-    for L in (standard_filiform(4), standard_filiform(6), heisenberg()):
+    for L in (standard_filiform(4), standard_filiform(6), standard_filiform(3)):
         for _ in range(500):
             x, y, z = (random_rational_vector(rng, L.n) for _ in range(3))
             assert not any(L.jacobi_defect(x, y, z))
 
 
-def test_product_subspace_of_whole_algebra():
-    L = standard_filiform(4)
-    full = Subspace.full_space(QQ, 4)
-    prod = L.product_subspace(full, full)
-    assert prod == Subspace.from_vectors(QQ, 4, [L.basis_vector(2), L.basis_vector(3)])
-
-
-def test_product_subspace_with_zero_and_abelian():
+def test_bracket_span_with_zero_and_abelian():
     L = standard_filiform(4)
     zero = Subspace.zero_space(QQ, 4)
-    assert L.product_subspace(Subspace.full_space(QQ, 4), zero).dim == 0
+    assert L._bracket_span(Subspace.full_space(QQ, 4)._rows.values(), zero._rows.values()).dim == 0
     A = abelian(3)
-    full3 = Subspace.full_space(QQ, 3)
-    assert A.product_subspace(full3, full3).dim == 0
+    full3 = Subspace.full_space(QQ, 3)._rows.values()
+    assert A._bracket_span(full3, full3).dim == 0
 
 
 @pytest.mark.parametrize(
@@ -310,7 +303,7 @@ def test_series_monotone_and_recomputes():
     full = Subspace.full_space(QQ, 6)
     for a, b in zip(series.terms, series.terms[1:]):
         assert a.contains_subspace(b)
-        assert L.product_subspace(a, full) == b
+        assert bracket_span_oracle(L, a.basis.rows(), full.basis.rows()) == b.basis.rows()
 
 
 def test_non_nilpotent_series_stabilizes():
@@ -345,7 +338,7 @@ SERIES_CASES = (
     + [
         ("rationally-changed-filiform-6", _rationally_changed_filiform_6),
         ("abelian-4", lambda fld: abelian(4, field=fld)),
-        ("heisenberg", lambda fld: heisenberg(field=fld)),
+        ("heisenberg", lambda fld: standard_filiform(3, field=fld)),
         ("e1e2=e2", lambda fld: build(2, [(1, 2, 2, 1)], field=fld)),
         ("sl2+line", _sl2_plus_line),
     ]
@@ -365,7 +358,7 @@ def test_series_matches_dense_bracket_oracle(make, field):
     assert series.nilpotent == nilpotent
     assert [t.basis.rows() for t in series.terms] == oracle
     g2, g3 = series.gamma(2), series.gamma(3)
-    product = L.product_subspace(g2, g3)
+    product = Subspace(L.n, L._bracket_span(g2._rows.values(), g3._rows.values()))
     assert product.basis.rows() == bracket_span_oracle(L, g2.basis.rows(), g3.basis.rows())
 
 
@@ -388,7 +381,7 @@ def test_center_examples():
 
 
 def test_center_commutes_with_everything():
-    for L in (standard_filiform(6), heisenberg()):
+    for L in (standard_filiform(6), standard_filiform(3)):
         for z in L.center().basis.rows():
             for j in range(L.n):
                 assert not any(L.bracket(z, L.basis_vector(j)))
@@ -399,7 +392,7 @@ def test_is_maximal_class():
     assert ok and dims == (4, 2, 1, 0)
     ok, _ = abelian(4).is_maximal_class()
     assert not ok
-    ok, dims = heisenberg().is_maximal_class()
+    ok, dims = standard_filiform(3).is_maximal_class()
     assert ok and dims == (3, 1, 0)
     with pytest.raises(DimensionTooSmall):
         abelian(2).is_maximal_class()
@@ -407,7 +400,7 @@ def test_is_maximal_class():
 
 def test_maximal_class_characterization_agrees():
     # class == n-1  iff  dim L2 == n-2 with one-dimensional steps.
-    for L in (standard_filiform(4), standard_filiform(7), abelian(4), heisenberg()):
+    for L in (standard_filiform(4), standard_filiform(7), abelian(4), standard_filiform(3)):
         ok, dims = L.is_maximal_class()
         series = L.lower_central_series()
         alt = (
@@ -423,7 +416,7 @@ def test_quotient_by_center_of_n4_filiform():
     pres = L.quotient(L.center())
     q = pres.quotient
     assert q.n == 3
-    assert q.structure_constants() == heisenberg().structure_constants()
+    assert q.structure_constants() == standard_filiform(3).structure_constants()
 
 
 def test_quotient_by_whole_algebra_is_zero():
@@ -511,7 +504,7 @@ def test_central_ideals_enumeration():
     assert [i.dim for i in ideals] == [0, 1]
     A = abelian(2)
     assert [i.dim for i in A.central_ideals()] == [0, 1, 1, 2]
-    H = heisenberg()
+    H = standard_filiform(3)
     ideals = H.central_ideals()
     assert [i.dim for i in ideals] == [0, 1]
     assert ideals[1] == Subspace.from_vectors(QQ, 3, [H.basis_vector(2)])
@@ -721,7 +714,7 @@ CHANGE_OF_BASIS_CASES = [
     ("filiform-7", lambda fld: standard_filiform(7, field=fld)),
     ("m2-7", lambda fld: filiform_m2(7, field=fld)),
     ("Q-8", lambda fld: filiform_q(8, field=fld)),
-    ("heisenberg", lambda fld: heisenberg(field=fld)),
+    ("heisenberg", lambda fld: standard_filiform(3, field=fld)),
     ("rationally-changed-filiform-6", _rationally_changed_filiform_6),
 ]
 
@@ -763,9 +756,9 @@ def test_change_basis_puts_the_table_over_the_least_common_scale(field):
 def test_change_basis_rejects_a_singular_matrix():
     # det = 7: invertible over Q, singular over GF(7).
     rows = [[1, 1, 0], [1, 8, 0], [0, 0, 1]]
-    heisenberg(field=QQ).change_basis(Matrix(QQ, rows))
+    standard_filiform(3, field=QQ).change_basis(Matrix(QQ, rows))
     with pytest.raises(SingularMatrix):
-        heisenberg(field=PrimeField(7)).change_basis(Matrix(PrimeField(7), rows))
+        standard_filiform(3, field=PrimeField(7)).change_basis(Matrix(PrimeField(7), rows))
     with pytest.raises(SingularMatrix):
         standard_filiform(4).change_basis(Matrix(QQ, [[1, 0, 0, 0], [0, 1, 0, 0],
                                                       [0, 1, 0, 0], [0, 0, 0, 1]]))
@@ -1191,7 +1184,7 @@ def test_series_and_center_match_the_oracles_on_maximal_class_input(field):
 @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
 def test_series_and_center_match_the_oracles_below_maximal_class(field):
     cases = [abelian(4, field=field),
-             _direct_sum(heisenberg(field=field), abelian(2, field=field))]
+             _direct_sum(standard_filiform(3, field=field), abelian(2, field=field))]
     cases += [_direct_sum(standard_filiform(k, field=field), standard_filiform(k, field=field))
               for k in (4, 5)]
     for L in cases:
@@ -1200,7 +1193,7 @@ def test_series_and_center_match_the_oracles_below_maximal_class(field):
                           for seed in (1, 2)]
         for M in variants:
             _assert_series_and_center_match_oracles(M)
-            if not M.is_abelian():
+            if M._integer_table:
                 _assert_series_and_center_match_oracles(M.quotient(M.center()).quotient)
 
 
@@ -1248,7 +1241,7 @@ def test_filiform_report_reads_every_series_and_center_off_the_table(monkeypatch
     assert len(json.loads(capsys.readouterr().out)["reports"]) == 12
     # The scan needs n >= 3, so the one algebra left to compute its own
     # series is the abelian L/Z of filiform-3.
-    assert [(A.n, A.is_abelian()) for A in own] == [(2, True)]
+    assert [(A.n, not A._integer_table) for A in own] == [(2, True)]
     assert kernels == []
 
 

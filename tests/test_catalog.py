@@ -2,16 +2,16 @@ import random
 
 import pytest
 
-from helpers import random_unimodular
+from helpers import entry_algebra, random_unimodular
 from liemult import algfile, cli
 from liemult.algebra import build
 from liemult.catalog import (
+    FAMILIES,
     abelian,
     entries,
     filiform_m2,
     filiform_q,
     get,
-    heisenberg,
     names,
     standard_filiform,
 )
@@ -35,7 +35,8 @@ def test_filiform_5_relations():
 
 
 def test_filiform_3_is_heisenberg():
-    assert standard_filiform(3).structure_constants() == heisenberg().structure_constants()
+    # The Heisenberg algebra: the single relation [x1, x2] = x3.
+    assert standard_filiform(3) == build(3, [(1, 2, 3, 1)])
 
 
 def test_filiform_too_small():
@@ -63,7 +64,7 @@ def test_get_by_name_and_alias():
     assert entry.known_multiplier_dim == 2
     assert get("filiform-4") is entry
     assert get("L(7,5,1,7)").known_multiplier_dim == 3
-    assert get("heisenberg-3").algebra.n == 3
+    assert get("heisenberg-3").params == (3,)
 
 
 def test_unknown_name_suggests():
@@ -74,7 +75,7 @@ def test_unknown_name_suggests():
 
 def test_catalog_metadata_matches_recomputation():
     for entry in entries():
-        L = entry.algebra
+        L = entry_algebra(entry)
         if entry.known_multiplier_dim is not None:
             assert multiplier_dim(L) == entry.known_multiplier_dim, entry.name
         if entry.family == "filiform":
@@ -132,13 +133,24 @@ def test_vergne_relations_and_ranges():
                          ids=["Q", "GF3", "GFp"])
 def test_every_entry_is_its_family_builder(field):
     # `--name X --field F` builds X's family at its parameter over F: that is
-    # X over F, since every entry's constants are integers.
-    for entry in entries():
-        L = entry.algebra
-        constants = L.structure_constants()
+    # X over F, since every family's constants are integers.
+    for name in names(include_aliases=True):
+        entry = get(name)
+        args = cli._build_parser().parse_args(["check", "--name", name, "--field", str(field)])
+        loaded, shown = cli._load_algebra(args)
+        built = FAMILIES[entry.family].builder(entry.params[0], field=field)
+        assert shown == entry.name and loaded.field == field
+        assert loaded == built
+        assert algfile.serialize_algebra(loaded) == algfile.serialize_algebra(built)
+        constants = entry_algebra(entry).structure_constants()
         assert all(c.denominator == 1 for *_, c in constants)
-        reduced = build(L.n, [(i, j, k, c.numerator) for i, j, k, c in constants],
-                        field=field, labels=L.labels)
-        built = cli._family_algebra(entry.family, entry.params[0], field)
-        assert built == reduced
-        assert algfile.serialize_algebra(built) == algfile.serialize_algebra(reduced)
+        assert loaded == build(built.n, [(i, j, k, c.numerator) for i, j, k, c in constants],
+                               field=field, labels=built.labels)
+
+
+def test_families_table_names_each_builder_and_least_dimension():
+    assert FAMILIES == {"filiform": (standard_filiform, 3), "abelian": (abelian, 1)}
+    for family in FAMILIES.values():
+        family.builder(family.least_n)
+        with pytest.raises(DimensionTooSmall):
+            family.builder(family.least_n - 1)

@@ -249,6 +249,51 @@ def test_catalog_listing(capsys):
     assert "L(3,4,1,4)" in out and "heisenberg-3" in out
 
 
+# Pinned on the code that built every entry over Q at import time.
+@pytest.mark.parametrize("argv,digest", [
+    ([], "b3da0fc810f78da9c049970cf3c57dacf2e675449b1a65ea9f393dc2dd51085c"),
+    (["--format", "machine"], "5f6d2c1d025c59da40cdc1f21882fa584431745e146536b150eb7c29b7e9dcba"),
+], ids=["human", "machine"])
+def test_catalog_listing_matches_its_pin(capsys, argv, digest):
+    code, out, _ = run(capsys, ["catalog", *argv])
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_importing_the_cli_builds_no_algebra():
+    # A catalog entry is built when a command reads it, not at import.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    probe = ("import sys\n"
+             "sys.path.insert(0, sys.argv[1])\n"
+             "calls = []\n"
+             "def count(frame, event, arg):\n"
+             "    if event == 'call' and frame.f_code.co_name == '_construct':\n"
+             "        calls.append(frame.f_code.co_filename)\n"
+             "sys.setprofile(count)\n"
+             "import liemult.cli\n"
+             "sys.setprofile(None)\n"
+             "print(len(calls))\n")
+    done = subprocess.run([sys.executable, "-I", "-S", "-c", probe, src],
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "0"
+
+
+def test_report_over_char_two_prints_no_margin_for_an_out_of_scope_bound(capsys):
+    # The parity bound is out of scope over GF(2): its value bounds nothing,
+    # so no row reads as a margin of 0 that is not attained.
+    argv = ["report", "--family", "filiform", "--max-dim", "6", "--field", "GF(2)",
+            "--unsafe-char-2"]
+    code, out, _ = run(capsys, [*argv, "--format", "machine"])
+    assert code == EXIT_OK
+    doc = json.loads(out)
+    assert [r["bounds"]["main_theorem"]["verdict"] for r in doc["reports"]] == ["out-of-scope"] * 4
+    assert doc["rows"] == [[3, 2, 2, False, None], [4, 2, 2, False, None],
+                           [5, 3, 3, False, None], [6, 3, 3, False, None]]
+    code, out, _ = run(capsys, argv)
+    assert code == EXIT_OK
+    assert [line.split()[-1] for line in out.splitlines()[2:]] == ["-"] * 4
+
+
 def test_report_deterministic_machine_output(tmp_path, capsys):
     outputs = []
     for name in ("a.json", "b.json"):
@@ -611,7 +656,7 @@ def test_the_package_exports_only_what_a_command_or_the_benchmark_reads():
         "LieAlgebra", "QuotientPresentation", "SeriesChain", "Subspace", "build",
         "BoundReport", "bound_report", "derived_subalgebra_bound", "main_theorem_bound",
         "moneyhun_bound", "verify_central_quotient_bound", "verify_main_theorem",
-        "CatalogEntry", "abelian", "entries", "get", "heisenberg", "names",
+        "CatalogEntry", "abelian", "entries", "get", "names",
         "standard_filiform", "LieError", "QQ", "PrimeField", "parse_field_spec",
         "BoundaryPair", "boundary_matrices", "multiplier_dim", "Matrix",
         "RowSpan", "PsiImage", "free_defect", "normed_bracket", "psi_image_dim",

@@ -3,7 +3,7 @@
 
 import pytest
 
-from helpers import generator_chain, psi, verify_odd_case_reduction
+from helpers import entry_algebra, generator_chain, psi, verify_odd_case_reduction
 from liemult import catalog
 from liemult.bounds import BoundReport, bound_report, verify_central_quotient_bound
 from liemult.homology import boundary_matrices
@@ -11,7 +11,7 @@ from liemult.words import PsiImage, psi_image_dim
 
 
 def _records():
-    L = catalog.get("filiform-7").algebra
+    L = entry_algebra(catalog.get("filiform-7"))
     report = bound_report(L)
     chain = generator_chain(L)
     return {

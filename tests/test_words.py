@@ -26,7 +26,7 @@ from helpers import (
 from liemult import words
 from liemult.algebra import Subspace, build
 from liemult.bounds import verify_main_theorem
-from liemult.catalog import abelian, filiform_m2, filiform_q, heisenberg, standard_filiform
+from liemult.catalog import abelian, filiform_m2, filiform_q, standard_filiform
 from liemult.errors import (
     EmptyWord,
     IndexOutOfRange,
@@ -221,7 +221,7 @@ def test_free_defect_admits_exactly_the_degrees_within_the_monomial_limit():
 
 def test_psi2_schedule_matches_cyclic_form():
     # psi_2(x,y,z) = [x,y]~ (x) z~ + [z,x]~ (x) y~ + [y,z]~ (x) x~
-    H = heisenberg()
+    H = standard_filiform(3)
     x1, x2 = H.basis_vector(0), H.basis_vector(1)
     assert psi(H, 2, [x1, x2, x1]).is_zero
 
