@@ -6,15 +6,16 @@ GF(p), where D = 1, and over Q the structure constants times the lcm D of
 their denominators.  Integer rows are the only construction format.  The
 parser, ``change_basis``, the chain rewrite and ``quotient`` make them
 directly (``_from_integer_rows``); ``LieAlgebra(n, table)`` and ``build``
-read each constant as integers in one pass (``field.integers``) and keep no
-table of the caller's.  No step makes a field scalar on the way to a
-validated algebra, and equal algebras have equal (rows, D), since D is
-always the least common scale.  The rows are laid out as
-the private integer ad table, tab[a][j] = D [e_a, e_j] for every a != j;
-antisymmetry is stored there, not in the table.  The field-scalar table
-c[(i, j)][k] (``_table``, behind ``bracket``, ``bracket_basis`` and
-``structure_constants``) is built only when something reads it; the file
-serializer and ``__hash__`` read the integer rows.  Scaling by
+read each constant as integers through one loop (``_constant_rows``, over
+``field.integers``) and keep no table of the caller's.  No step makes a
+field scalar on the way to a validated algebra, and equal algebras have
+equal (rows, D), since D is always the least common scale.  The rows are
+laid out as the private integer ad table, tab[a][j] = D [e_a, e_j] for
+every a != j; antisymmetry is stored there, not in the table.  The
+constants are held only as these integers: ``bracket`` writes its
+arguments as integer rows, sums on ints over the ad table and makes one
+scalar per output entry, and ``structure_constants`` makes one scalar per
+constant as it lists them.  Scaling by
 D changes no span and no zero test, so the lower central series,
 the Jacobi check, ``quotient`` and gr L run on raw
 ints and feed ``RowSpan`` directly, and
@@ -30,7 +31,7 @@ n³·max|u|²·max|T|·max|R| < 2^(B-1), so the digits decode exactly.  A
 ``Subspace`` is the canonical integer rows of a ``RowSpan``, built only from
 integer rows; membership, sums, equality and the reduction behind
 ``quotient`` (``_reduce_integers``) run on those rows, and the dense basis
-is built only when asked for.  gr L = ⊕ γₖ/γₖ₊₁ is one
+is built each time it is asked for.  gr L = ⊕ γₖ/γₖ₊₁ is one
 algebra, built once per algebra from the series (``_graded``); ψ reads its
 table.
 
@@ -38,7 +39,8 @@ Construction also searches the ad table once for a generator chain
 (s, s₁, s₂, …, s_c), sₖ₊₁ = [sₖ, s] (``_chain_rows``, the package's only
 chain search).  When one is found in a basis whose series is not already
 coordinate, L is rewritten as A in the chain basis P, whose table is nearly
-a shift (``_chain_rewrite``).  The search reads γ₂ as the span of the table rows
+a shift (``_chain_rewrite``); the chain is kept as ``_chain`` and A as
+``_adapted``.  The search reads γ₂ as the span of the table rows
 taken only until it reaches dim n - 2; the other rows stay pending.  A
 chain vector outside that partial span proves γ₂ larger, and then no
 rewrite is made.  One scan of a table decides whether it is in a chain
@@ -62,11 +64,11 @@ quotients), is γₖ = span(P's rows k, …, n - 1) when there is a rewrite
 class n - 1 the center is γₙ₋₁, with no kernel to compute; at any other
 class it is the annihilator (``RowSpan.annihilator``) of the integer ad
 table's columns.  So field scalars are made only by the dense views
-(``bracket``, ``structure_constants``, ``Subspace.basis``) and by error
-payloads.
+(``bracket``, ``structure_constants``, ``Subspace.basis``) when they are
+read, and by error payloads; none is cached.
 Instances are immutable after construction (internal caches, the pending γ₂
-rows and the field-scalar table among them, only memoize pure results) and
-safe to share between workers.
+rows among them, only memoize pure results) and safe to share between
+workers.
 """
 
 from __future__ import annotations
@@ -101,8 +103,8 @@ class Subspace:
     """A subspace of the ambient coordinate space, held as the canonical rows
     of a ``RowSpan`` so equal subspaces compare equal however they were built.
     The constructor takes the ``RowSpan``, which it takes over rather than
-    copies; ``basis`` is the dense reduced-echelon basis, built on first
-    use."""
+    copies; ``basis`` is the dense reduced-echelon basis, built on each
+    read."""
 
     def __init__(self, ambient: int, span: RowSpan):
         if span.ncols != ambient:
@@ -111,7 +113,6 @@ class Subspace:
         self.field = span.field
         self._span = span
         self._rows = span.canonical_rows()
-        self._basis: Matrix | None = None
 
     @classmethod
     def from_vectors(cls, field, ambient: int, vectors) -> "Subspace":
@@ -142,9 +143,7 @@ class Subspace:
 
     @property
     def basis(self) -> Matrix:
-        if self._basis is None:
-            self._basis = self._span.matrix()
-        return self._basis
+        return self._span.matrix()
 
     def _reduce_integers(self, v: dict[int, int]) -> tuple[dict[int, int], int]:
         """(d·v modulo the subspace, d) for an integer row v, with d the lcm
@@ -235,12 +234,14 @@ class QuotientPresentation(NamedTuple):
 
 
 class LieAlgebra:
-    """A finite-dimensional Lie algebra over an exact field."""
+    """A finite-dimensional Lie algebra over an exact field, validated at
+    construction.  ``table`` maps 0-based keys (i, j), i < j, to {k: c}, c
+    being the constant of e_k in [e_i, e_j] as ``field.element`` takes it."""
 
-    def __init__(self, n: int, table, field=QQ, labels=None, validate: bool = True):
-        if n < 0:
-            raise DimensionMismatch("dimension must be nonnegative")
-        self._construct(n, *_table_rows(n, table, field), field, labels, validate)
+    def __init__(self, n: int, table, field=QQ, labels=None):
+        constants = ((i + 1, j + 1, k + 1, c)
+                     for (i, j), row in table.items() for k, c in row.items())
+        self._construct(n, *_constant_rows(n, constants, field), field, labels, True)
 
     @classmethod
     def _from_integer_rows(cls, n: int, rows, scale: int, field, labels=None) -> "LieAlgebra":
@@ -254,12 +255,12 @@ class LieAlgebra:
         self._setup(n, rows, scale, field, labels)
         rewrite = self._chain_rewrite()
         if rewrite is not None:
-            rewrite[1]._series = rewrite[1]._chain_basis_series()
-            if rewrite[1]._series is not None:
+            rewrite._series = rewrite._chain_basis_series()
+            if rewrite._series is not None:
                 # dim γ₂(A) = n - 2, and γ₂(A) is the image of γ₂(L) under P
                 # (Jacobi or not), so the partial span is already all of γ₂.
-                self._rewrite, self._adapted = rewrite, rewrite[1]
-        if self._rewrite is None:
+                self._adapted = rewrite
+        if self._adapted is None:
             self._finish_derived()
         if validate:
             self._validate()
@@ -307,38 +308,21 @@ class LieAlgebra:
         self._multiplier_dim: int | None = None
         # The generator chain that construction's search found, as
         # ``_chain_rows`` gives it; None when none was found or (gr L, the
-        # rewrite itself) no search ran.
+        # rewrite itself) no search ran.  With ``_adapted`` set, its rows are
+        # the basis P of the rewrite.
         self._chain: list[dict[int, int]] | None = None
-        # (chain rows P, this algebra A in the basis P) from ``_chain_rewrite``
-        # when A's basis passes the scan, and A again; None otherwise.
-        self._rewrite: tuple[list[dict[int, int]], LieAlgebra] | None = None
+        # This algebra A in the basis P, from ``_chain_rewrite``, when A's
+        # basis passes the scan; None otherwise.
         self._adapted: LieAlgebra | None = None
 
-    @cached_property
-    def _table(self) -> dict[tuple[int, int], dict[int, object]]:
-        """The sparse table c[(i, j)][k] in field scalars, keys in input
-        order, built from the integer rows on first read."""
-        element = self._entry_scalar()
-        return {
-            key: {k: element(x) for k, x in row.items()}
-            for key, row in self._integer_table.items()
-        }
-
-    def _entry_scalar(self):
-        """The map from an integer entry x of D times a row to its field
-        scalar: x / D over Q, the residue of x over GF(p)."""
-        d = self._scale
+    def _entry_scalar(self, scale: int = 1):
+        """The map from an integer entry x of D times a row, times ``scale``
+        more, to its field scalar: x / (D scale) over Q, the residue of x
+        over GF(p), where D and ``scale`` are 1."""
+        d = self._scale * scale
         return self.field.element if self.field.characteristic else lambda x: Fraction(x, d)
 
     # -- bracket evaluation -------------------------------------------------
-
-    def bracket_basis(self, i: int, j: int) -> dict[int, object]:
-        """[e_i, e_j] as a sparse dict, antisymmetry derived for i > j."""
-        if i == j:
-            return {}
-        if i < j:
-            return dict(self._table.get((i, j), {}))
-        return {k: -c for k, c in self._table.get((j, i), {}).items()}
 
     def zero_vector(self) -> list:
         return [self.field.zero] * self.n
@@ -351,16 +335,25 @@ class LieAlgebra:
         return v
 
     def bracket(self, x, y) -> list:
-        """Bilinear extension of the structure-constant table."""
-        if len(x) != self.n or len(y) != self.n:
+        """Bilinear extension of the structure constants.  With x = u / s and
+        y = v / t as ``integer_row`` writes them, the sum of u_a v_b D [e_a,
+        e_b] runs on ints over the integer ad table, and each output entry
+        is made a field scalar once, divided by s t D."""
+        n = self.n
+        if len(x) != n or len(y) != n:
             raise DimensionMismatch("vector length differs from algebra dimension")
-        out = self.zero_vector()
-        for (i, j), comps in self._table.items():
-            coeff = x[i] * y[j] - x[j] * y[i]
-            if coeff:
-                for k, c in comps.items():
-                    out[k] = out[k] + coeff * c
-        return out
+        (u, s), (v, t) = integer_row(self.field, x, n), integer_row(self.field, y, n)
+        out: dict[int, int] = {}
+        for a, ua in u.items():
+            ad = self._ad[a]
+            for b, vb in v.items():
+                row = ad.get(b)
+                if row:
+                    w = ua * vb
+                    for k, c in row.items():
+                        out[k] = out.get(k, 0) + w * c
+        element = self._entry_scalar(s * t)
+        return [element(out.get(k, 0)) for k in range(n)]
 
     def jacobi_defect(self, x, y, z) -> list:
         a = self.bracket(self.bracket(x, y), z)
@@ -374,11 +367,11 @@ class LieAlgebra:
         vanishes on L written in the basis P, whose table is sparse.  A
         violation is reported from L's own table, with the triple and defect
         that ``_validate_jacobi`` names there."""
-        if self._rewrite is None:
+        if self._adapted is None:
             self._validate_jacobi()
             return
         try:
-            self._rewrite[1]._validate_jacobi()
+            self._adapted._validate_jacobi()
         except JacobiViolation:
             self._validate_jacobi()
             raise RuntimeError(
@@ -423,10 +416,9 @@ class LieAlgebra:
 
     def structure_constants(self) -> tuple[tuple[int, int, int, object], ...]:
         """Sorted sparse table as 1-based (i, j, k, coeff) tuples."""
-        items = []
-        for (i, j), comps in self._table.items():
-            for k, c in comps.items():
-                items.append((i + 1, j + 1, k + 1, c))
+        element = self._entry_scalar()
+        items = [(i + 1, j + 1, k + 1, element(x))
+                 for (i, j), row in self._integer_table.items() for k, x in row.items()]
         return tuple(sorted(items, key=lambda t: t[:3]))
 
     # -- series, center, predicates ------------------------------------------
@@ -471,8 +463,8 @@ class LieAlgebra:
         if self._series is None:
             series = self._chain_basis_series()
             if series is None:
-                if self._rewrite is not None:
-                    series = _tail_series(self.field, self._rewrite[0])
+                if self._adapted is not None:
+                    series = _tail_series(self.field, self._chain)
                 else:
                     series = self._own_series()
             self._series = series
@@ -724,10 +716,10 @@ class LieAlgebra:
     # -- the generator-chain basis -------------------------------------------
 
     def _chain_rewrite(self):
-        """(P, A): the rows of P are a generator chain (s, s₁, s₂, …, s_c) of
-        L as integer rows (``_chain_rows``), and A is L in that basis, with
-        no series set; None without a rewrite.  ``_construct`` keeps it only
-        when A passes the scan.
+        """A, L in the basis P whose rows are the generator chain (s, s₁,
+        s₂, …, s_c) that ``_chain_rows`` finds, kept as ``_chain``, with no
+        series set; None without a rewrite.  ``_construct`` keeps A only
+        when it passes the scan.
 
         No rewrite is made when the tail s₂, …, s_c holds unit vectors only:
         then every γᵢ is already a coordinate subspace, as in the catalog
@@ -747,7 +739,7 @@ class LieAlgebra:
             return None
         rewrite = LieAlgebra.__new__(LieAlgebra)
         rewrite._setup(self.n, table, scale, self.field, None)
-        return rows, rewrite
+        return rewrite
 
     def _chain_rows(self) -> list[dict[int, int]] | None:
         """A generator chain (s, s₁, s₂, …, s_c), sₖ₊₁ = [sₖ, s], as integer
@@ -868,28 +860,33 @@ def _check_central_ideals(center_dim: int) -> None:
         )
 
 
-def _table_rows(n: int, table, field) -> tuple[dict[tuple[int, int], dict[int, int]], int]:
-    """(rows, D) for a table c[(i, j)][k] of constants as ``field.element``
-    takes them, in one pass: every key and index range-checked, every
-    constant read as integers (``field.integers``), the zero ones and empty
-    keys dropped, and rows[(i, j)] = D c[(i, j)] over the least common
-    scale D (1 over GF(p), where the entries are residues)."""
+def _constant_rows(n: int, brackets, field) -> tuple[dict[tuple[int, int], dict[int, int]], int]:
+    """(rows, D) for 1-based entries (i, j, k, c), c a constant as
+    ``field.element`` takes it, in one pass, the reader behind both public
+    constructors: every index range-checked, a repeated (i, j, k) refused,
+    every constant read as integers (``field.integers``), the zero ones
+    dropped, and rows[(i - 1, j - 1)] = D c over the least common scale D
+    (1 over GF(p), where the entries are residues)."""
+    if n < 0:
+        raise DimensionMismatch("dimension must be nonnegative")
     rows: dict[tuple[int, int], dict[int, int]] = {}
     fractions: list[tuple[dict[int, int], int, int]] = []
-    for (i, j), comps in table.items():
-        if not (0 <= i < j < n):
-            raise IndexOutOfRange(f"bracket key ({i + 1}, {j + 1}) out of range for n={n}")
-        row = {}
-        for k, c in comps.items():
-            if not 0 <= k < n:
-                raise IndexOutOfRange(f"component index {k + 1} out of range for n={n}")
-            num, den = field.integers(c)
-            if num:
-                row[k] = num
-                if den != 1:
-                    fractions.append((row, k, den))
-        if row:
-            rows[(i, j)] = row
+    seen = set()
+    for i, j, k, coeff in brackets:
+        if not (1 <= i < j <= n):
+            raise IndexOutOfRange(f"bracket indices ({i}, {j}) must satisfy 1 <= i < j <= {n}")
+        if not 1 <= k <= n:
+            raise IndexOutOfRange(f"component index {k} must lie in [1, {n}]")
+        if (i, j, k) in seen:
+            raise DuplicateBracket(f"duplicate bracket entry ({i}, {j}, {k})")
+        seen.add((i, j, k))
+        num, den = field.integers(coeff)
+        if not num:
+            continue
+        row = rows.setdefault((i - 1, j - 1), {})
+        row[k - 1] = num
+        if den != 1:
+            fractions.append((row, k - 1, den))
     return rows, _scale_fractions(rows, fractions)
 
 
@@ -986,25 +983,4 @@ def build(n: int, brackets, field=QQ, labels=None) -> LieAlgebra:
     1 <= k <= n, meaning [e_i, e_j] has the given coefficient on e_k.  A
     Jacobi failure is reported with the violating triple.
     """
-    rows: dict[tuple[int, int], dict[int, int]] = {}
-    fractions: list[tuple[dict[int, int], int, int]] = []
-    seen = set()
-    for i, j, k, coeff in brackets:
-        if not (1 <= i < j <= n):
-            raise IndexOutOfRange(f"bracket indices ({i}, {j}) must satisfy 1 <= i < j <= {n}")
-        if not 1 <= k <= n:
-            raise IndexOutOfRange(f"component index {k} must lie in [1, {n}]")
-        if (i, j, k) in seen:
-            raise DuplicateBracket(f"duplicate bracket entry ({i}, {j}, {k})")
-        seen.add((i, j, k))
-        num, den = field.integers(coeff)
-        if not num:
-            continue
-        row = rows.setdefault((i - 1, j - 1), {})
-        row[k - 1] = num
-        if den != 1:
-            fractions.append((row, k - 1, den))
-    if n < 0:
-        raise DimensionMismatch("dimension must be nonnegative")
-    scale = _scale_fractions(rows, fractions)
-    return LieAlgebra._from_integer_rows(n, rows, scale, field, labels)
+    return LieAlgebra._from_integer_rows(n, *_constant_rows(n, brackets, field), field, labels)

@@ -266,7 +266,8 @@ class PrimeField:
         return PrimeFieldElement(self.p, self.integers(value)[0])
 
     def integers(self, value) -> tuple[int, int]:
-        """(residue in [0, p), 1) of an element of this field, an int or a
+        """(residue in [0, p), 1) of an element of this field, an int, a
+        ``Fraction`` with denominator 1 (an integer as Q gives it) or a
         literal, with no scalar made; ``FieldMismatch`` for any other
         value."""
         if isinstance(value, PrimeFieldElement):
@@ -275,6 +276,8 @@ class PrimeField:
             return value.v, 1
         if isinstance(value, int):
             return value % self.p, 1
+        if isinstance(value, Fraction) and value.denominator == 1:
+            return value.numerator % self.p, 1
         if isinstance(value, str):
             return self.parse_integers(value)
         raise FieldMismatch(f"cannot coerce {value!r} into GF({self.p})")

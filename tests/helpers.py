@@ -15,7 +15,7 @@ from math import gcd, lcm
 
 from typing import NamedTuple
 
-from liemult.algebra import LieAlgebra, SeriesChain, Subspace, build
+from liemult.algebra import LieAlgebra, SeriesChain, Subspace, _constant_rows, build
 from liemult.catalog import FAMILIES, CatalogEntry, standard_filiform
 from liemult.errors import (
     AlgebraFileError,
@@ -28,7 +28,7 @@ from liemult.errors import (
     NonNilpotent,
     WordTooShort,
 )
-from liemult.fields import QQ, parse_field_spec
+from liemult.fields import QQ, PrimeFieldElement, parse_field_spec
 from liemult.homology import multiplier_dim
 from liemult.linalg import Matrix, RowSpan, integer_row
 from liemult.words import _inner_word, term_schedule
@@ -155,6 +155,44 @@ def change_basis_oracle(L: LieAlgebra, p: Matrix) -> tuple:
     return tuple(out)
 
 
+def unvalidated(n: int, table, field=QQ) -> LieAlgebra:
+    """``LieAlgebra(n, table, field)`` with no Jacobi check, for tables that
+    break it on purpose: the constants are read as the public constructors
+    read them, and construction runs on the private path without
+    ``_validate``."""
+    constants = [(i + 1, j + 1, k + 1, c) for (i, j), row in table.items() for k, c in row.items()]
+    L = LieAlgebra.__new__(LieAlgebra)
+    L._construct(n, *_constant_rows(n, constants, field), field, None, False)
+    return L
+
+
+def table_of(L: LieAlgebra) -> dict:
+    """L's constants as a field-scalar table c[(i, j)][k], 0-based, keys in
+    L's own order, as ``LieAlgebra(n, table)`` takes it."""
+    return scalar_table(L.field, (L._integer_table, L._scale))
+
+
+def field_scalars_held(obj) -> list:
+    """The field scalars (``Fraction`` and ``PrimeFieldElement`` values)
+    reachable from obj through instance attributes, dicts, lists, tuples
+    and sets: for an algebra, what it keeps beside its integer rows."""
+    found, seen, stack = [], set(), [obj]
+    while stack:
+        o = stack.pop()
+        if id(o) in seen:
+            continue
+        seen.add(id(o))
+        if isinstance(o, (Fraction, PrimeFieldElement)):
+            found.append(o)
+        elif isinstance(o, dict):
+            stack.extend(o.items())
+        elif isinstance(o, (list, tuple, set, frozenset)):
+            stack.extend(o)
+        elif hasattr(o, "__dict__") and not isinstance(o, type):
+            stack.extend(vars(o).values())
+    return found
+
+
 def scalar_table(field, table) -> dict:
     """A table as ``LieAlgebra._table_in_basis`` returns it, integer rows
     over a common scale D, back in field scalars: c[(i, j)][k] =
@@ -189,14 +227,15 @@ def chain_basis_series_oracle(A: LieAlgebra) -> SeriesChain | None:
 
 def quotient_oracle(L: LieAlgebra, ideal: Subspace) -> LieAlgebra:
     """L/K by the field-scalar route: basis the images of the unit vectors
-    at K's non-pivot columns, [e_f, e_g] = ``bracket_basis`` reduced by
-    ``subspace_reduce`` and read at those columns, through ``LieAlgebra(q,
-    table)``."""
+    at K's non-pivot columns, [e_f, e_g] the dense ``bracket`` of two basis
+    vectors reduced by ``subspace_reduce`` and read at those columns,
+    through ``LieAlgebra(q, table)``."""
     pivots = set(leading_columns(ideal.basis.rows()))
     free = [c for c in range(L.n) if c not in pivots]
+    e = [L.basis_vector(f) for f in free]
     table = {}
     for a, b in itertools.combinations(range(len(free)), 2):
-        w = subspace_reduce(ideal, L.bracket_basis(free[a], free[b]))
+        w = subspace_reduce(ideal, L.bracket(e[a], e[b]))
         comps = {k: w[f] for k, f in enumerate(free) if f in w}
         if comps:
             table[(a, b)] = comps
@@ -362,6 +401,63 @@ def free_class_two(rank: int, field=QQ) -> LieAlgebra:
     pairs = itertools.combinations(range(1, rank + 1), 2)
     return build(rank + rank * (rank - 1) // 2,
                  [(a, b, rank + k, 1) for k, (a, b) in enumerate(pairs, 1)], field=field)
+
+
+def random_nilpotent(rng: random.Random, field, n: int) -> LieAlgebra:
+    """A random nilpotent algebra of dimension n >= 2, by central extensions
+    from the abelian algebra of dimension 2 or 3 (at most n).  Each step
+    extends L to E = L ⊕ <z>, [a, b]_E = [a, b]_L + θ(a ∧ b) z, for a random
+    combination θ of a basis of Z²(L), the right kernel of
+    ``boundary_oracle``'s d3 (``naive_kernel``), drawn until it lies outside
+    B²(L), the span of d2's columns, so that E does not split.  One step in
+    four, and any step whose draws all land in B², takes θ = 0 instead, which
+    adds an abelian summand.  Every step is a validated ``build``."""
+    brackets: list[tuple] = []
+    L = build(min(n, rng.choice((2, 3))), brackets, field=field)
+    while L.n < n:
+        pairs = list(itertools.combinations(range(L.n), 2))
+        theta = []
+        if rng.random() >= 0.25:
+            d2, d3 = boundary_oracle(L)
+            cocycles = naive_kernel(d3, len(pairs), field)
+            coboundaries = [[row[k] for row in d2] for k in range(L.n)]
+            for _ in range(8):
+                coeffs = [field.element(rng.randint(-2, 2)) for _ in cocycles]
+                draw = [sum((c * z[t] for c, z in zip(coeffs, cocycles)), field.zero)
+                        for t in range(len(pairs))]
+                if naive_rank(coboundaries + [draw], field) > naive_rank(coboundaries, field):
+                    theta = draw
+                    break
+        brackets += [(i + 1, j + 1, L.n + 1, x) for (i, j), x in zip(pairs, theta) if x]
+        L = build(L.n + 1, brackets, field=field)
+    return L
+
+
+def nilpotent_corpus(field, seeds, max_n: int) -> list[LieAlgebra]:
+    """For each seed, ``random_nilpotent`` of dimension 4 + seed mod (max_n
+    - 3) from ``random.Random(seed)``, in its own basis and then in a
+    ``random_unimodular`` basis drawn from the same generator."""
+    corpus = []
+    for seed in seeds:
+        rng = random.Random(seed)
+        n = 4 + seed % (max_n - 3)
+        L = random_nilpotent(rng, field, n)
+        corpus += [L, L.change_basis(random_unimodular(rng, n, field))]
+    return corpus
+
+
+def assert_matches_oracles(L: LieAlgebra) -> None:
+    """dim M(L), the lower central series, the center and the quotients by
+    the center and by γ₂ against ``multiplier_oracle``, ``series_oracle``,
+    ``center_oracle`` and ``quotient_oracle``."""
+    oracle, nilpotent = series_oracle(L)
+    series = L.lower_central_series()
+    assert (series.nilpotent, [t.basis.rows() for t in series.terms]) == (nilpotent, oracle)
+    center = L.center()
+    assert center.basis.rows() == center_oracle(L)
+    for K in (center, series.gamma(2)):
+        assert L.quotient(K).quotient == quotient_oracle(L, K)
+    assert multiplier_dim(L) == multiplier_oracle(L)
 
 
 def graded_oracle(L: LieAlgebra) -> tuple[list[list], list[int], dict]:

@@ -12,13 +12,16 @@ from helpers import (
     NO_CHAIN_GF2,
     NotInSubspace,
     QuotientMap,
+    assert_matches_oracles,
     bracket_span_oracle,
     center_oracle,
     chain_basis_series_oracle,
     change_basis_oracle,
+    field_scalars_held,
     identity,
     leading_columns,
     naive_rref,
+    nilpotent_corpus,
     quotient_coords_oracle,
     quotient_oracle,
     random_rational_vector,
@@ -27,6 +30,8 @@ from helpers import (
     scalar_table,
     series_oracle,
     subspace_reduce,
+    table_of,
+    unvalidated,
 )
 from liemult import algebra as algebra_module
 from liemult import algfile, cli
@@ -90,8 +95,7 @@ def test_jacobi_violation_reports_the_defect_in_field_units(field):
              (2, 3, 1, field.one / field.element(5))]
     with pytest.raises(JacobiViolation) as exc:
         build(3, table, field=field)
-    raw = LieAlgebra(3, {(i - 1, j - 1): {k - 1: c} for i, j, k, c in table},
-                     field=field, validate=False)
+    raw = unvalidated(3, {(i - 1, j - 1): {k - 1: c} for i, j, k, c in table}, field)
     e = [raw.basis_vector(t) for t in range(3)]
     assert exc.value.triple == (1, 2, 3)
     assert exc.value.defect == raw.jacobi_defect(*e)
@@ -109,7 +113,7 @@ def _perturbed_dense_table(field, perturbation, n=9, seed=9):
     i, j, k, c = perturbation
     entry = table.setdefault((i - 1, j - 1), {})
     entry[k - 1] = entry.get(k - 1, field.zero) + field.element(c)
-    raw = LieAlgebra(n, table, field=field, validate=False)
+    raw = unvalidated(n, table, field)
     p = random_unimodular(random.Random(seed), n, field)
     return scalar_table(field, raw._table_in_basis([integer_row(field, r, n) for r in p.rows()]))
 
@@ -129,8 +133,8 @@ def _violation(make):
 @pytest.mark.parametrize("perturbation", PERTURBATIONS)
 def test_route_taking_violation_names_the_input_basis_triple(field, perturbation):
     table = _perturbed_dense_table(field, perturbation)
-    raw = LieAlgebra(9, table, field=field, validate=False)
-    assert raw._rewrite is not None
+    raw = unvalidated(9, table, field)
+    assert raw._adapted is not None
     direct = _violation(raw._validate_jacobi)
     got = _violation(lambda: LieAlgebra(9, table, field=field))
     assert (got.triple, got.defect, str(got)) == (direct.triple, direct.defect, str(direct))
@@ -144,8 +148,8 @@ def test_route_taking_table_valid_over_gf7_only():
     residues = {key: {k: c.numerator for k, c in comps.items()} for key, comps in table.items()}
     L7 = LieAlgebra(9, residues, field=PrimeField(7))
     assert L7._adapted is not None and L7.is_maximal_class()[0]
-    raw = LieAlgebra(9, table, validate=False)
-    assert raw._rewrite is not None
+    raw = unvalidated(9, table)
+    assert raw._adapted is not None
     direct = _violation(raw._validate_jacobi)
     got = _violation(lambda: LieAlgebra(9, table))
     assert (got.triple, got.defect) == (direct.triple, direct.defect)
@@ -217,7 +221,7 @@ def test_construction_reads_constants_as_integers_with_the_field_errors(field):
 def test_construction_keeps_no_table_of_the_caller():
     table = {(0, 1): {2: Fraction(1, 2)}, (0, 2): {3: Fraction(2, 3)}}
     L = LieAlgebra(4, table)
-    assert "_table" not in vars(L) and L._scale == 6
+    assert not field_scalars_held(L) and L._scale == 6
     table[(0, 1)][2] = Fraction(5)
     table[(1, 2)] = {3: Fraction(1)}
     assert L.structure_constants() == ((1, 2, 3, Fraction(1, 2)), (1, 3, 4, Fraction(2, 3)))
@@ -235,11 +239,11 @@ def test_hash_reads_the_integer_rows():
     algebras = [by_build, by_table, by_parser]
     assert len({hash(L) for L in algebras}) == 1
     assert all(L == by_build for L in algebras)
-    assert all("_table" not in vars(L) for L in algebras)
+    assert not field_scalars_held(algebras)
     assert hash(by_build) != hash(build(4, constants[:1]))
     dense = standard_filiform(9).change_basis(random_unimodular(random.Random(9), 9))
     assert hash(dense) == hash(algfile.parse_algebra(algfile.serialize_algebra(dense)))
-    assert "_table" not in vars(dense)
+    assert not field_scalars_held(dense)
 
 
 def test_bracket_antisymmetry_on_random_vectors():
@@ -850,14 +854,14 @@ def test_change_basis_and_rewrite_match_their_pins(family, field):
     base = PIN_BUILDERS[family](10, field=field)
     dense = base.change_basis(random_unimodular(random.Random(10), 10, field))
     assert dense._adapted is not None
-    digests = (_constants_digest(dense), _constants_digest(dense._rewrite[1]))
+    digests = (_constants_digest(dense), _constants_digest(dense._adapted))
     assert digests == REWRITE_PINS[family, fid]
     p = random_unimodular(random.Random(11), 10, field).rows()
     scales = [field.element(2), field.one / field.element(3), -field.one, field.element(5)]
     scaled = base.change_basis(Matrix(field, [[scales[i % 4] * x for x in row]
                                               for i, row in enumerate(p)]))
-    assert scaled._rewrite is not None
-    digests = (_constants_digest(scaled), _constants_digest(scaled._rewrite[1]))
+    assert scaled._adapted is not None
+    digests = (_constants_digest(scaled), _constants_digest(scaled._adapted))
     assert digests == SCALED_PINS[family, fid]
 
 
@@ -938,7 +942,7 @@ def test_basis_change_kernel_matches_the_oracle_on_unvalidated_tables(data):
                      label="P")
     p = Matrix(field, rows)
     assume(len(naive_rref(p.rows(), field)) == n)
-    L = LieAlgebra(n, table, field=field, validate=False)
+    L = unvalidated(n, table, field)
     got = L._table_in_basis([integer_row(field, r, n) for r in p.rows()])
     assert _table_constants(scalar_table(field, got)) == change_basis_oracle(L, p)
 
@@ -990,9 +994,9 @@ def test_rewrite_made_on_the_partial_span_is_dropped(field, tmp_path, capsys, mo
     # change is made for a rewrite that construction would drop.
     assert not probe._derived.contains_integers(rows[-1])
     assert probe._chain_rewrite() is None
-    rebuilt = LieAlgebra(n, L._table, field=field)
-    assert rebuilt == L and rebuilt._rewrite is None and rebuilt._adapted is None
-    assert L._rewrite is None and L._adapted is None and not L._pending
+    rebuilt = LieAlgebra(n, table_of(L), field=field)
+    assert rebuilt == L and rebuilt._adapted is None
+    assert L._adapted is None and not L._pending
     oracle, nilpotent = series_oracle(L)
     assert not nilpotent
     # The series finishes a partial span before it reads γ₂.
@@ -1041,7 +1045,7 @@ def _chain_basis_algebra(L):
     if rows is None:
         return None
     table = scalar_table(L.field, L._table_in_basis([(r, 1) for r in rows]))
-    return LieAlgebra(L.n, table, field=L.field, validate=False)
+    return unvalidated(L.n, table, L.field)
 
 
 def _scan_matches_oracle(A) -> bool:
@@ -1066,13 +1070,13 @@ def test_adaptedness_scan_matches_the_series_rule_on_basis_changes(field):
         _scan_matches_oracle(_chain_basis_algebra(base))
         for seed in (1, 2):
             L = base.change_basis(random_unimodular(random.Random(100 * n + seed), n, field))
-            if L._rewrite is None:
+            A = L._chain_rewrite()
+            if A is None:
                 continue
-            A = L._rewrite[1]
             oracle = chain_basis_series_oracle(A)
             # Construction keeps A as the adapted basis exactly when the rule
             # holds, and then A's series is the rule's, set by the scan.
-            assert (L._adapted is A) == (oracle is not None)
+            assert (L._adapted == A) == (oracle is not None)
             assert A.lower_central_series() == oracle
             adapted += _scan_matches_oracle(A)
     assert adapted == 2 * len(SCAN_CASES)
@@ -1083,19 +1087,18 @@ def test_adaptedness_scan_on_tables_that_are_not_lie_or_not_nilpotent(field):
     # The one-constant Jacobi-breaking dense filiform-12 of the CI check and
     # the catalog perturbations: a rewrite is made on each.
     for perturbation, n, seed in [((2, 3, 5, 1), 12, 12)] + [(p, 9, 9) for p in PERTURBATIONS]:
-        L = LieAlgebra(n, _perturbed_dense_table(field, perturbation, n, seed), field=field,
-                       validate=False)
+        L = unvalidated(n, _perturbed_dense_table(field, perturbation, n, seed), field)
         rewrite = L._chain_rewrite()
         assert rewrite is not None
         # Construction keeps the rewrite exactly when it passes the scan.
-        assert (L._rewrite is not None) == _scan_matches_oracle(rewrite[1])
+        assert (L._adapted is not None) == _scan_matches_oracle(rewrite)
     # A dense basis of the non-nilpotent [x1, x2] = x3, [x1, x3] = x3 has a
     # rewrite that fails the scan and the rule alike, and is not kept.
     L = build(3, [(1, 2, 3, 1), (1, 3, 3, 1)], field=field).change_basis(
         random_unimodular(random.Random(3), 3, field))
     rewrite = L._chain_rewrite()
-    assert rewrite is not None and not _scan_matches_oracle(rewrite[1])
-    assert L._rewrite is None
+    assert rewrite is not None and not _scan_matches_oracle(rewrite)
+    assert L._adapted is None
     # The cyclic shift: construction makes no rewrite, and the rewrite it
     # skipped fails the scan and the rule alike.
     assert not _scan_matches_oracle(_chain_basis_algebra(_cyclic_shift_algebra(field)))
@@ -1107,13 +1110,13 @@ def test_adaptedness_scan_has_nothing_to_decide_without_a_chain():
     dense = graded.change_basis(random_unimodular(random.Random(8), 8, F))
     for L in (graded, dense):
         assert _chain_basis_algebra(L) is None
-        assert L._rewrite is None and L._adapted is None
+        assert L._adapted is None
 
 
 @functools.cache
 def _chain_basis_table(family, n, field):
     dense = family(n, field=field).change_basis(random_unimodular(random.Random(n), n, field))
-    return _chain_basis_algebra(dense)._table
+    return table_of(_chain_basis_algebra(dense))
 
 
 @settings(max_examples=150, deadline=None)
@@ -1130,7 +1133,7 @@ def test_adaptedness_scan_matches_the_series_rule_after_one_changed_constant(dat
     c = data.draw(st.integers(-3, 3), label="c")
     table = {key: dict(comps) for key, comps in _chain_basis_table(family, n, field).items()}
     table.setdefault((a, b), {})[k] = field.element(c)
-    _scan_matches_oracle(LieAlgebra(n, table, field=field, validate=False))
+    _scan_matches_oracle(unvalidated(n, table, field))
 
 
 # -- series and center read off the table --------------------------------------
@@ -1177,7 +1180,7 @@ def test_series_and_center_match_the_oracles_on_maximal_class_input(field):
             continue
         for seed in (1, 2):
             dense = L.change_basis(random_unimodular(random.Random(100 * n + seed), n, field))
-            assert n <= 4 or dense._rewrite is not None
+            assert n <= 4 or dense._adapted is not None
             _assert_series_and_center_match_oracles(dense)
 
 
@@ -1212,7 +1215,7 @@ def test_center_below_maximal_class_makes_no_field_scalar(field, summands, monke
         raise AssertionError("the center made field scalars")
 
     with monkeypatch.context() as patch:
-        patch.setattr(LieAlgebra, "_table", property(refuse))
+        patch.setattr(LieAlgebra, "_entry_scalar", refuse)
         patch.setattr(Matrix, "__init__", refuse)
         center = L.center()
     assert L.nilpotency_class() < L.n - 1
@@ -1254,7 +1257,7 @@ def test_q_series_is_read_off_one_scan_with_the_chain_generator(field, monkeypat
     series = [L.lower_central_series() for L in algebras]
     assert own == []
     for L, got in zip(algebras, series):
-        assert L._chain[0] == {0: 1, 1: 1} and L._rewrite is None
+        assert L._chain[0] == {0: 1, 1: 1} and L._adapted is None
         assert got == L._own_series()
         assert got.dims() == (L.n, *range(L.n - 2, -1, -1))
 
@@ -1262,7 +1265,7 @@ def test_q_series_is_read_off_one_scan_with_the_chain_generator(field, monkeypat
 def _filiform_7_table(field, changes=()):
     """Catalog filiform-7 as a field-scalar table with each 0-based
     ((i, j), row) in ``changes`` set, an empty row deleting the key."""
-    table = {key: dict(row) for key, row in standard_filiform(7, field=field)._table.items()}
+    table = table_of(standard_filiform(7, field=field))
     for key, row in changes:
         if row:
             table[key] = {k: field.element(c) for k, c in row.items()}
@@ -1284,7 +1287,7 @@ def test_tables_that_fail_the_scan_compute_their_own_series(field, monkeypatch):
         build(2, [(1, 2, 2, 1)], field=field),  # not nilpotent
     ]
     for L in cases:
-        assert L._chain_basis_series() is None and L._rewrite is None
+        assert L._chain_basis_series() is None and L._adapted is None
         _assert_series_and_center_match_oracles(L)
     assert own == cases
     assert cases[0].nilpotency_class() == 3
@@ -1293,8 +1296,7 @@ def test_tables_that_fail_the_scan_compute_their_own_series(field, monkeypatch):
 @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
 def test_scan_gives_the_definitional_series_of_a_table_that_breaks_jacobi(field, monkeypatch):
     # filiform-7 with [x2, x3] = x6: the Jacobiator of (x1, x2, x3) is x7.
-    L = LieAlgebra(7, _filiform_7_table(field, [((1, 2), {5: 1})]), field=field,
-                   validate=False)
+    L = unvalidated(7, _filiform_7_table(field, [((1, 2), {5: 1})]), field)
     with pytest.raises(JacobiViolation):
         L._validate_jacobi()
     own = _count_calls(monkeypatch, "_own_series")
@@ -1302,3 +1304,15 @@ def test_scan_gives_the_definitional_series_of_a_table_that_breaks_jacobi(field,
     assert L._chain_basis_series() is not None
     _assert_series_and_center_match_oracles(L)
     assert own == [] and kernels == []
+
+
+# -- a random nilpotent corpus ---------------------------------------------------
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(3), PrimeField(7), PrimeField(2**31 - 1)],
+                         ids=["Q", "GF3", "GF7", "GFp"])
+def test_random_nilpotent_algebras_agree_with_the_oracles(field):
+    # Central extensions of every class, most of them below maximal class,
+    # in their own basis and in a dense one: the raw route and the rewrite.
+    for L in nilpotent_corpus(field, range(8), 9):
+        assert_matches_oracles(L)

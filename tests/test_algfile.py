@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import entry_algebra, parse_algebra_oracle, random_unimodular
+from helpers import entry_algebra, field_scalars_held, parse_algebra_oracle, random_unimodular
 from liemult.algebra import build
 from liemult.algfile import MAX_FILE_DIM, parse_algebra, serialize_algebra
 from liemult.catalog import entries, standard_filiform
@@ -117,7 +117,7 @@ def _dense_filiform_13(field, scaled):
 
 def _no_field_scalar_table(L):
     assert L._adapted is not None
-    return "_table" not in vars(L) and "_table" not in vars(L._adapted)
+    return not field_scalars_held(L)
 
 
 @pytest.mark.parametrize("scaled", [False, True], ids=["unimodular", "scaled"])

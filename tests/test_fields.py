@@ -4,6 +4,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from helpers import truncated_witt
+from liemult.algebra import LieAlgebra, build
+from liemult.catalog import standard_filiform
 from liemult.errors import BadScalarLiteral, FieldMismatch, FieldSpecError, ResourceLimit
 from liemult.fields import QQ, PrimeField, PrimeFieldElement, _is_prime, parse_field_spec
 
@@ -76,6 +79,25 @@ def test_gf_mixed_modulus_is_field_mismatch():
 def test_gf_element_rejects_fraction_operands():
     with pytest.raises(TypeError):
         PrimeField(5).one + Fraction(1, 2)
+
+
+def test_gf_reads_an_integral_fraction_as_an_int():
+    # Q's structure constants are Fractions, so a Q table reduces mod p as it is.
+    F = PrimeField(7)
+    for value in (Fraction(10), Fraction(-1), Fraction(14, 2)):
+        assert F.integers(value) == F.integers(int(value))
+        assert F.element(value) == F.element(int(value))
+    for value in (Fraction(1, 2), Fraction(-7, 3)):
+        with pytest.raises(FieldMismatch):
+            F.integers(value)
+        with pytest.raises(FieldMismatch):
+            F.element(value)
+    q = standard_filiform(5).structure_constants()
+    assert build(5, q, field=F) == standard_filiform(5, field=F)
+    table = {}
+    for i, j, k, c in truncated_witt(6).structure_constants():
+        table.setdefault((i - 1, j - 1), {})[k - 1] = c
+    assert LieAlgebra(6, table, field=F) == truncated_witt(6, field=F)
 
 
 def test_char_two_needs_override():

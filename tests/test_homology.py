@@ -19,7 +19,10 @@ from helpers import (
     generator_chain,
     has_generator_chain_oracle,
     is_zero,
+    leading_columns,
     multiplier_oracle,
+    naive_rref,
+    nilpotent_corpus,
     random_unimodular,
     row_span,
     series_oracle,
@@ -209,7 +212,7 @@ def test_input_without_a_generator_chain_keeps_its_basis():
         with pytest.raises(GeneratorSearchFailed):
             generator_chain(A)
     # Every line of L/γ₂ fails the construction-time search too.
-    assert L._rewrite is None and L._adapted is None
+    assert L._adapted is None
     oracle, nilpotent = series_oracle(L)
     assert nilpotent and [t.basis.rows() for t in L.lower_central_series().terms] == oracle
     assert multiplier_dim(L) == _raw_multiplier_dim(L) == multiplier_dim(graded)
@@ -217,7 +220,7 @@ def test_input_without_a_generator_chain_keeps_its_basis():
 
 def _direction(L):
     """The direction of L/γ₂ that the construction-time chain search took as s."""
-    s, s1 = L._rewrite[0][:2]
+    s, s1 = L._chain[:2]
     if len(s) == 2:
         return "e_a + t e_b"
     return "e_a" if min(s) < min(s1) else "e_b"
@@ -243,12 +246,11 @@ ROUTE_CASES = [
                          ids=[f"{f.__name__}-{n}-seed{s}" for f, n, s, _ in ROUTE_CASES])
 def test_series_in_the_chain_basis_matches_the_oracle(field, family, n, seed, direction):
     L = _changed(family(n, field=field), seed)
-    assert L._rewrite is not None and _direction(L) == direction
+    assert L._adapted is not None and _direction(L) == direction
     oracle, nilpotent = series_oracle(L)
     series = L.lower_central_series()
     assert series.nilpotent and nilpotent
     assert [t.basis.rows() for t in series.terms] == oracle
-    assert L._adapted is L._rewrite[1]
     assert multiplier_dim(L) == _raw_multiplier_dim(L)
 
 
@@ -257,9 +259,9 @@ def test_series_in_the_chain_basis_matches_the_oracle(field, family, n, seed, di
                          ids=[f"{f.__name__}-{n}-seed{s}" for f, n, s, _ in ROUTE_CASES])
 def test_generator_chain_is_the_chain_of_the_rewrite(field, family, n, seed, direction):
     L = _changed(family(n, field=field), seed)
-    assert L._rewrite is not None and _direction(L) == direction
+    assert L._adapted is not None and _direction(L) == direction
     chain = generator_chain(L)
-    assert [chain.s, chain.s1, *chain.tail] == chain_rows_as_vectors(L, L._rewrite[0])
+    assert [chain.s, chain.s1, *chain.tail] == chain_rows_as_vectors(L, L._chain)
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
@@ -269,7 +271,7 @@ def test_series_in_the_chain_basis_of_a_non_nilpotent_algebra(field):
     # L is not nilpotent, and L keeps its own table.
     L = _changed(build(3, [(1, 2, 3, 1), (1, 3, 3, 1)], field=field), 3)
     assert L._chain_rewrite() is not None
-    assert L._rewrite is None and L._adapted is None
+    assert L._adapted is None
     oracle, nilpotent = series_oracle(L)
     series = L.lower_central_series()
     assert not series.nilpotent and not nilpotent
@@ -286,7 +288,7 @@ def test_catalog_bases_and_their_central_quotients_store_no_rewrite(field):
     for L in algebras:
         ideals = L.central_ideals() if L.n <= 8 else [L.center()]
         for A in [L] + [L.quotient(K).quotient for K in ideals]:
-            assert A._rewrite is None and A._adapted is None
+            assert A._adapted is None
 
 
 # -- memory of the complex -------------------------------------------------------
@@ -299,7 +301,6 @@ def test_boundary_matrices_hold_the_complex_once(field):
     # matrix, then copied, peaks at about 2.3 times that.
     n = 20
     L = standard_filiform(n, field=field)
-    L._table  # built on first use; not part of the complex
     tracemalloc.start()
     try:
         pair = boundary_matrices(L)
@@ -408,14 +409,15 @@ def test_boundary_matrices_match_the_dense_oracle(field):
 
 @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
 def test_the_complex_is_built_from_the_integer_table(field, monkeypatch):
-    # The field-scalar table is never read: every cell comes from L._ad.
+    # No field-scalar view of the table is read: every cell comes from L._ad.
     corpus = _identity_corpus(field)
 
-    def refuse(self):
-        raise AssertionError("the field-scalar table was read")
+    def refuse(*args):
+        raise AssertionError("a field-scalar view of the table was read")
 
     with monkeypatch.context() as patch:
-        patch.setattr(LieAlgebra, "_table", property(refuse))
+        patch.setattr(LieAlgebra, "bracket", refuse)
+        patch.setattr(LieAlgebra, "structure_constants", refuse)
         dims = {name: multiplier_dim(L) for name, L in corpus.items()}
         for L in corpus.values():
             boundary_matrices(L)
@@ -470,3 +472,37 @@ def test_boundary_matrices_are_pinned(name):
     pair = boundary_matrices(make())
     text = json.dumps([[[str(x) for x in row] for row in m.rows()] for m in (pair.d2, pair.d3)])
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+# -- d3 on the triples that meet a complement of γ₂ --------------------------------
+
+
+def _d3_ranks(L):
+    """(rank of ``boundary_oracle``'s d3, rank of its rows at the triples
+    that meet X), X the unit vectors at the free columns of γ₂'s canonical
+    rows (``series_oracle``).  The full rank is that of the other rows
+    beside the naive_rref of the meeting ones."""
+    _, d3 = boundary_oracle(L)
+    pivots = leading_columns(series_oracle(L)[0][1])
+    meet, rest = [], []
+    for row, t in zip(d3, itertools.combinations(range(L.n), 3)):
+        (rest if all(c in pivots for c in t) else meet).append(row)
+    restricted = naive_rref(meet, L.field)
+    return len(naive_rref(restricted + rest, L.field)), len(restricted)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_d3_on_the_triples_that_meet_a_complement_of_gamma2_has_full_rank(field):
+    # The lemma that im d3 = d3(X ∧ Λ²L) for nilpotent L: the evidence
+    # asked for before the multiplier relies on it.  filiform-2k and the
+    # free algebras of class two have dim L/γ₂ = 4, 3 and 4.
+    algebras = ([standard_filiform(n, field=field) for n in range(3, 13)]
+                + [filiform_m2(n, field=field) for n in range(5, 13)]
+                + [filiform_q(n, field=field) for n in range(6, 13, 2)]
+                + [truncated_witt(n, field=field) for n in range(3, 13)]
+                + [filiform_square(k, field=field) for k in range(3, 7)]
+                + [free_class_two(r, field=field) for r in range(2, 5)]
+                + nilpotent_corpus(field, range(8), 9))
+    for L in algebras:
+        full, restricted = _d3_ranks(L)
+        assert restricted == full, (L.n, L.structure_constants())

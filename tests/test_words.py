@@ -643,8 +643,8 @@ def test_pinned_chains_follow_the_recurrence_down_the_series(fid, kind):
             assert series.gamma(k).contains_vector(v)
             assert not series.gamma(k + 1).contains_vector(v)
             prev = v
-        if L._rewrite is not None:
-            assert chain_rows_as_vectors(L, L._rewrite[0]) == [chain.s, chain.s1, *chain.tail]
+        if L._adapted is not None:
+            assert chain_rows_as_vectors(L, L._chain) == [chain.s, chain.s1, *chain.tail]
 
 
 def _chain_found(L):
