@@ -20,9 +20,8 @@ from .bounds import (
     main_theorem_bound,
     moneyhun_bound,
     verify_central_quotient_bound,
-    verify_main_theorem,
 )
-from .catalog import CatalogEntry, abelian, entries, get, names, standard_filiform
+from .catalog import CatalogEntry, abelian, entries, get, standard_filiform
 from .errors import LieError
 from .fields import QQ, PrimeField, parse_field_spec
 from .homology import BoundaryPair, boundary_matrices, multiplier_dim
@@ -43,12 +42,10 @@ __all__ = [
     "main_theorem_bound",
     "moneyhun_bound",
     "verify_central_quotient_bound",
-    "verify_main_theorem",
     "CatalogEntry",
     "abelian",
     "entries",
     "get",
-    "names",
     "standard_filiform",
     "LieError",
     "QQ",

@@ -13,8 +13,9 @@ equal (rows, D), since D is always the least common scale.  The rows are
 laid out as the private integer ad table, tab[a][j] = D [e_a, e_j] for
 every a != j; antisymmetry is stored there, not in the table.  The
 constants are held only as these integers: ``bracket`` writes its
-arguments as integer rows, sums on ints over the ad table and makes one
-scalar per output entry, and ``structure_constants`` makes one scalar per
+arguments as integer rows, sums on ints over the ad table (``_combine`` of
+``_ad_rows``, as the series and the chain search do) and makes one scalar
+per output entry, and ``structure_constants`` makes one scalar per
 constant as it lists them.  Scaling by
 D changes no span and no zero test, so the lower central series,
 the Jacobi check, ``quotient`` and gr L run on raw
@@ -53,19 +54,24 @@ on A, which proves dim γ₂ = n - 2, so the pending rows are never added.
 Otherwise (no chain, a singular P, a non-nilpotent input or a table that
 breaks Jacobi) L keeps only its own table, and construction adds the
 pending rows (``_finish_derived``).  Every reader of the full γ₂ adds them
-first.  The Jacobi identity is validated eagerly at construction, so
-everything downstream may assume it: on A when there is a rewrite (it holds
-on A exactly when it holds on L) and on L's own table otherwise, and a
-violation is always reported from L's own table, walking its keys in input
-order.  The lower central series is read off L's own table when the scan
-passes (the catalog filiform, m₂ and Qₙ bases and their central
-quotients), is γₖ = span(P's rows k, …, n - 1) when there is a rewrite
+first.  The Jacobi identity is validated eagerly at construction, by the
+package's one Jacobi check (``_validate_jacobi``), so everything downstream
+may assume it: on A when there is a rewrite (it holds on A exactly when it
+holds on L) and on L's own table otherwise, and a violation is always
+reported from L's own table, walking its keys in input order, with a defect
+whose scalars ``_entry_scalar`` makes.  The lower central series is read
+off L's own table when the scan passes (the catalog filiform, m₂ and Qₙ
+bases and their central quotients), is γₖ = span(P's rows k, …, n - 1) when there is a rewrite
 (``_tail_series`` serves both), and is computed on L's table otherwise.  At
 class n - 1 the center is γₙ₋₁, with no kernel to compute; at any other
 class it is the annihilator (``RowSpan.annihilator``) of the integer ad
 table's columns.  So field scalars are made only by the dense views
 (``bracket``, ``structure_constants``, ``Subspace.basis``) when they are
 read, and by error payloads; none is cached.
+Nothing here raises for the characteristic: over GF(2), which the fields
+admit only with the explicit override, every construction and view runs as
+over any other field, and the parity bound's exclusion of characteristic 2
+is applied in ``bounds`` alone, as an out-of-scope verdict.
 Instances are immutable after construction (internal caches, the pending γ₂
 rows among them, only memoize pure results) and safe to share between
 workers.
@@ -336,30 +342,16 @@ class LieAlgebra:
 
     def bracket(self, x, y) -> list:
         """Bilinear extension of the structure constants.  With x = u / s and
-        y = v / t as ``integer_row`` writes them, the sum of u_a v_b D [e_a,
-        e_b] runs on ints over the integer ad table, and each output entry
-        is made a field scalar once, divided by s t D."""
+        y = v / t as ``integer_row`` writes them, D [u, v] is summed on ints
+        over the integer ad table (``_combine`` of v with ``_ad_rows(u)``),
+        and each output entry is made a field scalar once, divided by s t D."""
         n = self.n
         if len(x) != n or len(y) != n:
             raise DimensionMismatch("vector length differs from algebra dimension")
         (u, s), (v, t) = integer_row(self.field, x, n), integer_row(self.field, y, n)
-        out: dict[int, int] = {}
-        for a, ua in u.items():
-            ad = self._ad[a]
-            for b, vb in v.items():
-                row = ad.get(b)
-                if row:
-                    w = ua * vb
-                    for k, c in row.items():
-                        out[k] = out.get(k, 0) + w * c
+        out = _combine(self._ad_rows(u), v)
         element = self._entry_scalar(s * t)
         return [element(out.get(k, 0)) for k in range(n)]
-
-    def jacobi_defect(self, x, y, z) -> list:
-        a = self.bracket(self.bracket(x, y), z)
-        b = self.bracket(self.bracket(y, z), x)
-        c = self.bracket(self.bracket(z, x), y)
-        return [p + q + r for p, q, r in zip(a, b, c)]
 
     def _validate(self):
         """Validate Jacobi, on the rewrite when there is one.  The Jacobiator
@@ -404,13 +396,10 @@ class LieAlgebra:
                             if mz:
                                 for t, w in mz.items():
                                     defect[t] = defect.get(t, 0) + u * w
-                defect = self._nonzero(defect) if defect else defect
-                if defect:
-                    unit = self.field.one / self.field.element(self._scale**2)
-                    dense = self.zero_vector()
-                    for t, v in defect.items():
-                        dense[t] = self.field.element(v) * unit
-                    raise JacobiViolation((a + 1, b + 1, c + 1), dense)
+                if defect and self._nonzero(defect):
+                    element = self._entry_scalar(self._scale)
+                    raise JacobiViolation((a + 1, b + 1, c + 1),
+                                          [element(defect.get(t, 0)) for t in range(n)])
 
     # -- structure accessors ------------------------------------------------
 
@@ -863,16 +852,19 @@ def _check_central_ideals(center_dim: int) -> None:
 def _constant_rows(n: int, brackets, field) -> tuple[dict[tuple[int, int], dict[int, int]], int]:
     """(rows, D) for 1-based entries (i, j, k, c), c a constant as
     ``field.element`` takes it, in one pass, the reader behind both public
-    constructors: every index range-checked, a repeated (i, j, k) refused,
-    every constant read as integers (``field.integers``), the zero ones
-    dropped, and rows[(i - 1, j - 1)] = D c over the least common scale D
-    (1 over GF(p), where the entries are residues)."""
-    if n < 0:
-        raise DimensionMismatch("dimension must be nonnegative")
+    constructors: n and every index checked to be an int and in range, a
+    repeated (i, j, k) refused, every constant read as integers
+    (``field.integers``), the zero ones dropped, and rows[(i - 1, j - 1)] =
+    D c over the least common scale D (1 over GF(p), where the entries are
+    residues)."""
+    if not isinstance(n, int) or n < 0:
+        raise DimensionMismatch(f"dimension must be a nonnegative integer, got {n!r}")
     rows: dict[tuple[int, int], dict[int, int]] = {}
     fractions: list[tuple[dict[int, int], int, int]] = []
     seen = set()
     for i, j, k, coeff in brackets:
+        if not (isinstance(i, int) and isinstance(j, int) and isinstance(k, int)):
+            raise IndexOutOfRange(f"bracket indices ({i!r}, {j!r}, {k!r}) must be integers")
         if not (1 <= i < j <= n):
             raise IndexOutOfRange(f"bracket indices ({i}, {j}) must satisfy 1 <= i < j <= {n}")
         if not 1 <= k <= n:

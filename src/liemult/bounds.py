@@ -4,9 +4,11 @@ Four bounds are evaluated: the classical quadratic bound n(n-1)/2, the
 derived-subalgebra refinement (n+m-2)(n-m-1)/2 + 1, the maximal-class bound
 n-2, and the parity bound (n/2 for even n, (n+1)/2 rounded up otherwise).
 Verdicts are per bound: "holds" (strict), "attained" (equality), "violated"
-(a hard failure for valid nilpotent input over characteristic != 2),
-"not-applicable" and "out-of-scope" (characteristic 2, where the parity
-bound's hypotheses fail and only the general bounds are reported).
+(a hard failure for valid nilpotent input), "not-applicable" and
+"out-of-scope".  The parity bound is stated only outside characteristic 2,
+and that has one policy here: over characteristic 2 ``bound_report`` gives
+the parity bound the verdict "out-of-scope" and no pinching record, reports
+the general bounds as usual, and raises nothing for the characteristic.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from typing import NamedTuple
 from .algebra import LieAlgebra, Subspace
 from .errors import (
     AbelianInput,
-    CharTwoField,
     DimensionTooSmall,
     IndexOutOfRange,
     NonNilpotent,
@@ -87,10 +88,6 @@ class BoundReport(NamedTuple):
     bounds: dict
     pinching: PinchingRecord | None = None
 
-    @property
-    def has_violation(self) -> bool:
-        return any(v == VIOLATED for _, v in self.bounds.values())
-
     def to_dict(self) -> dict:
         doc = {
             "algebra": self.algebra_id,
@@ -121,8 +118,8 @@ class BoundReport(NamedTuple):
 
 
 def bound_report(L: LieAlgebra, algebra_id: str = "") -> BoundReport:
-    """Evaluate every applicable bound; never raises on characteristic 2
-    (the parity verdict degrades to out-of-scope there)."""
+    """Evaluate every applicable bound.  Over characteristic 2 the parity
+    verdict is out-of-scope and there is no pinching record."""
     series = L.lower_central_series()
     if not series.nilpotent:
         raise NonNilpotent("bound verification requires a nilpotent algebra")
@@ -178,17 +175,6 @@ def bound_report(L: LieAlgebra, algebra_id: str = "") -> BoundReport:
         bounds=bounds,
         pinching=pinching,
     )
-
-
-def verify_main_theorem(L: LieAlgebra, algebra_id: str = "") -> BoundReport:
-    """Full bound report for the parity bound's own hypotheses.
-
-    Characteristic 2 is rejected outright; non-maximal-class input degrades
-    to the general bounds (no parity or n-2 entries).
-    """
-    if L.field.characteristic == 2:
-        raise CharTwoField("the parity bound excludes characteristic 2")
-    return bound_report(L, algebra_id=algebra_id)
 
 
 class CentralQuotientRecord(NamedTuple):

@@ -130,12 +130,6 @@ def entries() -> tuple[CatalogEntry, ...]:
     return _ENTRIES
 
 
-def names(include_aliases: bool = False) -> tuple[str, ...]:
-    if include_aliases:
-        return tuple(_BY_NAME)
-    return tuple(e.name for e in _ENTRIES)
-
-
 def get(name: str) -> CatalogEntry:
     entry = _BY_NAME.get(name)
     if entry is None:

@@ -3,6 +3,9 @@
 Everything raised on purpose derives from LieError so callers (and the CLI)
 can distinguish toolkit diagnostics from genuine bugs.  ResourceLimit and its
 subclasses mark guards that refuse oversized inputs rather than bad ones.
+Characteristic 2 raises only FieldSpecError, when GF(2) is asked for without
+the explicit unsafe override; over an admitted GF(2) the parity bound is
+reported out of scope, never raised.
 """
 
 
@@ -90,10 +93,6 @@ class EmptyWord(LieError):
 
 class WordTooShort(LieError):
     pass
-
-
-class CharTwoField(LieError):
-    """The theorem hypotheses exclude characteristic 2."""
 
 
 class AbelianInput(LieError):

@@ -16,6 +16,7 @@ from math import gcd, lcm
 from typing import NamedTuple
 
 from liemult.algebra import LieAlgebra, SeriesChain, Subspace, _constant_rows, build
+from liemult.bounds import verify_central_quotient_bound
 from liemult.catalog import FAMILIES, CatalogEntry, standard_filiform
 from liemult.errors import (
     AlgebraFileError,
@@ -322,6 +323,12 @@ def random_rational_vector(rng: random.Random, n: int) -> list[Fraction]:
     return [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(n)]
 
 
+def jacobiator(L: LieAlgebra, x, y, z) -> list:
+    """[[x, y], z] + [[y, z], x] + [[z, x], y], from ``L.bracket``."""
+    terms = (L.bracket(L.bracket(a, b), c) for a, b, c in ((x, y, z), (y, z, x), (z, x, y)))
+    return [p + q + r for p, q, r in zip(*terms)]
+
+
 def random_unimodular(rng: random.Random, n: int, field=QQ) -> Matrix:
     """Product of unit triangular integer matrices: determinant exactly 1."""
     lower = [[field.element(1 if i == j else (rng.randint(-3, 3) if i > j else 0))
@@ -449,7 +456,8 @@ def nilpotent_corpus(field, seeds, max_n: int) -> list[LieAlgebra]:
 def assert_matches_oracles(L: LieAlgebra) -> None:
     """dim M(L), the lower central series, the center and the quotients by
     the center and by γ₂ against ``multiplier_oracle``, ``series_oracle``,
-    ``center_oracle`` and ``quotient_oracle``."""
+    ``center_oracle`` and ``quotient_oracle``; and for every central ideal
+    K, the central-ideal inequality with dim M(L/K) from the oracles."""
     oracle, nilpotent = series_oracle(L)
     series = L.lower_central_series()
     assert (series.nilpotent, [t.basis.rows() for t in series.terms]) == (nilpotent, oracle)
@@ -458,6 +466,10 @@ def assert_matches_oracles(L: LieAlgebra) -> None:
     for K in (center, series.gamma(2)):
         assert L.quotient(K).quotient == quotient_oracle(L, K)
     assert multiplier_dim(L) == multiplier_oracle(L)
+    for K in L.central_ideals():
+        record = verify_central_quotient_bound(L, K)
+        assert record.dim_m_quotient == multiplier_oracle(quotient_oracle(L, K))
+        assert record.holds, record
 
 
 def graded_oracle(L: LieAlgebra) -> tuple[list[list], list[int], dict]:

@@ -19,6 +19,7 @@ from helpers import (
     change_basis_oracle,
     field_scalars_held,
     identity,
+    jacobiator,
     leading_columns,
     naive_rref,
     nilpotent_corpus,
@@ -98,7 +99,7 @@ def test_jacobi_violation_reports_the_defect_in_field_units(field):
     raw = unvalidated(3, {(i - 1, j - 1): {k - 1: c} for i, j, k, c in table}, field)
     e = [raw.basis_vector(t) for t in range(3)]
     assert exc.value.triple == (1, 2, 3)
-    assert exc.value.defect == raw.jacobi_defect(*e)
+    assert exc.value.defect == jacobiator(raw, *e)
     assert exc.value.defect[0] == field.one / field.element(15)
 
 
@@ -194,6 +195,21 @@ def test_build_index_errors():
         build(3, [(1, 2, 3, 1), (1, 2, 3, 2)])
 
 
+@pytest.mark.parametrize("i,j,k", [(1.0, 2, 3), (1, 2.0, 3), (1, 2, 3.0)])
+def test_construction_refuses_a_non_integer_index_or_dimension(i, j, k):
+    # A float index or dimension passes the range checks, so it must be
+    # refused by type, not left to a bare TypeError in ``_setup``.
+    with pytest.raises(IndexOutOfRange, match="must be integers"):
+        build(3, [(i, j, k, 1)])
+    with pytest.raises(IndexOutOfRange, match="must be integers"):
+        LieAlgebra(3, {(i - 1, j - 1): {k - 1: 1}})
+    for n in (3.0, "3"):
+        with pytest.raises(DimensionMismatch, match="nonnegative integer"):
+            build(n, [(1, 2, 3, 1)])
+        with pytest.raises(DimensionMismatch, match="nonnegative integer"):
+            LieAlgebra(n, {(0, 1): {2: 1}})
+
+
 @pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["Q", "GF7"])
 def test_construction_reads_constants_as_integers_with_the_field_errors(field):
     # Every spelling of a constant that ``field.element`` takes gives the
@@ -277,7 +293,7 @@ def test_jacobi_on_500_random_triples():
     for L in (standard_filiform(4), standard_filiform(6), standard_filiform(3)):
         for _ in range(500):
             x, y, z = (random_rational_vector(rng, L.n) for _ in range(3))
-            assert not any(L.jacobi_defect(x, y, z))
+            assert not any(jacobiator(L, x, y, z))
 
 
 def test_bracket_span_with_zero_and_abelian():

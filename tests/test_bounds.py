@@ -13,12 +13,10 @@ from liemult.bounds import (
     main_theorem_bound,
     moneyhun_bound,
     verify_central_quotient_bound,
-    verify_main_theorem,
 )
 from liemult.catalog import abelian, entries, standard_filiform
 from liemult.errors import (
     AbelianInput,
-    CharTwoField,
     DimensionTooSmall,
     IndexOutOfRange,
     NonNilpotent,
@@ -61,38 +59,32 @@ def test_main_theorem_bound_small_n():
 
 
 def test_verify_attainment_even_case():
-    rep = verify_main_theorem(standard_filiform(4), "L(3,4,1,4)")
+    rep = bound_report(standard_filiform(4), "L(3,4,1,4)")
     assert rep.dim_multiplier == 2
     assert rep.bounds["main_theorem"] == (2, ATTAINED)
     assert rep.pinching is not None and rep.pinching.holds
 
 
 def test_verify_attainment_odd_case():
-    rep = verify_main_theorem(standard_filiform(5), "L(7,5,1,7)")
+    rep = bound_report(standard_filiform(5), "L(7,5,1,7)")
     assert rep.dim_multiplier == 3
     assert rep.bounds["main_theorem"] == (3, ATTAINED)
 
 
 def test_verify_filiform_6_holds():
-    rep = verify_main_theorem(standard_filiform(6))
+    rep = bound_report(standard_filiform(6))
     value, verdict = rep.bounds["main_theorem"]
     assert value == 3 and rep.dim_multiplier <= 3
     assert verdict in (HOLDS, ATTAINED)
 
 
 def test_verify_degrades_for_non_maximal_class():
-    rep = verify_main_theorem(abelian(4))
+    rep = bound_report(abelian(4))
     assert rep.bounds["main_theorem"] == (None, NOT_APPLICABLE)
     assert rep.bounds["nminus2"] == (None, NOT_APPLICABLE)
     assert rep.bounds["derived_subalgebra"] == (None, NOT_APPLICABLE)  # abelian
     assert rep.bounds["moneyhun"] == (6, ATTAINED)
     assert rep.pinching is None
-
-
-def test_verify_rejects_char_two():
-    F = PrimeField(2, allow_char_two=True)
-    with pytest.raises(CharTwoField):
-        verify_main_theorem(standard_filiform(4, field=F))
 
 
 def test_char_two_report_degrades_to_out_of_scope():
@@ -106,7 +98,7 @@ def test_char_two_report_degrades_to_out_of_scope():
 def test_verify_rejects_non_nilpotent():
     L = build(2, [(1, 2, 2, 1)])
     with pytest.raises(NonNilpotent):
-        verify_main_theorem(L)
+        bound_report(L)
 
 
 def test_bound_ordering_for_maximal_class():
@@ -117,7 +109,6 @@ def test_bound_ordering_for_maximal_class():
 def test_no_violations_on_catalog():
     for entry in entries():
         rep = bound_report(entry_algebra(entry), algebra_id=entry.name)
-        assert not rep.has_violation, entry.name
         assert all(v != VIOLATED for _, v in rep.bounds.values())
 
 

@@ -12,7 +12,6 @@ from liemult.catalog import (
     filiform_m2,
     filiform_q,
     get,
-    names,
     standard_filiform,
 )
 from liemult.errors import DimensionMismatch, DimensionTooSmall, UnknownName
@@ -91,10 +90,9 @@ def test_catalog_over_prime_field():
 
 
 def test_names_listing():
-    base = names()
+    base = [e.name for e in entries()]
     assert "L(3,4,1,4)" in base and "filiform-4" not in base
-    with_aliases = names(include_aliases=True)
-    assert "filiform-4" in with_aliases
+    assert get("filiform-4") == get("L(3,4,1,4)")
 
 
 # (family, n, dim M): m2 stays at 3, Q_n has n/2 - 1.
@@ -134,7 +132,7 @@ def test_vergne_relations_and_ranges():
 def test_every_entry_is_its_family_builder(field):
     # `--name X --field F` builds X's family at its parameter over F: that is
     # X over F, since every family's constants are integers.
-    for name in names(include_aliases=True):
+    for name in [name for e in entries() for name in (e.name, *e.aliases)]:
         entry = get(name)
         args = cli._build_parser().parse_args(["check", "--name", name, "--field", str(field)])
         loaded, shown = cli._load_algebra(args)

@@ -25,7 +25,7 @@ from helpers import (
 )
 from liemult import words
 from liemult.algebra import Subspace, build
-from liemult.bounds import verify_main_theorem
+from liemult.bounds import bound_report
 from liemult.catalog import abelian, filiform_m2, filiform_q, standard_filiform
 from liemult.errors import (
     EmptyWord,
@@ -468,7 +468,7 @@ def test_psi_matches_exhaustive_enumeration_beyond_the_pins(case, dense):
 
 @pytest.mark.parametrize("n,p,total", [(12, 5, 5), (14, 3, 6), (16, 7, 7)])
 def test_q_n_pinching_total_in_small_characteristic(n, p, total):
-    assert verify_main_theorem(filiform_q(n, field=PrimeField(p))).pinching.total == total
+    assert bound_report(filiform_q(n, field=PrimeField(p))).pinching.total == total
 
 
 @pytest.mark.parametrize("family", [filiform_m2, truncated_witt], ids=["m2", "witt"])
@@ -526,7 +526,7 @@ def test_psi_answers_dense_m2_16_at_every_degree():
     # most 2 states per step.
     L = _basis_changed(filiform_m2(16), 5)
     assert [p.dim for p in psi_image_dims(L)] == [p.dim for p in psi_image_dims(filiform_m2(16))]
-    assert verify_main_theorem(L).pinching.total == 7
+    assert bound_report(L).pinching.total == 7
 
 
 def test_pinching_inequality_small_filiform():
