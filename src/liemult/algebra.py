@@ -245,7 +245,9 @@ class LieAlgebra:
     being the constant of e_k in [e_i, e_j] as ``field.element`` takes it."""
 
     def __init__(self, n: int, table, field=QQ, labels=None):
-        constants = ((i + 1, j + 1, k + 1, c)
+        # To 1-based; a key that is not an int passes unshifted, for
+        # _constant_rows to refuse.
+        constants = ((*(x + 1 if isinstance(x, int) else x for x in (i, j, k)), c)
                      for (i, j), row in table.items() for k, c in row.items())
         self._construct(n, *_constant_rows(n, constants, field), field, labels, True)
 

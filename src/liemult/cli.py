@@ -1,8 +1,12 @@
 """Command-line interface.
 
 Commands: check, series, multiplier, psi, lemma-test, verify-bound,
-verify-thm13, catalog, report.  Machine-format output is JSON with sorted
-keys and no timestamps, so identical inputs give byte-identical reports.
+verify-thm13, catalog, report.  One table, ``_COMMANDS``, states each
+command once: its handler, help line, input sources and extra options; the
+parser is built from it and ``main`` dispatches from it.  Machine-format
+output is JSON with sorted keys and no timestamps, so identical inputs give
+byte-identical reports; ``_emit`` writes every machine document's header,
+its ``format`` and ``command`` keys.
 
 Exit codes: 0 success / all verdicts hold, 1 input or usage error,
 2 a violated verdict, 3 a resource guard refused the computation.
@@ -60,75 +64,43 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="liemult", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_input_args(p, single=True, family=False):
-        # One input source: an algebra by file or name, or a family sweep.
+    def add_input_args(p, single, family):
+        # One input source: an algebra by file or name, or a family sweep;
+        # ``family`` is True, or the family a sweep-only command defaults to.
         source = p.add_mutually_exclusive_group()
         if single:
             source.add_argument("--file", help="algebra definition file")
             source.add_argument("--name", help="catalog name")
         if family:
-            source.add_argument("--family", choices=list(catalog.FAMILIES))
+            source.add_argument("--family", choices=list(catalog.FAMILIES),
+                                default=None if family is True else family)
             p.add_argument("--max-dim", type=int)
             p.add_argument("--min-dim", type=int)
         p.add_argument("--field", default=None, help="field for --name/--family (Q or GF(p))")
         # No default, like the sweep options, so that an unread one can be refused.
         p.add_argument("--unsafe-char-2", action="store_true", default=None)
 
-    def add_output_args(p):
+    for command, (_, help_text, sources, options) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        if sources:
+            add_input_args(p, *sources)
         p.add_argument("--format", choices=["human", "machine"], default="human")
         p.add_argument("--out", help="write the report here instead of stdout")
-
-    p = sub.add_parser("check", help="parse and validate an algebra definition")
-    add_input_args(p)
-    add_output_args(p)
-
-    p = sub.add_parser("series", help="lower central series dimensions")
-    add_input_args(p)
-    add_output_args(p)
-
-    p = sub.add_parser("multiplier", help="dimension of the Schur multiplier")
-    add_input_args(p)
-    add_output_args(p)
-
-    p = sub.add_parser("psi", help="image dimension of the degree-i tensor map")
-    add_input_args(p)
-    add_output_args(p)
-    p.add_argument("--i", type=int, required=True)
-
-    p = sub.add_parser("lemma-test", help="prove the bracket identity in the free Lie ring over Z")
-    add_output_args(p)
-    p.add_argument("--i", type=int, default=None, help="single word degree (default: 3 to 6)")
-
-    p = sub.add_parser("verify-bound", help="evaluate all multiplier bounds")
-    add_input_args(p, family=True)
-    add_output_args(p)
-    p.add_argument("--jobs", type=_count)
-
-    p = sub.add_parser("verify-thm13", help="central-ideal inequality over all central ideals")
-    add_input_args(p)
-    add_output_args(p)
-
-    p = sub.add_parser("catalog", help="list built-in algebras")
-    add_output_args(p)
-
-    p = sub.add_parser("report", help="per-dimension bound table for a family")
-    add_input_args(p, single=False, family=True)
-    add_output_args(p)
-    p.add_argument("--jobs", type=_count)
-    p.set_defaults(family="filiform")
-
-    parser.commands = sub.choices
+        for flag, kwargs in options.items():
+            p.add_argument(flag, **kwargs)
+        # _check_args refuses an unread option as a usage error of this parser.
+        p.set_defaults(parser=p)
     return parser
 
 
-def _check_args(p: _Parser, args) -> None:
-    """Refuse, as usage errors of command parser ``p``, the options that the
-    input source does not read: ``--field`` with ``--file``, whose field the
-    file names, ``--min-dim``, ``--max-dim`` and ``--jobs`` with ``--file``
-    or ``--name``, and ``--unsafe-char-2`` with ``--name`` or a family sweep
-    (``--family``, which ``report`` always is) when no ``--field`` names a
-    field.  Then fill in the sweep defaults and refuse a sweep range that
-    holds no algebra."""
+def _check_args(args) -> None:
+    """Refuse, as usage errors of the command's parser (``args.parser``),
+    the options that the input source does not read: ``--field`` with
+    ``--file``, whose field the file names, ``--min-dim``, ``--max-dim`` and
+    ``--jobs`` with ``--file`` or ``--name``, and ``--unsafe-char-2`` with
+    ``--name`` or a family sweep (``--family``, which ``report`` always is)
+    when no ``--field`` names a field.  Then fill in the sweep defaults and
+    refuse a sweep range that holds no algebra."""
     # --unsafe-char-2 admits GF(2) where a field is named: by --field or in a file.
     char_two = [] if getattr(args, "field", None) else ["unsafe_char_2"]
     for source, unread in (("file", ["field", *SWEEP_DEFAULTS]),
@@ -137,13 +109,13 @@ def _check_args(p: _Parser, args) -> None:
             for dest in unread:
                 if getattr(args, dest, None) is not None:
                     flag = "--" + dest.replace("_", "-")
-                    p.error(f"argument {flag}: not allowed with argument --{source}")
+                    args.parser.error(f"argument {flag}: not allowed with argument --{source}")
     for dest, value in SWEEP_DEFAULTS.items():
         if hasattr(args, dest) and getattr(args, dest) is None:
             setattr(args, dest, value)
     if getattr(args, "family", None) and not _family_dims(args):
-        p.error(f"--min-dim {args.min_dim} and --max-dim {args.max_dim} "
-                f"select no {args.family} algebra")
+        args.parser.error(f"--min-dim {args.min_dim} and --max-dim {args.max_dim} "
+                          f"select no {args.family} algebra")
 
 
 def _resolve_field(args):
@@ -165,8 +137,8 @@ def _load_algebra(args) -> tuple[LieAlgebra, str]:
         return algfile.parse_algebra(text, allow_char_two=bool(args.unsafe_char_2)), args.file
     if getattr(args, "name", None):
         entry = catalog.get(args.name)
-        # Every entry is its family's builder at params[0], over any field.
-        L = catalog.FAMILIES[entry.family].builder(entry.params[0], field=_resolve_field(args))
+        # Every entry is its family's builder at its n, over any field.
+        L = catalog.FAMILIES[entry.family].builder(entry.n, field=_resolve_field(args))
         return L, entry.name
     raise LieError("one of --file or --name is required")
 
@@ -176,9 +148,12 @@ def _family_dims(args) -> range:
     return range(max(args.min_dim, catalog.FAMILIES[args.family].least_n), args.max_dim + 1)
 
 
-def _emit(args, human_text: str, machine_doc) -> None:
+def _emit(args, human_text: str, machine_doc: dict) -> None:
+    """Write the report: ``human_text``, or ``machine_doc`` under the header
+    that every machine document carries, its format and its command."""
     if args.format == "machine":
-        payload = json.dumps(machine_doc, sort_keys=True, indent=2) + "\n"
+        doc = {"format": REPORT_FORMAT, "command": args.command, **machine_doc}
+        payload = json.dumps(doc, sort_keys=True, indent=2) + "\n"
     else:
         payload = human_text if human_text.endswith("\n") else human_text + "\n"
     if args.out:
@@ -206,8 +181,6 @@ def _cmd_check(args) -> int:
     L, name = _load_algebra(args)
     series = L.lower_central_series()
     doc = {
-        "format": REPORT_FORMAT,
-        "command": "check",
         "algebra": name,
         "field": str(L.field),
         "n": L.n,
@@ -228,8 +201,6 @@ def _cmd_series(args) -> int:
     L, name = _load_algebra(args)
     series = L.lower_central_series()
     doc = {
-        "format": REPORT_FORMAT,
-        "command": "series",
         "algebra": name,
         "dims": list(series.dims()),
         "nilpotent": series.nilpotent,
@@ -246,8 +217,6 @@ def _cmd_multiplier(args) -> int:
     L, name = _load_algebra(args)
     dim = multiplier_dim(L)
     doc = {
-        "format": REPORT_FORMAT,
-        "command": "multiplier",
         "algebra": name,
         "field": str(L.field),
         "dim_multiplier": dim,
@@ -260,8 +229,6 @@ def _cmd_psi(args) -> int:
     L, name = _load_algebra(args)
     image = psi_image_dim(L, args.i)
     doc = {
-        "format": REPORT_FORMAT,
-        "command": "psi",
         "algebra": name,
         "i": image.i,
         "dim": image.dim,
@@ -281,8 +248,6 @@ def _cmd_lemma_test(args) -> int:
         if defect:
             monomial, coefficient = min(defect.items())
             doc = {
-                "format": REPORT_FORMAT,
-                "command": "lemma-test",
                 "holds": False,
                 "i": i,
                 "ring": ring,
@@ -295,8 +260,6 @@ def _cmd_lemma_test(args) -> int:
                         f"in the {ring}, e.g. {coefficient} * {word}", doc)
             return EXIT_VIOLATION
     doc = {
-        "format": REPORT_FORMAT,
-        "command": "lemma-test",
         "holds": True,
         "degrees": degrees,
         "ring": ring,
@@ -362,7 +325,7 @@ def _cmd_verify_bound(args) -> int:
     else:
         L, name = _load_algebra(args)
         docs = [bounds.bound_report(L, algebra_id=name).to_dict()]
-    doc = {"format": REPORT_FORMAT, "command": "verify-bound", "reports": docs}
+    doc = {"reports": docs}
     headers = ["algebra", "n", "dim M", "parity bound", "n-2", "derived", "quadratic"]
     _emit(args, _table(headers, [_bound_row(d) for d in docs]), doc)
     return _dicts_to_reports_exit(docs)
@@ -377,8 +340,6 @@ def _cmd_verify_thm13(args) -> int:
         records.append(rec)
         ok = ok and rec.holds
     doc = {
-        "format": REPORT_FORMAT,
-        "command": "verify-thm13",
         "algebra": name,
         "records": [r.to_dict() for r in records],
         "holds": ok,
@@ -396,7 +357,7 @@ def _cmd_catalog(args) -> int:
     rows = []
     docs = []
     for entry in catalog.entries():
-        L = catalog.FAMILIES[entry.family].builder(entry.params[0])
+        L = catalog.FAMILIES[entry.family].builder(entry.n)
         rows.append([
             entry.name,
             ", ".join(entry.aliases) or "-",
@@ -412,7 +373,7 @@ def _cmd_catalog(args) -> int:
             "known_multiplier_dim": entry.known_multiplier_dim,
             "provenance": entry.provenance,
         })
-    doc = {"format": REPORT_FORMAT, "command": "catalog", "entries": docs}
+    doc = {"entries": docs}
     _emit(args, _table(["name", "aliases", "n", "class", "known dim M"], rows), doc)
     return EXIT_OK
 
@@ -435,8 +396,6 @@ def _cmd_report(args) -> int:
         for n, dim_m, value, attained, margin in rows
     ]
     doc = {
-        "format": REPORT_FORMAT,
-        "command": "report",
         "family": args.family,
         "field": str(field),
         "columns": columns,
@@ -447,28 +406,36 @@ def _cmd_report(args) -> int:
     return _dicts_to_reports_exit(docs)
 
 
-_HANDLERS = {
-    "check": _cmd_check,
-    "series": _cmd_series,
-    "multiplier": _cmd_multiplier,
-    "psi": _cmd_psi,
-    "lemma-test": _cmd_lemma_test,
-    "verify-bound": _cmd_verify_bound,
-    "verify-thm13": _cmd_verify_thm13,
-    "catalog": _cmd_catalog,
-    "report": _cmd_report,
+_ALGEBRA = (True, False)  # one algebra, by --file or --name
+_JOBS = {"--jobs": dict(type=_count)}
+
+# Each command once: its handler, its help line, the input sources it takes
+# (add_input_args' single and family; None for none) and its extra options.
+# The parser is built from this table, and main dispatches from it.
+_COMMANDS = {
+    "check": (_cmd_check, "parse and validate an algebra definition", _ALGEBRA, {}),
+    "series": (_cmd_series, "lower central series dimensions", _ALGEBRA, {}),
+    "multiplier": (_cmd_multiplier, "dimension of the Schur multiplier", _ALGEBRA, {}),
+    "psi": (_cmd_psi, "image dimension of the degree-i tensor map", _ALGEBRA,
+            {"--i": dict(type=int, required=True)}),
+    "lemma-test": (_cmd_lemma_test, "prove the bracket identity in the free Lie ring over Z",
+                   None, {"--i": dict(type=int, help="single word degree (default: 3 to 6)")}),
+    "verify-bound": (_cmd_verify_bound, "evaluate all multiplier bounds", (True, True), _JOBS),
+    "verify-thm13": (_cmd_verify_thm13, "central-ideal inequality over all central ideals",
+                     _ALGEBRA, {}),
+    "catalog": (_cmd_catalog, "list built-in algebras", None, {}),
+    "report": (_cmd_report, "per-dimension bound table for a family", (False, "filiform"), _JOBS),
 }
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        _check_args(parser.commands[args.command], args)
+        args = _build_parser().parse_args(argv)
+        _check_args(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_INPUT
     try:
-        return _HANDLERS[args.command](args)
+        return _COMMANDS[args.command][0](args)
     except ResourceLimit as exc:
         print(f"resource guard: {exc}", file=sys.stderr)
         return EXIT_RESOURCE

@@ -158,8 +158,10 @@ def free_defect(i: int) -> dict[tuple[int, ...], int]:
     result proves the identity in the free Lie ring, and so in every Lie
     algebra over every field.  Degrees above ``FREE_DEFECT_MAX_DEGREE`` raise
     ``ResourceLimit`` before anything is expanded, and i < 3 raises
-    ``WordTooShort``.
+    ``WordTooShort``.  A degree that is not an int raises ``IndexOutOfRange``.
     """
+    if not isinstance(i, int):
+        raise IndexOutOfRange(f"degree i must be an integer, got {i!r}")
     if i < 3:
         raise WordTooShort(f"the identity needs degree i >= 3 (4 arguments), got i = {i}")
     if i > FREE_DEFECT_MAX_DEGREE:
@@ -281,11 +283,14 @@ def psi_image_dim(L: LieAlgebra, i: int, mode: str = "exact") -> PsiImage:
     ``L._graded`` gives it: one algebra, built once per algebra from
     ``L._adapted`` when construction rewrote L in its generator-chain basis,
     as ``multiplier_dim`` does, and from L otherwise; the dimension does not
-    depend on the basis.  ``mode`` accepts only "exact".  Past
-    ``PSI_STATE_LIMIT`` states at one step it raises ``TupleSpaceTooLarge``.
+    depend on the basis.  ``mode`` accepts only "exact", and ``i`` only an
+    int.  Past ``PSI_STATE_LIMIT`` states at one step it raises
+    ``TupleSpaceTooLarge``.
     """
     if mode != "exact":
         raise IndexOutOfRange(f"mode must be 'exact', got {mode!r}")
+    if not isinstance(i, int):
+        raise IndexOutOfRange(f"degree i must be an integer, got {i!r}")
     series = (L._adapted or L).lower_central_series()
     if not series.nilpotent:
         raise NonNilpotent("image enumeration requires a nilpotent algebra")

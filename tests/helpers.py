@@ -45,8 +45,8 @@ NO_CHAIN_GF2 = [(1, 2, 3, 1), (1, 3, 4, -1), (1, 4, 5, -1), (2, 5, 6, -1), (3, 4
 
 
 def entry_algebra(entry: CatalogEntry, field=QQ) -> LieAlgebra:
-    """A catalog entry over ``field``: its family's builder at params[0]."""
-    return FAMILIES[entry.family].builder(entry.params[0], field=field)
+    """A catalog entry over ``field``: its family's builder at its n."""
+    return FAMILIES[entry.family].builder(entry.n, field=field)
 
 
 def identity(field, n: int) -> Matrix:

@@ -53,6 +53,7 @@ from liemult.errors import (
 from liemult.fields import QQ, PrimeField
 from liemult.homology import multiplier_dim
 from liemult.linalg import Matrix, RowSpan, integer_row
+from liemult.words import free_defect, psi_image_dim
 
 FILIFORM_4 = [(1, 2, 3, 1), (1, 3, 4, 1)]
 
@@ -208,6 +209,24 @@ def test_construction_refuses_a_non_integer_index_or_dimension(i, j, k):
             build(n, [(1, 2, 3, 1)])
         with pytest.raises(DimensionMismatch, match="nonnegative integer"):
             LieAlgebra(n, {(0, 1): {2: 1}})
+
+
+@pytest.mark.parametrize("call,error", [
+    (lambda: psi_image_dim(standard_filiform(6), 2.5), IndexOutOfRange),
+    (lambda: free_defect(3.5), IndexOutOfRange),
+    (lambda: standard_filiform(4.0), DimensionMismatch),
+    (lambda: filiform_m2(6.0), DimensionMismatch),
+    (lambda: filiform_q(6.0), DimensionMismatch),
+    (lambda: abelian(2.0), DimensionMismatch),
+    (lambda: LieAlgebra(3, {("0", 1): {2: 1}}), IndexOutOfRange),
+    (lambda: LieAlgebra(3, {(0, 1): {"2": 1}}), IndexOutOfRange),
+], ids=["psi_image_dim", "free_defect", "standard_filiform", "filiform_m2", "filiform_q",
+        "abelian", "LieAlgebra-key", "LieAlgebra-component"])
+def test_a_non_integer_degree_dimension_or_key_raises_a_toolkit_error(call, error):
+    # Each is refused by type, not left to a bare TypeError in range() or in
+    # the shift of a 0-based key.
+    with pytest.raises(error):
+        call()
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["Q", "GF7"])

@@ -63,7 +63,7 @@ def test_get_by_name_and_alias():
     assert entry.known_multiplier_dim == 2
     assert get("filiform-4") is entry
     assert get("L(7,5,1,7)").known_multiplier_dim == 3
-    assert get("heisenberg-3").params == (3,)
+    assert get("heisenberg-3").n == 3
 
 
 def test_unknown_name_suggests():
@@ -80,7 +80,7 @@ def test_catalog_metadata_matches_recomputation():
         if entry.family == "filiform":
             ok, _ = L.is_maximal_class()
             assert ok, entry.name
-        assert L.n == entry.params[0]
+        assert L.n == entry.n
 
 
 def test_catalog_over_prime_field():
@@ -136,7 +136,7 @@ def test_every_entry_is_its_family_builder(field):
         entry = get(name)
         args = cli._build_parser().parse_args(["check", "--name", name, "--field", str(field)])
         loaded, shown = cli._load_algebra(args)
-        built = FAMILIES[entry.family].builder(entry.params[0], field=field)
+        built = FAMILIES[entry.family].builder(entry.n, field=field)
         assert shown == entry.name and loaded.field == field
         assert loaded == built
         assert algfile.serialize_algebra(loaded) == algfile.serialize_algebra(built)

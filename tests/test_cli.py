@@ -260,6 +260,56 @@ def test_catalog_listing_matches_its_pin(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# Pinned with COLUMNS=80 on the code that declared each subparser by hand.
+HELP_PINS = {
+    "": "16f80c5b911e2dfd0c6747dc4dce68740ed31b26a3de443fc0d790292f197f94",
+    "check": "18cb19f91974aeb6e49d546e2d440e3175c98383ab3adce9513bb8d8ce92fff3",
+    "series": "c7623b7fba4070cfe470594ba0006fe00027ed69ed2686ada0e39e53aeb7cf48",
+    "multiplier": "42d429351cdd566a8339faff9f665c5678d45a65a5555d5bfb1d95167a130614",
+    "psi": "492f06c7702286a8c0d91de37181b6f05ee3d546338debf81b560352547d77ff",
+    "lemma-test": "1cb88f44ef1ed2c91899f1c59620ce12abfbe8d5b745d3a3c4ce73c78f1d964a",
+    "verify-bound": "f3f505a431938ab446d92f38ce7d7202b7f5df03e8c9b944c63e6cc8e99020f5",
+    "verify-thm13": "c3123444e15057e5c60ccf468c5a739f204ae0f5380a7ec21c2ccae38cc69666",
+    "catalog": "7169f9ba8aa14396c0ced1a94488f5a07e871c07d48f549050b6b42fc11c9d02",
+    "report": "e7d58deb3c66806c28606374993ab82b122cbd47ce0780e2d3fa8bb438a7b810",
+}
+
+
+@pytest.mark.parametrize("command", list(HELP_PINS), ids=lambda c: c or "liemult")
+def test_help_text_matches_its_pin(capsys, monkeypatch, command):
+    # argparse wraps help to the terminal width it reads from COLUMNS.
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = run(capsys, [*command.split(), "--help"])
+    assert (code, err) == (EXIT_OK, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == HELP_PINS[command]
+
+
+# One small input per command.
+MACHINE_RUNS = {
+    "check": ["--name", "filiform-6"],
+    "series": ["--name", "filiform-6"],
+    "multiplier": ["--name", "filiform-6"],
+    "psi": ["--name", "filiform-6", "--i", "3"],
+    "lemma-test": ["--i", "3"],
+    "verify-bound": ["--family", "filiform", "--max-dim", "5"],
+    "verify-thm13": ["--name", "filiform-6"],
+    "catalog": [],
+    "report": ["--max-dim", "5"],
+}
+
+
+def test_the_pins_cover_every_command_in_order():
+    assert list(MACHINE_RUNS) == list(HELP_PINS)[1:] == list(cli._COMMANDS)
+
+
+@pytest.mark.parametrize("command", list(MACHINE_RUNS))
+def test_every_machine_document_names_its_format_and_command(capsys, command):
+    code, out, _ = run(capsys, [command, *MACHINE_RUNS[command], "--format", "machine"])
+    assert code == EXIT_OK
+    doc = json.loads(out)
+    assert (doc["format"], doc["command"]) == ("liemult-report-v1", command)
+
+
 def test_importing_the_cli_builds_no_algebra():
     # A catalog entry is built when a command reads it, not at import.
     src = str(Path(cli.__file__).resolve().parents[1])
