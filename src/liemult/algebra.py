@@ -42,27 +42,29 @@ chain search).  When one is found in a basis whose series is not already
 coordinate, L is rewritten as A in the chain basis P, whose table is nearly
 a shift (``_chain_rewrite``); the chain is kept as ``_chain`` and A as
 ``_adapted``.  The search reads γ₂ as the span of the table rows
-taken only until it reaches dim n - 2; the other rows stay pending.  A
+taken only until it reaches dim n - 2, a span that ``_chain_rewrite`` builds
+for the search and drops after it; the algebra keeps no span of γ₂.  A
 chain vector outside that partial span proves γ₂ larger, and then no
 rewrite is made.  One scan of a table decides whether it is in a chain
 basis (``_chain_basis_series``): whether every [e_a, e_b], a < b, lies in
 span(e_{b+1}, …) and every [s, e_k], 1 <= k <= n - 2, has a nonzero
 e_{k+1} entry, for s the generator of the chain found (e_0 without one).
 A table with n >= 3 that passes has class n - 1 and γ_k = span(e_k, …,
-e_{n-1}) for k >= 2, and its series is then set without being computed.  Construction keeps the rewrite only when the scan passes
-on A, which proves dim γ₂ = n - 2, so the pending rows are never added.
-Otherwise (no chain, a singular P, a non-nilpotent input or a table that
-breaks Jacobi) L keeps only its own table, and construction adds the
-pending rows (``_finish_derived``).  Every reader of the full γ₂ adds them
-first.  The Jacobi identity is validated eagerly at construction, by the
-package's one Jacobi check (``_validate_jacobi``), so everything downstream
+e_{n-1}) for k >= 2, and its series is then set without being computed.
+Construction (``_construct``) keeps the rewrite only when the scan passes
+on A.  Otherwise (no chain, a singular P, a non-nilpotent input or a table
+that breaks Jacobi) L keeps only its own table.  The rewrite and gr L are
+only laid out (``_setup``), with no chain search.  The Jacobi identity is
+validated eagerly after construction, by the package's one Jacobi check
+(``_validate_jacobi``, through ``_validate``), so everything downstream
 may assume it: on A when there is a rewrite (it holds on A exactly when it
 holds on L) and on L's own table otherwise, and a violation is always
 reported from L's own table, walking its keys in input order, with a defect
 whose scalars ``_entry_scalar`` makes.  The lower central series is read
 off L's own table when the scan passes (the catalog filiform, m₂ and Qₙ
 bases and their central quotients), is γₖ = span(P's rows k, …, n - 1) when there is a rewrite
-(``_tail_series`` serves both), and is computed on L's table otherwise.  At
+(``_tail_series`` serves both), and is computed on L's table otherwise, from
+the span of all its rows (``_own_series``, the only reader of all of γ₂).  At
 class n - 1 the center is γₙ₋₁, with no kernel to compute; at any other
 class it is the annihilator (``RowSpan.annihilator``) of the integer ad
 table's columns.  So field scalars are made only by the dense views
@@ -72,9 +74,8 @@ Nothing here raises for the characteristic: over GF(2), which the fields
 admit only with the explicit override, every construction and view runs as
 over any other field, and the parity bound's exclusion of characteristic 2
 is applied in ``bounds`` alone, as an out-of-scope verdict.
-Instances are immutable after construction (internal caches, the pending γ₂
-rows among them, only memoize pure results) and safe to share between
-workers.
+Instances are immutable after construction (internal caches only memoize
+pure results) and safe to share between workers.
 """
 
 from __future__ import annotations
@@ -249,36 +250,35 @@ class LieAlgebra:
         # _constant_rows to refuse.
         constants = ((*(x + 1 if isinstance(x, int) else x for x in (i, j, k)), c)
                      for (i, j), row in table.items() for k, c in row.items())
-        self._construct(n, *_constant_rows(n, constants, field), field, labels, True)
+        self._construct(n, *_constant_rows(n, constants, field), field, labels)
+        self._validate()
 
     @classmethod
     def _from_integer_rows(cls, n: int, rows, scale: int, field, labels=None) -> "LieAlgebra":
         """The validated algebra of integer rows as ``_setup`` takes them,
         which it takes over rather than copies."""
         algebra = cls.__new__(cls)
-        algebra._construct(n, rows, scale, field, labels, True)
+        algebra._construct(n, rows, scale, field, labels)
+        algebra._validate()
         return algebra
 
-    def _construct(self, n: int, rows, scale: int, field, labels, validate: bool):
+    def _construct(self, n: int, rows, scale: int, field, labels):
+        """Lay out the table and keep the chain rewrite when it passes the
+        scan; the Jacobi identity is left to ``_validate``."""
         self._setup(n, rows, scale, field, labels)
         rewrite = self._chain_rewrite()
         if rewrite is not None:
             rewrite._series = rewrite._chain_basis_series()
             if rewrite._series is not None:
-                # dim γ₂(A) = n - 2, and γ₂(A) is the image of γ₂(L) under P
-                # (Jacobi or not), so the partial span is already all of γ₂.
                 self._adapted = rewrite
-        if self._adapted is None:
-            self._finish_derived()
-        if validate:
-            self._validate()
 
     def _setup(self, n: int, rows, scale: int, field, labels):
         """Lay out the integer table: ``rows`` maps each key (i, j), i < j,
         in input order, to the nonzero integer row D [e_i, e_j] (residues in
         [1, p) over GF(p), where D = ``scale`` is 1), with D the least
         scale that makes every row integral.  Labels are checked here, so
-        that every algebra can be written to a file and read back."""
+        that every algebra can be written to a file and read back.  Only the
+        layout and empty caches are made here: no span and no chain search."""
         self.n = n
         self.field = field
         self._integer_table = rows
@@ -289,15 +289,6 @@ class LieAlgebra:
             tab[i][j] = row
             tab[j][i] = {k: p - x for k, x in row.items()} if p else {k: -x for k, x in row.items()}
         self._ad = tab
-        # γ₂ = [L, L] is the span of the table rows, one row per key.  Rows
-        # are added only until the span reaches dim n - 2, the most that the
-        # chain search asks of it; the rest wait in ``_pending``.
-        self._derived = RowSpan(field, n)
-        keys, taken = list(rows), 0
-        while taken < len(keys) and self._derived.dim < n - 2:
-            self._derived.add_integers(rows[keys[taken]])
-            taken += 1
-        self._pending = keys[taken:]
         if labels is None:
             labels = tuple(f"x{i + 1}" for i in range(n))
         else:
@@ -461,22 +452,16 @@ class LieAlgebra:
             self._series = series
         return self._series
 
-    def _finish_derived(self):
-        """Add the table rows that ``_setup`` left pending, so that
-        ``_derived`` spans all of γ₂."""
-        for i, j in self._pending:
-            self._derived.add_integers(self._ad[i][j])
-        self._pending = []
-
     def _own_series(self) -> SeriesChain:
         # γ₂ is the span of the table rows; each later term brackets γᵢ
         # against every basis vector (brackets against representatives of
         # L/γ₂ alone would only suffice once L is known to be nilpotent).
-        self._finish_derived()
         full = Subspace.full_space(self.field, self.n)
         terms = [full]
         nilpotent = True
-        span = self._derived
+        span = RowSpan(self.field, self.n)
+        for row in self._integer_table.values():
+            span.add_integers(row)
         while terms[-1].dim > 0:
             if span.dim == terms[-1].dim:
                 nilpotent = False
@@ -715,14 +700,21 @@ class LieAlgebra:
         No rewrite is made when the tail s₂, …, s_c holds unit vectors only:
         then every γᵢ is already a coordinate subspace, as in the catalog
         bases and their quotients (s itself may be e_a + t e_b there, as for
-        Qₙ).  The tail lies in γ₂, so when s_c lies outside the partial span
-        of ``_derived``, dim γ₂ > n - 2, A cannot pass the scan, and none is
+        Qₙ).  The search reads γ₂ as the span of the first table rows,
+        added until it reaches dim n - 2, which is built here and dropped
+        after the search.  The tail lies in γ₂, so when s_c lies outside that
+        partial span, dim γ₂ > n - 2, A cannot pass the scan, and none is
         made.  Input that is not a Lie algebra of maximal class may give a
         singular P, and then there is no rewrite either."""
-        rows = self._chain = self._chain_rows()
+        derived = RowSpan(self.field, self.n)
+        for row in self._integer_table.values():
+            if derived.dim >= self.n - 2:
+                break
+            derived.add_integers(row)
+        rows = self._chain = self._chain_rows(derived)
         if rows is None or all(len(v) == 1 for v in rows[2:]):
             return None
-        if not self._derived.contains_integers(rows[-1]):
+        if not derived.contains_integers(rows[-1]):
             return None
         try:
             table, scale = self._table_in_basis([(r, 1) for r in rows])
@@ -732,20 +724,20 @@ class LieAlgebra:
         rewrite._setup(self.n, table, scale, self.field, None)
         return rewrite
 
-    def _chain_rows(self) -> list[dict[int, int]] | None:
+    def _chain_rows(self, derived: RowSpan) -> list[dict[int, int]] | None:
         """A generator chain (s, s₁, s₂, …, s_c), sₖ₊₁ = [sₖ, s], as integer
         rows on the ad table, or None when there is none; the rewrite reads
         it.  Each step multiplies by D,
         so the row of sₖ (k >= 2) is D^(k-1) sₖ (mod p over GF(p)).
 
-        The search needs dim γ₂ = n - 2.  It reads ``_derived``, which at
-        construction is the span of the first table rows stopped at dim n - 2.
-        Whenever dim γ₂ = n - 2 that partial span is all of γ₂, so a, b and
-        the chain are those of the full span, before and after
-        ``_finish_derived``, and the remaining rows are never needed when the
-        rewrite turns out to have class n - 1 in coordinate form (dim γ₂(A) =
-        dim γ₂(L), since γ₂(A) is the image of γ₂(L) under P).  When dim γ₂ >
-        n - 2 the partial span can still reach n - 2 and a chain be found here.
+        The search needs dim γ₂ = n - 2.  It reads ``derived``, which
+        ``_chain_rewrite`` gives as the span of the first table rows stopped
+        at dim n - 2.  Whenever dim γ₂ = n - 2 that partial span is all of γ₂,
+        so a, b and the chain are those of the full span, and the remaining
+        rows are never needed when the rewrite turns out to have class n - 1
+        in coordinate form (dim γ₂(A) = dim γ₂(L), since γ₂(A) is the image of
+        γ₂(L) under P).  When dim γ₂ > n - 2 the partial span can still reach
+        n - 2 and a chain be found here.
 
         With a < b the two free (non-pivot) columns of γ₂, e_a and e_b are
         independent modulo γ₂, and s runs over e_a (s₁ = e_b), e_b (s₁ =
@@ -764,7 +756,7 @@ class LieAlgebra:
         GF(p) with p > n - 1 the c + 1 directions tried are distinct lines;
         for smaller p they are all p + 1 lines.  Over GF(2) every line may
         fail (``NO_CHAIN_GF2`` in the tests), and L keeps its basis."""
-        n, derived = self.n, self._derived
+        n = self.n
         if n < 3 or derived.dim != n - 2:
             return None
         a, b = (c for c in range(n) if c not in derived.pivots)

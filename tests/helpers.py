@@ -163,7 +163,7 @@ def unvalidated(n: int, table, field=QQ) -> LieAlgebra:
     ``_validate``."""
     constants = [(i + 1, j + 1, k + 1, c) for (i, j), row in table.items() for k, c in row.items()]
     L = LieAlgebra.__new__(LieAlgebra)
-    L._construct(n, *_constant_rows(n, constants, field), field, None, False)
+    L._construct(n, *_constant_rows(n, constants, field), field, None)
     return L
 
 
@@ -790,15 +790,16 @@ class GeneratorChain(NamedTuple):
 
 def generator_chain(L: LieAlgebra) -> GeneratorChain:
     """The generator pair and descending chain of a maximal-class algebra,
-    read from the chain search that construction runs (``L._chain_rows``):
-    s along e_a, e_b, then e_a + t e_b, for a < b the free columns of γ₂.
-    That search finds a chain whenever one exists (``_chain_rows`` gives the
-    argument); its row of sₖ is D^(k-1) sₖ for the integer table's scale D.
+    read from the chain search that construction runs (``L._chain``, as
+    ``_chain_rows`` gives it): s along e_a, e_b, then e_a + t e_b, for a < b
+    the free columns of γ₂.  That search finds a chain whenever one exists
+    (``_chain_rows`` gives the argument); its row of sₖ is D^(k-1) sₖ for the
+    integer table's scale D.
     """
     ok, _ = L.is_maximal_class()
     if not ok:
         raise NotMaximalClass("generator chains exist only for maximal-class algebras")
-    rows = L._chain_rows()
+    rows = L._chain
     if rows is None:
         raise GeneratorSearchFailed("no line of L/γ₂ has a full descending chain")
     field, vectors = L.field, []

@@ -604,6 +604,28 @@ def test_quotient_map_matches_independent_solver(field):
                 quotient_coords_oracle(sup, sub, outside)
 
 
+REFUSALS = {
+    "basis-vector-n": (lambda: standard_filiform(5).basis_vector(5), IndexOutOfRange),
+    "bracket-wrong-length": (lambda: standard_filiform(5).bracket([1, 0, 0, 0], [0] * 5),
+                             DimensionMismatch),
+    "label-count": (lambda: build(3, FILIFORM_4[:1], labels=["a", "b"]), DimensionMismatch),
+    "gamma-0": (lambda: standard_filiform(5).lower_central_series().gamma(0), IndexOutOfRange),
+    "subspace-width": (lambda: Subspace(5, RowSpan(QQ, 4)), DimensionMismatch),
+    "quotient-other-ambient": (lambda: standard_filiform(5).quotient(Subspace.zero_space(QQ, 4)),
+                               DimensionMismatch),
+    "quotient-other-field": (
+        lambda: standard_filiform(5).quotient(Subspace.zero_space(PrimeField(7), 5)),
+        FieldMismatch),
+}
+
+
+@pytest.mark.parametrize("name", REFUSALS)
+def test_views_and_quotients_refuse_mismatched_arguments(name):
+    call, error = REFUSALS[name]
+    with pytest.raises(error):
+        call()
+
+
 def test_wrong_lengths_and_ambients_raise_dimension_mismatch():
     L = standard_filiform(5)
     g2 = L.lower_central_series().gamma(2)
@@ -1017,24 +1039,29 @@ def test_rewrite_made_on_the_partial_span_is_dropped(field, tmp_path, capsys, mo
     table_in_basis = LieAlgebra._table_in_basis
     monkeypatch.setattr(LieAlgebra, "_table_in_basis",
                         lambda self, rows: calls.append(rows) or table_in_basis(self, rows))
-    # The first n - 2 table rows are independent, so the span stops there,
-    # and the chain search on that partial span finds a chain ...
+    # The first n - 2 table rows are independent, so the span that the chain
+    # search reads stops there, short of γ₂, and the search on that partial
+    # span finds a chain ...
+    table_rows = list(L._integer_table.values())
+    partial = RowSpan(field, n)
+    for row in table_rows[:n - 2]:
+        partial.add_integers(row)
+    assert partial.dim == n - 2 and len(table_rows) > n - 2
     probe = LieAlgebra.__new__(LieAlgebra)
     probe._setup(n, L._integer_table, L._scale, field, None)
-    assert probe._derived.dim == n - 2
-    assert len(probe._pending) == len(L._integer_table) - (n - 2)
-    rows = probe._chain_rows()
+    assert probe._chain_rewrite() is None
+    rows = probe._chain
     assert rows is not None and any(len(v) > 1 for v in rows[2:])
+    assert probe._chain_rows(partial) == rows
     # ... whose tail leaves the partial span, so γ₂ is larger and no basis
     # change is made for a rewrite that construction would drop.
-    assert not probe._derived.contains_integers(rows[-1])
-    assert probe._chain_rewrite() is None
+    assert not partial.contains_integers(rows[-1])
     rebuilt = LieAlgebra(n, table_of(L), field=field)
     assert rebuilt == L and rebuilt._adapted is None
-    assert L._adapted is None and not L._pending
+    assert L._adapted is None and L._chain == rows
     oracle, nilpotent = series_oracle(L)
     assert not nilpotent
-    # The series finishes a partial span before it reads γ₂.
+    # The series spans all the table rows itself.
     for algebra in (L, probe):
         series = algebra.lower_central_series()
         assert not series.nilpotent
@@ -1054,17 +1081,42 @@ def test_rewrite_made_on_the_partial_span_is_dropped(field, tmp_path, capsys, mo
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(2147483647)], ids=["Q", "GFp"])
-def test_dense_filiform_13_leaves_gamma2_rows_pending(field):
-    L = standard_filiform(13, field=field).change_basis(
-        random_unimodular(random.Random(13), 13, field))
-    # Construction proved dim γ₂ = 11 from the rewrite and never added the
-    # remaining table rows.
+def test_dense_filiform_13_leaves_gamma2_rows_pending(field, monkeypatch):
+    base = standard_filiform(13, field=field)
+    change = random_unimodular(random.Random(13), 13, field)
+    added = []
+    add_integers = RowSpan.add_integers
+    monkeypatch.setattr(RowSpan, "add_integers",
+                        lambda self, v: added.append(v) or add_integers(self, v))
+    L = base.change_basis(change)
+    monkeypatch.undo()
+    # Construction proved dim γ₂ = 11 from the rewrite and reduced only the
+    # first 11 of the 78 table rows into γ₂, never the remaining ones.
     assert L._adapted is not None
-    assert L._derived.dim == 11 and L._pending
+    table_rows = list(L._integer_table.values())
+    reduced = [row for row in added if any(row is t for t in table_rows)]
+    assert len(table_rows) == 78
+    assert len(reduced) == 11 and all(r is t for r, t in zip(reduced, table_rows))
     oracle, nilpotent = series_oracle(L)
     series = L.lower_central_series()
     assert nilpotent and series.nilpotent
     assert [t.basis.rows() for t in series.terms] == oracle
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2147483647)], ids=["Q", "GFp"])
+def test_an_algebra_keeps_no_span_of_gamma2(field):
+    # The chain search's partial span of γ₂ is dropped after construction:
+    # no algebra holds a RowSpan, not L, not its rewrite, not its gr L.
+    catalog = standard_filiform(9, field=field)
+    dense = catalog.change_basis(random_unimodular(random.Random(9), 9, field))
+    assert dense._adapted is not None
+    for L in (catalog, dense, _cyclic_shift_algebra(field)):
+        algebras = [L, L._adapted]
+        if L.is_nilpotent():
+            algebras.append(L._graded[0])
+        for algebra in filter(None, algebras):
+            assert "_derived" not in vars(algebra)
+            assert not any(isinstance(v, RowSpan) for v in vars(algebra).values())
 
 
 # -- the one-scan decision that a chain-basis rewrite is adapted ----------------
@@ -1072,11 +1124,10 @@ def test_dense_filiform_13_leaves_gamma2_rows_pending(field):
 
 def _chain_basis_algebra(L):
     """L rewritten, without validation, in the generator chain that the
-    construction-time search finds on L's partial γ₂ span, whether or not
-    construction keeps that rewrite; None when the search finds no chain."""
-    probe = LieAlgebra.__new__(LieAlgebra)
-    probe._setup(L.n, L._integer_table, L._scale, L.field, None)
-    rows = probe._chain_rows()
+    construction-time search found on L's partial γ₂ span (``L._chain``),
+    whether or not construction kept that rewrite; None when the search
+    found no chain."""
+    rows = L._chain
     if rows is None:
         return None
     table = scalar_table(L.field, L._table_in_basis([(r, 1) for r in rows]))

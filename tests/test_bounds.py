@@ -1,6 +1,7 @@
 import pytest
 
 from helpers import NotMaximalClass, entry_algebra, verify_odd_case_reduction
+from liemult import bounds
 from liemult.algebra import Subspace, build
 from liemult.bounds import (
     ATTAINED,
@@ -29,6 +30,16 @@ from liemult.homology import multiplier_dim
 @pytest.mark.parametrize("n,expected", [(4, 6), (0, 0), (5, 10), (1, 0)])
 def test_moneyhun_bound(n, expected):
     assert moneyhun_bound(n) == expected
+
+
+def test_moneyhun_bound_refuses_a_negative_dimension():
+    with pytest.raises(IndexOutOfRange):
+        moneyhun_bound(-1)
+
+
+@pytest.mark.parametrize("dim_m,bound,verdict", [(5, 4, VIOLATED), (4, 4, ATTAINED), (3, 4, HOLDS)])
+def test_verdict_compares_the_multiplier_with_the_bound(dim_m, bound, verdict):
+    assert bounds._verdict(dim_m, bound) == verdict
 
 
 @pytest.mark.parametrize("n,m,expected", [(4, 2, 3), (3, 1, 2), (6, 4, 5)])

@@ -785,6 +785,19 @@ def test_family_range_without_an_algebra_is_a_usage_error(capsys, argv):
     assert out == "" and "select no" in err
 
 
+def test_jobs_that_is_not_an_integer_is_a_usage_error(capsys):
+    code, out, err = run(capsys, ["report", "--max-dim", "5", "--jobs", "x"])
+    assert code == EXIT_INPUT
+    assert out == "" and "--jobs: invalid int value: 'x'" in err
+
+
+def test_an_output_path_that_cannot_be_written_exits_1(tmp_path, capsys):
+    # --out naming a directory: the OSError is reported, not raised.
+    code, out, err = run(capsys, ["multiplier", "--name", "filiform-5", "--out", str(tmp_path)])
+    assert code == EXIT_INPUT
+    assert out == "" and err.startswith("error: ") and "Traceback" not in err
+
+
 def test_jobs_below_one_is_a_usage_error(capsys):
     code, out, err = run(capsys, ["report", "--max-dim", "5", "--jobs", "-3"])
     assert code == EXIT_INPUT

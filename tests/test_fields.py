@@ -76,6 +76,20 @@ def test_gf_mixed_modulus_is_field_mismatch():
         PrimeFieldElement(5, 1) + PrimeFieldElement(7, 1)
 
 
+def test_gf_int_on_the_left_of_subtraction_and_division():
+    x = PrimeField(7).element(2)
+    assert 3 - x == PrimeFieldElement(7, 1)
+    assert 3 / x == PrimeFieldElement(7, 5) and (3 / x) * x == 3
+
+
+def test_gf_refuses_a_scalar_of_another_prime_field():
+    F, other = PrimeField(7), PrimeFieldElement(5, 1)
+    with pytest.raises(FieldMismatch, match=r"GF\(5\) element given to GF\(7\)"):
+        F.element(other)
+    with pytest.raises(FieldMismatch):
+        F.integers(other)
+
+
 def test_gf_element_rejects_fraction_operands():
     with pytest.raises(TypeError):
         PrimeField(5).one + Fraction(1, 2)

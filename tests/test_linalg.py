@@ -151,6 +151,11 @@ def test_matrix_rejects_ragged_rows_and_a_wrong_width():
         Matrix(QQ, [[1, 0]], ncols=3)
 
 
+def test_matmul_refuses_mismatched_shapes():
+    with pytest.raises(DimensionMismatch, match=r"\(1, 2\) @ \(1, 2\)"):
+        Matrix(QQ, [[1, 0]]) @ Matrix(QQ, [[1, 0]])
+
+
 def test_mixed_field_rejected():
     q = Matrix(QQ, [[1, 0]])
     g = Matrix(PrimeField(5), [[1, 0]])

@@ -30,6 +30,7 @@ from liemult.catalog import abelian, filiform_m2, filiform_q, standard_filiform
 from liemult.errors import (
     EmptyWord,
     IndexOutOfRange,
+    NonNilpotent,
     ResourceLimit,
     TupleSpaceTooLarge,
     WordTooShort,
@@ -239,6 +240,22 @@ def test_psi_range_errors():
         psi(L, 1, xs)
     with pytest.raises(IndexOutOfRange):
         psi(L, 4, xs)  # class is 3
+
+
+def test_psi_image_dim_refuses_non_nilpotent_input_and_low_degrees():
+    # [x1, x2] = x3, [x1, x3] = x3 is solvable and not nilpotent.
+    solvable = build(3, [(1, 2, 3, 1), (1, 3, 3, 1)])
+    with pytest.raises(NonNilpotent):
+        psi_image_dim(solvable, 2)
+    for i in (1, 0, -1):
+        with pytest.raises(IndexOutOfRange, match=f"degree i={i} must be at least 2"):
+            psi_image_dim(standard_filiform(5), i)
+
+
+def test_normed_bracket_refuses_an_unknown_orientation():
+    L = standard_filiform(4)
+    with pytest.raises(IndexOutOfRange, match="orientation"):
+        normed_bracket(L, [L.basis_vector(0), L.basis_vector(1)], "middle")
 
 
 def test_psi3_witness_value_in_n4_filiform():
